@@ -53,14 +53,13 @@
  *       prediction succeeded.
  *
  *   uopsq serve PATH [--port P] [--address A] [--threads N]
- *                    [--reactor-threads N] [--legacy-threaded]
+ *                    [--reactor-threads N]
  *                    [--load mmap|stream] [--watch SECONDS]
  *                    [--drain-ms MS] [--log-level LEVEL]
  *       Start the HTTP/1.1 JSON API (port 0 picks an ephemeral port;
  *       the chosen port is printed). Requests are served through the
  *       epoll reactor (--reactor-threads, default min(4, hardware))
- *       with precomputed response blobs; --legacy-threaded falls back
- *       to the thread-per-connection transport. Catalog shards are
+ *       with precomputed response blobs. Catalog shards are
  *       memory-mapped zero-copy by default. POST /reload hot-swaps to the current
  *       on-disk generation without dropping a request; --watch polls
  *       the manifest and reloads automatically when a characterize
@@ -130,7 +129,7 @@ usage()
         "       uopsq predict PATH --uarch A [--asm LISTING |"
         " --file KERNEL.s]\n"
         "       uopsq serve PATH [--port P] [--address A] [--threads N]"
-        " [--reactor-threads N] [--legacy-threaded]"
+        " [--reactor-threads N]"
         " [--load mmap|stream] [--watch SECONDS] [--drain-ms MS]"
         " [--log-level LEVEL]\n");
     std::exit(1);
@@ -166,7 +165,7 @@ struct Args
 bool
 isBoolFlag(const std::string &key)
 {
-    return key == "progress" || key == "legacy-threaded";
+    return key == "progress";
 }
 
 Args
@@ -564,17 +563,15 @@ cmdServe(const Args &args)
         return next;
     });
 
-    server::HttpServer::Options options;
-    options.port =
-        static_cast<uint16_t>(args.intOption("port", 0));
-    if (const std::string *address = args.option("address"))
-        options.bind_address = *address;
-    options.num_threads =
-        static_cast<size_t>(args.intOption("threads", 0));
-    options.reactor = args.option("legacy-threaded") == nullptr;
     long reactor_threads = args.intOption("reactor-threads", 0);
     fatalIf(reactor_threads < 0, "--reactor-threads must be >= 0");
-    options.reactor_threads = static_cast<size_t>(reactor_threads);
+    server::HttpServer::Options options{
+        .port = static_cast<uint16_t>(args.intOption("port", 0)),
+        .num_threads = static_cast<size_t>(args.intOption("threads", 0)),
+        .reactor_threads = static_cast<size_t>(reactor_threads),
+    };
+    if (const std::string *address = args.option("address"))
+        options.bind_address = *address;
 
     long watch_seconds = args.intOption("watch", 0);
     fatalIf(watch_seconds < 0, "--watch must be >= 0");
@@ -607,7 +604,6 @@ cmdServe(const Args &args)
                            service.catalog()->shards().size()))
         .num("http_workers",
              static_cast<uint64_t>(http.numWorkers()))
-        .str("transport", options.reactor ? "reactor" : "threaded")
         .num("drain_ms", static_cast<uint64_t>(drain_ms))
         .num("watch_seconds", static_cast<uint64_t>(watch_seconds));
     if (watch_seconds > 0)

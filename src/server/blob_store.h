@@ -30,10 +30,9 @@
  * costs a refcount, not a copy.
  *
  * Byte-identity is by construction, not by discipline: the blobs are
- * rendered through the same writeRecordJson / renderUArchsBody code
- * the legacy per-request path used, and the store is the *only*
- * renderer for these endpoints — both the reactor fast path and the
- * thread-pool path serve the same bytes.
+ * rendered through the same writeRecordJson / renderUArchsBody code a
+ * per-request render would use, and the store is the *only* renderer
+ * for these endpoints — every request lane serves the same bytes.
  *
  * Immutable after build(); all accessors are const and thread-safe.
  */

@@ -67,8 +67,8 @@ Conn::next(HttpRequest &request)
 bool
 Conn::keepAlive(const HttpRequest &request, bool draining) const
 {
-    // served_ already counts the request being decided, so the
-    // budget check matches the threaded path's served+1 bound.
+    // served_ already counts the request being decided: the
+    // connection's last budgeted request closes it.
     return wantsKeepAlive(request) && !draining &&
            served_ < limits_.max_requests;
 }

@@ -3,10 +3,10 @@
  * Per-connection HTTP/1.1 framing state machine for the reactor.
  *
  * A Conn owns everything about one client connection *except* the
- * socket: the inbound byte buffer, the request parser (the same
- * findHeaderEnd/parseRequestHead/contentLength primitives the
- * threaded transport uses, so the two paths frame identically), the
- * keep-alive/pipelining bookkeeping, and the outbound chunk queue.
+ * socket: the inbound byte buffer, the request parser (built on the
+ * findHeaderEnd/parseRequestHead/contentLength primitives of
+ * server/http.h), the keep-alive/pipelining bookkeeping, and the
+ * outbound chunk queue.
  * Keeping it socket-free means the whole framing machine — partial
  * heads, pipelined batches, oversize refusals, blob-backed gather
  * output — is unit-testable by feeding bytes in and reading iovecs
@@ -85,8 +85,7 @@ class Conn
     bool inputEmpty() const { return in_.size() == in_off_; }
 
     /** Try to extract the next complete request from the buffer.
-     *  Mirrors the threaded transport's framing exactly: oversize
-     *  buffers and bodies are 413, malformed heads and bad
+     *  Oversize buffers and bodies are 413, malformed heads and bad
      *  Content-Length are 400, and a pipelined successor stays
      *  buffered. Ready counts against the per-connection budget. */
     ParseResult next(HttpRequest &request);
@@ -121,7 +120,7 @@ class Conn
         if (!serve(view, response))
             return Raw::NoMatch;
         // Mirrors next(): count before the keep-alive decision so
-        // the budget check matches the threaded path's served+1.
+        // the budget check matches keepAlive()'s.
         ++served_;
         bool keep_alive = !view.connection_close && !draining &&
                           served_ < limits_.max_requests;

@@ -209,15 +209,6 @@ wantsKeepAlive(const HttpRequest &request)
 }
 
 bool
-ifNoneMatch(const HttpRequest &request, std::string_view etag)
-{
-    const std::string *header = request.header("If-None-Match");
-    if (header == nullptr)
-        return false;
-    return ifNoneMatchValue(*header, etag);
-}
-
-bool
 ifNoneMatchValue(std::string_view header_value, std::string_view etag)
 {
     if (header_value.empty() || etag.empty())

@@ -150,13 +150,10 @@ std::string serializeResponseHead(const HttpResponse &response,
 void appendResponseHead(std::string &out, const HttpResponse &response,
                         bool keep_alive);
 
-/** Whether @p request's If-None-Match header matches @p etag
- *  (unquoted value): handles `*`, comma-separated candidate lists,
- *  quoted tags, and weak `W/` prefixes (weak comparison — fine for
- *  revalidation). False when the header is absent. */
-bool ifNoneMatch(const HttpRequest &request, std::string_view etag);
-
-/** Same matching over a raw header value (empty = absent). */
+/** Whether an If-None-Match header value (empty = absent) matches
+ *  @p etag (unquoted value): handles `*`, comma-separated candidate
+ *  lists, quoted tags, and weak `W/` prefixes (weak comparison — fine
+ *  for revalidation). */
 bool ifNoneMatchValue(std::string_view header_value,
                       std::string_view etag);
 

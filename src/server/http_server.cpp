@@ -1,13 +1,10 @@
 #include "http_server.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -37,7 +34,10 @@ HttpServer::start()
 {
     panicIf(running_.load(), "HttpServer::start: already running");
 
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    // Non-blocking: the reactor accepts through epoll, and with
+    // EPOLLEXCLUSIVE one thread is woken per pending accept, but a
+    // level-triggered racing accept can still come up empty.
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     fatalIf(listen_fd_ < 0, "http server: socket(): ",
             std::strerror(errno));
 
@@ -75,31 +75,10 @@ HttpServer::start()
                   &len);
     port_ = ntohs(bound.sin_port);
 
-    if (options_.reactor) {
-        // The reactor accepts through epoll: the listener must be
-        // non-blocking (EPOLLEXCLUSIVE wakes one thread, but a
-        // level-triggered racing accept can still come up empty).
-        int flags = ::fcntl(listen_fd_, F_GETFL, 0);
-        ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK);
-        Reactor::Options reactor_options;
-        reactor_options.threads = options_.reactor_threads;
-        reactor_options.max_request_bytes = options_.max_request_bytes;
-        reactor_options.max_requests_per_connection =
-            options_.max_requests_per_connection;
-        reactor_options.recv_timeout_seconds =
-            options_.recv_timeout_seconds;
-        reactor_options.keep_alive_idle_seconds =
-            options_.keep_alive_idle_seconds;
-        reactor_ = std::make_unique<Reactor>(service_, pool_,
-                                             listen_fd_,
-                                             reactor_options);
-        reactor_->start();
-        running_.store(true);
-        return;
-    }
-
+    reactor_ =
+        std::make_unique<Reactor>(service_, pool_, listen_fd_, options_);
+    reactor_->start();
     running_.store(true);
-    acceptor_ = std::thread([this] { acceptLoop(); });
 }
 
 void
@@ -112,260 +91,22 @@ bool
 HttpServer::drain(std::chrono::milliseconds max_wait)
 {
     draining_.store(true);
-    if (running_.exchange(false)) {
-        if (reactor_ != nullptr) {
-            bool clean = reactor_->drain(max_wait);
-            // Join the reactor threads before closing the listener:
-            // nothing may hold the fd in an epoll set (or race it as
-            // a plain int) once it can be reused.
-            reactor_->stop();
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-            return clean;
-        }
-        // Unblock accept() with shutdown() only; the fd stays open
-        // until the acceptor has joined, so it can neither be reused
-        // by another thread's descriptor nor raced as a plain int
-        // (the join gives the happens-before for the close below).
-        ::shutdown(listen_fd_, SHUT_RDWR);
-        if (acceptor_.joinable())
-            acceptor_.join();
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    } else if (acceptor_.joinable()) {
-        acceptor_.join();
-    }
-    if (reactor_ != nullptr)
-        return true;  // a previous call already drained it
-
-    std::unique_lock<std::mutex> lock(conn_mutex_);
-    bool clean = conn_cv_.wait_for(
-        lock, max_wait, [this] { return connections_.empty(); });
-    if (!clean) {
-        // Deadline passed: kill the remaining sockets. Their workers'
-        // next recv/send fails immediately, so the tasks finish; the
-        // clients see a reset, not a silently truncated success.
-        // Force-shutdown connections get no response to carry an
-        // X-Request-Id, so the log line is their only correlation
-        // record.
-        service_.logger()
-            .event(obs::LogLevel::Warn, "http", "drain_forced")
-            .num("connections",
-                 static_cast<uint64_t>(connections_.size()))
-            .num("deadline_ms",
-                 static_cast<uint64_t>(max_wait.count()));
-        for (int fd : connections_)
-            ::shutdown(fd, SHUT_RDWR);
-        conn_cv_.wait(lock, [this] { return connections_.empty(); });
-    }
+    if (!running_.exchange(false))
+        return true;  // never started, or a previous call drained it
+    bool clean = reactor_->drain(max_wait);
+    // Join the reactor threads before closing the listener: nothing
+    // may hold the fd in an epoll set (or race it as a plain int) once
+    // it can be reused.
+    reactor_->stop();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
     return clean;
 }
 
 size_t
 HttpServer::activeConnections() const
 {
-    if (reactor_ != nullptr)
-        return reactor_->activeConnections();
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    return connections_.size();
-}
-
-void
-HttpServer::acceptLoop()
-{
-    while (running_.load()) {
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            // Listener was closed (stop()) or broke: exit.
-            break;
-        }
-        if (options_.recv_timeout_seconds > 0) {
-            timeval tv{};
-            tv.tv_sec = options_.recv_timeout_seconds;
-            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-        }
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        {
-            std::lock_guard<std::mutex> lock(conn_mutex_);
-            if (draining_.load()) {
-                // Raced a concurrent drain(): refuse instead of
-                // starting work the drain will never see finish.
-                ::close(fd);
-                continue;
-            }
-            connections_.insert(fd);
-        }
-        pool_.submit([this, fd](size_t) { handleConnection(fd); });
-    }
-}
-
-namespace {
-
-/** Send the whole buffer. False when the peer went away or stalled
- *  past the send timeout — the connection is no longer usable and
- *  the caller must close it (a partial response was already put on
- *  the wire; serving another request on this stream would corrupt
- *  the framing). */
-[[nodiscard]] bool
-sendAll(int fd, const std::string &bytes)
-{
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-        ssize_t n = ::send(fd, bytes.data() + sent,
-                           bytes.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0)
-            return false;   // peer gone or SO_SNDTIMEO expired
-        sent += static_cast<size_t>(n);
-    }
-    return true;
-}
-
-} // namespace
-
-void
-HttpServer::handleConnection(int fd)
-{
-    serveConnection(fd);
-    {
-        // Notify under the lock: drain() may destroy this object the
-        // moment it observes connections_ empty, and it cannot take
-        // the mutex until this block exits — which orders the notify
-        // (and everything else this thread does to the registry)
-        // before the condition variable's destruction. The erase also
-        // stays ordered before close(), so drain's force-shutdown()
-        // can never hit a recycled descriptor.
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        connections_.erase(fd);
-        conn_cv_.notify_all();
-    }
-    ::close(fd);
-}
-
-void
-HttpServer::serveConnection(int fd)
-{
-    // Transport-level refusals (oversize buffers, parse failures)
-    // never reach QueryService::handle(), so correlation and the
-    // access-log line are this layer's job: mint or echo an ID, put
-    // it on the response, log the refusal. @p request is the parsed
-    // head when one exists (its X-Request-Id is then honored).
-    auto refuse = [&](int status, const std::string &message,
-                      const HttpRequest *request) {
-        HttpResponse response = errorResponse(status, message);
-        const std::string *client_id =
-            request != nullptr ? request->header("X-Request-Id")
-                               : nullptr;
-        if (client_id != nullptr && acceptableRequestId(*client_id))
-            response.request_id = *client_id;
-        else
-            response.request_id = obs::newTraceId();
-        obs::Logger &logger = service_.logger();
-        if (logger.enabled(obs::LogLevel::Info))
-            logger.event(obs::LogLevel::Info, "http", "access")
-                .str("id", response.request_id)
-                .str("endpoint", "transport")
-                .num("status", static_cast<int64_t>(status))
-                .str("error", message);
-        (void)sendAll(fd, serializeResponse(response));
-    };
-
-    try {
-        std::string buffer;
-        char chunk[4096];
-
-        // Serve requests until the client closes, asks to close, the
-        // per-connection budget runs out, or the stream turns bad.
-        // Pipelined requests already sitting in the buffer are served
-        // without touching the socket.
-        auto set_timeout = [fd](int seconds) {
-            if (seconds <= 0)
-                return;
-            timeval tv{};
-            tv.tv_sec = seconds;
-            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-        };
-        for (size_t served = 0;
-             served < options_.max_requests_per_connection; ++served) {
-            // Between requests the worker is idle capital: wait only
-            // briefly for a follow-up, then give the slot back. Once
-            // bytes arrive, the full in-request timeout applies
-            // again (restored below on the first read). Skipped when
-            // timeouts are disabled entirely.
-            bool idle_wait = served > 0 && buffer.empty() &&
-                             options_.recv_timeout_seconds > 0;
-            if (idle_wait)
-                set_timeout(options_.keep_alive_idle_seconds);
-            std::optional<size_t> head_end = findHeaderEnd(buffer);
-            while (!head_end) {
-                ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-                if (n <= 0) {
-                    // Clean end between requests, peer loss mid-head,
-                    // or an idle keep-alive hitting the recv timeout.
-                    return;
-                }
-                if (idle_wait) {
-                    set_timeout(options_.recv_timeout_seconds);
-                    idle_wait = false;
-                }
-                buffer.append(chunk, static_cast<size_t>(n));
-                if (buffer.size() > options_.max_request_bytes) {
-                    refuse(413, "request too large", nullptr);
-                    return;
-                }
-                head_end = findHeaderEnd(buffer);
-            }
-
-            HttpRequest request;
-            try {
-                request = parseRequestHead(buffer.substr(0, *head_end));
-            } catch (const std::exception &e) {
-                refuse(400, e.what(), nullptr);
-                return;
-            }
-
-            size_t body_bytes = 0;
-            try {
-                body_bytes = contentLength(request);
-            } catch (const std::exception &e) {
-                refuse(400, e.what(), &request);
-                return;
-            }
-            if (body_bytes > options_.max_request_bytes) {
-                refuse(413, "body too large", &request);
-                return;
-            }
-            while (buffer.size() - *head_end < body_bytes) {
-                ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-                if (n <= 0)
-                    break;
-                buffer.append(chunk, static_cast<size_t>(n));
-            }
-            size_t have =
-                std::min(buffer.size() - *head_end, body_bytes);
-            bool body_complete = have == body_bytes;
-            request.body = buffer.substr(*head_end, have);
-            // Consume exactly this request; a pipelined successor
-            // stays buffered for the next iteration.
-            buffer.erase(0, *head_end + have);
-
-            bool keep_alive =
-                body_complete && wantsKeepAlive(request) &&
-                !draining_.load() &&
-                served + 1 < options_.max_requests_per_connection;
-            HttpResponse response = service_.handle(request);
-            if (!sendAll(fd, serializeResponse(response, keep_alive)))
-                return;   // peer gone or stalled past SO_SNDTIMEO
-            if (!keep_alive)
-                break;
-        }
-    } catch (...) {
-        // Connection handling must never propagate into the pool.
-        refuse(500, "internal error", nullptr);
-    }
+    return reactor_ != nullptr ? reactor_->activeConnections() : 0;
 }
 
 } // namespace uops::server

@@ -2,28 +2,18 @@
  * @file
  * Dependency-free HTTP/1.1 socket server for the query service.
  *
- * Two transports behind one API:
- *
- * The default is the event-driven epoll reactor (server/reactor.h):
- * a few reactor threads own every socket, do all framing and
- * keep-alive work, serve cache/blob/304 hits inline, and hand only
- * requests that need real work to the shared ThreadPool — so
+ * The server owns the listening socket, the worker pool and one epoll
+ * reactor (server/reactor.h): a few reactor threads own every socket,
+ * do all framing and keep-alive work, serve cache/blob/304 hits
+ * inline, and hand only requests that need real work to the pool — so
  * hundreds of keep-alive connections cost readiness events, not
  * blocked threads.
- *
- * Options::reactor = false selects the legacy thread-per-connection
- * transport: one acceptor thread, and a pool task per connection
- * that serves requests through QueryService::handle() until the
- * client is done. Both transports share the same parsing, framing
- * and service code, so their responses are byte-identical; the
- * legacy path remains as an escape hatch and as the conformance
- * reference the reactor is tested against.
  *
  * HTTP/1.1 keep-alive is honored (Connection headers, HTTP/1.0
  * semantics included), so query clients issuing many small requests
  * stop paying per-request TCP setup; a connection is bounded by
- * max_requests_per_connection and by the receive timeout, so a
- * slow-loris client cannot pin a worker forever. Malformed requests
+ * max_requests_per_connection and by the receive deadline, so a
+ * slow-loris client cannot pin a socket forever. Malformed requests
  * are answered and the connection closed — after an error the byte
  * stream can no longer be trusted to be framed.
  *
@@ -38,13 +28,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 
 #include "server/service.h"
 #include "support/thread_pool.h"
@@ -62,6 +48,9 @@ class HttpServer
         uint16_t port = 0;          ///< 0: ephemeral
         size_t num_threads = 0;     ///< pool size; 0: hardware
         int backlog = 64;
+
+        /** Deadline for a request still arriving (and for a stalled
+         *  send of its response); 0 disables. */
         int recv_timeout_seconds = 5;
 
         /** Reject request heads/bodies larger than this. */
@@ -73,21 +62,14 @@ class HttpServer
 
         /** Idle wait for the *next* request on a persistent
          *  connection. Deliberately shorter than the in-request
-         *  recv timeout: a worker blocked between requests is pure
-         *  opportunity cost, so idle keep-alive clients are shed
-         *  quickly instead of pinning pool workers. */
+         *  deadline: idle keep-alive clients are shed quickly. */
         int keep_alive_idle_seconds = 1;
 
         /** How long stop()/drain() waits for in-flight connections
-         *  to finish before forcibly shutting their sockets down. */
+         *  to finish before forcibly closing them. */
         int drain_deadline_ms = 5000;
 
-        /** Serve through the epoll reactor (default). false selects
-         *  the legacy thread-per-connection transport. */
-        bool reactor = true;
-
-        /** Reactor threads; 0 picks min(4, hardware threads). Only
-         *  meaningful with reactor = true. */
+        /** Reactor threads; 0 picks min(4, hardware threads). */
         size_t reactor_threads = 0;
     };
 
@@ -103,7 +85,7 @@ class HttpServer
     HttpServer &operator=(const HttpServer &) = delete;
 
     /**
-     * Bind, listen and start the acceptor thread.
+     * Bind, listen and start the reactor threads.
      *
      * @throws FatalError when the address cannot be bound.
      */
@@ -116,11 +98,10 @@ class HttpServer
      * Graceful drain. Stops accepting (new connections are refused,
      * keep-alive is no longer offered), waits up to @p max_wait for
      * in-flight connections to finish — every response already being
-     * computed is sent whole — then forcibly shuts down whatever
-     * remains and waits for their workers to return.
+     * computed is sent whole — then forcibly closes whatever remains.
      *
      * @return true when every connection finished within the
-     *         deadline (no socket had to be shut down mid-request).
+     *         deadline (no socket had to be closed mid-request).
      */
     bool drain(std::chrono::milliseconds max_wait);
 
@@ -130,7 +111,7 @@ class HttpServer
      *  keep-alive. */
     bool draining() const { return draining_.load(); }
 
-    /** Connections currently registered (accepted, not yet closed). */
+    /** Connections currently open (accepted, not yet closed). */
     size_t activeConnections() const;
 
     /** Actual bound port (valid after start()). */
@@ -141,27 +122,14 @@ class HttpServer
     size_t numWorkers() const { return pool_.numWorkers(); }
 
   private:
-    void acceptLoop();
-    void handleConnection(int fd);
-    void serveConnection(int fd);
-
     QueryService &service_;
     Options options_;
     ThreadPool pool_;
     std::unique_ptr<Reactor> reactor_;
-    std::thread acceptor_;
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false};
     int listen_fd_ = -1;
     uint16_t port_ = 0;
-
-    /** Open connection fds. Discipline: an fd is inserted before its
-     *  pool task is submitted and erased *before* it is closed, so
-     *  drain()'s force-shutdown (under the same mutex) can never
-     *  touch a closed — possibly reused — descriptor. */
-    mutable std::mutex conn_mutex_;
-    std::set<int> connections_;
-    std::condition_variable conn_cv_;
 };
 
 } // namespace uops::server

@@ -22,10 +22,15 @@ namespace {
 constexpr uint64_t kListenId = 0;
 constexpr uint64_t kWakeId = 1;
 
+/** How long a listener parked by descriptor exhaustion sits out, and
+ *  the minimum gap between two accept_failed log lines. */
+constexpr uint64_t kListenRetryUs = 100'000;
+constexpr uint64_t kAcceptErrorLogUs = 1'000'000;
+
 } // namespace
 
 Reactor::Reactor(QueryService &service, ThreadPool &pool,
-                 int listen_fd, Options options)
+                 int listen_fd, const HttpServer::Options &options)
     : service_(service), pool_(pool), listen_fd_(listen_fd),
       options_(options)
 {
@@ -39,6 +44,10 @@ Reactor::Reactor(QueryService &service, ThreadPool &pool,
     accepts_ = &registry.counter(
         "uops_reactor_accepts_total",
         "Connections accepted by the reactor");
+    accept_errors_ = &registry.counter(
+        "uops_reactor_accept_errors_total",
+        "accept4() failures from descriptor or memory exhaustion "
+        "(the listener is parked, then retried)");
     fast_served_ = &registry.counter(
         "uops_reactor_fast_served_total",
         "Requests served inline on a reactor thread (cache, blob or "
@@ -51,7 +60,7 @@ Reactor::Reactor(QueryService &service, ThreadPool &pool,
         "Active (non-waiting) readiness-loop iteration time in "
         "microseconds");
 
-    size_t threads = options_.threads;
+    size_t threads = options_.reactor_threads;
     if (threads == 0) {
         size_t hardware = std::thread::hardware_concurrency();
         threads = std::min<size_t>(4, hardware == 0 ? 1 : hardware);
@@ -168,12 +177,11 @@ Reactor::run(Worker &worker)
         int n = ::epoll_wait(worker.epoll_fd, events, 64, 100);
         uint64_t t0_us = obs::traceNowUs();
 
-        if (draining_.load(std::memory_order_relaxed) &&
-            worker.listen_registered) {
-            ::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, listen_fd_,
-                        nullptr);
-            worker.listen_registered = false;
-        }
+        if (draining_.load(std::memory_order_relaxed))
+            setListening(worker, false);
+        else if (worker.listen_retry_us != 0 &&
+                 t0_us >= worker.listen_retry_us)
+            setListening(worker, true);
 
         for (int i = 0; i < n; ++i) {
             uint64_t id = events[i].data.u64;
@@ -212,14 +220,39 @@ Reactor::run(Worker &worker)
 }
 
 void
+Reactor::setListening(Worker &worker, bool listening)
+{
+    worker.listen_retry_us = 0;
+    if (worker.listen_registered == listening)
+        return;
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLEXCLUSIVE;
+    ev.data.u64 = kListenId;
+    if (::epoll_ctl(worker.epoll_fd,
+                    listening ? EPOLL_CTL_ADD : EPOLL_CTL_DEL,
+                    listen_fd_, &ev) != 0 &&
+        listening) {
+        // Re-arming can itself fail under memory pressure: stay
+        // parked and try again next tick.
+        worker.listen_retry_us = obs::traceNowUs() + kListenRetryUs;
+        return;
+    }
+    worker.listen_registered = listening;
+}
+
+void
 Reactor::acceptReady(Worker &worker)
 {
     for (;;) {
         int fd = ::accept4(listen_fd_, nullptr, nullptr,
                            SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) {
-            if (errno == EINTR)
+            int err = errno;
+            if (err == EINTR)
                 continue;
+            if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
+                err == ENOMEM)
+                parkListener(worker, err);
             break;  // EAGAIN: another thread took it, or none left
         }
         if (draining_.load(std::memory_order_relaxed)) {
@@ -247,6 +280,30 @@ Reactor::acceptReady(Worker &worker)
         connections_->add(1);
         accepts_->inc();
     }
+}
+
+void
+Reactor::parkListener(Worker &worker, int err)
+{
+    // The pending connection stays in the backlog, so the
+    // level-triggered listener would re-fire at once: park it for a
+    // tick instead of spinning until a descriptor frees up.
+    accept_errors_->inc();
+    setListening(worker, false);
+    uint64_t now_us = obs::traceNowUs();
+    worker.listen_retry_us = now_us + kListenRetryUs;
+
+    uint64_t last_us =
+        accept_error_logged_us_.load(std::memory_order_relaxed);
+    if ((last_us == 0 || now_us - last_us >= kAcceptErrorLogUs) &&
+        accept_error_logged_us_.compare_exchange_strong(last_us,
+                                                        now_us))
+        service_.logger()
+            .event(obs::LogLevel::Warn, "http", "accept_failed")
+            .str("error", std::strerror(err))
+            .num("retry_ms", kListenRetryUs / 1000)
+            .num("connections",
+                 static_cast<uint64_t>(conn_count_.load()));
 }
 
 void
@@ -458,8 +515,7 @@ Reactor::sweepDeadlines(Worker &worker)
             !conn->partialRequest()) {
             // Idle between requests: close now. A half-received
             // request keeps its socket until its own deadline or the
-            // drain force deadline — same as the threaded transport,
-            // whose worker sits in recv() until drain forces it.
+            // drain force deadline.
             doomed.push_back(id);
             continue;
         }
@@ -509,16 +565,14 @@ Reactor::queueRefusal(Conn &conn, int status,
                       const std::string &message,
                       const HttpRequest *request)
 {
-    // Transport-level refusals never reach QueryService::handle(),
-    // so correlation and the access-log line are this layer's job —
-    // same contract as the threaded transport.
+    // Transport-level refusals never reach the service's finish
+    // path, so correlation and the access-log line are this layer's
+    // job.
     HttpResponse response = errorResponse(status, message);
     const std::string *client_id =
         request != nullptr ? request->header("X-Request-Id") : nullptr;
-    if (client_id != nullptr && acceptableRequestId(*client_id))
-        response.request_id = *client_id;
-    else
-        response.request_id = obs::newTraceId();
+    response.request_id = resolveRequestId(
+        client_id != nullptr ? std::string_view(*client_id) : "");
     obs::Logger &logger = service_.logger();
     if (logger.enabled(obs::LogLevel::Info))
         logger.event(obs::LogLevel::Info, "http", "access")

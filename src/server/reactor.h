@@ -1,29 +1,27 @@
 /**
  * @file
- * Event-driven serving front end: an epoll reactor for the HTTP
- * server.
+ * Event-driven serving front end: the epoll reactor behind
+ * HttpServer.
  *
- * The thread-per-connection transport spends its parallelism on
- * *waiting*: a pool worker camps on recv() between requests, so 16
- * keep-alive clients against a small pool starve each other even
- * when every response is a precomputed blob that costs microseconds
- * to serve. The reactor inverts that: a few threads own all the
- * sockets through epoll and spend their time exclusively on work
- * that is actually ready.
+ * A few threads own all the sockets through epoll and spend their
+ * time exclusively on work that is actually ready; no thread ever
+ * camps on a recv() waiting for a keep-alive client's next request.
  *
  * Each reactor thread runs its own epoll loop and owns its accepted
  * connections outright (no cross-thread connection state, no locks
  * on the serving path). The shared listen socket is registered in
  * every loop with EPOLLEXCLUSIVE so the kernel wakes one thread per
  * pending accept. Per readiness event a thread reads, runs the Conn
- * framing machine, and answers *inline* whatever the fast path can:
+ * framing machine, and answers *inline* whatever the fast lanes can:
  * response-cache hits, precomputed blob bodies (/uarchs, /instr),
- * and If-None-Match 304s — QueryService::tryServeFast(), the same
- * code the threaded path exercises through handle(). Only requests
+ * and If-None-Match 304s — QueryService::tryServeRaw() on the bare
+ * head, else tryServeFast() on the parsed request. Only requests
  * that need real work (cold /search, /predict simulation, /reload)
- * are handed to the worker pool; the completion is queued back to
- * the owning reactor thread through an eventfd wakeup and flushed in
- * arrival order, so pipelined clients still see ordered responses.
+ * are handed to the worker pool through QueryService::handle(); the
+ * completion is queued back to the owning reactor thread through an
+ * eventfd wakeup and flushed in arrival order, so pipelined clients
+ * still see ordered responses. All three lanes end in the service's
+ * one finish path, so they answer byte-identically.
  *
  * Connections are keyed by a monotonically increasing u64 id (the
  * epoll user datum), never by fd: a completion for a connection that
@@ -31,6 +29,14 @@
  * an fd-reuse race is structurally impossible. Backpressure: while a
  * connection has a request in flight and its input buffer is full,
  * its EPOLLIN interest is dropped until the completion lands.
+ *
+ * Descriptor exhaustion: when accept4() fails for want of fds or
+ * memory (EMFILE, ENFILE, ENOBUFS, ENOMEM), the level-triggered
+ * listener would re-fire at once and spin a core. The thread instead
+ * takes the listener out of its epoll set and re-adds it on a later
+ * loop tick (the 100 ms epoll_wait timeout supplies the ticks), so
+ * established connections keep being served while pending accepts
+ * wait in the backlog.
  *
  * Drain protocol (SIGTERM / stop()): accepting stops, keep-alive is
  * no longer granted, idle connections close immediately, busy ones
@@ -52,6 +58,7 @@
 #include <vector>
 
 #include "server/conn.h"
+#include "server/http_server.h"
 #include "server/service.h"
 #include "support/thread_pool.h"
 
@@ -60,19 +67,10 @@ namespace uops::server {
 class Reactor
 {
   public:
-    struct Options
-    {
-        size_t threads = 0;  ///< 0: min(4, hardware threads)
-        size_t max_request_bytes = 1 << 20;
-        size_t max_requests_per_connection = 100;
-        int recv_timeout_seconds = 5;
-        int keep_alive_idle_seconds = 1;
-    };
-
     /** @p listen_fd must be non-blocking and stays owned by the
      *  caller (closed only after stop() has joined the threads). */
     Reactor(QueryService &service, ThreadPool &pool, int listen_fd,
-            Options options);
+            const HttpServer::Options &options);
     ~Reactor();
 
     Reactor(const Reactor &) = delete;
@@ -117,10 +115,15 @@ class Reactor
         std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns;
         uint64_t next_id = 2;  ///< 0 = listen, 1 = eventfd
         bool listen_registered = true;
+        /** traceNowUs() at which a listener parked by descriptor
+         *  exhaustion is re-armed; 0 when not parked. */
+        uint64_t listen_retry_us = 0;
     };
 
     void run(Worker &worker);
     void acceptReady(Worker &worker);
+    void setListening(Worker &worker, bool listening);
+    void parkListener(Worker &worker, int err);
     void onReadable(Worker &worker, Conn &conn);
     /** Parse + serve/dispatch buffered requests, then flush. The
      *  connection may be *closed* (and freed) on return. */
@@ -141,7 +144,7 @@ class Reactor
     QueryService &service_;
     ThreadPool &pool_;
     int listen_fd_;
-    Options options_;
+    HttpServer::Options options_;
     Conn::Limits limits_;
 
     std::vector<std::unique_ptr<Worker>> workers_;
@@ -158,6 +161,9 @@ class Reactor
 
     obs::Gauge *connections_ = nullptr;
     obs::Counter *accepts_ = nullptr;
+    obs::Counter *accept_errors_ = nullptr;
+    /** traceNowUs() of the last accept-error Warn line (rate limit). */
+    std::atomic<uint64_t> accept_error_logged_us_{0};
     obs::Counter *fast_served_ = nullptr;
     obs::Counter *dispatched_ = nullptr;
     obs::Histogram *loop_ = nullptr;

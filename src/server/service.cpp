@@ -1,8 +1,10 @@
 #include "service.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <type_traits>
 
 #include "isa/kernel.h"
 #include "server/blob_store.h"
@@ -52,15 +54,14 @@ endpointName(Endpoint endpoint)
     return "?";
 }
 
-bool
-acceptableRequestId(std::string_view id)
+std::string
+resolveRequestId(std::string_view client_id)
 {
-    if (id.empty() || id.size() > 128)
-        return false;
-    for (char c : id)
-        if (c <= ' ' || c > '~')
-            return false;
-    return true;
+    bool acceptable =
+        !client_id.empty() && client_id.size() <= 128 &&
+        std::all_of(client_id.begin(), client_id.end(),
+                    [](char c) { return c > ' ' && c <= '~'; });
+    return acceptable ? std::string(client_id) : obs::newTraceId();
 }
 
 HttpResponse
@@ -402,82 +403,91 @@ QueryService::route(const HttpRequest &request) const
     return Endpoint::Other;
 }
 
-HttpResponse
-QueryService::handle(const HttpRequest &request)
+QueryService::RequestView
+QueryService::viewOf(const HttpRequest &request)
 {
+    RequestView view;
+    view.method = request.method;
+    view.target = request.target;
+    view.path = request.path;
+    if (const std::string *value = request.header("If-None-Match"))
+        view.if_none_match = *value;
+    if (const std::string *value = request.header("X-Request-Id"))
+        view.request_id = *value;
+    if (auto it = request.query.find("uarch"); it != request.query.end())
+        view.uarch = it->second;
+    return view;
+}
+
+namespace {
+
+/** Endpoints whose GET responses pass through the response cache.
+ *  /uarchs is pure blob: caching it would only duplicate the lookup. */
+bool
+cachedEndpoint(Endpoint endpoint)
+{
+    return endpoint == Endpoint::Instr || endpoint == Endpoint::Search ||
+           endpoint == Endpoint::Diff || endpoint == Endpoint::Predict ||
+           endpoint == Endpoint::Analytics;
+}
+
+} // namespace
+
+template <typename Render>
+bool
+QueryService::serve(const RequestView &request, Endpoint endpoint,
+                    bool cacheable, Render &&render,
+                    HttpResponse &response)
+{
+    constexpr bool cache_only =
+        std::is_null_pointer_v<std::remove_cvref_t<Render>>;
     uint64_t t0_us = obs::traceNowUs();
-    Endpoint endpoint = route(request);
     EndpointInstruments &ins =
         instruments_[static_cast<size_t>(endpoint)];
-    ins.requests->inc();
 
     // Pin the serving generation once: everything below — cache key,
-    // dispatch, predictor contexts — runs against this state even if
-    // a swap lands mid-request.
+    // blob lookup, handlers — runs against this state even if a swap
+    // lands mid-request.
     StatePtr st = state();
 
-    // Spans are collected only when someone will read them: a
-    // ?debug=timings /predict response or an active UOPS_TRACE
-    // profile. The cached hot path never allocates a SpanSet.
-    obs::ChromeTracer *tracer = obs::ChromeTracer::fromEnv();
-    bool debug_timings = false;
-    if (endpoint == Endpoint::Predict) {
-        auto debug = request.param("debug");
-        debug_timings = debug && *debug == "timings";
-    }
-    std::optional<obs::SpanSet> spans;
-    if (endpoint == Endpoint::Predict && (debug_timings || tracer))
-        spans.emplace("predict", tracer);
-
-    HttpResponse response;
-    // Timed debug responses must stay per-request: they bypass the
-    // response cache (and, below, the kernel memo), so a memoized
-    // response is still byte-identical to a cold render.
-    bool cacheable =
-        request.method == "GET" && !debug_timings &&
-        (endpoint == Endpoint::Instr || endpoint == Endpoint::Search ||
-         endpoint == Endpoint::Diff || endpoint == Endpoint::Predict ||
-         endpoint == Endpoint::Analytics);
-
+    HttpResponse out;
     bool from_cache = false;
     if (cacheable) {
         if (auto cached = cache_.get(request.target, st->epoch)) {
-            response = *cached;
-            response.cache_hit = true;
+            out = std::move(*cached);
+            out.cache_hit = true;
             from_cache = true;
-            ins.cache_hits->inc();
         }
     }
-    if (!from_cache) {
+    // Blob-backed endpoints are *always* cheap — a hash lookup for the
+    // body, or a 400/404 error render — so every lane answers them.
+    bool blob = !from_cache && request.method == "GET" &&
+                (endpoint == Endpoint::UArchs ||
+                 endpoint == Endpoint::Instr);
+    if constexpr (cache_only) {
+        if (!from_cache && !blob)
+            return false;  // cold /search, /diff, /predict: real work
+    }
+
+    // Counted before rendering: /stats and /metrics report their own
+    // request as already in flight.
+    ins.requests->inc();
+    if (from_cache) {
+        ins.cache_hits->inc();
+    } else {
         try {
-            response = dispatch(endpoint, request, *st,
-                                spans ? &*spans : nullptr,
-                                debug_timings);
+            if (blob)
+                out = blobAnswer(request, endpoint, *st);
+            else if constexpr (!cache_only)
+                out = render(*st);
         } catch (const FatalError &e) {
-            response = errorResponse(400, e.what());
+            out = errorResponse(400, e.what());
         } catch (const std::exception &e) {
-            response = errorResponse(500, e.what());
+            out = errorResponse(500, e.what());
         }
-        if (cacheable && response.status == 200)
-            cache_.put(request.target, st->epoch, response);
+        if (cacheable && out.status == 200)
+            cache_.put(request.target, st->epoch, out);
     }
-
-    finishResponse(request, endpoint, *st, response, t0_us,
-                   cacheable ? (from_cache ? "hit" : "miss") : "none",
-                   tracer);
-    return response;
-}
-
-void
-QueryService::finishResponse(const HttpRequest &request,
-                             Endpoint endpoint,
-                             const ServingState &state,
-                             HttpResponse &response, uint64_t t0_us,
-                             const char *cache_disposition,
-                             obs::ChromeTracer *tracer)
-{
-    EndpointInstruments &ins =
-        instruments_[static_cast<size_t>(endpoint)];
 
     // Conditional GET: when the client's If-None-Match names the
     // entity this response carries, the transfer is pure waste — the
@@ -485,54 +495,84 @@ QueryService::finishResponse(const HttpRequest &request,
     // Running after both the cache and the handlers means cached and
     // fresh 200s revalidate identically, and the blob-backed paths
     // never rendered anything to begin with.
-    if (response.status == 200 && !response.etag.empty() &&
-        ifNoneMatch(request, response.etag)) {
+    if (out.status == 200 && !out.etag.empty() &&
+        ifNoneMatchValue(request.if_none_match, out.etag)) {
         HttpResponse not_modified;
         not_modified.status = 304;
-        not_modified.etag = response.etag;
-        not_modified.cache_hit = response.cache_hit;
-        response = std::move(not_modified);
+        not_modified.etag = std::move(out.etag);
+        not_modified.cache_hit = out.cache_hit;
+        out = std::move(not_modified);
         not_modified_->inc();
     }
 
-    if (response.status >= 400)
+    if (out.status >= 400)
         ins.errors->inc();
     uint64_t us = obs::traceNowUs() - t0_us;
     ins.latency->observe(us);
 
-    // Correlation: echo a sane client ID, mint one otherwise. Set
-    // *after* the cache/memo put so a cached entry never replays the
+    // Set *after* the cache put so a cached entry never replays the
     // first requester's ID to later hits.
-    const std::string *client_id = request.header("X-Request-Id");
-    if (client_id != nullptr && acceptableRequestId(*client_id))
-        response.request_id = *client_id;
-    else
-        response.request_id = obs::newTraceId();
+    out.request_id = resolveRequestId(request.request_id);
 
     if (logger_.enabled(obs::LogLevel::Info)) {
         logger_.event(obs::LogLevel::Info, "http", "access")
-            .str("id", response.request_id)
+            .str("id", out.request_id)
             .str("method", request.method)
             .str("endpoint", endpointName(endpoint))
-            .num("status", static_cast<int64_t>(response.status))
+            .num("status", static_cast<int64_t>(out.status))
             .num("us", us)
-            .str("cache", cache_disposition)
-            .num("generation", state.catalog->generation())
-            .num("epoch", state.epoch);
+            .str("cache",
+                 cacheable ? (from_cache ? "hit" : "miss") : "none")
+            .num("generation", st->catalog->generation())
+            .num("epoch", st->epoch);
     }
     if (options_.slow_request_us > 0 &&
         us >= options_.slow_request_us &&
         logger_.enabled(obs::LogLevel::Warn)) {
         logger_.event(obs::LogLevel::Warn, "http", "slow_request")
-            .str("id", response.request_id)
-            .str("target", std::string_view(request.target)
-                               .substr(0, 256))
-            .num("status", static_cast<int64_t>(response.status))
+            .str("id", out.request_id)
+            .str("target", request.target.substr(0, 256))
+            .num("status", static_cast<int64_t>(out.status))
             .num("us", us)
             .num("threshold_us", options_.slow_request_us);
     }
-    if (tracer != nullptr)
+    if (obs::ChromeTracer *tracer = obs::ChromeTracer::fromEnv())
         tracer->complete(endpointName(endpoint), "http", t0_us, us);
+    response = std::move(out);
+    return true;
+}
+
+HttpResponse
+QueryService::handle(const HttpRequest &request)
+{
+    Endpoint endpoint = route(request);
+
+    // Spans are collected only when someone will read them: a
+    // ?debug=timings /predict response or an active UOPS_TRACE
+    // profile. The cached hot path never allocates a SpanSet.
+    bool debug_timings = false;
+    std::optional<obs::SpanSet> spans;
+    if (endpoint == Endpoint::Predict) {
+        auto debug = request.param("debug");
+        debug_timings = debug && *debug == "timings";
+        obs::ChromeTracer *tracer = obs::ChromeTracer::fromEnv();
+        if (debug_timings || tracer)
+            spans.emplace("predict", tracer);
+    }
+
+    // Timed debug responses must stay per-request: they bypass the
+    // response cache (and the kernel memo), so a memoized response is
+    // still byte-identical to a cold render.
+    bool cacheable = request.method == "GET" && !debug_timings &&
+                     cachedEndpoint(endpoint);
+    HttpResponse response;
+    serve(viewOf(request), endpoint, cacheable,
+          [&](ServingState &state) {
+              return dispatch(endpoint, request, state,
+                              spans ? &*spans : nullptr, debug_timings);
+          },
+          response);
+    return response;
 }
 
 bool
@@ -542,63 +582,14 @@ QueryService::tryServeFast(const HttpRequest &request,
     if (request.method != "GET")
         return false;
     Endpoint endpoint = route(request);
-    bool blob_backed = endpoint == Endpoint::UArchs ||
-                       endpoint == Endpoint::Instr;
-    if (!blob_backed && endpoint != Endpoint::Search &&
-        endpoint != Endpoint::Diff && endpoint != Endpoint::Predict &&
-        endpoint != Endpoint::Analytics)
+    if (endpoint != Endpoint::UArchs && !cachedEndpoint(endpoint))
         return false;
     // Debug-timings responses are per-request by contract; they
     // never touch the cache, so they never have a fast path.
     if (endpoint == Endpoint::Predict && request.param("debug"))
         return false;
-
-    uint64_t t0_us = obs::traceNowUs();
-    StatePtr st = state();
-    // /uarchs is pure blob — caching it would only duplicate the
-    // lookup. Everything else mirrors handle()'s cacheable set.
-    bool cacheable = endpoint != Endpoint::UArchs;
-
-    HttpResponse out;
-    bool served = false;
-    bool from_cache = false;
-    if (cacheable) {
-        if (auto cached = cache_.get(request.target, st->epoch)) {
-            out = *cached;
-            out.cache_hit = true;
-            served = from_cache = true;
-        }
-    }
-    if (!served && blob_backed) {
-        // Blob-backed endpoints are *always* cheap — a hash lookup
-        // for the body (or a 400/404 error render) — so every GET
-        // /uarchs and /instr request completes inline.
-        try {
-            out = endpoint == Endpoint::UArchs
-                      ? handleUArchs(*st)
-                      : handleInstr(request, *st);
-        } catch (const FatalError &e) {
-            out = errorResponse(400, e.what());
-        } catch (const std::exception &e) {
-            out = errorResponse(500, e.what());
-        }
-        served = true;
-        if (cacheable && out.status == 200)
-            cache_.put(request.target, st->epoch, out);
-    }
-    if (!served)
-        return false;  // cold /search, /diff, /predict: real work
-
-    EndpointInstruments &ins =
-        instruments_[static_cast<size_t>(endpoint)];
-    ins.requests->inc();
-    if (from_cache)
-        ins.cache_hits->inc();
-    finishResponse(request, endpoint, *st, out, t0_us,
-                   cacheable ? (from_cache ? "hit" : "miss") : "none",
-                   obs::ChromeTracer::fromEnv());
-    response = std::move(out);
-    return true;
+    return serve(viewOf(request), endpoint, cachedEndpoint(endpoint),
+                 nullptr, response);
 }
 
 bool
@@ -631,118 +622,32 @@ QueryService::tryServeRaw(const FastGetView &raw,
         target.find("debug") != std::string_view::npos)
         return false;
 
-    uint64_t t0_us = obs::traceNowUs();
-    StatePtr st = state();
-    bool cacheable = endpoint != Endpoint::UArchs;
-
-    HttpResponse out;
-    bool served = false;
-    bool from_cache = false;
-    if (cacheable) {
-        if (auto cached = cache_.get(target, st->epoch)) {
-            out = std::move(*cached);
-            out.cache_hit = true;
-            served = from_cache = true;
-        }
-    }
-    if (!served && endpoint == Endpoint::UArchs) {
-        out = handleUArchs(*st);
-        served = true;
-    }
-    if (!served && endpoint == Endpoint::Instr) {
-        // "/instr/NAME" or "/instr/NAME?uarch=SHORT", all literal:
-        // escapes, extra parameters, unknown names and unknown
-        // uarchs fall back so error rendering stays in one place.
-        std::string_view rest = target.substr(strlen("/instr/"));
-        std::string_view name = rest;
-        std::string_view query;
-        if (size_t q = rest.find('?'); q != std::string_view::npos) {
-            name = rest.substr(0, q);
-            query = rest.substr(q + 1);
-        }
-        if (name.empty() ||
-            name.find_first_of("%+") != std::string_view::npos)
+    RequestView view;
+    view.method = "GET";
+    view.target = target;
+    view.path = target.substr(0, target.find('?'));
+    view.if_none_match = raw.if_none_match;
+    view.request_id = raw.request_id;
+    if (endpoint == Endpoint::Instr) {
+        // "/instr/NAME" or "/instr/NAME?uarch=SHORT", read only where
+        // the literal bytes are the decoded ones: escapes and any
+        // other query take the decoding parser.
+        if (view.path.find_first_of("%+") != std::string_view::npos)
             return false;
-        std::shared_ptr<const std::string> blob;
-        if (query.empty()) {
-            blob = st->blobs->instrBody(name);
-        } else if (query.starts_with("uarch=")) {
+        std::string_view query =
+            target.substr(std::min(target.size(), view.path.size() + 1));
+        if (!query.empty()) {
+            if (!query.starts_with("uarch="))
+                return false;
             std::string_view arch = query.substr(strlen("uarch="));
             if (arch.empty() ||
                 arch.find_first_of("%+&=") != std::string_view::npos)
                 return false;
-            try {
-                blob = st->blobs->instrBody(
-                    name, uarch::parseUArch(std::string(arch)));
-            } catch (const FatalError &) {
-                return false;  // unknown uarch: full path renders 400
-            }
-        } else {
-            return false;
+            view.uarch = arch;
         }
-        if (blob == nullptr)
-            return false;  // unknown variant: full path renders 404
-        blob_hits_->inc();
-        out.blob = std::move(blob);
-        out.etag = st->blobs->etag();
-        served = true;
-        cache_.put(target, st->epoch, out);
     }
-    if (!served)
-        return false;  // cold /search, /diff, /predict: real work
-
-    EndpointInstruments &ins =
-        instruments_[static_cast<size_t>(endpoint)];
-    ins.requests->inc();
-    if (from_cache)
-        ins.cache_hits->inc();
-
-    // Finalization, mirroring finishResponse() field for field: the
-    // 304 collapse, latency, correlation ID, access/slow logs.
-    if (out.status == 200 && !out.etag.empty() &&
-        ifNoneMatchValue(raw.if_none_match, out.etag)) {
-        HttpResponse not_modified;
-        not_modified.status = 304;
-        not_modified.etag = std::move(out.etag);
-        not_modified.cache_hit = out.cache_hit;
-        out = std::move(not_modified);
-        not_modified_->inc();
-    }
-    if (out.status >= 400)
-        ins.errors->inc();
-    uint64_t us = obs::traceNowUs() - t0_us;
-    ins.latency->observe(us);
-    if (!raw.request_id.empty() && acceptableRequestId(raw.request_id))
-        out.request_id.assign(raw.request_id);
-    else
-        out.request_id = obs::newTraceId();
-
-    if (logger_.enabled(obs::LogLevel::Info)) {
-        logger_.event(obs::LogLevel::Info, "http", "access")
-            .str("id", out.request_id)
-            .str("method", "GET")
-            .str("endpoint", endpointName(endpoint))
-            .num("status", static_cast<int64_t>(out.status))
-            .num("us", us)
-            .str("cache",
-                 cacheable ? (from_cache ? "hit" : "miss") : "none")
-            .num("generation", st->catalog->generation())
-            .num("epoch", st->epoch);
-    }
-    if (options_.slow_request_us > 0 &&
-        us >= options_.slow_request_us &&
-        logger_.enabled(obs::LogLevel::Warn)) {
-        logger_.event(obs::LogLevel::Warn, "http", "slow_request")
-            .str("id", out.request_id)
-            .str("target", target.substr(0, 256))
-            .num("status", static_cast<int64_t>(out.status))
-            .num("us", us)
-            .num("threshold_us", options_.slow_request_us);
-    }
-    if (obs::ChromeTracer *tracer = obs::ChromeTracer::fromEnv())
-        tracer->complete(endpointName(endpoint), "http", t0_us, us);
-    response = std::move(out);
-    return true;
+    return serve(view, endpoint, cachedEndpoint(endpoint), nullptr,
+                 response);
 }
 
 HttpResponse
@@ -761,8 +666,6 @@ QueryService::dispatch(Endpoint endpoint, const HttpRequest &request,
 
     switch (endpoint) {
       case Endpoint::Healthz: return handleHealthz(state);
-      case Endpoint::UArchs: return handleUArchs(state);
-      case Endpoint::Instr: return handleInstr(request, state);
       case Endpoint::Search: return handleSearch(request, state);
       case Endpoint::Diff: return handleDiff(request, state);
       case Endpoint::Predict:
@@ -772,6 +675,8 @@ QueryService::dispatch(Endpoint endpoint, const HttpRequest &request,
       case Endpoint::Metrics: return handleMetrics();
       case Endpoint::Analytics:
         return handleAnalytics(request, state);
+      case Endpoint::UArchs:
+      case Endpoint::Instr:  // GETs take serve()'s blob answer
       case Endpoint::Other: break;
     }
     return errorResponse(404, "no such endpoint: " + request.path);
@@ -796,35 +701,29 @@ QueryService::handleHealthz(const ServingState &state)
 }
 
 HttpResponse
-QueryService::handleUArchs(const ServingState &state)
+QueryService::blobAnswer(const RequestView &request, Endpoint endpoint,
+                         const ServingState &state)
 {
-    blob_hits_->inc();
-    HttpResponse response;
-    response.blob = state.blobs->uarchsBody();
-    response.etag = state.blobs->etag();
-    return response;
-}
-
-HttpResponse
-QueryService::handleInstr(const HttpRequest &request,
-                          const ServingState &state)
-{
-    if (request.path == "/instr" || request.path == "/instr/")
-        return errorResponse(400, "usage: /instr/{variant-name}");
-    std::string name = request.path.substr(strlen("/instr/"));
-
     // Precomputed at install time: the full body is one lookup, the
     // ?uarch= variant is assembled from slices of it. No record is
     // ever rendered on the request path.
     std::shared_ptr<const std::string> blob;
-    if (auto arch = parseArchParam(request, "uarch"))
-        blob = state.blobs->instrBody(name, *arch);
-    else
-        blob = state.blobs->instrBody(name);
-    if (blob == nullptr) {
-        blob_misses_->inc();
-        return errorResponse(404, "no results for variant '" + name +
-                                      "'");
+    if (endpoint == Endpoint::UArchs) {
+        blob = state.blobs->uarchsBody();
+    } else {
+        if (request.path == "/instr" || request.path == "/instr/")
+            return errorResponse(400, "usage: /instr/{variant-name}");
+        std::string_view name = request.path.substr(strlen("/instr/"));
+        blob = request.uarch
+                   ? state.blobs->instrBody(
+                         name, uarch::parseUArch(std::string(
+                                   *request.uarch)))  // FatalError -> 400
+                   : state.blobs->instrBody(name);
+        if (blob == nullptr) {
+            blob_misses_->inc();
+            return errorResponse(404, "no results for variant '" +
+                                          std::string(name) + "'");
+        }
     }
     blob_hits_->inc();
     HttpResponse response;

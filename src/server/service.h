@@ -37,8 +37,18 @@
  *   GET  /metrics                      Prometheus text exposition
  *                                      (text/plain, never cached)
  *
- * Observability: every handle() call resolves a request ID (a valid
- * client X-Request-Id is echoed, otherwise one is minted) and
+ * Three lanes lead into the service — tryServeRaw() on a bare GET
+ * head, tryServeFast() on a parsed request, and handle() for
+ * everything — and all three end in one finish path: cache probe,
+ * blob answer (/uarchs, /instr), cache put, If-None-Match -> 304,
+ * error/latency metrics, request-ID resolution, access and
+ * slow-request log lines, tracer completion. The lanes differ only
+ * in how much of the request they parse and whether they may run
+ * real work on a miss, so wherever two lanes serve a request they
+ * answer identically.
+ *
+ * Observability: every served request resolves a request ID (a
+ * valid client X-Request-Id is echoed, otherwise one is minted) and
  * returns it on the response; at Info the logger emits one access
  * line per request (id, method, endpoint, status, latency, cache
  * disposition, serving generation/epoch) and at Warn a slow_request
@@ -139,11 +149,12 @@ struct EndpointMetrics
     std::optional<uint64_t> p99_us;
 };
 
-/** Whether a client-supplied X-Request-Id is safe to echo: 1..128
- *  printable non-space ASCII chars (anything else gets a fresh
- *  server-minted ID instead — correlation must not become a header
- *  injection or log forgery vector). */
-bool acceptableRequestId(std::string_view id);
+/** The request ID a response carries: @p client_id (the raw
+ *  X-Request-Id value; empty = absent) when it is safe to echo —
+ *  1..128 printable non-space ASCII chars — else a freshly minted
+ *  one. Correlation must not become a header injection or log
+ *  forgery vector. */
+std::string resolveRequestId(std::string_view client_id);
 
 /** Per-request admission bounds for /predict kernels. */
 struct PredictAdmission
@@ -209,30 +220,26 @@ class QueryService
     /**
      * The serving fast path: answer @p request *without* rendering
      * when a precomputed body exists — a response-cache hit, a
-     * blob-store hit (/uarchs, /instr), or an If-None-Match
-     * revalidation against the generation ETag (304, no body at
-     * all). Returns true with @p response filled (metrics, request
-     * ID and access log all applied — the request is finished);
-     * false when the request needs real work (cold /search, /diff,
-     * /predict, POSTs, admin endpoints), in which case the caller
-     * dispatches it to handle() on a worker thread. Thread-safe;
-     * byte-identical to handle() for every request it serves, since
-     * both paths share the same handlers and finalization.
+     * blob-store answer (/uarchs, /instr, including their 400/404
+     * renders), or an If-None-Match revalidation against the
+     * generation ETag (304, no body at all). Returns true with
+     * @p response finished (metrics, request ID and access log all
+     * applied); false when the request needs real work (cold
+     * /search, /diff, /predict, POSTs, admin endpoints), in which
+     * case the caller dispatches it to handle() on a worker thread.
+     * Thread-safe.
      */
     bool tryServeFast(const HttpRequest &request,
                       HttpResponse &response);
 
     /**
      * The same fast path driven by a zero-parse head scan
-     * (scanFastGet): target prefixes select the endpoint, the
-     * response cache is probed by raw target, and blob-store hits
-     * are assembled straight from views — no HttpRequest, no query
-     * map, no percent decoding. Returns true with @p response
-     * finished exactly as tryServeFast() would have; false for
-     * anything it is not certain about (unknown names, escaped
-     * targets, error renders, cold work), in which case the caller
-     * must fall back to the full parser — the two lanes are
-     * byte-identical wherever both serve.
+     * (scanFastGet): target prefixes select the endpoint and the
+     * response cache is probed by raw target — no HttpRequest, no
+     * query map, no percent decoding. Returns false for anything it
+     * cannot read literally (escaped targets, /instr queries other
+     * than a lone uarch=) and for cold work, in which case the caller
+     * falls back to the full parser.
      */
     bool tryServeRaw(const FastGetView &raw, HttpResponse &response);
 
@@ -336,6 +343,22 @@ class QueryService
     StatePtr installCatalog(CatalogPtr next);
     StatePtr reloadState(db::RecoveryReport &report);
 
+    /** What the finish path reads of a request, as views into
+     *  whichever form the calling lane holds (valid for the call). */
+    struct RequestView
+    {
+        std::string_view method;
+        std::string_view target;         ///< raw: cache key, slow log
+        std::string_view path;           ///< decoded path
+        std::string_view if_none_match;  ///< empty = absent
+        std::string_view request_id;     ///< X-Request-Id; empty = absent
+        /** The decoded ?uarch= parameter, read by the /instr blob
+         *  answer. */
+        std::optional<std::string_view> uarch;
+    };
+
+    static RequestView viewOf(const HttpRequest &request);
+
     Endpoint route(const HttpRequest &request) const;
     HttpResponse dispatch(Endpoint endpoint,
                           const HttpRequest &request,
@@ -343,19 +366,26 @@ class QueryService
                           bool debug_timings);
     void registerInstruments();
 
-    /** Shared tail of handle() and tryServeFast(): If-None-Match ->
-     *  304 conversion, error/latency metrics, request-ID resolution,
-     *  access + slow-request logging, tracer completion. */
-    void finishResponse(const HttpRequest &request, Endpoint endpoint,
-                        const ServingState &state,
-                        HttpResponse &response, uint64_t t0_us,
-                        const char *cache_disposition,
-                        obs::ChromeTracer *tracer);
+    /**
+     * The one finish path of all three lanes (see file comment).
+     * On a cache miss a GET to /uarchs or /instr takes the blob
+     * answer; anything else calls @p render (HttpResponse(
+     * ServingState &)), or — when @p render is nullptr — returns
+     * false with nothing counted, so the caller can hand the request
+     * to a lane that may do real work. Returns true with @p response
+     * finished.
+     */
+    template <typename Render>
+    bool serve(const RequestView &request, Endpoint endpoint,
+               bool cacheable, Render &&render,
+               HttpResponse &response);
+
+    /** /uarchs or /instr answered from the generation's blob store
+     *  (400/404 renders included). @throws FatalError -> 400. */
+    HttpResponse blobAnswer(const RequestView &request,
+                            Endpoint endpoint, const ServingState &state);
 
     HttpResponse handleHealthz(const ServingState &state);
-    HttpResponse handleUArchs(const ServingState &state);
-    HttpResponse handleInstr(const HttpRequest &request,
-                             const ServingState &state);
     HttpResponse handleSearch(const HttpRequest &request,
                               const ServingState &state);
     HttpResponse handleDiff(const HttpRequest &request,

@@ -2,17 +2,20 @@
  * @file
  * Torture tests for the epoll reactor transport (src/server/reactor)
  * and the precomputed response-blob fast path (src/server/blob_store):
- * byte-identity against the legacy thread-per-connection transport,
- * golden-render checks for blob bodies, ETag/If-None-Match
- * revalidation across hot swaps, pipelining order with interleaved
- * fast-path and pool-dispatched requests, slow-loris shedding,
- * /reload under concurrent socket load, graceful drain under load,
- * and transport-level refusals.
+ * wire byte-identity against QueryService::handle(), golden-render
+ * checks for blob bodies, ETag/If-None-Match revalidation across hot
+ * swaps, pipelining order with interleaved fast-path and
+ * pool-dispatched requests, slow-loris shedding, descriptor
+ * exhaustion, /reload under concurrent socket load, graceful drain
+ * under load, and transport-level refusals.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -268,23 +272,26 @@ TEST(BlobStore, UArchsBodyMatchesRendererAndEtagTracksContent)
 }
 
 // ---------------------------------------------------------------------
-// Transport identity: the reactor and the legacy threaded transport
-// must put byte-identical responses on the wire (modulo per-request
-// correlation headers).
+// Transport identity: whatever lane the reactor answers a request on,
+// the wire bytes must equal handle()'s response serialized (modulo
+// per-request correlation headers).
 // ---------------------------------------------------------------------
 
-TEST(ReactorConformance, WireIdenticalToLegacyTransport)
+TEST(ReactorConformance, WireIdenticalToHandle)
 {
     auto reactor_service = makeService();
-    auto legacy_service = makeService();
-    server::HttpServer::Options reactor_options;  // default transport
-    server::HttpServer reactor_http(*reactor_service,
-                                    reactor_options);
-    server::HttpServer::Options legacy_options;
-    legacy_options.reactor = false;
-    server::HttpServer legacy_http(*legacy_service, legacy_options);
+    auto reference_service = makeService();
+    server::HttpServer reactor_http(*reactor_service);
     reactor_http.start();
-    legacy_http.start();
+    // The reference: the same head httpGet() sends, parsed and
+    // answered by handle() on a second service, then serialized.
+    auto reference = [&](const std::string &target) {
+        HttpRequest request = server::parseRequestHead(
+            "GET " + target +
+            " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n");
+        return server::serializeResponse(
+            reference_service->handle(request));
+    };
 
     db::Query query;
     query.mnemonic = "ADD";
@@ -309,21 +316,18 @@ TEST(ReactorConformance, WireIdenticalToLegacyTransport)
     for (const std::string &target : targets) {
         std::string via_reactor =
             canonical(httpGet(reactor_http.port(), target));
-        std::string via_legacy =
-            canonical(httpGet(legacy_http.port(), target));
-        EXPECT_EQ(via_reactor, via_legacy) << target;
+        EXPECT_EQ(via_reactor, canonical(reference(target))) << target;
         ASSERT_FALSE(via_reactor.empty()) << target;
     }
 
     // Repeat a cacheable target: the reactor serves the second hit
-    // inline from the cache, and the bytes still match legacy's
+    // inline from the cache, and the bytes still match handle()'s
     // cache hit (X-Cache stripped by canonical()).
     const std::string cached = "/instr/" + name + "?uarch=SKL";
     EXPECT_EQ(canonical(httpGet(reactor_http.port(), cached)),
-              canonical(httpGet(legacy_http.port(), cached)));
+              canonical(reference(cached)));
 
     reactor_http.stop();
-    legacy_http.stop();
 }
 
 // ---------------------------------------------------------------------
@@ -459,10 +463,9 @@ TEST(ReactorTorture, PipelinedMixedRequestsAnswerInOrder)
 TEST(ReactorTorture, SlowLorisIsShedOnDeadline)
 {
     auto service = makeService();
-    server::HttpServer::Options options;
-    options.recv_timeout_seconds = 1;
-    options.reactor_threads = 1;   // all loris on one loop
-    server::HttpServer http(*service, options);
+    server::HttpServer http(
+        *service, {.recv_timeout_seconds = 1,
+                   .reactor_threads = 1});  // all loris on one loop
     http.start();
 
     // Eight connections each dribble half a request head and stall.
@@ -492,6 +495,124 @@ TEST(ReactorTorture, SlowLorisIsShedOnDeadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     EXPECT_EQ(http.activeConnections(), 0u);
     EXPECT_TRUE(http.drain(std::chrono::seconds(1)));
+}
+
+// ---------------------------------------------------------------------
+// Descriptor exhaustion: accept4() failing with EMFILE must not spin
+// the level-triggered listener, and accepting resumes once
+// descriptors free up.
+// ---------------------------------------------------------------------
+
+/** Lowers the soft RLIMIT_NOFILE; restores it on every exit path. */
+class NoFileLimit
+{
+  public:
+    NoFileLimit() { ::getrlimit(RLIMIT_NOFILE, &saved_); }
+    ~NoFileLimit() { restore(); }
+
+    bool
+    lowerTo(rlim_t soft)
+    {
+        rlimit lowered = saved_;
+        lowered.rlim_cur = soft;
+        return ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+    }
+
+    void restore() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+  private:
+    rlimit saved_{};
+};
+
+int
+highestOpenFd()
+{
+    int highest = -1;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        highest = std::max(highest,
+                           std::atoi(entry.path().filename().c_str()));
+    return highest;
+}
+
+double
+processCpuSeconds()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    auto seconds = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) +
+               static_cast<double>(tv.tv_usec) / 1e6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(ReactorTorture, DescriptorExhaustionParksTheListener)
+{
+    auto service = makeService();
+    server::HttpServer http(*service, {.reactor_threads = 1});
+    http.start();
+    obs::Counter &accept_errors = service->registry().counter(
+        "uops_reactor_accept_errors_total", "accept4() failures");
+
+    // Client sockets are made while descriptors are plentiful;
+    // connect() needs none, so past the lowered limit the handshakes
+    // complete into a backlog the server cannot accept from.
+    struct Clients
+    {
+        std::vector<int> fds;
+        ~Clients() { closeAll(); }
+        void
+        closeAll()
+        {
+            for (int fd : fds)
+                ::close(fd);
+            fds.clear();
+        }
+    } clients;
+    for (int i = 0; i < 16; ++i) {
+        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        ASSERT_GE(fd, 0);
+        clients.fds.push_back(fd);
+    }
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof addr);
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(http.port());
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+
+    NoFileLimit limit;
+    // Room for two accepted connections, then EMFILE.
+    ASSERT_TRUE(limit.lowerTo(static_cast<rlim_t>(highestOpenFd()) + 3));
+    for (int fd : clients.fds)
+        ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                            sizeof addr),
+                  0)
+            << std::strerror(errno);
+
+    // A listener that re-fires on every epoll_wait pins a core; a
+    // parked one costs a retry per tick.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    double cpu_before = processCpuSeconds();
+    auto t0 = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    double cpu = processCpuSeconds() - cpu_before;
+    double wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    EXPECT_LT(cpu, 0.25 * wall)
+        << "listener spins on EMFILE: " << cpu << "s CPU in " << wall
+        << "s";
+    EXPECT_GT(accept_errors.value(), 0u);
+
+    // Descriptors free up: the listener re-arms on a later tick and
+    // a new client is answered.
+    limit.restore();
+    clients.closeAll();
+    std::string health = httpGet(http.port(), "/healthz");
+    EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos)
+        << health;
+    http.stop();
 }
 
 // ---------------------------------------------------------------------

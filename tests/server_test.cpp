@@ -9,6 +9,7 @@
  * port — including swapping generations under concurrent load.
  */
 
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -16,8 +17,10 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <regex>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -1809,6 +1812,170 @@ TEST(HttpServerSocket, TransportErrorsCarryRequestIds)
         << bad_length;
     ::close(fd);
     http.stop();
+}
+
+// ---------------------------------------------------------------------
+// Lane equivalence: tryServeRaw() on the bare head, tryServeFast() on
+// the parsed request and handle() answer identically wherever they
+// serve.
+// ---------------------------------------------------------------------
+
+enum Lane { kRawLane, kFastLane, kHandleLane, kNumLanes };
+
+/** Serve @p head through the lanes from @p first on, in the reactor's
+ *  order (raw, fast, handle); returns the response and the lane that
+ *  answered. */
+std::pair<HttpResponse, int>
+serveFrom(server::QueryService &service, const std::string &head,
+          int first)
+{
+    HttpResponse response;
+    server::FastGetView view;
+    if (first <= kRawLane && server::scanFastGet(head, view) &&
+        service.tryServeRaw(view, response))
+        return {response, kRawLane};
+    HttpRequest request = server::parseRequestHead(head);
+    if (first <= kFastLane && service.tryServeFast(request, response))
+        return {response, kFastLane};
+    return {service.handle(request), kHandleLane};
+}
+
+/** An access-log line minus its per-request fields (timestamp,
+ *  request ID, latency). */
+std::string
+stableLogFields(const std::string &line)
+{
+    static const std::regex per_request(
+        R"re("(ts_us|us)":\d+,?|"id":"[^"]*",?)re");
+    return std::regex_replace(line, per_request, "");
+}
+
+TEST(ServingLanes, RawFastAndHandleAnswerIdentically)
+{
+    // One service per lane, all fed the same request sequence. A lane
+    // that declines falls through to the next, as in the reactor, so
+    // the three services share one cache history and each lane's
+    // answer can be held against handle()'s for the same request.
+    server::QueryService::Options options;
+    options.log_level = obs::LogLevel::Info;
+    options.slow_request_us = 0;
+    std::array<std::unique_ptr<server::QueryService>, kNumLanes>
+        services;
+    std::array<std::vector<std::string>, kNumLanes> access_logs;
+    for (int lane = 0; lane < kNumLanes; ++lane) {
+        services[lane] = std::make_unique<server::QueryService>(
+            sliceCatalog(), defaultDb(), options);
+        services[lane]->logger().setSink(
+            [&access_logs, lane](std::string_view line) {
+                if (line.find("\"event\":\"access\"") !=
+                    std::string_view::npos)
+                    access_logs[lane].emplace_back(line);
+            });
+    }
+
+    db::Query query;
+    query.mnemonic = "ADD";
+    query.arch = uarch::UArch::Skylake;
+    query.limit = 1;
+    auto picked = sliceCatalog()->search(query);
+    ASSERT_EQ(picked.size(), 1u);
+    const std::string name(picked[0].name());
+    std::string escaped = name;
+    size_t underscore = escaped.find('_');
+    ASSERT_NE(underscore, std::string::npos);
+    escaped.replace(underscore, 1, "%5F");
+    const std::string etag =
+        server::QueryService(sliceCatalog(), defaultDb())
+            .handle(get("/uarchs"))
+            .etag;
+    ASSERT_FALSE(etag.empty());
+
+    const std::string search = "/search?uarch=SKL&mnemonic=ADD&limit=5";
+    const std::string predict =
+        "/predict?uarch=SKL&asm=ADD%20RAX,%20RBX";
+    const std::string analytics =
+        "/analytics/regressions?from=NHM&to=SKL&metric=tp&limit=3";
+    const std::string hostile_id = "forged id\"} {\"x";
+    struct Case
+    {
+        std::string target;
+        std::string headers;
+        bool raw;             ///< the raw lane serves it
+        bool fast;            ///< the fast lane serves it
+        std::string echo_id;  ///< expected X-Request-Id; empty: minted
+    };
+    const std::vector<Case> cases = {
+        {"/uarchs", "", true, true, ""},
+        {"/instr/" + name, "", true, true, ""},
+        {"/instr/" + name + "?uarch=SKL", "", true, true, ""},
+        {"/instr/" + name + "?uarch=ICL", "", true, true, ""},  // 400
+        {"/instr/" + escaped, "", false, true, ""},
+        {"/instr/NO_SUCH_VARIANT", "", true, true, ""},          // 404
+        {"/uarchs", "If-None-Match: \"" + etag + "\"\r\n", true, true,
+         ""},                                                    // 304
+        {"/instr/" + name, "If-None-Match: \"stale\"\r\n", true, true,
+         ""},
+        {"/instr/" + name, "If-None-Match: \"" + etag + "\"\r\n", true,
+         true, ""},
+        {"/uarchs", "X-Request-Id: client-7\r\n", true, true,
+         "client-7"},
+        {"/uarchs", "X-Request-Id: " + hostile_id + "\r\n", true, true,
+         ""},
+        {search, "", false, false, ""},  // cold: real work
+        {search, "", true, true, ""},    // cached
+        {predict, "", false, false, ""},
+        {predict, "", true, true, ""},
+        {analytics, "", false, false, ""},
+        {analytics, "", true, true, ""},
+    };
+
+    // The wire form, with a minted request ID blanked (it differs per
+    // request by design).
+    auto wire = [&hostile_id](HttpResponse response, const Case &c) {
+        EXPECT_FALSE(response.request_id.empty());
+        if (c.echo_id.empty()) {
+            EXPECT_NE(response.request_id, hostile_id);
+            response.request_id.clear();
+        } else {
+            EXPECT_EQ(response.request_id, c.echo_id);
+        }
+        return server::serializeResponse(response);
+    };
+
+    std::array<size_t, kNumLanes> lane_served{};
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.target + " " + c.headers);
+        const std::string head = "GET " + c.target +
+                                 " HTTP/1.1\r\nHost: x\r\n" +
+                                 c.headers + "\r\n";
+        std::array<HttpResponse, kNumLanes> responses;
+        std::array<int, kNumLanes> served_by{};
+        for (int lane = 0; lane < kNumLanes; ++lane) {
+            size_t logged = access_logs[lane].size();
+            std::tie(responses[lane], served_by[lane]) =
+                serveFrom(*services[lane], head, lane);
+            ASSERT_EQ(access_logs[lane].size(), logged + 1)
+                << "one access line per request";
+        }
+        EXPECT_EQ(served_by[kRawLane] == kRawLane, c.raw);
+        EXPECT_EQ(served_by[kFastLane] == kFastLane, c.fast);
+
+        const HttpResponse &reference = responses[kHandleLane];
+        for (int lane = 0; lane < kNumLanes; ++lane) {
+            if (served_by[lane] != lane)
+                continue;
+            ++lane_served[lane];
+            EXPECT_EQ(wire(responses[lane], c), wire(reference, c))
+                << "lane " << lane;
+            EXPECT_EQ(responses[lane].cache_hit, reference.cache_hit);
+            EXPECT_EQ(stableLogFields(access_logs[lane].back()),
+                      stableLogFields(access_logs[kHandleLane].back()))
+                << "lane " << lane;
+        }
+    }
+    EXPECT_EQ(lane_served[kHandleLane], cases.size());
+    EXPECT_GT(lane_served[kRawLane], 0u);
+    EXPECT_GT(lane_served[kFastLane], 0u);
 }
 
 } // namespace
