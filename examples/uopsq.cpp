@@ -58,12 +58,13 @@
  *                    [--drain-ms MS] [--log-level LEVEL]
  *       Start the HTTP/1.1 JSON API (port 0 picks an ephemeral port;
  *       the chosen port is printed). Requests are served through the
- *       epoll reactor (--reactor-threads, default min(4, hardware))
- *       with precomputed response blobs. Catalog shards are
- *       memory-mapped zero-copy by default. POST /reload hot-swaps to the current
- *       on-disk generation without dropping a request; --watch polls
- *       the manifest and reloads automatically when a characterize
- *       run publishes a new generation. SIGTERM/SIGINT drain
+ *       epoll reactor (--reactor-threads, default min(4, hardware));
+ *       /instr bodies render on a response-cache miss. Catalog shards
+ *       are memory-mapped zero-copy by default. POST /reload
+ *       hot-swaps to the current on-disk generation without dropping
+ *       a request; --watch polls the manifest and reloads
+ *       automatically when a characterize run publishes a new
+ *       generation. SIGTERM/SIGINT drain
  *       gracefully: new connections are refused, in-flight responses
  *       are sent whole, and only after --drain-ms (default 5000) are
  *       stragglers forced. Catalog recovery (a corrupt newest
@@ -587,7 +588,8 @@ cmdServe(const Args &args)
                     service.catalog()->generation()),
                 options.bind_address.c_str(), http.port());
     std::printf("endpoints: /healthz /uarchs /instr/{name} /search "
-                "/diff /predict /reload /stats /metrics\n");
+                "/diff /analytics/regressions /predict /reload "
+                "/metrics\n");
     // The machine-readable twin of the banner above: one structured
     // record with everything an operator needs to identify this
     // process in aggregated logs.

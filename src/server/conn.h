@@ -8,16 +8,16 @@
  * server/http.h), the keep-alive/pipelining bookkeeping, and the
  * outbound chunk queue.
  * Keeping it socket-free means the whole framing machine — partial
- * heads, pipelined batches, oversize refusals, blob-backed gather
+ * heads, pipelined batches, oversize refusals, shared-body gather
  * output — is unit-testable by feeding bytes in and reading iovecs
  * out, with no fd in sight.
  *
  * Output is a queue of chunks, each a serialized response head
  * (possibly with an owned body appended) plus an optional shared
- * blob body. Blob bodies are never copied into the connection: the
- * chunk holds the shared_ptr and gatherOutput() exposes the bytes as
- * a second iovec, so a reactor thread writes header + precomputed
- * body with one sendmsg and zero body copies, and the blob arena
+ * body (HttpResponse::blob). Shared bodies are never copied into the
+ * connection: the chunk holds the shared_ptr and gatherOutput()
+ * exposes the bytes as a second iovec, so a reactor thread writes
+ * header + body with one sendmsg and zero body copies, and the body
  * stays alive for exactly as long as some connection still needs it
  * — even across a catalog hot-swap.
  *

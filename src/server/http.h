@@ -53,16 +53,14 @@ struct HttpResponse
     std::string body;
 
     /** Shared body bytes: when set, this — not @p body — is the
-     *  payload. Blob-backed responses (precomputed per-generation
-     *  bodies, see server/blob_store.h) point here so a response, its
-     *  response-cache entry, and every concurrent sender share one
-     *  buffer instead of copying it; the control block keeps the
-     *  owning generation's arena alive. Invariant: body is empty
-     *  whenever blob is set. */
+     *  payload. The /uarchs body and the /instr renders point here so
+     *  a response, its response-cache entry, and every concurrent
+     *  sender share one buffer instead of copying it. Invariant: body
+     *  is empty whenever blob is set. */
     std::shared_ptr<const std::string> blob;
 
     /** Entity tag (unquoted) emitted as `ETag: "<value>"`. Set on
-     *  blob-backed bodies: the value derives from the generation's
+     *  /uarchs and /instr bodies: the value derives from the generation's
      *  shard content hashes, so If-None-Match revalidation is exact. */
     std::string etag;
 
@@ -135,8 +133,8 @@ std::string serializeResponse(const HttpResponse &response,
 /**
  * The head alone: status line + headers + terminating blank line, no
  * body bytes. The reactor write path pairs this with the response's
- * (possibly shared) body in one writev, so a blob-backed body is
- * never copied per request. serializeResponse == head + bodyView.
+ * (possibly shared) body in one writev, so a shared body is never
+ * copied per request. serializeResponse == head + bodyView.
  */
 std::string serializeResponseHead(const HttpResponse &response,
                                   bool keep_alive);

@@ -4,10 +4,10 @@
  *
  * The server owns the listening socket, the worker pool and one epoll
  * reactor (server/reactor.h): a few reactor threads own every socket,
- * do all framing and keep-alive work, serve cache/blob/304 hits
- * inline, and hand only requests that need real work to the pool — so
- * hundreds of keep-alive connections cost readiness events, not
- * blocked threads.
+ * do all framing and keep-alive work, serve cache hits, /uarchs and
+ * /instr answers and 304s inline, and hand only requests that need
+ * real work to the pool — so hundreds of keep-alive connections cost
+ * readiness events, not blocked threads.
  *
  * HTTP/1.1 keep-alive is honored (Connection headers, HTTP/1.0
  * semantics included), so query clients issuing many small requests

@@ -181,14 +181,6 @@ JsonWriter::valueNull()
     return *this;
 }
 
-JsonWriter &
-JsonWriter::raw(std::string_view json)
-{
-    beforeValue();
-    out_ += json;
-    return *this;
-}
-
 std::string
 JsonWriter::str() &&
 {

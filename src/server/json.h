@@ -53,13 +53,6 @@ class JsonWriter
     JsonWriter &value(bool v);
     JsonWriter &valueNull();
 
-    /** Append @p json verbatim as one value (comma placement still
-     *  handled). For splicing precomputed fragments — e.g. the blob
-     *  store's per-record renders — into a document byte-identically
-     *  to re-rendering them. The caller guarantees @p json is a
-     *  complete, well-formed JSON value. */
-    JsonWriter &raw(std::string_view json);
-
     /** key(k) + value(v) in one call. */
     template <typename T>
     JsonWriter &

@@ -50,8 +50,8 @@ Reactor::Reactor(QueryService &service, ThreadPool &pool,
         "(the listener is parked, then retried)");
     fast_served_ = &registry.counter(
         "uops_reactor_fast_served_total",
-        "Requests served inline on a reactor thread (cache, blob or "
-        "304 fast path)");
+        "Requests served inline on a reactor thread (cache, /uarchs, "
+        "/instr or 304 fast path)");
     dispatched_ = &registry.counter(
         "uops_reactor_dispatched_total",
         "Requests handed to the worker pool");
@@ -371,10 +371,11 @@ Reactor::processInput(Worker &worker, Conn &conn)
     // the first request that needs real work pauses parsing until
     // its pool completion lands.
     while (!conn.busy && !conn.close_after_flush) {
-        // Zero-parse lane first: a plain GET answered from
-        // precomputed state (blob, cache, 304) never materializes an
-        // HttpRequest at all. Anything the scanner or the service is
-        // unsure about falls through to the full parser below.
+        // Zero-parse lane first: a plain GET the service answers
+        // without real work (cache, /uarchs, /instr, 304) never
+        // materializes an HttpRequest at all. Anything the scanner or
+        // the service is unsure about falls through to the full
+        // parser below.
         if (conn.tryRaw(draining_.load(std::memory_order_relaxed),
                         [this](const FastGetView &view,
                                HttpResponse &response) {

@@ -13,8 +13,8 @@
  * every loop with EPOLLEXCLUSIVE so the kernel wakes one thread per
  * pending accept. Per readiness event a thread reads, runs the Conn
  * framing machine, and answers *inline* whatever the fast lanes can:
- * response-cache hits, precomputed blob bodies (/uarchs, /instr),
- * and If-None-Match 304s — QueryService::tryServeRaw() on the bare
+ * response-cache hits, /uarchs and /instr answers, and
+ * If-None-Match 304s — QueryService::tryServeRaw() on the bare
  * head, else tryServeFast() on the parsed request. Only requests
  * that need real work (cold /search, /predict simulation, /reload)
  * are handed to the worker pool through QueryService::handle(); the

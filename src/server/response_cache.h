@@ -52,11 +52,11 @@ class ResponseCache
         size_t shards = 0;
         size_t capacity = 0;   ///< total across shards
 
-        /** Body bytes the cache *owns* (copied into entries).
-         *  Blob-backed responses contribute zero here: their entry
-         *  holds a shared_ptr into the generation's blob arena, so
-         *  caching one costs a refcount, not a copy. The gap between
-         *  this and the wire bytes served is the dedupe win. */
+        /** Body bytes copied into entries (HttpResponse::body).
+         *  Shared bodies (HttpResponse::blob, e.g. the /instr
+         *  renders) contribute zero here: their entry holds a
+         *  shared_ptr, so caching one and every hit on it cost a
+         *  refcount, not a copy. */
         size_t owned_bytes = 0;
     };
 

@@ -46,7 +46,6 @@ endpointName(Endpoint endpoint)
       case Endpoint::Diff: return "/diff";
       case Endpoint::Predict: return "/predict";
       case Endpoint::Reload: return "/reload";
-      case Endpoint::Stats: return "/stats";
       case Endpoint::Metrics: return "/metrics";
       case Endpoint::Analytics: return "/analytics";
       case Endpoint::Other: return "other";
@@ -129,27 +128,9 @@ QueryService::registerInstruments()
     rejected_budget_ = rejected("budget");
     rejected_busy_ = rejected("busy");
 
-    blob_hits_ = &registry_.counter(
-        "uops_blob_hits_total",
-        "Responses served from a precomputed per-generation blob");
-    blob_misses_ = &registry_.counter(
-        "uops_blob_misses_total",
-        "Blob-eligible lookups with no precomputed body (404s)");
     not_modified_ = &registry_.counter(
         "uops_not_modified_total",
         "If-None-Match revalidations answered 304 without a body");
-    registry_.gaugeCallback(
-        "uops_blob_bytes",
-        "Body bytes owned by the serving generation's blob store", {},
-        [this] {
-            return static_cast<double>(state()->blobs->stats().bytes);
-        });
-    registry_.gaugeCallback(
-        "uops_blob_count",
-        "Distinct variant names with a precomputed /instr body", {},
-        [this] {
-            return static_cast<double>(state()->blobs->stats().names);
-        });
 
     reloads_ = &registry_.counter("uops_reloads_total",
                                   "Catalog generations installed");
@@ -201,8 +182,7 @@ QueryService::registerInstruments()
             });
         registry_.gaugeCallback(
             "uops_response_cache_owned_bytes",
-            "Body bytes copied into entries (shared blob bodies "
-            "excluded)",
+            "Body bytes copied into entries (shared bodies excluded)",
             {{"cache", which}}, [&cache] {
                 return static_cast<double>(
                     cache.stats().owned_bytes);
@@ -278,9 +258,8 @@ QueryService::installCatalog(CatalogPtr next)
     fatalIf(next == nullptr, "QueryService: null catalog");
     auto fresh = std::make_shared<ServingState>();
     fresh->catalog = std::move(next);
-    // The swap is the blob-build hook: every response body the new
-    // generation can precompute is rendered here, off the request
-    // path, so the serving hot path never renders these at all.
+    // What every request of the generation shares: its ETag and the
+    // /uarchs body. Record bodies render on a response-cache miss.
     fresh->blobs = BlobStore::build(*fresh->catalog);
     // Epoch assignment happens under the same lock as the install so
     // concurrent swaps can neither interleave (installing an older
@@ -359,7 +338,6 @@ QueryService::reloadState(db::RecoveryReport &report)
         .num("epoch", installed->epoch)
         .num("records",
              static_cast<uint64_t>(installed->catalog->numRecords()))
-        .num("blob_build_us", installed->blobs->stats().build_us)
         .boolean("recovered", report.recovered)
         .num("recovery_events",
              static_cast<uint64_t>(report.events.size()))
@@ -376,15 +354,17 @@ QueryService::reload()
     return reloadState(report)->epoch;
 }
 
+namespace {
+
+/** The one router: every lane routes a decoded path through it. */
 Endpoint
-QueryService::route(const HttpRequest &request) const
+route(std::string_view path)
 {
-    const std::string &path = request.path;
     if (path == "/healthz")
         return Endpoint::Healthz;
     if (path == "/uarchs")
         return Endpoint::UArchs;
-    if (startsWith(path, "/instr/") || path == "/instr")
+    if (path.starts_with("/instr/") || path == "/instr")
         return Endpoint::Instr;
     if (path == "/search")
         return Endpoint::Search;
@@ -394,14 +374,33 @@ QueryService::route(const HttpRequest &request) const
         return Endpoint::Predict;
     if (path == "/reload")
         return Endpoint::Reload;
-    if (path == "/stats")
-        return Endpoint::Stats;
     if (path == "/metrics")
         return Endpoint::Metrics;
     if (path == "/analytics/regressions")
         return Endpoint::Analytics;
     return Endpoint::Other;
 }
+
+/** Endpoints whose GET responses pass through the response cache.
+ *  /uarchs is one shared body per generation: caching it would only
+ *  duplicate the lookup. */
+bool
+cachedEndpoint(Endpoint endpoint)
+{
+    return endpoint == Endpoint::Instr || endpoint == Endpoint::Search ||
+           endpoint == Endpoint::Diff || endpoint == Endpoint::Predict ||
+           endpoint == Endpoint::Analytics;
+}
+
+/** Endpoints a cache-only lane may answer: the cached ones, plus
+ *  /uarchs and /instr, which never need real work on a miss. */
+bool
+fastEndpoint(Endpoint endpoint)
+{
+    return endpoint == Endpoint::UArchs || cachedEndpoint(endpoint);
+}
+
+} // namespace
 
 QueryService::RequestView
 QueryService::viewOf(const HttpRequest &request)
@@ -419,20 +418,6 @@ QueryService::viewOf(const HttpRequest &request)
     return view;
 }
 
-namespace {
-
-/** Endpoints whose GET responses pass through the response cache.
- *  /uarchs is pure blob: caching it would only duplicate the lookup. */
-bool
-cachedEndpoint(Endpoint endpoint)
-{
-    return endpoint == Endpoint::Instr || endpoint == Endpoint::Search ||
-           endpoint == Endpoint::Diff || endpoint == Endpoint::Predict ||
-           endpoint == Endpoint::Analytics;
-}
-
-} // namespace
-
 template <typename Render>
 bool
 QueryService::serve(const RequestView &request, Endpoint endpoint,
@@ -446,8 +431,8 @@ QueryService::serve(const RequestView &request, Endpoint endpoint,
         instruments_[static_cast<size_t>(endpoint)];
 
     // Pin the serving generation once: everything below — cache key,
-    // blob lookup, handlers — runs against this state even if a swap
-    // lands mid-request.
+    // catalog answer, handlers — runs against this state even if a
+    // swap lands mid-request.
     StatePtr st = state();
 
     HttpResponse out;
@@ -459,25 +444,26 @@ QueryService::serve(const RequestView &request, Endpoint endpoint,
             from_cache = true;
         }
     }
-    // Blob-backed endpoints are *always* cheap — a hash lookup for the
-    // body, or a 400/404 error render — so every lane answers them.
-    bool blob = !from_cache && request.method == "GET" &&
-                (endpoint == Endpoint::UArchs ||
-                 endpoint == Endpoint::Instr);
+    // Catalog answers are *always* cheap — the shared /uarchs body,
+    // an /instr render of at most one record per uarch, or a 400/404
+    // error render — so every lane answers them.
+    bool catalog = !from_cache && request.method == "GET" &&
+                   (endpoint == Endpoint::UArchs ||
+                    endpoint == Endpoint::Instr);
     if constexpr (cache_only) {
-        if (!from_cache && !blob)
+        if (!from_cache && !catalog)
             return false;  // cold /search, /diff, /predict: real work
     }
 
-    // Counted before rendering: /stats and /metrics report their own
-    // request as already in flight.
+    // Counted before rendering: /metrics reports its own request as
+    // already in flight.
     ins.requests->inc();
     if (from_cache) {
         ins.cache_hits->inc();
     } else {
         try {
-            if (blob)
-                out = blobAnswer(request, endpoint, *st);
+            if (catalog)
+                out = catalogAnswer(request, endpoint, *st);
             else if constexpr (!cache_only)
                 out = render(*st);
         } catch (const FatalError &e) {
@@ -493,8 +479,7 @@ QueryService::serve(const RequestView &request, Endpoint endpoint,
     // entity this response carries, the transfer is pure waste — the
     // response collapses to a bodiless 304 with the same ETag.
     // Running after both the cache and the handlers means cached and
-    // fresh 200s revalidate identically, and the blob-backed paths
-    // never rendered anything to begin with.
+    // fresh 200s revalidate identically.
     if (out.status == 200 && !out.etag.empty() &&
         ifNoneMatchValue(request.if_none_match, out.etag)) {
         HttpResponse not_modified;
@@ -545,7 +530,7 @@ QueryService::serve(const RequestView &request, Endpoint endpoint,
 HttpResponse
 QueryService::handle(const HttpRequest &request)
 {
-    Endpoint endpoint = route(request);
+    Endpoint endpoint = route(request.path);
 
     // Spans are collected only when someone will read them: a
     // ?debug=timings /predict response or an active UOPS_TRACE
@@ -581,8 +566,8 @@ QueryService::tryServeFast(const HttpRequest &request,
 {
     if (request.method != "GET")
         return false;
-    Endpoint endpoint = route(request);
-    if (endpoint != Endpoint::UArchs && !cachedEndpoint(endpoint))
+    Endpoint endpoint = route(request.path);
+    if (!fastEndpoint(endpoint))
         return false;
     // Debug-timings responses are per-request by contract; they
     // never touch the cache, so they never have a fast path.
@@ -596,24 +581,15 @@ bool
 QueryService::tryServeRaw(const FastGetView &raw,
                           HttpResponse &response)
 {
-    // Endpoint by literal target prefix. Percent-escaped spellings
-    // of these paths miss here and take the decoding parser — same
+    // The path is read only where its literal bytes are the decoded
+    // ones: an escaped spelling takes the decoding parser — same
     // answer, slower lane.
     std::string_view target = raw.target;
-    Endpoint endpoint;
-    if (target == "/uarchs")
-        endpoint = Endpoint::UArchs;
-    else if (target.starts_with("/instr/"))
-        endpoint = Endpoint::Instr;
-    else if (target.starts_with("/search?"))
-        endpoint = Endpoint::Search;
-    else if (target.starts_with("/diff?"))
-        endpoint = Endpoint::Diff;
-    else if (target.starts_with("/predict?"))
-        endpoint = Endpoint::Predict;
-    else if (target.starts_with("/analytics/regressions?"))
-        endpoint = Endpoint::Analytics;
-    else
+    std::string_view path = target.substr(0, target.find('?'));
+    if (path.find_first_of("%+") != std::string_view::npos)
+        return false;
+    Endpoint endpoint = route(path);
+    if (!fastEndpoint(endpoint))
         return false;
     // Debug-timings /predict responses are per-request by contract;
     // the substring test is coarser than param("debug") but only
@@ -625,17 +601,14 @@ QueryService::tryServeRaw(const FastGetView &raw,
     RequestView view;
     view.method = "GET";
     view.target = target;
-    view.path = target.substr(0, target.find('?'));
+    view.path = path;
     view.if_none_match = raw.if_none_match;
     view.request_id = raw.request_id;
     if (endpoint == Endpoint::Instr) {
-        // "/instr/NAME" or "/instr/NAME?uarch=SHORT", read only where
-        // the literal bytes are the decoded ones: escapes and any
+        // "/instr/NAME" or "/instr/NAME?uarch=SHORT": escapes and any
         // other query take the decoding parser.
-        if (view.path.find_first_of("%+") != std::string_view::npos)
-            return false;
         std::string_view query =
-            target.substr(std::min(target.size(), view.path.size() + 1));
+            target.substr(std::min(target.size(), path.size() + 1));
         if (!query.empty()) {
             if (!query.starts_with("uarch="))
                 return false;
@@ -671,12 +644,11 @@ QueryService::dispatch(Endpoint endpoint, const HttpRequest &request,
       case Endpoint::Predict:
         return handlePredict(request, state, spans, debug_timings);
       case Endpoint::Reload: return handleReload(request);
-      case Endpoint::Stats: return handleStats(state);
       case Endpoint::Metrics: return handleMetrics();
       case Endpoint::Analytics:
         return handleAnalytics(request, state);
       case Endpoint::UArchs:
-      case Endpoint::Instr:  // GETs take serve()'s blob answer
+      case Endpoint::Instr:  // GETs take serve()'s catalog answer
       case Endpoint::Other: break;
     }
     return errorResponse(404, "no such endpoint: " + request.path);
@@ -701,34 +673,42 @@ QueryService::handleHealthz(const ServingState &state)
 }
 
 HttpResponse
-QueryService::blobAnswer(const RequestView &request, Endpoint endpoint,
-                         const ServingState &state)
+QueryService::catalogAnswer(const RequestView &request,
+                            Endpoint endpoint, const ServingState &state)
 {
-    // Precomputed at install time: the full body is one lookup, the
-    // ?uarch= variant is assembled from slices of it. No record is
-    // ever rendered on the request path.
-    std::shared_ptr<const std::string> blob;
-    if (endpoint == Endpoint::UArchs) {
-        blob = state.blobs->uarchsBody();
-    } else {
-        if (request.path == "/instr" || request.path == "/instr/")
-            return errorResponse(400, "usage: /instr/{variant-name}");
-        std::string_view name = request.path.substr(strlen("/instr/"));
-        blob = request.uarch
-                   ? state.blobs->instrBody(
-                         name, uarch::parseUArch(std::string(
-                                   *request.uarch)))  // FatalError -> 400
-                   : state.blobs->instrBody(name);
-        if (blob == nullptr) {
-            blob_misses_->inc();
-            return errorResponse(404, "no results for variant '" +
-                                          std::string(name) + "'");
-        }
-    }
-    blob_hits_->inc();
     HttpResponse response;
-    response.blob = std::move(blob);
     response.etag = state.blobs->etag();
+    if (endpoint == Endpoint::UArchs) {
+        response.blob = state.blobs->uarchsBody();
+        return response;
+    }
+    if (request.path == "/instr" || request.path == "/instr/")
+        return errorResponse(400, "usage: /instr/{variant-name}");
+    std::string_view name = request.path.substr(strlen("/instr/"));
+    std::optional<uarch::UArch> arch;
+    if (request.uarch)  // FatalError -> 400
+        arch = uarch::parseUArch(std::string(*request.uarch));
+
+    // At most one record per uarch, in shard order. The body is
+    // shared, so the response cache keeps it and its hits never copy.
+    JsonWriter json;
+    json.beginObject();
+    json.member("name", name);
+    json.key("results").beginArray();
+    bool found = false;
+    for (const db::RecordView &view : state.catalog->findByName(name)) {
+        if (arch && view.arch() != *arch)
+            continue;
+        writeRecordJson(json, view);
+        found = true;
+    }
+    if (!found)
+        return errorResponse(404, "no results for variant '" +
+                                      std::string(name) + "'");
+    json.endArray();
+    json.endObject();
+    response.blob =
+        std::make_shared<const std::string>(std::move(json).str());
     return response;
 }
 
@@ -829,24 +809,12 @@ QueryService::handleSearch(const HttpRequest &request,
 
     std::vector<db::RecordView> records = catalog.search(query);
 
-    // Hits are spliced from the blob store's per-(name, uarch)
-    // fragments — the writeRecordJson bytes rendered once at install
-    // time — so the request path never re-renders a record. The
-    // fallback keeps the render total for states whose store predates
-    // a record (not reachable today: blobs are built from the same
-    // catalog being searched).
     JsonWriter json;
     json.beginObject();
     json.member("count", records.size());
     json.key("results").beginArray();
-    for (const db::RecordView &view : records) {
-        std::string_view fragment =
-            state.blobs->recordFragment(view.name(), view.arch());
-        if (!fragment.empty())
-            json.raw(fragment);
-        else
-            writeRecordJson(json, view);
-    }
+    for (const db::RecordView &view : records)
+        writeRecordJson(json, view);
     json.endArray();
     json.endObject();
     return jsonResponse(std::move(json).str());
@@ -1318,108 +1286,6 @@ QueryService::handleReload(const HttpRequest &)
         json.member("summary", std::string_view(report.summary()));
         json.endObject();
     }
-    json.endObject();
-    return jsonResponse(std::move(json).str());
-}
-
-HttpResponse
-QueryService::handleStats(const ServingState &state)
-{
-    JsonWriter json;
-    json.beginObject();
-    json.member("generation", state.catalog->generation());
-    json.member("epoch", state.epoch);
-    json.key("endpoints").beginObject();
-    for (size_t i = 0; i < kNumEndpoints; ++i) {
-        EndpointMetrics m = metrics(static_cast<Endpoint>(i));
-        json.key(endpointName(static_cast<Endpoint>(i)))
-            .beginObject();
-        json.member("requests", m.requests);
-        json.member("errors", m.errors);
-        json.member("cache_hits", m.cache_hits);
-        json.member("total_us", m.total_us);
-        json.member("samples", m.samples);
-        // Percentiles of an unhit endpoint are unknowable, not zero:
-        // null until the first sample lands.
-        if (m.p50_us)
-            json.member("p50_us", *m.p50_us);
-        else
-            json.key("p50_us").valueNull();
-        if (m.p99_us)
-            json.member("p99_us", *m.p99_us);
-        else
-            json.key("p99_us").valueNull();
-        json.endObject();
-    }
-    json.endObject();
-    auto cache_section = [&json](const char *name,
-                                 const ResponseCache::Stats &cache) {
-        json.key(name).beginObject();
-        json.member("hits", cache.hits);
-        json.member("misses", cache.misses);
-        json.member("insertions", cache.insertions);
-        json.member("evictions", cache.evictions);
-        json.member("entries", cache.entries);
-        json.member("shards", cache.shards);
-        json.member("capacity", cache.capacity);
-        json.member("owned_bytes", cache.owned_bytes);
-        json.endObject();
-    };
-    cache_section("cache", cache_.stats());
-    cache_section("kernel_memo", kernel_memo_.stats());
-
-    BlobStore::Stats blobs = state.blobs->stats();
-    json.key("blobs").beginObject();
-    json.member("etag", std::string_view(state.blobs->etag()));
-    json.member("names", blobs.names);
-    json.member("records", blobs.records);
-    json.member("bytes", blobs.bytes);
-    json.member("build_us", blobs.build_us);
-    json.member("hits", blob_hits_->value());
-    json.member("misses", blob_misses_->value());
-    json.member("not_modified", not_modified_->value());
-    json.endObject();
-
-    json.key("reload").beginObject();
-    json.member("reloads",
-                reloads_->value());
-    json.member("rejections",
-                reload_rejections_->value());
-    json.member("recoveries",
-                recoveries_->value());
-    json.member("recovery_events",
-                recovery_events_->value());
-    json.member(
-        "verification_failures",
-        verification_failures_->value());
-    json.endObject();
-
-    PredictEngine::Stats engine = engine_.stats();
-    const PredictAdmission &admission = options_.admission;
-    json.key("predict").beginObject();
-    json.key("admission").beginObject();
-    json.member("max_instructions", admission.max_instructions);
-    json.member("max_listing_bytes", admission.max_listing_bytes);
-    json.member("cycle_budget",
-                options_.engine.predict.cycle_budget);
-    json.member("max_inflight", options_.engine.max_inflight);
-    json.member("rejected_oversize",
-                rejected_oversize_->value());
-    json.member("rejected_budget",
-                rejected_budget_->value());
-    json.member("rejected_busy",
-                rejected_busy_->value());
-    json.endObject();
-    json.key("engine").beginObject();
-    json.member("workers", engine.workers);
-    json.member("inflight", engine.inflight);
-    json.member("simulations", engine.simulations);
-    json.member("coalesced", engine.coalesced);
-    json.member("sim_cache_hits", engine.sim_cache_hits);
-    json.member("sim_cache_misses", engine.sim_cache_misses);
-    json.member("sim_cache_entries", engine.sim_cache_entries);
-    json.endObject();
-    json.endObject();
     json.endObject();
     return jsonResponse(std::move(json).str());
 }

@@ -33,14 +33,15 @@
  *                                       analysis when coverage allows
  *   POST /reload                       hot-swap to the freshly
  *                                      reloaded catalog generation
- *   GET  /stats                        per-endpoint metrics + caches
  *   GET  /metrics                      Prometheus text exposition
  *                                      (text/plain, never cached)
  *
  * Three lanes lead into the service — tryServeRaw() on a bare GET
  * head, tryServeFast() on a parsed request, and handle() for
- * everything — and all three end in one finish path: cache probe,
- * blob answer (/uarchs, /instr), cache put, If-None-Match -> 304,
+ * everything — and all three route the path through one router and
+ * end in one finish path: cache probe, catalog answer (/uarchs from
+ * the generation's precomputed body, /instr rendered from the pinned
+ * catalog on a cache miss), cache put, If-None-Match -> 304,
  * error/latency metrics, request-ID resolution, access and
  * slow-request log lines, tracer completion. The lanes differ only
  * in how much of the request they parse and whether they may run
@@ -80,12 +81,13 @@
  * one, which stays alive (shards, mappings and all) until its last
  * request drops the handle.
  *
- * GET responses for /instr, /search, /diff and /predict pass through
- * the sharded LRU response cache keyed by (serving epoch, raw request
- * target), so a swap can never serve a response rendered from a
- * previous generation; /healthz and /stats are never cached. Every
- * request updates the per-endpoint metrics (requests, errors, cache
- * hits, total µs).
+ * GET responses for /instr, /search, /diff, /analytics and /predict
+ * pass through the sharded LRU response cache keyed by (serving
+ * epoch, raw request target), so a swap can never serve a response
+ * rendered from a previous generation; it is the only store of
+ * rendered /instr bodies. /healthz and /metrics are never cached.
+ * Every request updates the per-endpoint metrics (requests, errors,
+ * cache hits, latency histogram), which /metrics renders.
  *
  * handle() is thread-safe: catalogs are immutable, the cache and
  * metrics are internally synchronized, and per-uarch predictor
@@ -123,13 +125,12 @@ enum class Endpoint : uint8_t {
     Diff,
     Predict,
     Reload,
-    Stats,
     Metrics,
     Analytics,
     Other,
 };
 
-constexpr size_t kNumEndpoints = 11;
+constexpr size_t kNumEndpoints = 10;
 
 /** Metrics name of a route ("/instr", ...). */
 const char *endpointName(Endpoint endpoint);
@@ -175,7 +176,8 @@ class QueryService
      *  serving — a corrupt store can reject a reload, never take
      *  down what is already being served. The reloader fills
      *  @p report when it had to fall back past a bad generation;
-     *  the service folds it into /stats and the /reload body. */
+     *  the service folds it into its /metrics counters and the
+     *  /reload body. */
     using Reloader = std::function<CatalogPtr(db::RecoveryReport &)>;
 
     struct Options
@@ -218,13 +220,13 @@ class QueryService
     HttpResponse handle(const HttpRequest &request);
 
     /**
-     * The serving fast path: answer @p request *without* rendering
-     * when a precomputed body exists — a response-cache hit, a
-     * blob-store answer (/uarchs, /instr, including their 400/404
-     * renders), or an If-None-Match revalidation against the
-     * generation ETag (304, no body at all). Returns true with
-     * @p response finished (metrics, request ID and access log all
-     * applied); false when the request needs real work (cold
+     * The serving fast path: answer @p request when no real work is
+     * needed — a response-cache hit, a catalog answer (/uarchs, or
+     * an /instr render of at most one record per uarch, including
+     * their 400/404 renders), or an If-None-Match revalidation
+     * against the generation ETag (304, no body at all). Returns
+     * true with @p response finished (metrics, request ID and access
+     * log all applied); false when the request needs real work (cold
      * /search, /diff, /predict, POSTs, admin endpoints), in which
      * case the caller dispatches it to handle() on a worker thread.
      * Thread-safe.
@@ -234,12 +236,12 @@ class QueryService
 
     /**
      * The same fast path driven by a zero-parse head scan
-     * (scanFastGet): target prefixes select the endpoint and the
-     * response cache is probed by raw target — no HttpRequest, no
-     * query map, no percent decoding. Returns false for anything it
-     * cannot read literally (escaped targets, /instr queries other
-     * than a lone uarch=) and for cold work, in which case the caller
-     * falls back to the full parser.
+     * (scanFastGet): the target up to '?' goes through the router
+     * and the response cache is probed by raw target — no
+     * HttpRequest, no query map, no percent decoding. Returns false
+     * for anything it cannot read literally (a path containing '%'
+     * or '+', /instr queries other than a lone uarch=) and for cold
+     * work, in which case the caller falls back to the full parser.
      */
     bool tryServeRaw(const FastGetView &raw, HttpResponse &response);
 
@@ -329,8 +331,8 @@ class QueryService
         CatalogPtr catalog;
         uint64_t epoch = 0;
 
-        /** Precomputed response bodies + generation ETag, built once
-         *  at install time (the swapCatalog hook). Never null. */
+        /** Generation ETag + /uarchs body, built once at install
+         *  time (the swapCatalog hook). Never null. */
         std::shared_ptr<const BlobStore> blobs;
 
         std::mutex predict_mutex;
@@ -352,14 +354,13 @@ class QueryService
         std::string_view path;           ///< decoded path
         std::string_view if_none_match;  ///< empty = absent
         std::string_view request_id;     ///< X-Request-Id; empty = absent
-        /** The decoded ?uarch= parameter, read by the /instr blob
-         *  answer. */
+        /** The decoded ?uarch= parameter, read by the /instr
+         *  render. */
         std::optional<std::string_view> uarch;
     };
 
     static RequestView viewOf(const HttpRequest &request);
 
-    Endpoint route(const HttpRequest &request) const;
     HttpResponse dispatch(Endpoint endpoint,
                           const HttpRequest &request,
                           ServingState &state, obs::SpanSet *spans,
@@ -368,7 +369,7 @@ class QueryService
 
     /**
      * The one finish path of all three lanes (see file comment).
-     * On a cache miss a GET to /uarchs or /instr takes the blob
+     * On a cache miss a GET to /uarchs or /instr takes the catalog
      * answer; anything else calls @p render (HttpResponse(
      * ServingState &)), or — when @p render is nullptr — returns
      * false with nothing counted, so the caller can hand the request
@@ -380,10 +381,12 @@ class QueryService
                bool cacheable, Render &&render,
                HttpResponse &response);
 
-    /** /uarchs or /instr answered from the generation's blob store
-     *  (400/404 renders included). @throws FatalError -> 400. */
-    HttpResponse blobAnswer(const RequestView &request,
-                            Endpoint endpoint, const ServingState &state);
+    /** /uarchs from the generation's precomputed body, or /instr
+     *  rendered from its catalog (400/404 renders included); 200s
+     *  carry the generation ETag. @throws FatalError -> 400. */
+    HttpResponse catalogAnswer(const RequestView &request,
+                               Endpoint endpoint,
+                               const ServingState &state);
 
     HttpResponse handleHealthz(const ServingState &state);
     HttpResponse handleSearch(const HttpRequest &request,
@@ -397,7 +400,6 @@ class QueryService
                                obs::SpanSet *spans,
                                bool debug_timings);
     HttpResponse handleReload(const HttpRequest &request);
-    HttpResponse handleStats(const ServingState &state);
     HttpResponse handleMetrics();
 
     const PredictContext &predictContext(ServingState &state,
@@ -410,8 +412,8 @@ class QueryService
     PredictEngine engine_;
 
     /** Every counter below lives in this registry; the named
-     *  pointers are pre-resolved hot-path handles into it. /stats
-     *  and /metrics both read the registry, so they agree by
+     *  pointers are pre-resolved hot-path handles into it. /metrics
+     *  and metrics() both read the registry, so they agree by
      *  construction. */
     obs::Registry registry_;
     obs::Logger logger_;
@@ -423,12 +425,9 @@ class QueryService
     obs::Counter *rejected_budget_ = nullptr;    ///< 429 (cycles)
     obs::Counter *rejected_busy_ = nullptr;      ///< 429 (queue)
 
-    /** Precomputed-blob serving (/uarchs, /instr bodies). */
-    obs::Counter *blob_hits_ = nullptr;
-    obs::Counter *blob_misses_ = nullptr;
     obs::Counter *not_modified_ = nullptr;  ///< 304 revalidations
 
-    /** Reload/recovery health (reported under /stats "reload"). */
+    /** Reload/recovery health. */
     obs::Counter *reloads_ = nullptr;            ///< swaps installed
     obs::Counter *reload_rejections_ = nullptr;  ///< 503s served
     obs::Counter *recoveries_ = nullptr;         ///< fell back a gen

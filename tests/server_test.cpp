@@ -115,6 +115,41 @@ get(const std::string &target)
                                     " HTTP/1.1\r\nHost: x");
 }
 
+/** One GET /metrics through handle(), parsed. */
+Exposition
+scrape(server::QueryService &service)
+{
+    HttpResponse response = service.handle(get("/metrics"));
+    EXPECT_EQ(response.status, 200);
+    return parseExposition(response.body);
+}
+
+/** The /instr/{name} body rendered straight from @p catalog: every
+ *  record of @p name (only @p arch's when set) in shard order,
+ *  joined by hand — the bytes every lane must serve. */
+std::string
+directInstrBody(const db::DatabaseCatalog &catalog,
+                const std::string &name,
+                std::optional<uarch::UArch> arch = std::nullopt)
+{
+    std::string body =
+        "{\"name\":\"" + server::jsonEscape(name) + "\",\"results\":[";
+    bool first = true;
+    for (const db::ShardEntry &shard : catalog.shards()) {
+        if (arch && shard.arch != *arch)
+            continue;
+        for (uint32_t row : shard.db->findByName(name)) {
+            if (!first)
+                body += ',';
+            first = false;
+            server::JsonWriter json;
+            server::writeRecordJson(json, shard.db->record(row));
+            body += std::move(json).str();
+        }
+    }
+    return body + "]}";
+}
+
 // ---------------------------------------------------------------------
 // JSON writer.
 // ---------------------------------------------------------------------
@@ -271,8 +306,7 @@ TEST(Service, HealthzReportsRecordsAndUArches)
 TEST(Service, InstrEndpointReturnsRecordsAndHonorsUArchParam)
 {
     auto service = makeService();
-    // /instr is blob-backed: the payload lives in bodyView(), shared
-    // with the serving generation's blob store.
+    // /instr bodies are shared: the payload lives in bodyView().
     HttpResponse all = service->handle(get("/instr/ADD_R64_R64"));
     EXPECT_EQ(all.status, 200);
     // One record per uarch.
@@ -289,6 +323,42 @@ TEST(Service, InstrEndpointReturnsRecordsAndHonorsUArchParam)
 
     EXPECT_EQ(service->handle(get("/instr/NO_SUCH")).status, 404);
     EXPECT_EQ(service->handle(get("/instr")).status, 400);
+}
+
+TEST(Service, InstrBodiesMatchDirectJsonRender)
+{
+    // A cache miss renders /instr from the pinned generation; the
+    // bytes must equal a direct writeRecordJson render of the
+    // catalog's records in shard order (uarch-ascending), and carry
+    // the generation ETag.
+    auto service = makeService();
+    const std::string etag =
+        server::BlobStore::build(*sliceCatalog())->etag();
+    db::Query query;
+    query.mnemonic = "ADD";
+    query.arch = uarch::UArch::Skylake;
+    query.limit = 1;
+    auto picked = sliceCatalog()->search(query);
+    ASSERT_EQ(picked.size(), 1u);
+    const std::string name(picked[0].name());
+
+    HttpResponse all = service->handle(get("/instr/" + name));
+    ASSERT_EQ(all.status, 200) << all.bodyView();
+    EXPECT_EQ(all.bodyView(), directInstrBody(*sliceCatalog(), name));
+    EXPECT_EQ(all.etag, etag);
+
+    // Single-uarch variant: just that arch's record.
+    HttpResponse one = service->handle(get("/instr/" + name + "?uarch=SKL"));
+    ASSERT_EQ(one.status, 200) << one.bodyView();
+    EXPECT_EQ(one.bodyView(), directInstrBody(*sliceCatalog(), name,
+                                              uarch::UArch::Skylake));
+    EXPECT_EQ(one.etag, etag);
+
+    // Unknown names answer 404, also with a valid uarch.
+    EXPECT_EQ(service->handle(get("/instr/NO_SUCH_VARIANT")).status, 404);
+    EXPECT_EQ(
+        service->handle(get("/instr/NO_SUCH_VARIANT?uarch=SKL")).status,
+        404);
 }
 
 TEST(Service, SearchEndpointFiltersAndCounts)
@@ -333,10 +403,8 @@ jsonCount(std::string_view body, std::string_view key)
 
 TEST(Service, SearchResponseIsByteIdenticalToDirectRender)
 {
-    // The /search hot path splices pre-rendered blob-store fragments
-    // instead of re-rendering each record; the splice must be
-    // byte-identical to a fresh writeRecordJson render of the same
-    // result set.
+    // /search renders its hits through writeRecordJson, the one
+    // record renderer /instr uses too.
     auto service = makeService();
     HttpResponse response =
         service->handle(get("/search?uarch=SKL&uses=p0&limit=50"));
@@ -615,6 +683,8 @@ TEST(Service, UnknownEndpointIs404)
 {
     auto service = makeService();
     EXPECT_EQ(service->handle(get("/nope")).status, 404);
+    // /metrics is the one stats surface.
+    EXPECT_EQ(service->handle(get("/stats")).status, 404);
 }
 
 // ---------------------------------------------------------------------
@@ -631,7 +701,7 @@ TEST(Service, RepeatedGetHitsCacheWithIdenticalBody)
     EXPECT_FALSE(first.cache_hit);
     EXPECT_TRUE(second.cache_hit);
     EXPECT_EQ(first.bodyView(), second.bodyView());
-    // Blob-backed entries are shared, not copied: the cached response
+    // /instr entries are shared, not copied: the cached response
     // points at the same bytes, and the cache owns no body of its own.
     EXPECT_EQ(first.blob.get(), second.blob.get());
     EXPECT_NE(first.blob.get(), nullptr);
@@ -659,36 +729,53 @@ TEST(Service, ErrorsAreCountedAndNotCached)
     EXPECT_EQ(service->cacheStats().insertions, 0u);
 }
 
-TEST(Service, StatsEndpointExposesMetricsAndCache)
+TEST(Service, MetricsExposeEndpointCacheAndPredictSeries)
 {
     auto service = makeService();
     service->handle(get("/healthz"));
-    HttpResponse response = service->handle(get("/stats"));
-    EXPECT_EQ(response.status, 200);
-    EXPECT_NE(response.body.find("\"/healthz\":{\"requests\":1"),
-              std::string::npos)
-        << response.body;
-    EXPECT_NE(response.body.find("\"cache\":{"), std::string::npos);
+    Exposition parsed = scrape(*service);
+    EXPECT_EQ(
+        parsed.series["uops_http_requests_total{endpoint=\"/healthz\"}"],
+        1.0);
 
-    // Schema pinning for the prediction-service additions: latency
-    // percentiles per endpoint, the kernel memo, and the admission +
-    // engine counter blocks.
-    for (const char *key :
-         {"\"p50_us\":", "\"p99_us\":", "\"kernel_memo\":{",
-          "\"predict\":{", "\"admission\":{", "\"max_instructions\":",
-          "\"max_listing_bytes\":", "\"cycle_budget\":",
-          "\"max_inflight\":", "\"rejected_oversize\":",
-          "\"rejected_budget\":", "\"rejected_busy\":",
-          "\"engine\":{", "\"workers\":", "\"inflight\":",
-          "\"simulations\":", "\"coalesced\":",
-          "\"sim_cache_hits\":", "\"sim_cache_misses\":",
-          "\"sim_cache_entries\":"})
-        EXPECT_NE(response.body.find(key), std::string::npos)
-            << "missing " << key << " in\n"
-            << response.body;
+    // Latency percentiles: one histogram per endpoint, which
+    // metrics() reads p50/p99 from.
+    for (size_t i = 0; i < server::kNumEndpoints; ++i) {
+        std::string labels =
+            std::string("{endpoint=\"") +
+            server::endpointName(static_cast<Endpoint>(i)) + "\"}";
+        EXPECT_EQ(parsed.series.count(
+                      "uops_http_request_duration_us_count" + labels),
+                  1u)
+            << labels;
+    }
+    auto healthz = service->metrics(Endpoint::Healthz);
+    EXPECT_TRUE(healthz.p50_us.has_value());
+    EXPECT_TRUE(healthz.p99_us.has_value());
+
+    // The response cache, the kernel memo, admission rejections and
+    // the engine. The admission limits themselves are configuration,
+    // not counters: each is reported in the body of the rejection it
+    // causes (the Predict*With413/429 tests pin max_instructions,
+    // cycle_budget and max_inflight; predict_fuzz_test pins
+    // max_listing_bytes).
+    for (const char *series :
+         {"uops_response_cache_hits_total{cache=\"response\"}",
+          "uops_response_cache_entries{cache=\"response\"}",
+          "uops_response_cache_hits_total{cache=\"kernel_memo\"}",
+          "uops_response_cache_entries{cache=\"kernel_memo\"}",
+          "uops_predict_rejected_total{reason=\"oversize\"}",
+          "uops_predict_rejected_total{reason=\"budget\"}",
+          "uops_predict_rejected_total{reason=\"busy\"}",
+          "uops_engine_workers", "uops_engine_inflight",
+          "uops_engine_simulations_total", "uops_engine_coalesced_total",
+          "uops_engine_sim_cache_hits_total",
+          "uops_engine_sim_cache_misses_total",
+          "uops_engine_sim_cache_entries"})
+        EXPECT_EQ(parsed.series.count(series), 1u) << "missing " << series;
 }
 
-TEST(Service, StatsCountsKernelMemoAndAdmissionRejections)
+TEST(Service, MetricsCountKernelMemoAndAdmissionRejections)
 {
     server::QueryService::Options options;
     options.admission.max_instructions = 2;
@@ -711,14 +798,14 @@ TEST(Service, StatsCountsKernelMemoAndAdmissionRejections)
     EXPECT_EQ(memo.insertions, 1u);
     EXPECT_EQ(memo.hits, 1u);
 
-    HttpResponse response = service.handle(get("/stats"));
-    ASSERT_EQ(response.status, 200);
-    EXPECT_NE(response.body.find("\"rejected_oversize\":1"),
-              std::string::npos)
-        << response.body;
-    EXPECT_NE(response.body.find("\"simulations\":1"),
-              std::string::npos)
-        << response.body;
+    Exposition parsed = scrape(service);
+    EXPECT_EQ(parsed.series["uops_response_cache_hits_total"
+                            "{cache=\"kernel_memo\"}"],
+              1.0);
+    EXPECT_EQ(
+        parsed.series["uops_predict_rejected_total{reason=\"oversize\"}"],
+        1.0);
+    EXPECT_EQ(parsed.series["uops_engine_simulations_total"], 1.0);
 }
 
 // ---------------------------------------------------------------------
@@ -778,6 +865,36 @@ TEST(ServiceSwap, CacheNeverServesAcrossGenerations)
     EXPECT_FALSE(back.cache_hit);
     EXPECT_EQ(back.status, 200);
     EXPECT_EQ(back.bodyView(), original.bodyView());
+}
+
+TEST(ServiceSwap, InstrRendersTheNewGenerationAfterSwap)
+{
+    // An /instr entry cached under the old generation must give way to
+    // a render from the new one, with the new ETag.
+    auto service = makeService();
+    db::Query query;
+    query.mnemonic = "ADD";
+    query.arch = uarch::UArch::Skylake;
+    query.limit = 1;
+    auto picked = altCatalog()->search(query);
+    ASSERT_EQ(picked.size(), 1u);
+    const std::string name(picked[0].name());
+    const std::string target = "/instr/" + name;
+
+    HttpResponse old_gen = service->handle(get(target));
+    ASSERT_EQ(old_gen.status, 200) << old_gen.bodyView();
+    EXPECT_EQ(old_gen.bodyView(), directInstrBody(*sliceCatalog(), name));
+    HttpResponse cached = service->handle(get(target));
+    EXPECT_TRUE(cached.cache_hit);
+
+    service->swapCatalog(altCatalog());
+    HttpResponse fresh = service->handle(get(target));
+    EXPECT_FALSE(fresh.cache_hit);
+    ASSERT_EQ(fresh.status, 200) << fresh.bodyView();
+    EXPECT_EQ(fresh.bodyView(), directInstrBody(*altCatalog(), name));
+    EXPECT_NE(fresh.bodyView(), old_gen.bodyView());
+    EXPECT_EQ(fresh.etag, server::BlobStore::build(*altCatalog())->etag());
+    EXPECT_NE(fresh.etag, old_gen.etag);
 }
 
 TEST(ServiceSwap, PredictContextsAreRebuiltPerGeneration)
@@ -1273,11 +1390,10 @@ TEST(ServiceReload, CorruptCatalogKeepsOldGenerationWith503)
     EXPECT_EQ(service->handle(get("/instr/ADD_R64_R64")).bodyView(),
               instr_before);
 
-    // The rejection is visible in /stats.
-    std::string stats = service->handle(get("/stats")).body;
-    EXPECT_NE(stats.find("\"reload\":{"), std::string::npos);
-    EXPECT_NE(stats.find("\"rejections\":1"), std::string::npos)
-        << stats;
+    // The rejection is visible in /metrics.
+    Exposition parsed = scrape(*service);
+    EXPECT_EQ(parsed.series.count("uops_reloads_total"), 1u);
+    EXPECT_EQ(parsed.series["uops_reload_rejections_total"], 1.0);
 
     // Repairing the store makes the next reload succeed.
     db::saveCatalogDir(*sliceCatalog(), dir);
@@ -1320,12 +1436,10 @@ TEST(ServiceReload, RecoveredReloadReportsTheFallback)
         << response.body;
     EXPECT_EQ(service->catalog()->generation(), 1u);
 
-    std::string stats = service->handle(get("/stats")).body;
-    EXPECT_NE(stats.find("\"recoveries\":1"), std::string::npos)
-        << stats;
-    EXPECT_NE(stats.find("\"verification_failures\":1"),
-              std::string::npos)
-        << stats;
+    Exposition parsed = scrape(*service);
+    EXPECT_EQ(parsed.series["uops_catalog_recoveries_total"], 1.0);
+    EXPECT_EQ(parsed.series["uops_catalog_verification_failures_total"],
+              1.0);
 }
 
 // ---------------------------------------------------------------------
@@ -1489,8 +1603,8 @@ TEST(Observability, MetricsExpositionMatchesRegistry)
               std::string::npos);
     Exposition parsed = parseExposition(response.body);
 
-    // Every per-endpoint series must agree with the /stats-backing
-    // accessor — one registry, two renderings. The /metrics request
+    // Every per-endpoint series must agree with the metrics()
+    // accessor — one registry, two readers. The /metrics request
     // itself is mid-flight when the body renders: its own request
     // counter is already incremented, its latency not yet observed.
     for (size_t i = 0; i < server::kNumEndpoints; ++i) {
@@ -1547,30 +1661,39 @@ TEST(Observability, MetricsExpositionMatchesRegistry)
     EXPECT_FALSE(parsed.help["uops_http_requests_total"].empty());
 }
 
-TEST(Observability, StatsReportsSamplesAndNullPercentiles)
+TEST(Observability, MetricsReportSamplesAndEmptyPercentiles)
 {
     auto service = makeService();
     service->handle(get("/healthz"));
-    HttpResponse response = service->handle(get("/stats"));
-    ASSERT_EQ(response.status, 200);
-    // /diff was never hit: explicit zero samples, null percentiles —
+    // /diff was never hit: explicit zero samples, no percentiles —
     // distinguishable from "fast" (which /healthz's numbers are not).
-    EXPECT_NE(response.body.find(
-                  "\"/diff\":{\"requests\":0,\"errors\":0,"
-                  "\"cache_hits\":0,\"total_us\":0,\"samples\":0,"
-                  "\"p50_us\":null,\"p99_us\":null"),
-              std::string::npos)
-        << response.body;
-    size_t healthz = response.body.find("\"/healthz\":{");
-    ASSERT_NE(healthz, std::string::npos);
-    size_t healthz_end = response.body.find('}', healthz);
-    ASSERT_NE(healthz_end, std::string::npos);
-    std::string block =
-        response.body.substr(healthz, healthz_end - healthz + 1);
-    EXPECT_NE(block.find("\"samples\":1"), std::string::npos)
-        << block;
-    EXPECT_EQ(block.find("\"p50_us\":null"), std::string::npos)
-        << block;
+    auto diff = service->metrics(Endpoint::Diff);
+    EXPECT_EQ(diff.requests, 0u);
+    EXPECT_EQ(diff.errors, 0u);
+    EXPECT_EQ(diff.cache_hits, 0u);
+    EXPECT_EQ(diff.total_us, 0u);
+    EXPECT_EQ(diff.samples, 0u);
+    EXPECT_FALSE(diff.p50_us.has_value());
+    EXPECT_FALSE(diff.p99_us.has_value());
+    auto healthz = service->metrics(Endpoint::Healthz);
+    EXPECT_EQ(healthz.samples, 1u);
+    EXPECT_TRUE(healthz.p50_us.has_value());
+
+    Exposition parsed = scrape(*service);
+    const std::string diff_labels = "{endpoint=\"/diff\"}";
+    EXPECT_EQ(parsed.series["uops_http_requests_total" + diff_labels], 0.0);
+    EXPECT_EQ(parsed.series.count("uops_http_request_duration_us_count" +
+                                  diff_labels),
+              1u);
+    EXPECT_EQ(
+        parsed.series["uops_http_request_duration_us_count" + diff_labels],
+        0.0);
+    EXPECT_EQ(
+        parsed.series["uops_http_request_duration_us_sum" + diff_labels],
+        0.0);
+    EXPECT_EQ(parsed.series["uops_http_request_duration_us_count"
+                            "{endpoint=\"/healthz\"}"],
+              1.0);
 }
 
 TEST(Observability, RequestIdsAreEchoedOrMinted)
@@ -1923,6 +2046,8 @@ TEST(ServingLanes, RawFastAndHandleAnswerIdentically)
          ""},
         {search, "", false, false, ""},  // cold: real work
         {search, "", true, true, ""},    // cached
+        {"/search", "", false, false, ""},  // bare path, cold
+        {"/search", "", true, true, ""},    // bare path, cached
         {predict, "", false, false, ""},
         {predict, "", true, true, ""},
         {analytics, "", false, false, ""},
