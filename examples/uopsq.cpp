@@ -216,6 +216,8 @@ cmdCharacterize(const Args &args)
 {
     const std::string *out_dir = args.option("out");
     fatalIf(out_dir == nullptr, "characterize: --out is required");
+    long threads = args.intOption("threads", 0);
+    fatalIf(threads < 0, "--threads must be >= 0");
 
     // An existing manifest makes this an incremental run: the base
     // generation's untouched shards are spliced through unchanged.
@@ -239,8 +241,7 @@ cmdCharacterize(const Args &args)
     }
 
     core::BatchOptions options;
-    options.num_threads =
-        static_cast<size_t>(args.intOption("threads", 0));
+    options.num_threads = static_cast<size_t>(threads);
     long mod = args.intOption("mod", 1);
     fatalIf(mod < 1, "--mod must be >= 1");
     if (mod > 1)
@@ -525,6 +526,25 @@ cmdServe(const Args &args)
     fatalIf(args.positional.size() != 1, "serve: expected PATH");
     const std::string path = args.positional[0];
     const db::LoadMode mode = parseLoadMode(args);
+
+    long port = args.intOption("port", 0);
+    fatalIf(port < 0 || port > 65535, "--port must be in [0, 65535]");
+    long threads = args.intOption("threads", 0);
+    fatalIf(threads < 0, "--threads must be >= 0");
+    long reactor_threads = args.intOption("reactor-threads", 0);
+    fatalIf(reactor_threads < 0, "--reactor-threads must be >= 0");
+    long watch_seconds = args.intOption("watch", 0);
+    fatalIf(watch_seconds < 0, "--watch must be >= 0");
+    long drain_ms = args.intOption("drain-ms", 5000);
+    fatalIf(drain_ms < 0, "--drain-ms must be >= 0");
+    server::HttpServer::Options options{
+        .port = static_cast<uint16_t>(port),
+        .num_threads = static_cast<size_t>(threads),
+        .reactor_threads = static_cast<size_t>(reactor_threads),
+    };
+    if (const std::string *address = args.option("address"))
+        options.bind_address = *address;
+
     auto instrs = isa::buildDefaultDb();
 
     // Serving is the one mode where the structured access log earns
@@ -563,21 +583,6 @@ cmdServe(const Args &args)
         }
         return next;
     });
-
-    long reactor_threads = args.intOption("reactor-threads", 0);
-    fatalIf(reactor_threads < 0, "--reactor-threads must be >= 0");
-    server::HttpServer::Options options{
-        .port = static_cast<uint16_t>(args.intOption("port", 0)),
-        .num_threads = static_cast<size_t>(args.intOption("threads", 0)),
-        .reactor_threads = static_cast<size_t>(reactor_threads),
-    };
-    if (const std::string *address = args.option("address"))
-        options.bind_address = *address;
-
-    long watch_seconds = args.intOption("watch", 0);
-    fatalIf(watch_seconds < 0, "--watch must be >= 0");
-    long drain_ms = args.intOption("drain-ms", 5000);
-    fatalIf(drain_ms < 0, "--drain-ms must be >= 0");
 
     server::HttpServer http(service, options);
     http.start();

@@ -14,7 +14,7 @@ using uarch::UArch;
 Characterizer::Characterizer(const isa::InstrDb &db, UArch arch,
                              Options options)
     : db_(db), arch_(arch), options_(std::move(options)),
-      timing_(db, arch), harness_(timing_, options_.harness)
+      timing_(db, arch), harness_(timing_)
 {
 }
 

@@ -9,6 +9,8 @@
  * blockRep), measured throughput (5.3.1) and LP-computed throughput
  * (5.3.2). Results are emitted in a machine-readable XML format
  * (Section 6.4) and compared against the IACA clone (Table 1).
+ * Algorithm 1 and 2 run with the paper's fixed constants, so results
+ * are a pure function of (instruction DB, uarch, variant filter).
  */
 
 #ifndef UOPS_CORE_CHARACTERIZE_H
@@ -69,9 +71,6 @@ class Characterizer
         /** Only characterize variants accepted by this predicate
          *  (nullptr: all measurable variants). */
         std::function<bool(const isa::InstrVariant &)> filter;
-
-        /** Harness configuration (repetitions, noise, ...). */
-        sim::HarnessOptions harness;
     };
 
     Characterizer(const isa::InstrDb &db, uarch::UArch arch,
@@ -107,7 +106,7 @@ class Characterizer
      * detaches). Cached results are bit-identical to recomputation,
      * so attaching a cache never changes results; the batch engine
      * shares one cache per uarch across all workers. The cache must
-     * have been built for the same (db, uarch, harness options).
+     * only hold measurements of the same (db, uarch).
      */
     void setMeasurementCache(sim::MeasurementCache *cache);
 

@@ -72,8 +72,8 @@ PortUsageAnalyzer::analyze(const InstrVariant &variant,
     PortUsageResult result;
     result.isolation = finder_.measureIsolation(variant);
 
-    int block_rep = options_.block_rep_factor * std::max(1, max_latency);
-    block_rep = std::min(block_rep, options_.block_rep_cap);
+    int block_rep = kBlockRepFactor * std::max(1, max_latency);
+    block_rep = std::min(block_rep, kBlockRepCap);
     block_rep = std::max(block_rep, 8);
     result.block_rep = block_rep;
 

@@ -23,16 +23,16 @@
 
 namespace uops::core {
 
-/** Options for the port-usage analyzer. */
+/** Multiplier on max latency for the blocking-copy count (the paper
+ *  uses the maximum number of ports, 8). */
+constexpr int kBlockRepFactor = 8;
+
+/** Cap on blocking copies (keeps divider instructions sane). */
+constexpr int kBlockRepCap = 96;
+
+/** Algorithm 1 ablation switches (bench_alg1_ablation). */
 struct PortUsageOptions
 {
-    /** Multiplier on max latency for the blocking-copy count
-     *  (the paper uses the maximum number of ports, 8). */
-    int block_rep_factor = 8;
-
-    /** Cap on blocking copies (keeps divider instructions sane). */
-    int block_rep_cap = 96;
-
     /** Disable the subset-subtraction step (ablation only). */
     bool no_subset_subtraction = false;
 

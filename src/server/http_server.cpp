@@ -13,6 +13,13 @@
 
 namespace uops::server {
 
+namespace {
+
+/** Pending connections the kernel queues before refusing more. */
+constexpr int kListenBacklog = 64;
+
+} // namespace
+
 HttpServer::HttpServer(QueryService &service, Options options)
     : service_(service), options_(std::move(options)),
       pool_(options_.num_threads)
@@ -62,7 +69,7 @@ HttpServer::start()
         fatal("http server: cannot bind ", options_.bind_address, ":",
               options_.port, ": ", std::strerror(err));
     }
-    if (::listen(listen_fd_, options_.backlog) < 0) {
+    if (::listen(listen_fd_, kListenBacklog) < 0) {
         int err = errno;
         ::close(listen_fd_);
         listen_fd_ = -1;

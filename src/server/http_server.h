@@ -47,7 +47,6 @@ class HttpServer
         std::string bind_address = "127.0.0.1";
         uint16_t port = 0;          ///< 0: ephemeral
         size_t num_threads = 0;     ///< pool size; 0: hardware
-        int backlog = 64;
 
         /** Deadline for a request still arriving (and for a stalled
          *  send of its response); 0 disables. */

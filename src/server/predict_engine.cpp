@@ -10,20 +10,12 @@ PredictEngine::PredictEngine(const isa::InstrDb &instrs,
     // One shared memo per generation, eagerly: cheap (empty sharded
     // maps) and spares the hot path a creation race.
     for (uarch::UArch arch : uarch::allUArches())
-        sim_caches_.emplace(arch, std::make_unique<sim::MeasurementCache>(
-                                      options_.sim_cache_shards));
+        sim_caches_.emplace(arch,
+                            std::make_unique<sim::MeasurementCache>());
     worker_states_.resize(pool_.numWorkers());
 }
 
 PredictEngine::~PredictEngine() = default;
-
-std::string
-PredictEngine::fingerprint(uarch::UArch arch,
-                           const isa::Kernel &body) const
-{
-    return sim::BlockPredictor::fingerprint(
-        arch, body, options_.predict.harness);
-}
 
 sim::Measurement
 PredictEngine::runOnWorker(size_t worker, uarch::UArch arch,
@@ -33,7 +25,7 @@ PredictEngine::runOnWorker(size_t worker, uarch::UArch arch,
     auto it = states.find(arch);
     if (it == states.end()) {
         auto predictor = std::make_unique<sim::BlockPredictor>(
-            instrs_, arch, options_.predict);
+            instrs_, arch, options_.cycle_budget);
         predictor->setCache(sim_caches_.at(arch).get());
         it = states.emplace(arch, std::move(predictor)).first;
     }
@@ -45,7 +37,7 @@ PredictEngine::runOnWorker(size_t worker, uarch::UArch arch,
 sim::Measurement
 PredictEngine::simulate(uarch::UArch arch, const isa::Kernel &body)
 {
-    std::string key = fingerprint(arch, body);
+    std::string key = sim::BlockPredictor::fingerprint(arch, body);
 
     std::shared_ptr<Job> owned;    // set when we started this job
     std::shared_future<sim::Measurement> future;

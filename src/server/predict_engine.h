@@ -13,9 +13,10 @@
  * Three production concerns live here:
  *
  *  - batching/coalescing: requests are single-flighted by exact
- *    kernel fingerprint — concurrent identical submissions share one
- *    simulation and all wake on its result (a thundering herd of one
- *    hot kernel costs one simulator run);
+ *    kernel fingerprint (sim::BlockPredictor::fingerprint) —
+ *    concurrent identical submissions share one simulation and all
+ *    wake on its result (a thundering herd of one hot kernel costs
+ *    one simulator run);
  *  - admission: at most max_inflight *distinct* kernels may be
  *    queued or running; beyond that submissions fail fast with
  *    PredictOverloaded (the service's 429) instead of growing an
@@ -28,6 +29,9 @@
  *    kernels after the single-flight window closes still skip the
  *    simulator. Timing is catalog-independent, so these caches
  *    survive generation hot-swaps.
+ *
+ * The cycle budget is the engine's only simulation policy, and it
+ * only decides whether a kernel's Algorithm-2 run completes.
  *
  * Exceptions from a simulation (validation FatalError, budget
  * overrun) propagate through the shared future to every coalesced
@@ -84,11 +88,9 @@ class PredictEngine
          *  are rejected with PredictOverloaded. */
         size_t max_inflight = 64;
 
-        /** Per-simulation policy (harness config, cycle budget). */
-        sim::BlockPredictOptions predict;
-
-        /** Shards of each per-uarch measurement memo. */
-        size_t sim_cache_shards = 16;
+        /** Simulated-cycle budget of each run (0 = unbounded);
+         *  past it a kernel fails with CycleBudgetExceeded. */
+        int64_t cycle_budget = sim::kDefaultCycleBudget;
     };
 
     /** Point-in-time engine counters. */
@@ -121,12 +123,6 @@ class PredictEngine
      */
     sim::Measurement simulate(uarch::UArch arch,
                               const isa::Kernel &body);
-
-    /** Memo key of (arch, body) under this engine's options. */
-    std::string fingerprint(uarch::UArch arch,
-                            const isa::Kernel &body) const;
-
-    const Options &options() const { return options_; }
 
     Stats stats() const;
 

@@ -16,6 +16,13 @@ namespace uops::server {
 
 namespace {
 
+/** Response cache (rendered GET bodies) and kernel memo
+ *  (fingerprint-keyed /predict responses): shards x entries each. */
+constexpr size_t kCacheShards = 8;
+constexpr size_t kCacheCapacityPerShard = 512;
+constexpr size_t kMemoShards = 8;
+constexpr size_t kMemoCapacityPerShard = 1024;
+
 std::optional<uarch::UArch>
 parseArchParam(const HttpRequest &request, const std::string &key)
 {
@@ -80,9 +87,8 @@ errorResponse(int status, const std::string &message)
 QueryService::QueryService(CatalogPtr catalog,
                            const isa::InstrDb &instrs, Options options)
     : instrs_(instrs), options_(options),
-      cache_(options.cache_shards, options.cache_capacity_per_shard),
-      kernel_memo_(options.memo_shards,
-                   options.memo_capacity_per_shard),
+      cache_(kCacheShards, kCacheCapacityPerShard),
+      kernel_memo_(kMemoShards, kMemoCapacityPerShard),
       engine_(instrs, options.engine)
 {
     fatalIf(catalog == nullptr, "QueryService: null catalog");
@@ -1094,7 +1100,7 @@ QueryService::handlePredict(const HttpRequest &request,
     // static-analysis half of the body is generation-dependent.
     // Debug-timings responses carry per-request span data, so they
     // neither read nor populate the memo.
-    std::string memo_key = engine_.fingerprint(*arch, kernel);
+    std::string memo_key = sim::BlockPredictor::fingerprint(*arch, kernel);
     if (!debug_timings) {
         if (auto memoized = kernel_memo_.get(memo_key, state.epoch)) {
             HttpResponse response = *memoized;

@@ -182,16 +182,9 @@ class QueryService
 
     struct Options
     {
-        size_t cache_shards = 8;
-        size_t cache_capacity_per_shard = 512;
-
-        /** Kernel-memo (fingerprint-keyed /predict responses). */
-        size_t memo_shards = 8;
-        size_t memo_capacity_per_shard = 1024;
-
         PredictAdmission admission;
 
-        /** Simulation pool, cycle budget, harness config. */
+        /** Simulation pool, in-flight bound, cycle budget. */
         PredictEngine::Options engine;
 
         /** Requests at or above this handle() latency get a Warn

@@ -7,10 +7,9 @@ namespace uops::sim {
 
 BlockPredictor::BlockPredictor(const isa::InstrDb &instrs,
                                uarch::UArch arch,
-                               BlockPredictOptions options)
+                               int64_t cycle_budget)
     : timing_(instrs, arch),
-      harness_(timing_, options.harness,
-               SimOptions{.cycle_budget = options.cycle_budget})
+      harness_(timing_, SimOptions{.cycle_budget = cycle_budget})
 {
 }
 
@@ -28,12 +27,11 @@ BlockPredictor::predict(const isa::Kernel &body) const
 }
 
 std::string
-BlockPredictor::fingerprint(uarch::UArch arch, const isa::Kernel &body,
-                            const HarnessOptions &options)
+BlockPredictor::fingerprint(uarch::UArch arch, const isa::Kernel &body)
 {
     std::string key = uarch::uarchShortName(arch);
     key += '\0';
-    key += MeasurementCache::fingerprint(body, options);
+    key += MeasurementCache::fingerprint(body);
     return key;
 }
 

@@ -29,7 +29,7 @@
  * template (sim/harness.h): per-iteration steady-state cycles and
  * port pressure with the harness wrapper cost cancelled. Results are
  * bit-identical to driving sim::Pipeline through a MeasurementHarness
- * directly with the same options.
+ * directly: the cycle budget only decides whether a run completes.
  */
 
 #ifndef UOPS_SIM_BLOCK_PREDICT_H
@@ -46,18 +46,11 @@ namespace uops::sim {
 
 class MeasurementCache;
 
-/** Policy for one predictor instance. */
-struct BlockPredictOptions
-{
-    /** Algorithm-2 configuration (unroll factors, repetitions). */
-    HarnessOptions harness;
-
-    /** Per-run simulated-cycle budget (0 = unbounded). The default
-     *  comfortably covers every latency-bound kernel a bounded
-     *  instruction count can produce, while capping a worker's
-     *  worst-case time on one request. */
-    int64_t cycle_budget = 20'000'000;
-};
+/** Default per-run simulated-cycle budget. It comfortably covers
+ *  every latency-bound kernel a bounded instruction count can
+ *  produce, while capping a worker's worst-case time on one
+ *  request. */
+constexpr int64_t kDefaultCycleBudget = 20'000'000;
 
 /**
  * Simulates user-submitted basic blocks on one microarchitecture.
@@ -66,15 +59,13 @@ struct BlockPredictOptions
 class BlockPredictor
 {
   public:
+    /** @param cycle_budget Per-run simulated-cycle budget
+     *                      (0 = unbounded). */
     BlockPredictor(const isa::InstrDb &instrs, uarch::UArch arch,
-                   BlockPredictOptions options = {});
+                   int64_t cycle_budget = kDefaultCycleBudget);
 
     uarch::UArch arch() const { return timing_.arch(); }
     const uarch::UArchInfo &info() const { return harness_.info(); }
-    const HarnessOptions &harnessOptions() const
-    {
-        return harness_.options();
-    }
 
     /** Share a per-uarch measurement memo (nullptr detaches). */
     void setCache(MeasurementCache *cache) { harness_.setCache(cache); }
@@ -89,15 +80,14 @@ class BlockPredictor
     Measurement predict(const isa::Kernel &body) const;
 
     /**
-     * Canonical memo key for (arch, body) under @p options: the uarch
-     * short name prefixed to the exact MeasurementCache fingerprint.
+     * Canonical memo key for (arch, body): the uarch short name and a
+     * NUL, then the exact MeasurementCache fingerprint.
      * Two requests get the same key iff they decode to byte-identical
      * simulations, so memoized responses are bit-identical to cold
      * ones by construction.
      */
     static std::string fingerprint(uarch::UArch arch,
-                                   const isa::Kernel &body,
-                                   const HarnessOptions &options);
+                                   const isa::Kernel &body);
 
   private:
     uarch::TimingDb timing_;

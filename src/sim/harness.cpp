@@ -1,7 +1,5 @@
 #include "harness.h"
 
-#include <cmath>
-
 #include "sim/measurement_cache.h"
 #include "support/status.h"
 
@@ -11,9 +9,8 @@ using isa::InstrInstance;
 using isa::Kernel;
 
 MeasurementHarness::MeasurementHarness(const uarch::TimingDb &timing,
-                                       HarnessOptions options,
                                        SimOptions sim)
-    : timing_(timing), pipeline_(timing, sim), options_(options)
+    : timing_(timing), pipeline_(timing, sim)
 {
     const isa::InstrDb &db = timing.instrDb();
     serializer_ = db.byName("CPUID_R32i_R32i_R32i_R32i");
@@ -57,7 +54,7 @@ MeasurementHarness::measure(const Kernel &body) const
     if (cache_ == nullptr)
         return measureUncached(body);
 
-    std::string key = MeasurementCache::fingerprint(body, options_);
+    std::string key = MeasurementCache::fingerprint(body);
     if (auto hit = cache_->lookup(key))
         return *hit;
     Measurement m = measureUncached(body);
@@ -69,55 +66,21 @@ Measurement
 MeasurementHarness::measureUncached(const Kernel &body) const
 {
     // Decode the body (µop selection, idiom and fusion analysis) once;
-    // both unroll factors and all repetitions reuse the template.
+    // both unroll factors reuse the template.
     DecodedKernel decoded(timing_, prologue_, body, epilogue_);
+    PerfCounters small = runOnce(decoded, kUnrollSmall);
+    PerfCounters diff = runOnce(decoded, kUnrollLarge) - small;
 
-    if (options_.warmup)
-        (void)runOnce(decoded, options_.unroll_small);
-
-    Rng rng(options_.noise_seed);
-    int reps = std::max(1, options_.repetitions);
-    const double scale =
-        static_cast<double>(options_.unroll_large - options_.unroll_small);
-
-    // Accumulate raw counter deltas; normalize by scale and reps once
-    // at the end instead of per repetition and per port.
-    double cycles_sum = 0.0;
-    std::array<int64_t, kMaxPorts> port_sum{};
-    int64_t issued_sum = 0;
-    int64_t eliminated_sum = 0;
-
-    for (int rep = 0; rep < reps; ++rep) {
-        PerfCounters small = runOnce(decoded, options_.unroll_small);
-        PerfCounters large = runOnce(decoded, options_.unroll_large);
-        PerfCounters diff = large - small;
-
-        double cycles = static_cast<double>(diff.cycles);
-        if (options_.noise_stddev > 0.0) {
-            // Triangular-distributed jitter (sum of two uniforms),
-            // seeded: repeatable noise for the averaging tests.
-            double u = rng.nextDouble() + rng.nextDouble() - 1.0;
-            cycles += u * options_.noise_stddev * scale;
-            if (cycles < 0)
-                cycles = 0;
-        }
-        cycles_sum += cycles;
-        for (int p = 0; p < kMaxPorts; ++p)
-            port_sum[static_cast<size_t>(p)] +=
-                diff.port_uops[static_cast<size_t>(p)];
-        issued_sum += diff.uops_issued;
-        eliminated_sum += diff.uops_eliminated;
-    }
-
-    const double norm = scale * static_cast<double>(reps);
-    Measurement acc;
-    acc.cycles = cycles_sum / norm;
+    constexpr double scale = kUnrollLarge - kUnrollSmall;
+    Measurement m;
+    m.cycles = static_cast<double>(diff.cycles) / scale;
     for (int p = 0; p < kMaxPorts; ++p)
-        acc.port_uops[static_cast<size_t>(p)] =
-            static_cast<double>(port_sum[static_cast<size_t>(p)]) / norm;
-    acc.uops_issued = static_cast<double>(issued_sum) / norm;
-    acc.uops_eliminated = static_cast<double>(eliminated_sum) / norm;
-    return acc;
+        m.port_uops[static_cast<size_t>(p)] =
+            static_cast<double>(diff.port_uops[static_cast<size_t>(p)]) /
+            scale;
+    m.uops_issued = static_cast<double>(diff.uops_issued) / scale;
+    m.uops_eliminated = static_cast<double>(diff.uops_eliminated) / scale;
+    return m;
 }
 
 } // namespace uops::sim

@@ -17,17 +17,17 @@
  * The counter-read and serializing overhead is cancelled exactly as in
  * the paper: the harness runs once with n = 10 and once with n = 110
  * copies of the body, subtracts the two measurements and divides by
- * 100. The result is averaged over a configurable number of repetitions
- * after a warm-up run; optional seeded noise exercises the averaging
- * logic in tests.
+ * 100. The paper repeats this 100 times to average out hardware noise;
+ * the simulator is exact and every run starts from power-on state, so
+ * one pair of runs is the whole measurement.
  *
  * Hot path: the body is decoded into a µop template once per measure()
  * call and the pipeline unrolls it logically (sim/decoded.h) — the
  * n-copy kernel is never materialized. When a MeasurementCache is
- * attached (setCache), byte-identical (body, options) measurements are
- * served from the cache; cached results are bit-identical to
- * recomputation because a Measurement is a pure function of the key
- * on a fixed timing database.
+ * attached (setCache), byte-identical bodies are served from the
+ * cache; cached results are bit-identical to recomputation because a
+ * Measurement is a pure function of the key on a fixed timing
+ * database.
  */
 
 #ifndef UOPS_SIM_HARNESS_H
@@ -37,7 +37,6 @@
 
 #include "isa/kernel.h"
 #include "sim/pipeline.h"
-#include "support/rng.h"
 
 namespace uops::sim {
 
@@ -61,16 +60,10 @@ struct Measurement
     }
 };
 
-/** Harness configuration. */
-struct HarnessOptions
-{
-    int unroll_small = 10;   ///< n for the first run.
-    int unroll_large = 110;  ///< n for the second run.
-    int repetitions = 1;     ///< measurement repetitions (paper: 100).
-    bool warmup = false;     ///< extra untimed run before measuring.
-    double noise_stddev = 0.0; ///< cycles of seeded jitter (0 = exact).
-    uint64_t noise_seed = 42;
-};
+/** Body copies in Algorithm 2's two runs; the measurement is their
+ *  counter difference divided by kUnrollLarge - kUnrollSmall. */
+constexpr int kUnrollSmall = 10;
+constexpr int kUnrollLarge = 110;
 
 /**
  * Runs benchmark bodies on the simulated core per Algorithm 2.
@@ -85,13 +78,11 @@ class MeasurementHarness
      *            admission control); budgeted and unbudgeted runs
      *            that complete produce bit-identical measurements.
      */
-    MeasurementHarness(const uarch::TimingDb &timing,
-                       HarnessOptions options = {},
-                       SimOptions sim = {});
+    explicit MeasurementHarness(const uarch::TimingDb &timing,
+                                SimOptions sim = {});
 
     const uarch::UArchInfo &info() const { return pipeline_.info(); }
     const uarch::TimingDb &timingDb() const { return timing_; }
-    const HarnessOptions &options() const { return options_; }
 
     /**
      * Attach a measurement memo-cache (nullptr detaches). The cache
@@ -99,7 +90,6 @@ class MeasurementHarness
      * database; it may be shared across threads.
      */
     void setCache(MeasurementCache *cache) { cache_ = cache; }
-    MeasurementCache *cache() const { return cache_; }
 
     /**
      * Measure one benchmark body.
@@ -119,7 +109,6 @@ class MeasurementHarness
 
     const uarch::TimingDb &timing_;
     Pipeline pipeline_;
-    HarnessOptions options_;
     const isa::InstrVariant *serializer_;
     const isa::InstrVariant *counter_reader_;
     /** Algorithm 2's fixed wrapper code: serializer / counter read /

@@ -1,9 +1,6 @@
 #include "sim/measurement_cache.h"
 
-#include <bit>
 #include <functional>
-
-#include "support/status.h"
 
 namespace uops::sim {
 
@@ -25,29 +22,11 @@ appendI64(std::string &out, int64_t v)
 
 } // namespace
 
-MeasurementCache::MeasurementCache(size_t num_shards)
-{
-    panicIf(num_shards == 0, "MeasurementCache: need at least 1 shard");
-    shards_.reserve(num_shards);
-    for (size_t i = 0; i < num_shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-}
-
 std::string
-MeasurementCache::fingerprint(const isa::Kernel &body,
-                              const HarnessOptions &options)
+MeasurementCache::fingerprint(const isa::Kernel &body)
 {
     std::string key;
-    key.reserve(64 + body.size() * 64);
-
-    // Harness options first: results are only comparable under
-    // identical measurement configuration.
-    appendI64(key, options.unroll_small);
-    appendI64(key, options.unroll_large);
-    appendI64(key, options.repetitions);
-    appendI64(key, options.warmup ? 1 : 0);
-    appendU64(key, std::bit_cast<uint64_t>(options.noise_stddev));
-    appendU64(key, options.noise_seed);
+    key.reserve(body.size() * 64);
 
     for (const isa::InstrInstance &inst : body) {
         appendI64(key, inst.variant->id());
@@ -69,7 +48,7 @@ MeasurementCache::Shard &
 MeasurementCache::shardFor(const std::string &key) const
 {
     size_t h = std::hash<std::string>{}(key);
-    return *shards_[h % shards_.size()];
+    return shards_[h % kNumShards];
 }
 
 std::optional<Measurement>
@@ -100,9 +79,9 @@ size_t
 MeasurementCache::size() const
 {
     size_t n = 0;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        n += shard->map.size();
+    for (const Shard &shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        n += shard.map.size();
     }
     return n;
 }

@@ -7,17 +7,19 @@
  * isolation, Algorithm 1 re-measures the pure blocking kernels for
  * every variant, and the latency/throughput analyzers rebuild
  * byte-identical chains across variants sharing an operand shape.
- * Since a Measurement is a pure function of (kernel bytes, harness
- * options) on a given timing database, those repeats can be served
- * from a memo-cache instead of the simulator.
+ * Since a completed Measurement is a pure function of the kernel
+ * bytes on a given timing database, those repeats can be served from
+ * a memo-cache instead of the simulator. Nothing else can change it:
+ * Algorithm 2's unroll factors and the move-elimination period are
+ * constants, the cycle limits only decide whether a run completes,
+ * and idle skipping is cycle-exact.
  *
  * Keys are canonical kernel fingerprints: an exact byte serialization
  * of every instruction instance (variant id, divider value class,
- * operand bindings) prefixed with the harness options. The full key
- * is stored, so lookups are exact — a hash collision can never
- * silently return a wrong Measurement, which would break the
- * determinism contract (cache-hit results must be bit-identical to
- * cache-miss results).
+ * operand bindings). The full key is stored, so lookups are exact —
+ * a hash collision can never silently return a wrong Measurement,
+ * which would break the determinism contract (cache-hit results must
+ * be bit-identical to cache-miss results).
  *
  * The table is sharded by key hash; each shard has its own mutex, so
  * the batch engine can share one cache per microarchitecture across
@@ -25,20 +27,19 @@
  * milliseconds; the critical section is a map probe).
  *
  * A cache must only be shared between harnesses with the same timing
- * database and options; the batch engine keeps one per uarch.
+ * database; the batch engine keeps one per uarch.
  */
 
 #ifndef UOPS_SIM_MEASUREMENT_CACHE_H
 #define UOPS_SIM_MEASUREMENT_CACHE_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "isa/kernel.h"
 #include "sim/harness.h"
@@ -48,11 +49,8 @@ namespace uops::sim {
 class MeasurementCache
 {
   public:
-    explicit MeasurementCache(size_t num_shards = 16);
-
-    /** Canonical, exact fingerprint of (body, options). */
-    static std::string fingerprint(const isa::Kernel &body,
-                                   const HarnessOptions &options);
+    /** Canonical, exact fingerprint of @p body. */
+    static std::string fingerprint(const isa::Kernel &body);
 
     /** Cached measurement for @p key, if present. */
     std::optional<Measurement> lookup(const std::string &key) const;
@@ -60,7 +58,6 @@ class MeasurementCache
     /** Memoize @p m under @p key (first writer wins). */
     void insert(const std::string &key, const Measurement &m);
 
-    size_t numShards() const { return shards_.size(); }
     size_t size() const;
     uint64_t hits() const { return hits_.load(); }
     uint64_t misses() const { return misses_.load(); }
@@ -72,9 +69,12 @@ class MeasurementCache
         std::unordered_map<std::string, Measurement> map;
     };
 
+    /** Enough lock shards that sweep workers rarely meet. */
+    static constexpr size_t kNumShards = 16;
+
     Shard &shardFor(const std::string &key) const;
 
-    std::vector<std::unique_ptr<Shard>> shards_;
+    mutable std::array<Shard, kNumShards> shards_;
     mutable std::atomic<uint64_t> hits_{0};
     mutable std::atomic<uint64_t> misses_{0};
 };

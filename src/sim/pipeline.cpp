@@ -22,6 +22,10 @@ namespace {
 
 constexpr int64_t kNotReady = std::numeric_limits<int64_t>::max() / 4;
 
+/** Move elimination succeeds for one candidate in every kMovElimPeriod
+ *  (the paper's ~1/3 in dependent chains). */
+constexpr uint64_t kMovElimPeriod = 3;
+
 /** Dynamic (renamed) instance of one µop in flight. */
 struct UopDyn
 {
@@ -316,11 +320,8 @@ class Core
         const std::vector<UopSpec> &uops = *d.uops;
 
         // Move elimination: reg-reg moves handled by the ROB.
-        bool eliminated_mov = false;
-        if (d.try_mov_elim && options_.mov_elim_period > 0) {
-            eliminated_mov =
-                (mov_elim_counter_++ % options_.mov_elim_period) == 0;
-        }
+        bool eliminated_mov =
+            d.try_mov_elim && (mov_elim_counter_++ % kMovElimPeriod) == 0;
 
         if (d.rename_direct || eliminated_mov) {
             // Rename-stage execution: one issued-but-not-dispatched µop.

@@ -96,10 +96,6 @@ struct SimOptions
      *  threshold — results of runs within budget are unaffected. */
     int64_t cycle_budget = 0;
 
-    /** Success period of move elimination in dependent chains
-     *  (1 elimination every N candidates; 0 disables elimination). */
-    int mov_elim_period = 3;
-
     /** Skip idle stretches of the simulated clock (cycle-exact; off
      *  only for differential testing). */
     bool skip_idle = true;

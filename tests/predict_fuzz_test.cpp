@@ -163,7 +163,7 @@ fuzzService()
     options.admission.max_instructions = 16;
     options.admission.max_listing_bytes = 4096;
     options.engine.num_threads = 2;
-    options.engine.predict.cycle_budget = 2'000'000;
+    options.engine.cycle_budget = 2'000'000;
     return std::make_unique<server::QueryService>(
         fuzzCatalog(), defaultDb(), options);
 }

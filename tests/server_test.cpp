@@ -627,7 +627,7 @@ TEST(Service, PredictAdmissionRejectsOversizedKernelsWith413)
 TEST(Service, PredictRejectsOverBudgetSimulationsWith429)
 {
     server::QueryService::Options options;
-    options.engine.predict.cycle_budget = 1;
+    options.engine.cycle_budget = 1;
     server::QueryService service(sliceCatalog(), defaultDb(),
                                  options);
     HttpResponse response = service.handle(

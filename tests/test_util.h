@@ -47,12 +47,11 @@ asm_(const std::string &listing)
     return isa::assemble(defaultDb(), listing);
 }
 
-/** Measurement with default options on the given uarch. */
+/** Algorithm-2 measurement of @p listing on the given uarch. */
 inline sim::Measurement
-measure(uarch::UArch arch, const std::string &listing,
-        sim::HarnessOptions options = {})
+measure(uarch::UArch arch, const std::string &listing)
 {
-    sim::MeasurementHarness harness(timingDb(arch), options);
+    sim::MeasurementHarness harness(timingDb(arch));
     return harness.measure(asm_(listing));
 }
 
