@@ -5,10 +5,9 @@
  * cross-generation analytics diffs through the scan executor,
  * /predict through the query service with a
  * cold vs. warm response cache, the two ingest paths — direct
- * (per-record appends, exactly what the streaming SweepIngestor does)
- * versus materializing and re-parsing the results XML — and catalog
- * snapshot loading through the zero-copy mmap path versus the
- * copying stream path.
+ * (per-record appends, exactly what the streaming
+ * CatalogSweepIngestor does) versus materializing and re-parsing the
+ * results XML — and catalog loading (map, check, bind).
  *
  * The database is built once from a standard two-uarch sweep slice
  * (the same `id % 4 == 0` slice the batch-sweep scaling study uses),
@@ -75,7 +74,7 @@ sliceCatalog()
     return catalog;
 }
 
-/** On-disk catalog dir for the snapshot_load benchmarks. */
+/** On-disk catalog dir for the snapshot_load benchmark. */
 const std::string &
 catalogDir()
 {
@@ -88,20 +87,19 @@ catalogDir()
     return dir;
 }
 
-/** Direct ingest: drive the actual streaming SweepIngestor over the
- *  report's outcomes — per-record appends from references plus one
- *  index rebuild, exactly the work a sweep's sink performs (no
- *  intermediate CharacterizationSet copy). */
+/** Direct ingest: drive the actual streaming CatalogSweepIngestor
+ *  over the report's outcomes — per-record appends from references
+ *  plus one index rebuild per shard, exactly the work a sweep's sink
+ *  performs (no intermediate CharacterizationSet copy). */
 size_t
 ingestDirect()
 {
-    db::InstructionDatabase built;
-    db::SweepIngestor ingestor(built);
+    db::CatalogSweepIngestor ingestor;
     for (const core::UArchReport &r : sliceReport().uarches)
         for (const core::VariantOutcome &outcome : r.outcomes)
             ingestor.onVariant(r.arch, outcome);
     ingestor.finish();
-    return built.numRecords();
+    return ingestor.numIngested();
 }
 
 /** The legacy path this PR removes from the hot loop: materialize the
@@ -224,18 +222,6 @@ BM_SnapshotLoadMmap(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SnapshotLoadMmap)->Unit(benchmark::kMicrosecond);
-
-void
-BM_SnapshotLoadStream(benchmark::State &state)
-{
-    catalogDir();
-    for (auto _ : state) {
-        auto catalog = db::loadCatalogDir(
-            catalogDir(), db::LoadMode::Stream, false);
-        benchmark::DoNotOptimize(catalog->numRecords());
-    }
-}
-BENCHMARK(BM_SnapshotLoadStream)->Unit(benchmark::kMicrosecond);
 
 void
 BM_PredictUncached(benchmark::State &state)
@@ -421,21 +407,14 @@ jsonMode(const std::string &path)
     }));
 
     catalogDir();
-    // Hash verification reads every byte either way, which would
-    // mask the zero-copy difference; the load benchmarks measure the
-    // pure load path (verification is covered functionally in
-    // db_test).
+    // Hash verification reads every byte, which would dominate; the
+    // load benchmark measures the pure load path (verification is
+    // covered functionally in db_test).
     runs.push_back(timedLoop("snapshot_load_mmap", 2000, [&](size_t) {
         auto catalog = db::loadCatalogDir(catalogDir(),
                                           db::LoadMode::Mmap, false);
         benchmark::DoNotOptimize(catalog->numRecords());
     }));
-    runs.push_back(
-        timedLoop("snapshot_load_stream", 2000, [&](size_t) {
-            auto catalog = db::loadCatalogDir(
-                catalogDir(), db::LoadMode::Stream, false);
-            benchmark::DoNotOptimize(catalog->numRecords());
-        }));
 
     std::string out = "{\n  \"benchmark\": \"bench_db_query\",\n";
     out += "  \"records\": " + std::to_string(database.numRecords()) +

@@ -28,21 +28,21 @@
  *       shard is bit-identical to what a fresh sweep would write
  *       (v1 snapshots remain refused).
  *
- *   uopsq info PATH
+ *   uopsq info DIR
  *       Print generation and per-shard record counts / content
- *       hashes. PATH may be a catalog dir or a legacy v2 snapshot.
+ *       hashes.
  *
- *   uopsq query PATH [--uarch SKL] [--name N] [--mnemonic M]
+ *   uopsq query DIR [--uarch SKL] [--name N] [--mnemonic M]
  *                    [--extension E] [--uses p05] [--uses-only p015]
  *                    [--uses-exact p05] [--tp-min X] [--tp-max X]
  *                    [--lat-min N] [--lat-max N] [--uops-min N]
  *                    [--uops-max N] [--limit N]
  *       Scan-executor search; prints one line per matching record.
  *
- *   uopsq diff PATH ARCH_A ARCH_B
+ *   uopsq diff DIR ARCH_A ARCH_B
  *       Cross-uarch comparison of shared variants.
  *
- *   uopsq predict PATH --uarch SKL [--asm "ADD RAX, RBX; ..."]
+ *   uopsq predict DIR --uarch SKL [--asm "ADD RAX, RBX; ..."]
  *                      [--file KERNEL.s]
  *       Simulate a basic block offline through the same code path
  *       /predict serves: cycle-level throughput, port pressure, and
@@ -52,15 +52,14 @@
  *       Prints the JSON response body; exits non-zero unless the
  *       prediction succeeded.
  *
- *   uopsq serve PATH [--port P] [--address A] [--threads N]
- *                    [--reactor-threads N]
- *                    [--load mmap|stream] [--watch SECONDS]
- *                    [--drain-ms MS] [--log-level LEVEL]
+ *   uopsq serve DIR [--port P] [--address A] [--threads N]
+ *                   [--reactor-threads N] [--watch SECONDS]
+ *                   [--drain-ms MS] [--log-level LEVEL]
  *       Start the HTTP/1.1 JSON API (port 0 picks an ephemeral port;
  *       the chosen port is printed). Requests are served through the
  *       epoll reactor (--reactor-threads, default min(4, hardware));
  *       /instr bodies render on a response-cache miss. Catalog shards
- *       are memory-mapped zero-copy by default. POST /reload
+ *       are memory-mapped and bound in place. POST /reload
  *       hot-swaps to the current on-disk generation without dropping
  *       a request; --watch polls the manifest and reloads
  *       automatically when a characterize run publishes a new
@@ -75,12 +74,17 @@
  *       debug|info|warn|error adjusts it. GET /metrics serves the
  *       Prometheus-text exposition of the whole process.
  *
+ *   DIR is always a catalog directory; a legacy v2 snapshot file is
+ *   refused with a pointer to `uopsq migrate`. Each subcommand takes
+ *   only the options listed for it and rejects any other by name.
+ *
  *   Any command run with UOPS_TRACE=<file> in the environment writes
  *   a Chrome trace-event JSON file on exit (open in about:tracing or
  *   Perfetto): per-variant spans from characterize, per-request spans
  *   from serve.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -124,14 +128,13 @@ usage()
         " [--threads N] [--mod N] [--xml OUT] [--progress]\n"
         "       uopsq ingest RESULTS.xml --out DIR\n"
         "       uopsq migrate V2.snap DIR\n"
-        "       uopsq info PATH\n"
-        "       uopsq query PATH [filters...]\n"
-        "       uopsq diff PATH ARCH_A ARCH_B\n"
-        "       uopsq predict PATH --uarch A [--asm LISTING |"
+        "       uopsq info DIR\n"
+        "       uopsq query DIR [filters...]\n"
+        "       uopsq diff DIR ARCH_A ARCH_B\n"
+        "       uopsq predict DIR --uarch A [--asm LISTING |"
         " --file KERNEL.s]\n"
-        "       uopsq serve PATH [--port P] [--address A] [--threads N]"
-        " [--reactor-threads N]"
-        " [--load mmap|stream] [--watch SECONDS] [--drain-ms MS]"
+        "       uopsq serve DIR [--port P] [--address A] [--threads N]"
+        " [--reactor-threads N] [--watch SECONDS] [--drain-ms MS]"
         " [--log-level LEVEL]\n");
     std::exit(1);
 }
@@ -198,17 +201,6 @@ parseArches(const std::string &list)
         out.push_back(uarch::parseUArch(name));
     fatalIf(out.empty(), "empty uarch list");
     return out;
-}
-
-db::LoadMode
-parseLoadMode(const Args &args)
-{
-    const std::string *mode = args.option("load");
-    if (mode == nullptr || *mode == "mmap")
-        return db::LoadMode::Mmap;
-    fatalIf(*mode != "stream", "option --load expects mmap or stream, "
-                               "got '", *mode, "'");
-    return db::LoadMode::Stream;
 }
 
 int
@@ -363,8 +355,8 @@ cmdInfo(const Args &args)
 {
     fatalIf(args.positional.size() != 1, "info: expected PATH");
     db::RecoveryReport report;
-    auto catalog = db::openCatalog(args.positional[0],
-                                   db::LoadMode::Mmap, &report);
+    auto catalog = db::loadCatalogDir(args.positional[0],
+                                      db::LoadMode::Mmap, true, &report);
     if (report.recovered || !report.events.empty())
         std::printf("recovery: %s\n", report.summary().c_str());
     std::printf("generation %llu, %zu records\n",
@@ -384,7 +376,7 @@ int
 cmdQuery(const Args &args)
 {
     fatalIf(args.positional.size() != 1, "query: expected PATH");
-    auto catalog = db::openCatalog(args.positional[0]);
+    auto catalog = db::loadCatalogDir(args.positional[0]);
 
     db::Query query;
     if (const std::string *v = args.option("uarch"))
@@ -453,7 +445,7 @@ cmdDiff(const Args &args)
 {
     fatalIf(args.positional.size() != 3,
             "diff: expected PATH ARCH_A ARCH_B");
-    auto catalog = db::openCatalog(args.positional[0]);
+    auto catalog = db::loadCatalogDir(args.positional[0]);
     uarch::UArch a = uarch::parseUArch(args.positional[1]);
     uarch::UArch b = uarch::parseUArch(args.positional[2]);
 
@@ -504,8 +496,7 @@ cmdPredict(const Args &args)
 
     auto instrs = isa::buildDefaultDb();
     server::QueryService service(
-        db::openCatalog(args.positional[0], parseLoadMode(args)),
-        *instrs);
+        db::loadCatalogDir(args.positional[0]), *instrs);
 
     // Drive the exact request path the HTTP server serves, so the
     // offline tool can never drift from the service.
@@ -525,7 +516,6 @@ cmdServe(const Args &args)
 {
     fatalIf(args.positional.size() != 1, "serve: expected PATH");
     const std::string path = args.positional[0];
-    const db::LoadMode mode = parseLoadMode(args);
 
     long port = args.intOption("port", 0);
     fatalIf(port < 0 || port > 65535, "--port must be in [0, 65535]");
@@ -565,16 +555,17 @@ cmdServe(const Args &args)
     // this scope.
     db::RecoveryReport open_report;
     server::QueryService service(
-        db::openCatalog(path, mode, &open_report), *instrs,
-        service_options);
+        db::loadCatalogDir(path, db::LoadMode::Mmap, true, &open_report),
+        *instrs, service_options);
     if (open_report.recovered || !open_report.events.empty()) {
         std::fprintf(stderr, "catalog recovery: %s\n",
                      open_report.summary().c_str());
         for (const std::string &event : open_report.events)
             std::fprintf(stderr, "  %s\n", event.c_str());
     }
-    service.setReloader([path, mode](db::RecoveryReport &report) {
-        auto next = db::openCatalog(path, mode, &report);
+    service.setReloader([path](db::RecoveryReport &report) {
+        auto next =
+            db::loadCatalogDir(path, db::LoadMode::Mmap, true, &report);
         if (report.recovered || !report.events.empty()) {
             std::fprintf(stderr, "catalog recovery: %s\n",
                          report.summary().c_str());
@@ -602,8 +593,6 @@ cmdServe(const Args &args)
         .event(obs::LogLevel::Info, "serve", "startup")
         .str("address", options.bind_address)
         .num("port", static_cast<uint64_t>(http.port()))
-        .str("load_mode",
-             mode == db::LoadMode::Mmap ? "mmap" : "stream")
         .num("generation", service.catalog()->generation())
         .num("records", static_cast<uint64_t>(
                             service.catalog()->numRecords()))
@@ -663,26 +652,44 @@ main(int argc, char **argv)
 try {
     if (argc < 2)
         usage();
-    std::string command = argv[1];
+    // Each subcommand with the options it takes; any other option is
+    // rejected by name before the command runs (and so before it
+    // opens a catalog).
+    struct Command
+    {
+        int (*run)(const Args &);
+        std::vector<std::string> options;
+    };
+    static const std::map<std::string, Command> commands = {
+        {"characterize",
+         {cmdCharacterize,
+          {"out", "arches", "uarch", "threads", "mod", "xml",
+           "progress"}}},
+        {"ingest", {cmdIngest, {"out"}}},
+        {"migrate", {cmdMigrate, {}}},
+        {"info", {cmdInfo, {}}},
+        {"query",
+         {cmdQuery,
+          {"uarch", "name", "mnemonic", "extension", "uses",
+           "uses-only", "uses-exact", "tp-min", "tp-max", "lat-min",
+           "lat-max", "uops-min", "uops-max", "limit"}}},
+        {"diff", {cmdDiff, {}}},
+        {"predict", {cmdPredict, {"uarch", "asm", "file"}}},
+        {"serve",
+         {cmdServe,
+          {"port", "address", "threads", "reactor-threads", "watch",
+           "drain-ms", "log-level"}}},
+    };
+    auto command = commands.find(argv[1]);
+    if (command == commands.end())
+        usage();
     Args args = parseArgs(argc, argv, 2);
-
-    if (command == "characterize")
-        return cmdCharacterize(args);
-    if (command == "ingest")
-        return cmdIngest(args);
-    if (command == "migrate")
-        return cmdMigrate(args);
-    if (command == "info")
-        return cmdInfo(args);
-    if (command == "query")
-        return cmdQuery(args);
-    if (command == "diff")
-        return cmdDiff(args);
-    if (command == "predict")
-        return cmdPredict(args);
-    if (command == "serve")
-        return cmdServe(args);
-    usage();
+    const std::vector<std::string> &known = command->second.options;
+    for (const auto &[key, value] : args.options)
+        fatalIf(std::find(known.begin(), known.end(), key) ==
+                    known.end(),
+                command->first, ": unknown option --", key);
+    return command->second.run(args);
 } catch (const std::exception &e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

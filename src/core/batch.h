@@ -54,8 +54,8 @@ struct VariantOutcome
  *
  * This is how results leave the sweep without materializing an XML
  * tree (or, with BatchOptions::keep_results = false, without even
- * retaining the full report): db::SweepIngestor appends records
- * straight into an InstructionDatabase.
+ * retaining the full report): db::CatalogSweepIngestor appends
+ * records straight into per-uarch shard databases.
  */
 class SweepSink
 {

@@ -467,7 +467,7 @@ namespace {
 
 struct ManifestShard
 {
-    uint8_t arch = 0;
+    uarch::UArch arch = uarch::UArch::Nehalem;
     uint64_t records = 0;
     uint64_t hash = 0;
     std::string file;
@@ -507,8 +507,12 @@ manifestBytes(const DatabaseCatalog &catalog)
     return std::move(os).str();
 }
 
+/** Parse and check one manifest. @p generation is the number in a
+ *  numbered manifest's file name, which the header must repeat
+ *  (nullopt for the legacy unnumbered file). */
 Manifest
-parseManifest(const std::string &bytes, const std::string &dir)
+parseManifest(const std::string &bytes, const std::string &dir,
+              std::optional<uint64_t> generation)
 {
     std::istringstream is(bytes, std::ios::binary);
     auto raw = [&is, &dir](void *out, size_t n) {
@@ -535,15 +539,23 @@ parseManifest(const std::string &bytes, const std::string &dir)
 
     Manifest manifest;
     manifest.generation = scalar();
+    catalogCheck(generation && manifest.generation != *generation,
+            "db catalog: manifest header claims generation ",
+            manifest.generation, " but its file name says ",
+            generation.value_or(0));
     uint64_t count = scalar();
     catalogCheck(count > 256, "db catalog: implausible shard count ",
             count);
     for (uint64_t i = 0; i < count; ++i) {
         ManifestShard shard;
-        uint64_t arch = scalar();
-        catalogCheck(arch > 0xff, "db catalog: implausible uarch id ",
-                arch);
-        shard.arch = static_cast<uint8_t>(arch);
+        uint64_t id = scalar();
+        std::optional<uarch::UArch> arch = uarch::uarchFromId(id);
+        catalogCheck(!arch, "db catalog: unknown uarch id ", id);
+        for (const ManifestShard &seen : manifest.shards)
+            catalogCheck(seen.arch == *arch,
+                    "db catalog: duplicate shard for ",
+                    uarch::uarchShortName(*arch));
+        shard.arch = *arch;
         shard.records = scalar();
         shard.hash = scalar();
         uint64_t name_len = scalar();
@@ -635,37 +647,42 @@ listManifests(const std::string &dir)
     return out;
 }
 
+/** Read and parse one candidate's manifest. */
+Manifest
+readManifest(const std::string &dir, const ManifestCandidate &cand)
+{
+    return parseManifest(
+        readFileBytes(dir + "/" + cand.name, "catalog.manifest"), dir,
+        cand.legacy ? std::nullopt
+                    : std::optional<uint64_t>(cand.generation));
+}
+
 /** Load and fully verify the generation one manifest describes.
  *  Throws (CatalogError / StoreError / IoError — all FatalError) on
  *  any inconsistency; the caller decides whether that rejects one
  *  candidate or the whole store. */
 std::shared_ptr<const DatabaseCatalog>
 loadManifestCatalog(const std::string &dir, const Manifest &manifest,
-                    LoadMode mode, bool verify_hashes)
+                    bool verify_hashes)
 {
     std::vector<ShardEntry> shards;
     for (const ManifestShard &ms : manifest.shards) {
         const std::string path = dir + "/" + ms.file;
-        const uarch::UArch arch = static_cast<uarch::UArch>(ms.arch);
+        // A referenced shard that does not exist proves the
+        // generation dead; other open failures may be transient.
+        std::error_code ec;
+        catalogCheck(!fs::exists(path, ec) && !ec, "db catalog: shard ",
+                     path, " is missing");
+        auto mapping = mapFile(path);
+        catalogCheck(verify_hashes &&
+                         fnv1a64(mapping->view()) != ms.hash,
+                     "db catalog: shard ", path,
+                     " does not match its manifest hash");
         ShardEntry entry;
-        entry.arch = arch;
+        entry.arch = ms.arch;
         entry.hash = ms.hash;
         entry.file = ms.file;
-        if (mode == LoadMode::Mmap) {
-            auto mapping = mapFile(path);
-            catalogCheck(verify_hashes &&
-                             fnv1a64(mapping->view()) != ms.hash,
-                         "db catalog: shard ", path,
-                         " does not match its manifest hash");
-            entry.db = loadShardMapped(std::move(mapping), arch);
-        } else {
-            std::string bytes = readFileBytes(path, "catalog.shard");
-            catalogCheck(verify_hashes && fnv1a64(bytes) != ms.hash,
-                         "db catalog: shard ", path,
-                         " does not match its manifest hash");
-            std::istringstream is(bytes, std::ios::binary);
-            entry.db = loadShard(is, arch);
-        }
+        entry.db = loadShardMapped(std::move(mapping), ms.arch);
         catalogCheck(entry.db->numRecords() != ms.records,
                      "db catalog: shard ", path, " holds ",
                      entry.db->numRecords(),
@@ -679,16 +696,18 @@ loadManifestCatalog(const std::string &dir, const Manifest &manifest,
 
 /**
  * Remove what a verified load proved dead: the rejected candidates'
- * manifests, stray .tmp files from interrupted commits, and shard
- * files no surviving parseable manifest references. Only runs when
- * the caller asked for a RecoveryReport — a report-less reader never
+ * manifests (except @p transient ones, which only failed to open or
+ * read), stray .tmp files from interrupted commits, and shard files
+ * no surviving parseable manifest references. Only runs when the
+ * caller asked for a RecoveryReport — a report-less reader never
  * deletes, so it cannot race a concurrent publisher mid-commit.
  * Removal failures are recorded, never fatal: GC is advisory.
  */
 void
 collectGarbage(const std::string &dir,
                const std::vector<ManifestCandidate> &candidates,
-               size_t winner, RecoveryReport &report)
+               size_t winner, const std::vector<bool> &transient,
+               RecoveryReport &report)
 {
     auto remove = [&](const std::string &name, const char *why) {
         try {
@@ -704,23 +723,27 @@ collectGarbage(const std::string &dir,
     };
 
     for (size_t i = 0; i < winner; ++i)
-        remove(candidates[i].name, "rejected manifest");
+        if (!transient[i])
+            remove(candidates[i].name, "rejected manifest");
 
-    // Shards referenced by any surviving manifest stay; parse
-    // failures of older fallbacks keep their manifest (it was never
-    // examined, so it is not provably dead) but cannot protect
-    // shards.
+    // Shards referenced by any surviving manifest stay. A corrupt
+    // older fallback keeps its manifest (it was never examined, so it
+    // is not provably dead) but cannot protect shards; a manifest that
+    // cannot be read at all might reference any shard, so then no
+    // shard is removed.
     std::vector<std::string> referenced;
-    for (size_t i = winner; i < candidates.size(); ++i) {
+    bool unreadable = false;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+        if (i < winner && !transient[i])
+            continue;
         try {
-            Manifest m = parseManifest(
-                readFileBytes(dir + "/" + candidates[i].name,
-                              "catalog.manifest"),
-                dir);
-            for (const ManifestShard &ms : m.shards)
+            for (const ManifestShard &ms :
+                 readManifest(dir, candidates[i]).shards)
                 referenced.push_back(ms.file);
+        } catch (const CatalogError &) {
+            // Corrupt fallback: leave it for a later recovery.
         } catch (const FatalError &) {
-            // Unreadable fallback: leave it for a later recovery.
+            unreadable = true;
         }
     }
     std::sort(referenced.begin(), referenced.end());
@@ -735,7 +758,7 @@ collectGarbage(const std::string &dir,
             remove(name, "stray tmp");
             continue;
         }
-        if (name.size() > 6 &&
+        if (!unreadable && name.size() > 6 &&
             name.compare(name.size() - 6, 6, ".shard") == 0 &&
             !std::binary_search(referenced.begin(), referenced.end(),
                                 name))
@@ -800,9 +823,13 @@ saveCatalogDir(const DatabaseCatalog &catalog, const std::string &dir)
 }
 
 std::shared_ptr<const DatabaseCatalog>
-loadCatalogDir(const std::string &dir, LoadMode mode,
+loadCatalogDir(const std::string &dir, LoadMode,
                bool verify_hashes, RecoveryReport *report)
 {
+    std::error_code ec;
+    catalogCheck(!fs::is_directory(dir, ec), "db catalog: ", dir,
+                 " is not a catalog directory (convert a legacy v2 "
+                 "snapshot with `uopsq migrate SNAPSHOT DIR`)");
     if (report)
         *report = RecoveryReport{};
     RecoveryReport scratch;
@@ -812,20 +839,20 @@ loadCatalogDir(const std::string &dir, LoadMode mode,
     catalogCheck(candidates.empty(), "db catalog: no manifest in ",
                  dir);
 
+    std::vector<bool> transient(candidates.size(), false);
     for (size_t i = 0; i < candidates.size(); ++i) {
         const ManifestCandidate &cand = candidates[i];
         std::shared_ptr<const DatabaseCatalog> catalog;
         try {
-            Manifest manifest = parseManifest(
-                readFileBytes(dir + "/" + cand.name,
-                              "catalog.manifest"),
-                dir);
-            catalog = loadManifestCatalog(dir, manifest, mode,
-                                          verify_hashes);
+            catalog = loadManifestCatalog(
+                dir, readManifest(dir, cand), verify_hashes);
         } catch (const FatalError &e) {
             // This candidate is bad; an older generation may still
             // verify. InjectedCrash is deliberately not caught —
-            // a simulated kill must not look like recovery.
+            // a simulated kill must not look like recovery. Only
+            // CatalogError / StoreError prove the candidate dead.
+            transient[i] = !dynamic_cast<const CatalogError *>(&e) &&
+                           !dynamic_cast<const StoreError *>(&e);
             rep.rejected_generations.push_back(cand.generation);
             rep.events.push_back("rejected " + cand.name + ": " +
                                  e.what());
@@ -846,7 +873,7 @@ loadCatalogDir(const std::string &dir, LoadMode mode,
         rep.generation = catalog->generation();
         rep.recovered = !rep.rejected_generations.empty();
         if (report)
-            collectGarbage(dir, candidates, i, rep);
+            collectGarbage(dir, candidates, i, transient, rep);
         // Named distinctly from the service-registry
         // uops_catalog_recoveries_total (reload reports observed by
         // one server): /metrics renders both registries, and a
@@ -895,21 +922,6 @@ readCatalogGeneration(const std::string &dir)
     if (candidates.empty())
         return std::nullopt;
     return candidates.front().generation;
-}
-
-std::shared_ptr<const DatabaseCatalog>
-openCatalog(const std::string &path, LoadMode mode,
-            RecoveryReport *report)
-{
-    if (fs::is_directory(path))
-        return loadCatalogDir(path, mode, true, report);
-    if (report)
-        *report = RecoveryReport{};
-    // Legacy single-file containers: split into per-uarch shards so
-    // everything downstream speaks catalog. Generation 0 marks "not
-    // from a sharded store".
-    auto monolith = loadSnapshotFile(path);
-    return DatabaseCatalog::fromMonolith(*monolith, 0);
 }
 
 void

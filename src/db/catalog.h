@@ -65,9 +65,9 @@ class CatalogError : public FatalError
  * generation. Empty (recovered == false, no events) on the happy
  * path. Filled — and garbage collection of rejected manifests,
  * orphaned .tmp files, and unreferenced shards enabled — when the
- * caller passes one to loadCatalogDir/openCatalog; loads without a
- * report never delete anything, so a reader cannot race a publisher
- * mid-commit into destroying its work.
+ * caller passes one to loadCatalogDir; loads without a report never
+ * delete anything, so a reader cannot race a publisher mid-commit
+ * into destroying its work.
  */
 struct RecoveryReport
 {
@@ -93,10 +93,10 @@ struct RecoveryReport
     std::string summary() const;
 };
 
-/** How shard containers are brought into memory. */
+/** How shard containers are brought into memory. Shards are always
+ *  mapped; the enum survives only as a loadCatalogDir parameter. */
 enum class LoadMode {
     Mmap,     ///< zero-copy: columns point into the mapped file
-    Stream,   ///< portable copy through iostreams
 };
 
 /** One microarchitecture's shard inside a catalog. */
@@ -236,10 +236,9 @@ class DatabaseCatalog
 
     /**
      * Split a multi-uarch monolith into per-uarch shards (the v2 ->
-     * v3 migration, and the compatibility path for loading legacy
-     * snapshots). Lossless and deterministic: each shard's bytes are
-     * identical to what a fresh single-uarch sweep of the same
-     * results would produce.
+     * v3 migration and the XML ingest). Lossless and deterministic:
+     * each shard's bytes are identical to what a fresh single-uarch
+     * sweep of the same results would produce.
      */
     static std::shared_ptr<const DatabaseCatalog>
     fromMonolith(const InstructionDatabase &db, uint64_t generation);
@@ -284,15 +283,20 @@ void saveCatalogDir(const DatabaseCatalog &catalog,
                     const std::string &dir);
 
 /**
- * Load a catalog directory. Shard content is hash-verified against
- * the manifest (@p verify_hashes), so a spliced catalog's untouched
- * shards are provably the bytes the previous generation wrote.
+ * Load a catalog directory (anything else, a v2 snapshot file
+ * included, is a CatalogError naming `uopsq migrate`): every shard is
+ * mapped, checked and bound in place. Shard content is hash-verified
+ * against the manifest (@p verify_hashes), so a spliced catalog's
+ * untouched shards are provably the bytes the previous generation
+ * wrote.
  *
  * A bad candidate — truncated or corrupt manifest, missing or
  * hash-mismatched shard — is *recoverable*: the loader falls back to
  * the newest older generation that verifies fully. Pass @p report to
  * learn what was rejected and to enable garbage collection of the
  * rejected manifests, stray .tmp files, and unreferenced shards.
+ * Only a CatalogError or StoreError proves a candidate dead; an open,
+ * mmap or read failure skips it for this load only.
  * Throws CatalogError only when no generation verifies at all.
  */
 std::shared_ptr<const DatabaseCatalog>
@@ -308,21 +312,10 @@ std::optional<uint64_t>
 readCatalogGeneration(const std::string &dir);
 
 /**
- * Open either storage format: a directory is a v3 sharded catalog
- * (with recovery semantics as loadCatalogDir), a file is a legacy v2
- * monolith (split per uarch via fromMonolith, generation 0) or a
- * single v3 shard file.
- */
-std::shared_ptr<const DatabaseCatalog>
-openCatalog(const std::string &path,
-            LoadMode mode = LoadMode::Mmap,
-            RecoveryReport *report = nullptr);
-
-/**
- * Lossless v2 -> v3 migration: load the monolith at @p snapshot_path,
- * shard it per uarch, and write a generation-1 catalog under
- * @p dir. v1 snapshots are still refused (their doubles cannot be
- * reproduced bit-exactly).
+ * Lossless v2 -> v3 migration, the only way a v2 monolith enters the
+ * store: load the monolith at @p snapshot_path, shard it per uarch,
+ * and write a generation-1 catalog under @p dir. v1 snapshots are
+ * still refused (their doubles cannot be reproduced bit-exactly).
  */
 void migrateSnapshot(const std::string &snapshot_path,
                      const std::string &dir);
@@ -330,9 +323,10 @@ void migrateSnapshot(const std::string &snapshot_path,
 // ---- sweep integration -----------------------------------------------
 
 /**
- * Streaming sweep -> sharded catalog sink: like SweepIngestor, but
- * every uarch accumulates into its own shard database, so the result
- * is per-uarch shards ready to splice. Delivery order (uarch-major,
+ * Streaming sweep -> sharded catalog sink (core::SweepSink): each
+ * successful characterization is appended to its uarch's shard the
+ * moment the engine releases it — no XML tree, no retained report
+ * (pair with keep_results = false). Delivery order (uarch-major,
  * variant-id) makes each shard bit-identical to a single-uarch sweep
  * of the same variants — the property that lets an incremental
  * re-sweep reproduce a full sweep's bytes.

@@ -552,29 +552,4 @@ InstructionDatabase::toCharacterizationSet(
     return set;
 }
 
-// ---------------------------------------------------------------------
-// Streaming sweep ingest
-// ---------------------------------------------------------------------
-
-void
-SweepIngestor::onVariant(uarch::UArch arch,
-                         const core::VariantOutcome &outcome)
-{
-    panicIf(finished_, "SweepIngestor: onVariant after finish");
-    if (!outcome.ok)
-        return;   // failures are reported by the sweep, not stored
-    db_.appendCharacterization(static_cast<uint8_t>(arch),
-                               outcome.result);
-    ++ingested_;
-}
-
-void
-SweepIngestor::finishOnce()
-{
-    if (finished_)
-        return;
-    finished_ = true;
-    db_.rebuildIndexes();
-}
-
 } // namespace uops::db

@@ -16,17 +16,18 @@
  * referenced by (offset, count). This keeps point lookups and column
  * scans cache-friendly and makes the snapshot format (snapshot.h) a
  * direct dump of the arrays. Columns are owned-or-borrowed
- * (support/column.h): ingest grows owned vectors, while the zero-copy
- * shard loader binds every column straight into a memory-mapped
- * buffer that the database keeps alive via a shared backing handle;
- * the first mutation of a borrowed column transparently copies it
- * out, so a mapped database is never written through.
+ * (support/column.h): ingest grows owned vectors, while the snapshot
+ * loader binds every column straight into the loaded buffer (usually
+ * a memory mapping) that the database keeps alive; the first mutation
+ * of a borrowed column copies it out, so a mapped database is never
+ * written through.
  *
  * Three ingest paths produce *bit-identical* databases for the same
  * results: the in-memory path (a CharacterizationSet / batch report),
- * the streaming path (SweepIngestor attached to a running
- * runBatchSweep), and the XML path (a re-parsed Section 6.4 export).
- * The guarantee is by representation, not by canonicalization: every
+ * the XML path (a re-parsed Section 6.4 export), and the streaming
+ * path (CatalogSweepIngestor attached to a running runBatchSweep),
+ * whose per-uarch shards equal the split of the other two. The
+ * guarantee is by representation, not by canonicalization: every
  * cycle value in the pipeline is a fixed-point Cycles (hundredths of
  * a core cycle, the paper's reporting granularity), stored here as a
  * raw integer column, so equality is integer equality and no text
@@ -262,7 +263,6 @@ class InstructionDatabase
   private:
     friend class RecordView;
     friend class ScanExecutor;
-    friend class SweepIngestor;
     friend class CatalogSweepIngestor;
     friend class DatabaseCatalog;
     friend struct SnapshotCodec;
@@ -356,40 +356,6 @@ enum RecordFlag : uint8_t {
 enum LatencyFlag : uint8_t {
     kLatUpperBound = 1u << 0,
     kLatHasSlow = 1u << 1,
-};
-
-/**
- * Streaming sweep -> database sink (core::SweepSink): attach to
- * BatchOptions::sink and every successful characterization is
- * appended the moment the engine's reorder buffer releases it — no
- * XML tree, no retained report (pair with keep_results = false).
- * Because delivery order equals report iteration order, the result
- * is bit-identical to ingest(report) on the same sweep.
- *
- * finish() (invoked by runBatchSweep, also on its exception path)
- * rebuilds the query indexes; the destructor is a safety net for
- * sweeps that aborted before any delivery. One ingestor serves one
- * sweep; the database must not be read until the sweep returned.
- */
-class SweepIngestor final : public core::SweepSink
-{
-  public:
-    explicit SweepIngestor(InstructionDatabase &db) : db_(db) {}
-    ~SweepIngestor() override { finishOnce(); }
-
-    void onVariant(uarch::UArch arch,
-                   const core::VariantOutcome &outcome) override;
-    void finish() override { finishOnce(); }
-
-    /** Successful records appended so far. */
-    size_t numIngested() const { return ingested_; }
-
-  private:
-    void finishOnce();
-
-    InstructionDatabase &db_;
-    size_t ingested_ = 0;
-    bool finished_ = false;
 };
 
 } // namespace uops::db

@@ -1,10 +1,10 @@
 #include "snapshot.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <vector>
 
 #include "support/status.h"
 
@@ -59,6 +59,15 @@ class Writer
         raw(&value, sizeof value);
     }
 
+    void
+    header(uint32_t version, uint64_t records)
+    {
+        raw(kMagic, sizeof kMagic);
+        scalar(version);
+        scalar(kEndianTag);
+        scalar(records);
+    }
+
     template <typename T>
     void
     array(const Column<T> &xs)
@@ -90,104 +99,17 @@ class Writer
     std::ostream &os_;
 };
 
+/**
+ * The one container reader. array() binds columns straight into the
+ * buffer instead of copying. Alignment holds by format: the header is
+ * a multiple of 8 bytes and every array is padded to 8, so each
+ * element pointer is 8-byte aligned within an 8-byte-aligned buffer
+ * (a page-aligned mapping, or loadSnapshotBytes' owned copy).
+ */
 class Reader
 {
   public:
-    explicit Reader(std::istream &is) : is_(is)
-    {
-        // Bound declared array sizes by the actual stream length so a
-        // corrupt length prefix is a FatalError, not a giant resize()
-        // (bad_alloc / OOM) before the truncation check can fire.
-        auto pos = is.tellg();
-        if (pos != std::streampos(-1)) {
-            is.seekg(0, std::ios::end);
-            auto end = is.tellg();
-            is.seekg(pos);
-            if (end != std::streampos(-1))
-                bytes_left_ = static_cast<uint64_t>(end - pos);
-        }
-    }
-
-    void
-    raw(void *data, size_t bytes)
-    {
-        is_.read(static_cast<char *>(data),
-                 static_cast<std::streamsize>(bytes));
-        storeCheck(static_cast<size_t>(is_.gcount()) != bytes,
-                "db snapshot: truncated file");
-        if (bytes_left_)
-            *bytes_left_ -= std::min<uint64_t>(*bytes_left_, bytes);
-    }
-
-    template <typename T>
-    T
-    scalar()
-    {
-        T value;
-        raw(&value, sizeof value);
-        return value;
-    }
-
-    template <typename T>
-    void
-    array(Column<T> &xs)
-    {
-        uint64_t n = scalar<uint64_t>();
-        checkSize(n, sizeof(T));
-        T *buffer = xs.resizeForRead(static_cast<size_t>(n));
-        size_t bytes = xs.size() * sizeof(T);
-        if (bytes)
-            raw(buffer, bytes);
-        skip(bytes);
-    }
-
-    void
-    array(BytePool &s)
-    {
-        uint64_t n = scalar<uint64_t>();
-        checkSize(n, 1);
-        char *buffer = s.resizeForRead(static_cast<size_t>(n));
-        if (s.size())
-            raw(buffer, s.size());
-        skip(s.size());
-    }
-
-  private:
-    void
-    checkSize(uint64_t n, size_t elem_bytes)
-    {
-        storeCheck(n > (1ull << 32),
-                "db snapshot: implausible array size ", n);
-        storeCheck(bytes_left_ && n * elem_bytes > *bytes_left_,
-                "db snapshot: array size ", n,
-                " exceeds remaining file bytes");
-    }
-
-    void
-    skip(size_t bytes)
-    {
-        char sink[8];
-        size_t pad = paddingFor(bytes);
-        if (pad)
-            raw(sink, pad);
-    }
-
-    std::istream &is_;
-
-    /** Remaining stream bytes; absent for non-seekable streams. */
-    std::optional<uint64_t> bytes_left_;
-};
-
-/**
- * Zero-copy archive: array() binds columns straight into the mapped
- * buffer instead of copying. Alignment holds by format: the header is
- * a multiple of 8 bytes and every array is padded to 8, so each
- * element pointer is 8-byte aligned within the page-aligned mapping.
- */
-class MappedReader
-{
-  public:
-    MappedReader(const char *data, size_t size)
+    Reader(const char *data, size_t size)
         : p_(data), left_(size)
     {
     }
@@ -351,15 +273,18 @@ struct SnapshotCodec
         }
     }
 
-    /** A shard must be single-uarch; the header says which. */
+    /** Every record's uarch must be known; a shard must be
+     *  single-uarch, and @p shard says which. */
     static void
-    validateShardArch(const InstructionDatabase &db, uint8_t arch)
+    validateArchs(const InstructionDatabase &db,
+                  std::optional<uarch::UArch> shard)
     {
         for (uint8_t a : db.arch_)
-            storeCheck(a != arch, "db shard: record uarch ",
-                    static_cast<int>(a),
-                    " disagrees with shard header uarch ",
-                    static_cast<int>(arch));
+            storeCheck(shard ? a != static_cast<uint8_t>(*shard)
+                             : !uarch::uarchFromId(a),
+                    "db snapshot: record uarch id ", static_cast<int>(a),
+                    shard ? " disagrees with the shard header"
+                          : " is unknown");
     }
 
     static void
@@ -370,7 +295,13 @@ struct SnapshotCodec
         for (uint32_t id = 0;
              id < static_cast<uint32_t>(db.str_off_.size()); ++id)
             db.intern_map_.emplace(std::string(db.str(id)), id);
-        db.rebuildIndexes();
+        // A duplicate (uarch, name) record is a bad container, not a
+        // bad process: report it like every other check here.
+        try {
+            db.rebuildIndexes();
+        } catch (const FatalError &e) {
+            storeFail("db snapshot: ", e.what());
+        }
     }
 
     static void
@@ -383,50 +314,40 @@ struct SnapshotCodec
 
 namespace {
 
-/** Shared head parsing for both container kinds. Returns the format
- *  version and fills @p records / @p shard_arch (v3 only). */
-template <typename Archive>
-uint32_t
-readHeader(Archive &ar, uint64_t &records,
-           std::optional<uint8_t> &shard_arch)
+/** Check and bind the container in [data, data + size); @p backing
+ *  keeps those bytes alive for as long as the database lives. */
+std::unique_ptr<InstructionDatabase>
+loadContainer(const char *data, size_t size,
+              std::shared_ptr<const void> backing,
+              std::optional<uarch::UArch> expected)
 {
+    Reader ar(data, size);
     char magic[8];
     ar.raw(magic, sizeof magic);
     storeCheck(std::memcmp(magic, kMagic, sizeof magic) != 0,
             "db snapshot: bad magic");
-    uint32_t version = ar.template scalar<uint32_t>();
+    uint32_t version = ar.scalar<uint32_t>();
     storeCheck(version == 1,
             "db snapshot: version 1 (floating-point cycle columns) is "
             "no longer supported; re-run characterize or re-ingest the "
             "results XML to produce a current snapshot");
     storeCheck(version != kSnapshotVersion && version != kShardVersion,
             "db snapshot: unsupported version ", version);
-    uint32_t endian = ar.template scalar<uint32_t>();
+    uint32_t endian = ar.scalar<uint32_t>();
     storeCheck(endian != kEndianTag, "db snapshot: foreign byte order");
-    records = ar.template scalar<uint64_t>();
+    uint64_t records = ar.scalar<uint64_t>();
+    std::optional<uarch::UArch> shard_arch;
     if (version == kShardVersion) {
-        uint64_t arch = ar.template scalar<uint64_t>();
-        storeCheck(arch > 0xff, "db shard: implausible uarch id ", arch);
-        shard_arch = static_cast<uint8_t>(arch);
+        uint64_t id = ar.scalar<uint64_t>();
+        shard_arch = uarch::uarchFromId(id);
+        storeCheck(!shard_arch, "db shard: unknown uarch id ", id);
     }
-    return version;
-}
-
-template <typename Archive>
-std::unique_ptr<InstructionDatabase>
-loadContainer(Archive &ar, std::optional<uarch::UArch> expected)
-{
-    uint64_t records = 0;
-    std::optional<uint8_t> shard_arch;
-    uint32_t version = readHeader(ar, records, shard_arch);
     if (expected) {
-        storeCheck(version != kShardVersion,
-                "db shard: expected a version-", kShardVersion,
-                " shard, got a version-", version, " container");
-        storeCheck(*shard_arch != static_cast<uint8_t>(*expected),
-                "db shard: header uarch ",
-                uarch::uarchShortName(
-                    static_cast<uarch::UArch>(*shard_arch)),
+        storeCheck(!shard_arch, "db shard: expected a version-",
+                kShardVersion, " shard, got a version-", version,
+                " container");
+        storeCheck(*shard_arch != *expected, "db shard: header uarch ",
+                uarch::uarchShortName(*shard_arch),
                 " does not match expected ",
                 uarch::uarchShortName(*expected));
     }
@@ -434,25 +355,22 @@ loadContainer(Archive &ar, std::optional<uarch::UArch> expected)
     auto db = std::make_unique<InstructionDatabase>();
     SnapshotCodec::columns(ar, *db);
     SnapshotCodec::validate(*db, records);
-    if (shard_arch)
-        SnapshotCodec::validateShardArch(*db, *shard_arch);
+    SnapshotCodec::validateArchs(*db, shard_arch);
     SnapshotCodec::rebuild(*db);
+    SnapshotCodec::setBacking(*db, std::move(backing));
     return db;
 }
-
-} // namespace
 
 void
 saveSnapshot(const InstructionDatabase &db, std::ostream &os)
 {
     Writer writer(os);
-    writer.raw(kMagic, sizeof kMagic);
-    writer.scalar<uint32_t>(kSnapshotVersion);
-    writer.scalar<uint32_t>(kEndianTag);
-    writer.scalar<uint64_t>(db.numRecords());
+    writer.header(kSnapshotVersion, db.numRecords());
     SnapshotCodec::columns(writer, db);
     fatalIf(!os, "db snapshot: write failed");
 }
+
+} // namespace
 
 std::string
 snapshotBytes(const InstructionDatabase &db)
@@ -463,17 +381,17 @@ snapshotBytes(const InstructionDatabase &db)
 }
 
 std::unique_ptr<InstructionDatabase>
-loadSnapshot(std::istream &is)
-{
-    Reader reader(is);
-    return loadContainer(reader, std::nullopt);
-}
-
-std::unique_ptr<InstructionDatabase>
 loadSnapshotBytes(const std::string &bytes)
 {
-    std::istringstream is(bytes, std::ios::binary);
-    return loadSnapshot(is);
+    // std::string storage promises no 8-byte alignment; the bound
+    // columns need it, so the bytes move into a uint64_t buffer.
+    auto buffer =
+        std::make_shared<std::vector<uint64_t>>((bytes.size() + 7) / 8);
+    if (!bytes.empty())
+        std::memcpy(buffer->data(), bytes.data(), bytes.size());
+    const char *data = reinterpret_cast<const char *>(buffer->data());
+    return loadContainer(data, bytes.size(), std::move(buffer),
+                         std::nullopt);
 }
 
 void
@@ -489,9 +407,9 @@ saveSnapshotFile(const InstructionDatabase &db, const std::string &path)
 std::unique_ptr<InstructionDatabase>
 loadSnapshotFile(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    storeCheck(!is, "db snapshot: cannot open ", path);
-    return loadSnapshot(is);
+    auto mapping = mapFile(path);
+    return loadContainer(mapping->data(), mapping->size(), mapping,
+                         std::nullopt);
 }
 
 // ---------------------------------------------------------------------
@@ -502,13 +420,9 @@ void
 saveShard(const InstructionDatabase &db, uarch::UArch arch,
           std::ostream &os)
 {
-    SnapshotCodec::validateShardArch(db,
-                                     static_cast<uint8_t>(arch));
+    SnapshotCodec::validateArchs(db, arch);
     Writer writer(os);
-    writer.raw(kMagic, sizeof kMagic);
-    writer.scalar<uint32_t>(kShardVersion);
-    writer.scalar<uint32_t>(kEndianTag);
-    writer.scalar<uint64_t>(db.numRecords());
+    writer.header(kShardVersion, db.numRecords());
     writer.scalar<uint64_t>(static_cast<uint8_t>(arch));
     SnapshotCodec::columns(writer, db);
     fatalIf(!os, "db shard: write failed");
@@ -523,21 +437,13 @@ shardBytes(const InstructionDatabase &db, uarch::UArch arch)
 }
 
 std::unique_ptr<InstructionDatabase>
-loadShard(std::istream &is, uarch::UArch expected)
-{
-    Reader reader(is);
-    return loadContainer(reader, expected);
-}
-
-std::unique_ptr<InstructionDatabase>
 loadShardMapped(std::shared_ptr<const MappedFile> mapping,
                 uarch::UArch expected)
 {
     fatalIf(mapping == nullptr, "db shard: null mapping");
-    MappedReader reader(mapping->data(), mapping->size());
-    auto db = loadContainer(reader, expected);
-    SnapshotCodec::setBacking(*db, std::move(mapping));
-    return db;
+    const MappedFile &file = *mapping;
+    return loadContainer(file.data(), file.size(), std::move(mapping),
+                         expected);
 }
 
 } // namespace uops::db

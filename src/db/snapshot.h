@@ -20,16 +20,16 @@
  *     the sharded catalog store (catalog.h), which writes one shard
  *     file per uarch plus a manifest.
  *
- * Version 2 remains fully readable (and writable, for migration
- * tests); v1 files (IEEE-double cycle columns) are refused with an
- * explicit error. Because every array is a contiguous raw dump
- * aligned to 8 bytes, the shard loader has a zero-copy path: it binds
- * the columns straight into a memory-mapped buffer
- * (loadShardMapped), the database keeping the mapping alive. The
- * stream loaders copy through iostreams instead. The in-memory query
- * indexes are *not* serialized — they are deterministically rebuilt
- * on load, so two databases with equal container bytes answer every
- * query identically, whichever loader produced them.
+ * Version 2 remains readable (and writable, for migration tests);
+ * v1 files (IEEE-double cycle columns) are refused with an explicit
+ * error. Because every array is a contiguous raw dump aligned to 8
+ * bytes, one reader serves every load: it checks the container and
+ * binds each column in place, into a file mapping
+ * (loadShardMapped, loadSnapshotFile) or an owned 8-byte-aligned
+ * buffer (loadSnapshotBytes), which the database keeps alive. The
+ * in-memory query indexes are *not* serialized — they are
+ * deterministically rebuilt on load, so two databases with equal
+ * container bytes answer every query identically.
  *
  * Containers are bit-exact: save(load(save(db))) == save(db), and a
  * database ingested from XML produces the same bytes as one ingested
@@ -69,25 +69,21 @@ constexpr uint32_t kSnapshotVersion = 2;
 /** Per-uarch shard container version. */
 constexpr uint32_t kShardVersion = 3;
 
-/** Serialize @p db to @p os (throws FatalError on stream failure). */
-void saveSnapshot(const InstructionDatabase &db, std::ostream &os);
-
 /** Serialized monolith bytes. */
 std::string snapshotBytes(const InstructionDatabase &db);
 
 /**
- * Deserialize a monolith or shard container (throws FatalError on
- * malformed input: bad magic, unsupported version, foreign
- * endianness, truncated or inconsistent arrays, or a shard whose
- * records disagree with its header uarch).
+ * Load a monolith or shard container held in memory (throws
+ * StoreError on malformed input: bad magic, unsupported version,
+ * foreign endianness, truncated or inconsistent arrays, an unknown
+ * shard uarch, or a shard whose records disagree with its header
+ * uarch). The bytes are copied once into an aligned buffer the
+ * database owns.
  */
-std::unique_ptr<InstructionDatabase> loadSnapshot(std::istream &is);
-
-/** Parse a container held in memory. */
 std::unique_ptr<InstructionDatabase>
 loadSnapshotBytes(const std::string &bytes);
 
-/** Save to / load from a file path. */
+/** Save to / load from a file path (the load maps the file). */
 void saveSnapshotFile(const InstructionDatabase &db,
                       const std::string &path);
 std::unique_ptr<InstructionDatabase>
@@ -108,17 +104,11 @@ std::string shardBytes(const InstructionDatabase &db,
                        uarch::UArch arch);
 
 /**
- * Load a shard through the stream path (columns copied into owned
- * storage). @p expected guards against a manifest/file mismatch.
- */
-std::unique_ptr<InstructionDatabase>
-loadShard(std::istream &is, uarch::UArch expected);
-
-/**
  * Zero-copy shard load: columns are bound directly into @p mapping,
  * which the returned database keeps alive; only the rebuilt indexes
  * allocate. The first mutation of the returned database (ingesting on
  * top of it) copies the touched columns out of the mapping.
+ * @p expected guards against a manifest/file mismatch.
  */
 std::unique_ptr<InstructionDatabase>
 loadShardMapped(std::shared_ptr<const MappedFile> mapping,

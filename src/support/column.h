@@ -4,16 +4,17 @@
  *
  * The instruction database stores every field as a flat array of
  * trivially copyable elements. During ingest those arrays must grow;
- * after a zero-copy snapshot load they are views into a memory-mapped
- * buffer that the database does not own. Column<T> unifies the two:
- * it is a growable vector in owned mode and a (pointer, size) view in
- * borrowed mode, with copy-on-write — the first mutation of a
- * borrowed column materializes a private owned copy, so ingesting on
- * top of a mapped database is legal and never writes through the map.
+ * after a snapshot load they are views into the loaded container (a
+ * memory-mapped file, or an aligned copy of in-memory bytes) that the
+ * database does not own. Column<T> unifies the two: it is a growable
+ * vector in owned mode and a (pointer, size) view in borrowed mode,
+ * with copy-on-write — the first mutation of a borrowed column
+ * materializes a private owned copy, so ingesting on top of a loaded
+ * database is legal and never writes through the map.
  *
  * The holder of borrowed columns is responsible for keeping the
  * backing buffer alive (InstructionDatabase retains a shared_ptr to
- * the mapping); a Column never frees borrowed memory.
+ * it); a Column never frees borrowed memory.
  */
 
 #ifndef UOPS_SUPPORT_COLUMN_H
@@ -43,9 +44,6 @@ class Column
 
     const T &operator[](size_t i) const { return data_[i]; }
 
-    /** Whether the elements live in an external (mapped) buffer. */
-    bool borrowed() const { return borrowed_; }
-
     void
     push_back(const T &value)
     {
@@ -62,21 +60,8 @@ class Column
         refresh();
     }
 
-    /**
-     * Size the owned storage for a bulk read (stream snapshot load);
-     * returns the writable element buffer.
-     */
-    T *
-    resizeForRead(size_t n)
-    {
-        borrowed_ = false;
-        owned_.resize(n);
-        refresh();
-        return owned_.data();
-    }
-
     /** Become a view of @p n elements at @p ptr (caller keeps the
-     *  buffer alive; zero-copy snapshot load). */
+     *  buffer alive; snapshot load). */
     void
     bind(const T *ptr, size_t n)
     {
@@ -134,9 +119,7 @@ class BytePool
         bytes_.append(s.data(), s.size());
     }
 
-    char *resizeForRead(size_t n) { return bytes_.resizeForRead(n); }
     void bind(const char *ptr, size_t n) { bytes_.bind(ptr, n); }
-    bool borrowed() const { return bytes_.borrowed(); }
 
   private:
     Column<char> bytes_;

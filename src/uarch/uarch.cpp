@@ -41,6 +41,15 @@ parseUArch(const std::string &short_name)
     fatal("unknown microarchitecture '", short_name, "'");
 }
 
+std::optional<UArch>
+uarchFromId(uint64_t id)
+{
+    for (UArch arch : allUArches())
+        if (static_cast<uint64_t>(arch) == id)
+            return arch;
+    return std::nullopt;
+}
+
 PortMask
 portMask(std::initializer_list<int> ports)
 {

@@ -16,6 +16,7 @@
 #define UOPS_UARCH_UARCH_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,10 @@ std::string uarchName(UArch arch);
 
 /** Parse a short name; throws on unknown. */
 UArch parseUArch(const std::string &short_name);
+
+/** The generation stored as @p id on disk; nullopt for an id no
+ *  generation has (stored containers are untrusted input). */
+std::optional<UArch> uarchFromId(uint64_t id);
 
 /**
  * Bitmask over execution ports (bit i = port i).

@@ -5,10 +5,9 @@
  * → snapshot save → snapshot load must be bit-identical to the
  * in-memory ingest path), columnar queries, snapshot validation,
  * snapshot-identical answers under concurrent readers, and the
- * sharded catalog engine (golden shard round-trip over both the
- * stream and the zero-copy mmap loader, incremental-sweep splicing
- * bit-identical to a full sweep, lossless v2 → v3 migration, and
- * corrupt-store rejection).
+ * sharded catalog engine (golden shard round-trip through the mapped
+ * loader, incremental-sweep splicing bit-identical to a full sweep,
+ * lossless v2 → v3 migration, and corrupt-store rejection).
  */
 
 #include <atomic>
@@ -138,18 +137,17 @@ TEST(DbRoundTrip, FullPipelineGolden)
 
 TEST(DbRoundTrip, StreamingSweepIngestIsBitIdenticalToAllPaths)
 {
-    // Direct sweep -> DB: records stream into the database while the
-    // sweep runs, with no XML tree and (keep_results = false) no
-    // retained per-variant results. The snapshot must be
-    // byte-identical to both the in-memory ingest of a full report
-    // and the XML-materializing path — with v2's integer Cycles
-    // columns that is plain memcmp equality, no text canonicalization
-    // anywhere.
+    // Direct sweep -> shards: records stream into per-uarch shard
+    // databases while the sweep runs, with no XML tree and
+    // (keep_results = false) no retained per-variant results. Every
+    // shard must be byte-identical to the same uarch split out of
+    // both the in-memory ingest of a full report and the
+    // XML-materializing path — with integer Cycles columns that is
+    // plain memcmp equality, no text canonicalization anywhere.
     core::BatchOptions options;
     options.num_threads = 4;
     options.characterizer.filter = sliceFilter;
-    db::InstructionDatabase streamed;
-    db::SweepIngestor ingestor(streamed);
+    db::CatalogSweepIngestor ingestor;
     options.sink = &ingestor;
     options.keep_results = false;
     auto report = core::runBatchSweep(defaultDb(), kArches, options);
@@ -167,14 +165,23 @@ TEST(DbRoundTrip, StreamingSweepIngestIsBitIdenticalToAllPaths)
     EXPECT_NE(report.toXmlString().find("<uopsBatch"),
               std::string::npos);
 
-    std::string streamed_bytes = db::snapshotBytes(streamed);
-    EXPECT_EQ(streamed_bytes, db::snapshotBytes(sliceDb()));
-
+    db::DatabaseCatalog streamed(ingestor.takeShards(), 1);
     db::InstructionDatabase from_xml;
     from_xml.ingestResults(
         isa::parseResultsXml(sliceReport().toXmlString()),
         &defaultDb());
-    EXPECT_EQ(streamed_bytes, db::snapshotBytes(from_xml));
+    const db::InstructionDatabase &xml_db = from_xml;
+    for (const db::InstructionDatabase *mono : {&sliceDb(), &xml_db}) {
+        auto split = db::DatabaseCatalog::fromMonolith(*mono, 1);
+        ASSERT_EQ(streamed.shards().size(), split->shards().size());
+        for (size_t i = 0; i < split->shards().size(); ++i) {
+            const db::ShardEntry &got = streamed.shards()[i];
+            const db::ShardEntry &want = split->shards()[i];
+            EXPECT_EQ(got.arch, want.arch);
+            EXPECT_EQ(db::shardBytes(*got.db, got.arch),
+                      db::shardBytes(*want.db, want.arch));
+        }
+    }
 }
 
 TEST(DbRoundTrip, CyclesRoundingIsIdempotent)
@@ -414,9 +421,9 @@ TEST(DbSnapshot, RejectsCorruptInput)
     EXPECT_THROW(db::loadSnapshotBytes(bad_version), FatalError);
 
     // A corrupt array-length prefix (first array starts after the
-    // 24-byte header) must be a FatalError before any allocation:
-    // 16M declared elements exceed the remaining file bytes but pass
-    // the implausible-size cap, so this exercises the stream-length
+    // 24-byte header) must be a FatalError before anything is bound:
+    // 16M declared elements exceed the remaining buffer bytes but pass
+    // the implausible-size cap, so this exercises the remaining-bytes
     // bound specifically.
     std::string length_bomb = bytes;
     length_bomb[24] = char(0xff);
@@ -559,43 +566,35 @@ TEST(Catalog, ShardedSweepMatchesMonolithSplit)
     }
 }
 
-TEST(Catalog, GoldenShardRoundTripStreamAndMmap)
+TEST(Catalog, GoldenShardRoundTrip)
 {
     const std::string dir = freshDir("roundtrip");
     db::saveCatalogDir(*sweepCatalog(), dir);
 
-    for (db::LoadMode mode :
-         {db::LoadMode::Stream, db::LoadMode::Mmap}) {
-        auto loaded = db::loadCatalogDir(dir, mode);
-        EXPECT_EQ(loaded->generation(),
-                  sweepCatalog()->generation());
-        ASSERT_EQ(loaded->shards().size(),
-                  sweepCatalog()->shards().size());
-        for (size_t i = 0; i < loaded->shards().size(); ++i) {
-            const db::ShardEntry &got = loaded->shards()[i];
-            const db::ShardEntry &want =
-                sweepCatalog()->shards()[i];
-            EXPECT_EQ(got.arch, want.arch);
-            EXPECT_EQ(got.records, want.records);
-            EXPECT_EQ(got.hash, want.hash);
-            // Loaded shards re-serialize to the exact bytes saved —
-            // through the copying loader and the zero-copy one.
-            EXPECT_EQ(db::shardBytes(*got.db, got.arch),
-                      db::shardBytes(*want.db, want.arch));
-        }
-
-        // Query answers are loader-independent.
-        auto view =
-            loaded->find(uarch::UArch::Skylake, "ADD_R64_R64");
-        ASSERT_TRUE(view.has_value());
-        auto want_view = sweepCatalog()->find(uarch::UArch::Skylake,
-                                              "ADD_R64_R64");
-        EXPECT_EQ(view->tpMeasured(), want_view->tpMeasured());
-        db::Query query;
-        query.uses_ports = uarch::portMask({0});
-        EXPECT_EQ(loaded->search(query).size(),
-                  sweepCatalog()->search(query).size());
+    auto loaded = db::loadCatalogDir(dir);
+    EXPECT_EQ(loaded->generation(), sweepCatalog()->generation());
+    ASSERT_EQ(loaded->shards().size(), sweepCatalog()->shards().size());
+    for (size_t i = 0; i < loaded->shards().size(); ++i) {
+        const db::ShardEntry &got = loaded->shards()[i];
+        const db::ShardEntry &want = sweepCatalog()->shards()[i];
+        EXPECT_EQ(got.arch, want.arch);
+        EXPECT_EQ(got.records, want.records);
+        EXPECT_EQ(got.hash, want.hash);
+        // Loaded shards re-serialize to the exact bytes saved.
+        EXPECT_EQ(db::shardBytes(*got.db, got.arch),
+                  db::shardBytes(*want.db, want.arch));
     }
+
+    // Query answers match the in-memory catalog.
+    auto view = loaded->find(uarch::UArch::Skylake, "ADD_R64_R64");
+    ASSERT_TRUE(view.has_value());
+    auto want_view =
+        sweepCatalog()->find(uarch::UArch::Skylake, "ADD_R64_R64");
+    EXPECT_EQ(view->tpMeasured(), want_view->tpMeasured());
+    db::Query query;
+    query.uses_ports = uarch::portMask({0});
+    EXPECT_EQ(loaded->search(query).size(),
+              sweepCatalog()->search(query).size());
 }
 
 TEST(Catalog, IncrementalSpliceEqualsFullSweep)
@@ -673,11 +672,16 @@ TEST(Catalog, MigrateV2SnapshotIsLossless)
         EXPECT_EQ(migrated->shards()[i].hash,
                   sweepCatalog()->shards()[i].hash);
 
-    // openCatalog serves the legacy file directly too (generation 0
-    // marks "not from a sharded store").
-    auto legacy = db::openCatalog(snap);
-    EXPECT_EQ(legacy->generation(), 0u);
-    EXPECT_EQ(legacy->numRecords(), sliceDb().numRecords());
+    // The legacy file itself is not a catalog: migration is the only
+    // way in, and the refusal says so.
+    try {
+        db::loadCatalogDir(snap);
+        FAIL() << "a v2 snapshot file loaded as a catalog";
+    } catch (const db::CatalogError &e) {
+        EXPECT_NE(std::string(e.what()).find("uopsq migrate"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Catalog, QueriesMatchMonolith)
@@ -765,8 +769,7 @@ TEST(Catalog, CorruptStoreIsRefused)
     EXPECT_EQ(db::readCatalogGeneration(dir + "_missing"),
               std::nullopt);
 
-    // Flip one byte of a shard: the manifest hash check refuses it
-    // on both load paths.
+    // Flip one byte of a shard: the manifest hash check refuses it.
     const std::string victim =
         dir + "/" + sweepCatalog()->shards().back().file;
     {
@@ -780,10 +783,7 @@ TEST(Catalog, CorruptStoreIsRefused)
         file.seekp(100);
         file.write(&byte, 1);
     }
-    EXPECT_THROW(db::loadCatalogDir(dir, db::LoadMode::Stream),
-                 FatalError);
-    EXPECT_THROW(db::loadCatalogDir(dir, db::LoadMode::Mmap),
-                 FatalError);
+    EXPECT_THROW(db::loadCatalogDir(dir), FatalError);
 
     // A torn manifest is rejected too.
     {

@@ -1365,7 +1365,8 @@ TEST(ServiceReload, CorruptCatalogKeepsOldGenerationWith503)
 
     auto service = makeService();
     service->setReloader([dir](db::RecoveryReport &report) {
-        return db::openCatalog(dir, db::LoadMode::Mmap, &report);
+        return db::loadCatalogDir(dir, db::LoadMode::Mmap, true,
+                                  &report);
     });
 
     // Capture answers from the pinned generation, then break every
@@ -1423,7 +1424,8 @@ TEST(ServiceReload, RecoveredReloadReportsTheFallback)
 
     auto service = makeService();
     service->setReloader([dir](db::RecoveryReport &report) {
-        return db::openCatalog(dir, db::LoadMode::Mmap, &report);
+        return db::loadCatalogDir(dir, db::LoadMode::Mmap, true,
+                                  &report);
     });
 
     HttpResponse response = service->handle(postReload());
