@@ -2,10 +2,11 @@
  * @file
  * Reproduces the **Section 5.3 / 4.2** throughput analysis: the two
  * throughput definitions (Intel's port-based Definition 1, computed
- * from the inferred port usage via the LP of Section 5.3.2, vs Fog's
- * measured Definition 2) across the instruction set, the effect of
- * dependency-breaking instructions on instructions with implicit
- * read-written operands, and the value-dependent divider throughput.
+ * from the inferred port usage via the port bound of Section 5.3.2,
+ * vs Fog's measured Definition 2) across the instruction set, the
+ * effect of dependency-breaking instructions on instructions with
+ * implicit read-written operands, and the value-dependent divider
+ * throughput.
  */
 
 #include <benchmark/benchmark.h>

@@ -6,9 +6,10 @@
  * instrument calibration, blocking-instruction discovery (SSE and AVX
  * sets), then per instruction variant: latency pairs (Section 5.2),
  * port usage (Algorithm 1, using the measured maximum latency for
- * blockRep), measured throughput (5.3.1) and LP-computed throughput
- * (5.3.2). Results are emitted in a machine-readable XML format
- * (Section 6.4) and compared against the IACA clone (Table 1).
+ * blockRep), measured throughput (5.3.1) and the throughput computed
+ * from the port usage (5.3.2). Results are emitted in a
+ * machine-readable XML format (Section 6.4) and compared against the
+ * IACA clone (Table 1).
  * Algorithm 1 and 2 run with the paper's fixed constants, so results
  * are a pure function of (instruction DB, uarch, variant filter).
  */
@@ -36,8 +37,8 @@ struct InstrCharacterization
     PortUsageResult ports;
     ThroughputResult throughput;
 
-    /** Intel-definition throughput from the port usage (LP); absent
-     *  for divider instructions. */
+    /** Intel-definition throughput from the port usage (the port
+     *  bound of Section 5.3.2); absent for divider instructions. */
     std::optional<Cycles> tp_ports;
 };
 

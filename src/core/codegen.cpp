@@ -107,14 +107,6 @@ RegPool::exclude(const Reg &reg)
     excluded_.push_back(reg);
 }
 
-void
-RegPool::rewind()
-{
-    cursor_.clear();
-    next_mem_tag_ = zone_ == Zone::Analyzed ? 1000 : 2000;
-    mem_base_.reset();
-}
-
 MemLoc
 RegPool::nextMem(RegClass base_class)
 {

@@ -61,9 +61,6 @@ class RegPool
     /** Exclude a specific register (e.g. implicit XMM0 / CL / RAX). */
     void exclude(const isa::Reg &reg);
 
-    /** Reset round-robin positions (keeps exclusions). */
-    void rewind();
-
     /** Next fresh memory location in this zone. */
     isa::MemLoc nextMem(isa::RegClass base_class = isa::RegClass::Gpr64);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "lp/simplex.h"
 #include "support/status.h"
 
 namespace uops::core {
@@ -41,7 +40,7 @@ PerformancePredictor::analyzeLoop(const Kernel &kernel) const
 {
     Prediction pred;
 
-    // ---- port-pressure bound (LP of Section 5.3.2) ----
+    // ---- port-pressure bound (Section 5.3.2) ----
     uarch::PortUsage combined;
     int total_uops = 0;
     for (const InstrInstance &inst : kernel) {
@@ -52,15 +51,9 @@ PerformancePredictor::analyzeLoop(const Kernel &kernel) const
             combined.add(mask, count);
         total_uops += c->ports.usage.totalUops();
     }
-    std::vector<std::pair<std::vector<int>, int>> lp_usage;
-    for (const auto &[mask, count] : combined.entries)
-        lp_usage.emplace_back(uarch::portsOf(mask), count);
-    auto dist = lp::minMaxPortLoadDistribution(
-        static_cast<size_t>(info_.num_ports), lp_usage);
-    pred.port_bound = dist.bottleneck;
-    for (size_t p = 0;
-         p < dist.per_port.size() && p < pred.port_pressure.size(); ++p)
-        pred.port_pressure[p] = dist.per_port[p];
+    uarch::PortLoad load = uarch::portLoad(combined, info_.num_ports);
+    pred.port_bound = load.bottleneck;
+    pred.port_pressure = load.per_port;
 
     // ---- front-end bound ----
     pred.frontend_bound =

@@ -11,8 +11,9 @@
  * store-forwarding behaviour — and statically predicts the steady-state
  * throughput of a loop kernel:
  *
- *   - port-pressure bound: the LP of Section 5.3.2 over the combined
- *     µop port usage of the body;
+ *   - port-pressure bound: the port bound of Section 5.3.2 over the
+ *     combined µop port usage of the body, with its most balanced
+ *     per-port loads;
  *   - dependency bound: longest loop-carried path through registers,
  *     flags AND memory, using per-(source,destination)-pair latencies
  *     (precisely the two things IACA gets wrong, Section 7.2);

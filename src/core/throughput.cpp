@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "lp/simplex.h"
 #include "support/stats.h"
 #include "support/status.h"
 
@@ -121,10 +120,7 @@ double
 ThroughputAnalyzer::computeFromPortUsage(const uarch::PortUsage &usage,
                                          int num_ports)
 {
-    std::vector<std::pair<std::vector<int>, int>> lp_usage;
-    for (const auto &[mask, count] : usage.entries)
-        lp_usage.emplace_back(uarch::portsOf(mask), count);
-    return lp::minMaxPortLoad(static_cast<size_t>(num_ports), lp_usage);
+    return uarch::portLoad(usage, num_ports).bottleneck;
 }
 
 } // namespace uops::core

@@ -13,9 +13,9 @@
  * fast and slow operand values.
  *
  * Computed throughput (Intel's Definition 1): from the inferred port
- * usage, by minimizing the maximum per-port load over all feasible
- * µop-to-port assignments — a small linear program solved exactly
- * (Section 5.3.2). Not applicable to divider instructions.
+ * usage, the minimum over all feasible µop-to-port assignments of the
+ * maximum per-port load (Section 5.3.2), in closed form as the densest
+ * port set (uarch::portLoad). Not applicable to divider instructions.
  */
 
 #ifndef UOPS_CORE_THROUGHPUT_H
@@ -68,8 +68,8 @@ class ThroughputAnalyzer
     ThroughputResult analyze(const isa::InstrVariant &variant) const;
 
     /**
-     * Intel-definition throughput from the port usage via the LP of
-     * Section 5.3.2.
+     * Intel-definition throughput from the port usage: the port bound
+     * of Section 5.3.2 (uarch::portLoad).
      */
     static double computeFromPortUsage(const uarch::PortUsage &usage,
                                        int num_ports);

@@ -335,6 +335,7 @@ InstructionDatabase::ingestResults(const isa::ResultsDoc &doc,
 {
     for (const isa::UArchResults &ua : doc.uarches) {
         uarch::UArch arch = uarch::parseUArch(ua.architecture);
+        const int num_ports = uarch::uarchInfo(arch).num_ports;
         for (const isa::InstrResult &r : ua.instrs) {
             Canonical rec;
             rec.arch = static_cast<uint8_t>(arch);
@@ -346,6 +347,15 @@ InstructionDatabase::ingestResults(const isa::ResultsDoc &doc,
                 variant ? isa::extensionName(variant->extension())
                         : std::string("?");
             rec.usage = uarch::PortUsage::fromString(r.ports);
+            for (const auto &[mask, count] : rec.usage.entries) {
+                if (uarch::portsWithin(mask, num_ports))
+                    continue;
+                fatalIf(mask == 0, "db: ", ua.architecture, "/", r.name,
+                        " has an empty port set");
+                fatal("db: ", ua.architecture, "/", r.name, " uses port ",
+                      uarch::portsOf(mask).back(), ", but ",
+                      ua.architecture, " has ", num_ports, " ports");
+            }
             // The parser already yields canonical Cycles (foreign
             // precision was re-rounded at the isa boundary), so the
             // XML path stores exactly what the in-memory path does.

@@ -274,17 +274,32 @@ struct SnapshotCodec
     }
 
     /** Every record's uarch must be known; a shard must be
-     *  single-uarch, and @p shard says which. */
+     *  single-uarch, and @p shard says which. Every port set a record
+     *  names must be non-empty and within its uarch's ports. */
     static void
     validateArchs(const InstructionDatabase &db,
                   std::optional<uarch::UArch> shard)
     {
-        for (uint8_t a : db.arch_)
+        for (size_t row = 0; row < db.arch_.size(); ++row) {
+            uint8_t a = db.arch_[row];
             storeCheck(shard ? a != static_cast<uint8_t>(*shard)
                              : !uarch::uarchFromId(a),
                     "db snapshot: record uarch id ", static_cast<int>(a),
                     shard ? " disagrees with the shard header"
                           : " is unknown");
+            const uarch::UArchInfo &info =
+                uarch::uarchInfo(*uarch::uarchFromId(a));
+            for (size_t i = db.ports_off_[row],
+                        end = i + db.ports_n_[row];
+                 i < end; ++i) {
+                uarch::PortMask mask = db.pu_mask_[i];
+                if (!uarch::portsWithin(mask, info.num_ports))
+                    storeFail("db snapshot: record ", row, " has port set ",
+                              uarch::portMaskName(mask), ", outside ",
+                              info.short_name, "'s ", info.num_ports,
+                              " ports");
+            }
+        }
     }
 
     static void

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "lp/simplex.h"
 #include "support/status.h"
 #include "support/strings.h"
 
@@ -293,20 +292,12 @@ IacaAnalyzer::analyzeLoop(const Kernel &kernel) const
         report.instrs.push_back(std::move(m));
     }
 
-    // Distribute µops to ports (the LP of Section 5.3.2, but here used
-    // the way IACA presents per-port pressure).
-    const int num_ports = uarch::uarchInfo(arch_).num_ports;
-    std::vector<std::pair<std::vector<int>, int>> lp_usage;
-    for (const auto &[mask, count] : total_usage.entries)
-        lp_usage.emplace_back(uarch::portsOf(mask), count);
-    auto dist = lp::minMaxPortLoadDistribution(
-        static_cast<size_t>(num_ports), lp_usage);
-    for (size_t p = 0;
-         p < dist.per_port.size() && p < report.port_pressure.size();
-         ++p)
-        report.port_pressure[p] = dist.per_port[p];
-
-    double port_bound = dist.bottleneck;
+    // Distribute µops to ports (the port bound of Section 5.3.2, its
+    // balanced loads presented the way IACA shows per-port pressure).
+    uarch::PortLoad load =
+        uarch::portLoad(total_usage, uarch::uarchInfo(arch_).num_ports);
+    report.port_pressure = load.per_port;
+    double port_bound = load.bottleneck;
 
     // Loop-carried dependency bound. IACA ignores memory dependencies
     // entirely, and "3.0" also ignores status-flag dependencies

@@ -195,14 +195,6 @@ InstrDb::add(std::string mnemonic, std::vector<OperandSpec> operands,
     return *ptr;
 }
 
-const InstrVariant &
-InstrDb::byId(int id) const
-{
-    panicIf(id < 0 || static_cast<size_t>(id) >= variants_.size(),
-            "InstrDb::byId: id out of range: ", id);
-    return *variants_[id];
-}
-
 const InstrVariant *
 InstrDb::byName(const std::string &name) const
 {

@@ -175,8 +175,6 @@ class InstrDb
 
     size_t size() const { return variants_.size(); }
 
-    const InstrVariant &byId(int id) const;
-
     /** Lookup by unique variant name; nullptr when absent. */
     const InstrVariant *byName(const std::string &name) const;
 

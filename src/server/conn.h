@@ -82,7 +82,6 @@ class Conn
         in_.append(data, n);
     }
     size_t inputSize() const { return in_.size() - in_off_; }
-    bool inputEmpty() const { return in_.size() == in_off_; }
 
     /** Try to extract the next complete request from the buffer.
      *  Oversize buffers and bodies are 413, malformed heads and bad

@@ -1,36 +1,10 @@
 #include "json.h"
 
-#include <cstdio>
-
+#include "support/obs/log.h"
 #include "support/status.h"
 #include "support/xml.h"
 
 namespace uops::server {
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 JsonWriter::beforeValue()
@@ -105,7 +79,7 @@ JsonWriter::key(std::string_view k)
         out_ += ',';
     has_item_.back() = true;
     out_ += '"';
-    out_ += jsonEscape(k);
+    obs::appendJsonEscaped(out_, k);
     out_ += "\":";
     pending_key_ = true;
     return *this;
@@ -116,7 +90,7 @@ JsonWriter::value(std::string_view v)
 {
     beforeValue();
     out_ += '"';
-    out_ += jsonEscape(v);
+    obs::appendJsonEscaped(out_, v);
     out_ += '"';
     return *this;
 }

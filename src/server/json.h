@@ -20,9 +20,6 @@
 
 namespace uops::server {
 
-/** Escape a string for inclusion in a JSON string literal. */
-std::string jsonEscape(std::string_view s);
-
 /**
  * Streaming JSON builder with explicit begin/end scopes.
  *

@@ -143,8 +143,6 @@ class Cycles
         return static_cast<int>(whole);
     }
 
-    constexpr bool isZero() const { return hundredths_ == 0; }
-
     /** Canonical decimal text: shortest form, <= 2 fraction digits. */
     std::string
     str() const

@@ -1,6 +1,8 @@
 #include "timing.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 
 #include "support/status.h"
@@ -110,6 +112,56 @@ PortUsage::ofTiming(const std::vector<UopSpec> &uops)
     for (const auto &u : uops)
         usage.add(u.ports, 1);
     return usage;
+}
+
+PortLoad
+portLoad(const PortUsage &usage, int num_ports)
+{
+    PortLoad load;
+    panicIf(num_ports < 1 ||
+                num_ports > static_cast<int>(load.per_port.size()),
+            "portLoad: ", num_ports, " ports");
+    for (const auto &[mask, count] : usage.entries)
+        if (!portsWithin(mask, num_ports))
+            panic("portLoad: port set ", portMaskName(mask), " outside ",
+                  num_ports, " ports");
+
+    // Peel the largest densest set S off the ports still open, load
+    // each of its ports with demand(S) / |S|, and go on with the
+    // entries outside S restricted to the ports left. The largest
+    // densest set is unique: the union of two densest sets is densest.
+    const unsigned all = (1u << num_ports) - 1;
+    unsigned open = all;
+    while (open != 0) {
+        unsigned best = 0;
+        int64_t best_demand = 0;
+        int best_size = 1;
+        for (unsigned s = open; s != 0; s = (s - 1) & open) {
+            int64_t demand = 0;
+            for (const auto &[mask, count] : usage.entries) {
+                unsigned left = mask & open;
+                if (left != 0 && (left & ~s) == 0)
+                    demand += count;
+            }
+            int size = std::popcount(s);
+            int64_t lhs = demand * best_size;
+            int64_t rhs = best_demand * size;
+            if (best == 0 || lhs > rhs ||
+                (lhs == rhs && size > best_size)) {
+                best = s;
+                best_demand = demand;
+                best_size = size;
+            }
+        }
+        double density = static_cast<double>(best_demand) / best_size;
+        if (open == all)
+            load.bottleneck = density;
+        for (int p = 0; p < num_ports; ++p)
+            if (best & (1u << p))
+                load.per_port[static_cast<size_t>(p)] = density;
+        open &= ~best;
+    }
+    return load;
 }
 
 std::optional<int>

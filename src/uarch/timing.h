@@ -21,6 +21,7 @@
 #ifndef UOPS_UARCH_TIMING_H
 #define UOPS_UARCH_TIMING_H
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -142,6 +143,33 @@ struct PortUsage
     /** Ground-truth usage of a timing (µops grouped by port set). */
     static PortUsage ofTiming(const std::vector<UopSpec> &uops);
 };
+
+/** The optimal µop-to-port assignment of a PortUsage. */
+struct PortLoad
+{
+    /** Smallest achievable maximum per-port load: the throughput in
+     *  cycles per instruction by Intel's definition (Definition 1). */
+    double bottleneck = 0.0;
+
+    /** The most balanced optimal load of each port. */
+    std::array<double, 8> per_port{};
+};
+
+/**
+ * The port bound of Section 5.3.2 in closed form.
+ *
+ * The paper minimises the largest per-port load over all ways of
+ * assigning µops to their allowed ports. By max-flow/min-cut duality
+ * that optimum is the densest port set: the maximum over non-empty
+ * sets S of demand(S) / |S|, where demand(S) counts the µops whose
+ * ports all lie in S. The per-port loads peel densest sets off in
+ * turn, each at its own density, which makes them the unique most
+ * balanced optimum, independent of entry order.
+ *
+ * @pre Every mask is non-empty and within the first @p num_ports
+ *      ports, and 1 <= @p num_ports <= 8.
+ */
+PortLoad portLoad(const PortUsage &usage, int num_ports);
 
 /**
  * Longest-path latency from source operand @p src_op to destination

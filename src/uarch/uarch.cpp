@@ -77,6 +77,12 @@ portCount(PortMask mask)
     return static_cast<int>(portsOf(mask).size());
 }
 
+bool
+portsWithin(PortMask mask, int num_ports)
+{
+    return mask != 0 && (mask >> num_ports) == 0;
+}
+
 std::string
 portMaskName(PortMask mask)
 {

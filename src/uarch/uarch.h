@@ -67,6 +67,10 @@ std::vector<int> portsOf(PortMask mask);
 /** Number of ports in a mask. */
 int portCount(PortMask mask);
 
+/** True when @p mask names at least one port and only ports below
+ *  @p num_ports: a port set a uarch with @p num_ports ports has. */
+bool portsWithin(PortMask mask, int num_ports);
+
 /** Canonical name, e.g. "p015". */
 std::string portMaskName(PortMask mask);
 

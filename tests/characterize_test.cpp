@@ -68,7 +68,7 @@ TEST(Characterizer, SubsetResultsConsistent)
         EXPECT_NEAR(c.ports.usage.totalUops(),
                     c.ports.isolation.total_uops, 0.2)
             << c.variant->name();
-        // Throughput is positive and no better than the LP bound.
+        // Throughput is positive and no better than the port bound.
         EXPECT_GT(c.throughput.best().toDouble(), 0.0) << c.variant->name();
         if (c.tp_ports) {
             EXPECT_GE(c.throughput.best().toDouble(),

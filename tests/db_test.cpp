@@ -194,6 +194,41 @@ TEST(DbRoundTrip, CyclesRoundingIsIdempotent)
     }
 }
 
+TEST(DbRoundTrip, IngestRejectsPortsTheUArchLacks)
+{
+    // A foreign results XML is untrusted: a port set outside the
+    // record's uarch (Nehalem has ports 0-5) or an empty one must stop
+    // the ingest, naming the record and the port.
+    auto ingest = [](const std::string &usage) {
+        isa::ResultsDoc doc = isa::parseResultsXml(
+            "<uopsInfo architecture=\"NHM\">"
+            "<instruction name=\"NOT_R64\" mnemonic=\"NOT\">"
+            "<ports usage=\"" + usage + "\" uops=\"1\"/>"
+            "<throughput measured=\"0.33\"/>"
+            "</instruction></uopsInfo>");
+        db::InstructionDatabase database;
+        database.ingestResults(doc, nullptr);
+    };
+    EXPECT_NO_THROW(ingest("1*p015"));
+    try {
+        ingest("1*p07");
+        ADD_FAILURE() << "1*p07 ingested on NHM";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("NHM/NOT_R64 uses port 7"),
+                  std::string::npos)
+            << e.what();
+    }
+    try {
+        ingest("1*p");
+        ADD_FAILURE() << "1*p ingested on NHM";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "NHM/NOT_R64 has an empty port set"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Results-XML parsing.
 // ---------------------------------------------------------------------

@@ -22,6 +22,7 @@
 
 #include "core/batch.h"
 #include "db/catalog.h"
+#include "isa/results_xml.h"
 #include "support/fault.h"
 #include "support/hash.h"
 #include "support/io.h"
@@ -583,9 +584,10 @@ TEST(CorruptionCorpus, HostileShardsLoadOrThrowStoreError)
 {
     // The one shard reader with no hash check in front of it: every
     // truncation and three flips of every byte of a real shard must
-    // either load — and then survive touching every record and a
-    // search — or throw StoreError. Nothing else, and no sanitizer
-    // report (CI runs this suite under ASan/UBSan).
+    // either load — and then survive touching every record, the port
+    // bound of every record and a search — or throw StoreError.
+    // Nothing else, and no sanitizer report (CI runs this suite under
+    // ASan/UBSan).
     FaultGuard guard;
     const std::string dir = freshDir("hostile_shard");
     db::saveCatalogDir(*baseCatalog(), dir);
@@ -593,6 +595,8 @@ TEST(CorruptionCorpus, HostileShardsLoadOrThrowStoreError)
     const std::string golden = slurp(dir + "/" + nhm.file);
     const std::string path = dir + "/hostile.shard";
 
+    const int num_ports =
+        uarch::uarchInfo(uarch::UArch::Nehalem).num_ports;
     size_t loaded = 0, rejected = 0, touched = 0;
     auto attempt = [&](std::string_view bytes, const char *what,
                        size_t at) {
@@ -604,10 +608,13 @@ TEST(CorruptionCorpus, HostileShardsLoadOrThrowStoreError)
                  row < static_cast<uint32_t>(shard->numRecords());
                  ++row) {
                 db::RecordView rec = shard->record(row);
+                uarch::PortUsage usage = rec.portUsage();
                 touched += rec.name().size() +
-                           static_cast<size_t>(
-                               rec.portUsage().totalUops()) +
+                           static_cast<size_t>(usage.totalUops()) +
                            rec.latencies().size();
+                // A port set that loads is one portLoad accepts.
+                touched += static_cast<size_t>(
+                    uarch::portLoad(usage, num_ports).bottleneck);
             }
             db::Query query;
             query.uses_ports = uarch::portMask({0});
@@ -634,6 +641,53 @@ TEST(CorruptionCorpus, HostileShardsLoadOrThrowStoreError)
     EXPECT_GT(loaded, 0u);
     EXPECT_GT(rejected, 0u);
     EXPECT_GT(touched, 0u);
+}
+
+/** A one-record Nehalem shard: NOT_R64 on the port set @p ports. */
+std::string
+notShardBytes(const std::string &ports)
+{
+    isa::ResultsDoc doc = isa::parseResultsXml(
+        "<uopsInfo architecture=\"NHM\">"
+        "<instruction name=\"NOT_R64\" mnemonic=\"NOT\">"
+        "<ports usage=\"1*" + ports + "\" uops=\"1\"/>"
+        "<throughput measured=\"0.33\"/>"
+        "</instruction></uopsInfo>");
+    db::InstructionDatabase database;
+    database.ingestResults(doc, nullptr);
+    return db::shardBytes(database, uarch::UArch::Nehalem);
+}
+
+TEST(CorruptionCorpus, ShardPortSetsOutsideTheUArchAreRejected)
+{
+    // Two shards that differ only in one port set (p015 vs p01). The
+    // last byte where they differ is that entry's pu_mask, the column
+    // written after the record's port union.
+    FaultGuard guard;
+    const std::string dir = freshDir("foreign_port_shard");
+    fs::create_directories(dir);
+    const std::string path = dir + "/nhm.shard";
+    std::string bytes = notShardBytes("p015");
+    const std::string other = notShardBytes("p01");
+    ASSERT_EQ(bytes.size(), other.size());
+    size_t at = bytes.size();
+    for (size_t i = 0; i < bytes.size(); ++i)
+        if (bytes[i] != other[i])
+            at = i;
+    ASSERT_LT(at, bytes.size());
+    ASSERT_EQ(bytes[at], 0x23); // p015
+
+    auto load = [&](std::string_view shard) {
+        spill(path, shard);
+        return db::loadShardMapped(mapFile(path), uarch::UArch::Nehalem);
+    };
+    EXPECT_EQ(load(bytes)->record(0).portUsage().toString(), "1*p015");
+    // Bit 7 names port 7, which Nehalem lacks; an empty set names none.
+    for (char mask : {static_cast<char>(0x23 | 0x80), '\0'}) {
+        bytes[at] = mask;
+        EXPECT_THROW(load(bytes), db::StoreError)
+            << "mask " << static_cast<int>(static_cast<uint8_t>(mask));
+    }
 }
 
 // ---------------------------------------------------------------------

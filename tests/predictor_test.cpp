@@ -30,7 +30,7 @@ predictorSet(UArch arch)
         static const std::set<std::string> names = {
             "ADD_R64_R64", "ADD_R64_I32", "IMUL_R64_R64", "CMC",
             "MOV_R64_M64", "MOV_M64_R64", "PSHUFD_X_X_I8", "ADDPS_X_X",
-            "MULPS_X_X",   "DIVPS_X_X",   "NOP",
+            "MULPS_X_X",   "DIVPS_X_X",   "NOP",      "AND_R32_M32",
         };
         opts.filter = [](const isa::InstrVariant &v) {
             return names.count(v.name()) > 0;
@@ -62,6 +62,21 @@ TEST(Predictor, PortBoundKernel)
                           "ADD RAX, R8\nADD RBX, R8\n"
                           "ADD RCX, R8\nADD RDX, R8"),
                 p.block_throughput, 0.15);
+}
+
+TEST(Predictor, PortPressureIsTheBalancedOptimum)
+{
+    // NHM `AND EAX, [RBX]` is 1*p015 + 1*p2: the load pins p2 and the
+    // ALU µop spreads evenly over its three ports.
+    PerformancePredictor pred(predictorSet(UArch::Nehalem));
+    auto p = pred.analyzeLoop(asm_("AND EAX, [RBX]"));
+    EXPECT_EQ(p.port_bound, 1.0);
+    EXPECT_EQ(p.port_pressure[0], 1.0 / 3);
+    EXPECT_EQ(p.port_pressure[1], 1.0 / 3);
+    EXPECT_EQ(p.port_pressure[2], 1.0);
+    EXPECT_EQ(p.port_pressure[3], 0.0);
+    EXPECT_EQ(p.port_pressure[4], 0.0);
+    EXPECT_EQ(p.port_pressure[5], 1.0 / 3);
 }
 
 TEST(Predictor, DependencyBoundKernel)

@@ -132,8 +132,9 @@ directInstrBody(const db::DatabaseCatalog &catalog,
                 const std::string &name,
                 std::optional<uarch::UArch> arch = std::nullopt)
 {
-    std::string body =
-        "{\"name\":\"" + server::jsonEscape(name) + "\",\"results\":[";
+    std::string body = "{\"name\":\"";
+    obs::appendJsonEscaped(body, name);
+    body += "\",\"results\":[";
     bool first = true;
     for (const db::ShardEntry &shard : catalog.shards()) {
         if (arch && shard.arch != *arch)
@@ -174,10 +175,15 @@ TEST(Json, WriterProducesStableDocuments)
 
 TEST(Json, EscapesControlCharacters)
 {
-    EXPECT_EQ(server::jsonEscape(std::string("a\x01"
-                                             "b")),
+    auto escaped = [](std::string_view s) {
+        std::string out;
+        obs::appendJsonEscaped(out, s);
+        return out;
+    };
+    EXPECT_EQ(escaped(std::string("a\x01"
+                                  "b")),
               "a\\u0001b");
-    EXPECT_EQ(server::jsonEscape("tab\there"), "tab\\there");
+    EXPECT_EQ(escaped("tab\there"), "tab\\there");
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,8 @@
  *  - a dependency chain through the first read-write register operand
  *    measures exactly the dataflow graph's true latency (+ at most
  *    the bypass delay);
- *  - measured throughput is never better than the LP port bound.
+ *  - measured throughput is never better than the Section 5.3.2 port
+ *    bound.
  *
  * These are the invariants that make the characterization algorithms'
  * results checkable end to end.
@@ -20,7 +21,6 @@
 
 #include "core/codegen.h"
 #include "core/throughput.h"
-#include "lp/simplex.h"
 #include "test_util.h"
 
 namespace uops::test {
@@ -151,12 +151,10 @@ TEST_P(Conformance, ThroughputNeverBeatsPortBound)
         const auto &truth = tdb.timing(*v);
         if (truth.uops.empty())
             continue;
-        std::vector<std::pair<std::vector<int>, int>> usage;
-        for (const auto &[mask, count] :
-             uarch::PortUsage::ofTiming(truth.uops).entries)
-            usage.emplace_back(uarch::portsOf(mask), count);
-        double bound = lp::minMaxPortLoad(
-            static_cast<size_t>(info.num_ports), usage);
+        double bound =
+            uarch::portLoad(uarch::PortUsage::ofTiming(truth.uops),
+                            info.num_ports)
+                .bottleneck;
         auto r = tp.analyze(*v);
         EXPECT_GE(r.best().toDouble(), bound - 0.07)
             << v->name() << " on " << info.short_name;
