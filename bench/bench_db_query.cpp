@@ -9,9 +9,10 @@
  * CatalogSweepIngestor does) versus materializing and re-parsing the
  * results XML — and catalog loading (map, check, bind).
  *
- * The database is built once from a standard two-uarch sweep slice
+ * The catalog is built once from a standard two-uarch sweep slice
  * (the same `id % 4 == 0` slice the batch-sweep scaling study uses),
- * so numbers are comparable across PRs.
+ * so numbers are comparable across PRs; point lookups and scans run
+ * on its Skylake shard.
  *
  * Machine-readable mode for perf tracking (BENCH_db.json):
  *
@@ -54,15 +55,19 @@ sliceReport()
     return report;
 }
 
-const db::InstructionDatabase &
-sliceDb()
+/** Direct ingest: drive the actual streaming CatalogSweepIngestor
+ *  over the report's outcomes — per-record appends from references
+ *  plus one index rebuild per shard, exactly the work a sweep's sink
+ *  performs (no intermediate CharacterizationSet copy). */
+std::vector<db::ShardEntry>
+ingestDirect()
 {
-    static const db::InstructionDatabase *database = [] {
-        auto *built = new db::InstructionDatabase();
-        built->ingest(sliceReport());
-        return built;
-    }();
-    return *database;
+    db::CatalogSweepIngestor ingestor;
+    for (const core::UArchReport &r : sliceReport().uarches)
+        for (const core::VariantOutcome &outcome : r.outcomes)
+            ingestor.onVariant(r.arch, outcome);
+    ingestor.finish();
+    return ingestor.takeShards();
 }
 
 /** The slice as a sharded catalog (what QueryService serves). */
@@ -70,7 +75,7 @@ std::shared_ptr<const db::DatabaseCatalog>
 sliceCatalog()
 {
     static const auto catalog =
-        db::DatabaseCatalog::fromMonolith(sliceDb(), 1);
+        std::make_shared<const db::DatabaseCatalog>(ingestDirect(), 1);
     return catalog;
 }
 
@@ -87,31 +92,25 @@ catalogDir()
     return dir;
 }
 
-/** Direct ingest: drive the actual streaming CatalogSweepIngestor
- *  over the report's outcomes — per-record appends from references
- *  plus one index rebuild per shard, exactly the work a sweep's sink
- *  performs (no intermediate CharacterizationSet copy). */
-size_t
-ingestDirect()
+/** The Skylake shard: what the point and scan benchmarks query. */
+const db::InstructionDatabase &
+skylakeShard()
 {
-    db::CatalogSweepIngestor ingestor;
-    for (const core::UArchReport &r : sliceReport().uarches)
-        for (const core::VariantOutcome &outcome : r.outcomes)
-            ingestor.onVariant(r.arch, outcome);
-    ingestor.finish();
-    return ingestor.numIngested();
+    return *sliceCatalog()->shard(uarch::UArch::Skylake);
 }
 
-/** The legacy path this PR removes from the hot loop: materialize the
- *  Section 6.4 XML tree, serialize, re-parse, ingest the document. */
+/** The XML path: materialize the Section 6.4 XML tree, serialize,
+ *  re-parse, build the shards of the document. */
 size_t
 ingestViaXml()
 {
     isa::ResultsDoc doc =
         isa::parseResultsXml(sliceReport().toXmlString());
-    db::InstructionDatabase built;
-    built.ingestResults(doc, &db());
-    return built.numRecords();
+    size_t records = 0;
+    for (const db::ShardEntry &entry :
+         db::DatabaseCatalog::shardsFromResults(doc, &db()))
+        records += entry.db->numRecords();
+    return records;
 }
 
 /** Names of every Skylake record (lookup working set). */
@@ -120,10 +119,10 @@ skylakeNames()
 {
     static const std::vector<std::string> names = [] {
         std::vector<std::string> out;
-        db::Query query;
-        query.arch = uarch::UArch::Skylake;
-        for (uint32_t row : sliceDb().search(query))
-            out.emplace_back(sliceDb().record(row).name());
+        const db::InstructionDatabase &shard = skylakeShard();
+        for (uint32_t row = 0;
+             row < static_cast<uint32_t>(shard.numRecords()); ++row)
+            out.emplace_back(shard.record(row).name());
         return out;
     }();
     return names;
@@ -154,12 +153,11 @@ predictRequest(size_t salt)
 void
 BM_PointLookup(benchmark::State &state)
 {
-    const auto &database = sliceDb();
+    const auto &database = skylakeShard();
     const auto &names = skylakeNames();
     size_t i = 0;
     for (auto _ : state) {
-        auto row = database.find(uarch::UArch::Skylake,
-                                 names[i++ % names.size()]);
+        auto row = database.find(names[i++ % names.size()]);
         benchmark::DoNotOptimize(
             database.record(*row).tpMeasured());
     }
@@ -169,7 +167,7 @@ BENCHMARK(BM_PointLookup);
 void
 BM_PortMaskScan(benchmark::State &state)
 {
-    const auto &database = sliceDb();
+    const auto &database = skylakeShard();
     db::Query query;
     query.arch = uarch::UArch::Skylake;
     query.uses_ports = uarch::portMask({0, 5});
@@ -183,7 +181,7 @@ BENCHMARK(BM_PortMaskScan);
 void
 BM_ScanCompound(benchmark::State &state)
 {
-    const auto &database = sliceDb();
+    const auto &database = skylakeShard();
     db::Query query;
     query.arch = uarch::UArch::Skylake;
     query.uses_ports = uarch::portMask({0, 5});
@@ -253,7 +251,7 @@ BM_IngestDirect(benchmark::State &state)
 {
     sliceReport();   // build outside the timed region
     for (auto _ : state)
-        benchmark::DoNotOptimize(ingestDirect());
+        benchmark::DoNotOptimize(ingestDirect().size());
 }
 BENCHMARK(BM_IngestDirect)->Unit(benchmark::kMicrosecond);
 
@@ -312,13 +310,12 @@ timedLoop(const char *name, size_t iterations, Fn &&fn)
 int
 jsonMode(const std::string &path)
 {
-    const auto &database = sliceDb();
+    const auto &database = skylakeShard();
     const auto &names = skylakeNames();
 
     std::vector<JsonRun> runs;
     runs.push_back(timedLoop("point_lookup", 200000, [&](size_t i) {
-        auto row = database.find(uarch::UArch::Skylake,
-                                 names[i % names.size()]);
+        auto row = database.find(names[i % names.size()]);
         benchmark::DoNotOptimize(
             database.record(*row).tpMeasured());
     }));
@@ -400,7 +397,7 @@ jsonMode(const std::string &path)
     }
 
     runs.push_back(timedLoop("ingest_direct", 500, [&](size_t) {
-        benchmark::DoNotOptimize(ingestDirect());
+        benchmark::DoNotOptimize(ingestDirect().size());
     }));
     runs.push_back(timedLoop("ingest_via_xml", 100, [&](size_t) {
         benchmark::DoNotOptimize(ingestViaXml());
@@ -417,7 +414,8 @@ jsonMode(const std::string &path)
     }));
 
     std::string out = "{\n  \"benchmark\": \"bench_db_query\",\n";
-    out += "  \"records\": " + std::to_string(database.numRecords()) +
+    out += "  \"records\": " +
+           std::to_string(sliceCatalog()->numRecords()) +
            ",\n  \"runs\": [\n";
     for (size_t i = 0; i < runs.size(); ++i) {
         char buf[200];

@@ -21,12 +21,15 @@
  *
  *   uopsq ingest RESULTS.xml --out DIR
  *       Re-ingest a previously exported results XML (uopsInfo or
- *       uopsBatch root) into a catalog — the XML ingest path.
+ *       uopsBatch root) — the XML build path: one shard per uarch it
+ *       names. When DIR already holds a catalog the shards are
+ *       spliced into its next generation, like an incremental
+ *       characterize; otherwise they become generation 1.
  *
  *   uopsq migrate V2.snap DIR
  *       Lossless legacy-monolith → sharded-catalog conversion: each
  *       shard is bit-identical to what a fresh sweep would write
- *       (v1 snapshots remain refused).
+ *       (v1 snapshots remain refused). Published like ingest.
  *
  *   uopsq info DIR
  *       Print generation and per-shard record counts / content
@@ -325,14 +328,20 @@ cmdIngest(const Args &args)
     text << in.rdbuf();
 
     auto instrs = isa::buildDefaultDb();
-    isa::ResultsDoc doc = isa::parseResultsXml(text.str());
-    db::InstructionDatabase database;
-    database.ingestResults(doc, instrs.get());
-    auto catalog = db::DatabaseCatalog::fromMonolith(database, 1);
-    db::saveCatalogDir(*catalog, *out_dir);
-    std::printf("wrote %s (%zu records from %zu uarches)\n",
-                out_dir->c_str(), catalog->numRecords(),
-                doc.uarches.size());
+    std::vector<db::ShardEntry> shards =
+        db::DatabaseCatalog::shardsFromResults(
+            isa::parseResultsXml(text.str()), instrs.get());
+    size_t records = 0;
+    for (const db::ShardEntry &entry : shards)
+        records += entry.db->numRecords();
+    const size_t uarches = shards.size();
+    auto catalog = db::publishShards(*out_dir, std::move(shards));
+    std::printf("wrote %s generation %llu (%zu records from %zu "
+                "uarches)\n",
+                out_dir->c_str(),
+                static_cast<unsigned long long>(
+                    catalog->generation()),
+                records, uarches);
     return 0;
 }
 
@@ -343,10 +352,13 @@ cmdMigrate(const Args &args)
             "migrate: expected V2.snap and an output directory");
     db::migrateSnapshot(args.positional[0], args.positional[1]);
     auto catalog = db::loadCatalogDir(args.positional[1]);
-    std::printf("migrated %s -> %s (%zu records, %zu shards)\n",
+    std::printf("migrated %s -> %s generation %llu (%zu records, %zu "
+                "shards)\n",
                 args.positional[0].c_str(),
-                args.positional[1].c_str(), catalog->numRecords(),
-                catalog->shards().size());
+                args.positional[1].c_str(),
+                static_cast<unsigned long long>(
+                    catalog->generation()),
+                catalog->numRecords(), catalog->shards().size());
     return 0;
 }
 
@@ -455,7 +467,7 @@ cmdDiff(const Args &args)
                 diff.common, diff.changed.size(), diff.only_a.size(),
                 args.positional[1].c_str(), diff.only_b.size(),
                 args.positional[2].c_str());
-    for (const db::CatalogDiffEntry &entry : diff.changed) {
+    for (const db::CatalogDiff::Entry &entry : diff.changed) {
         std::printf("  %-24s", std::string(entry.a.name()).c_str());
         if (entry.tp_differs)
             std::printf("  tp %s -> %s",

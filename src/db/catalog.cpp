@@ -85,25 +85,51 @@ class FnvStreamBuf final : public std::streambuf
 };
 
 uint64_t
-shardHash(const InstructionDatabase &db, uarch::UArch arch)
+shardHash(const InstructionDatabase &db)
 {
     FnvStreamBuf buffer;
     std::ostream os(&buffer);
-    saveShard(db, arch, os);
+    saveShard(db, os);
     return buffer.hash();
 }
 
-/** (name, row) pairs of one shard, sorted by name (names are unique
- *  within a shard: one record per (uarch, variant)). */
-std::vector<std::pair<std::string_view, uint32_t>>
-sortedNames(const InstructionDatabase &db)
+/** Field-by-field record comparison: the one definition of "changed"
+ *  behind diff(). Fills the three *_differs flags of @p entry. */
+void
+compareRecords(CatalogDiff::Entry &entry)
 {
-    std::vector<std::pair<std::string_view, uint32_t>> out;
-    out.reserve(db.numRecords());
-    for (uint32_t row = 0;
-         row < static_cast<uint32_t>(db.numRecords()); ++row)
-        out.emplace_back(db.record(row).name(), row);
-    std::sort(out.begin(), out.end());
+    const RecordView &a = entry.a;
+    const RecordView &b = entry.b;
+    entry.tp_differs = a.tpMeasured() != b.tpMeasured();
+    entry.ports_differ = !(a.portUsage() == b.portUsage());
+    auto lats_a = a.latencies();
+    auto lats_b = b.latencies();
+    entry.latency_differs = lats_a.size() != lats_b.size();
+    for (size_t i = 0; !entry.latency_differs && i < lats_a.size();
+         ++i) {
+        const auto &la = lats_a[i];
+        const auto &lb = lats_b[i];
+        entry.latency_differs =
+            la.src_op != lb.src_op || la.dst_op != lb.dst_op ||
+            la.cycles != lb.cycles ||
+            la.upper_bound != lb.upper_bound ||
+            la.slow_cycles != lb.slow_cycles;
+    }
+}
+
+/** Hand per-uarch shards over as catalog entries (uarch order). */
+std::vector<ShardEntry>
+toEntries(
+    std::map<uarch::UArch, std::unique_ptr<InstructionDatabase>> &shards)
+{
+    std::vector<ShardEntry> out;
+    for (auto &[arch, db] : shards) {
+        ShardEntry entry;
+        entry.arch = arch;
+        entry.db = std::move(db);
+        out.push_back(std::move(entry));
+    }
+    shards.clear();
     return out;
 }
 
@@ -147,15 +173,12 @@ DatabaseCatalog::DatabaseCatalog(std::vector<ShardEntry> shards,
     for (ShardEntry &entry : shards_) {
         fatalIf(entry.db == nullptr, "db catalog: null shard for ",
                 uarch::uarchShortName(entry.arch));
-        for (uarch::UArch arch : entry.db->uarches())
-            fatalIf(arch != entry.arch,
-                    "db catalog: shard for ",
-                    uarch::uarchShortName(entry.arch),
-                    " contains records for ",
-                    uarch::uarchShortName(arch));
+        fatalIf(entry.db->arch() != entry.arch, "db catalog: shard for ",
+                uarch::uarchShortName(entry.arch), " holds ",
+                uarch::uarchShortName(entry.db->arch()), " records");
         entry.records = entry.db->numRecords();
         if (entry.hash == 0)
-            entry.hash = shardHash(*entry.db, entry.arch);
+            entry.hash = shardHash(*entry.db);
         if (entry.file.empty())
             entry.file = shardFileName(entry.arch, entry.hash);
     }
@@ -226,7 +249,7 @@ DatabaseCatalog::find(uarch::UArch arch, std::string_view name) const
     const InstructionDatabase *db = shard(arch);
     if (db == nullptr)
         return std::nullopt;
-    auto row = db->find(arch, name);
+    auto row = db->find(name);
     if (!row)
         return std::nullopt;
     return db->record(*row);
@@ -237,7 +260,7 @@ DatabaseCatalog::findByName(std::string_view name) const
 {
     std::vector<RecordView> out;
     for (const ShardEntry &entry : shards_)
-        if (auto row = entry.db->find(entry.arch, name))
+        if (auto row = entry.db->find(name))
             out.push_back(entry.db->record(*row));
     return out;
 }
@@ -266,39 +289,31 @@ DatabaseCatalog::diff(uarch::UArch a, uarch::UArch b) const
     const InstructionDatabase *db_a = shard(a);
     const InstructionDatabase *db_b = shard(b);
 
-    // Merge-walk the two shards' name-sorted records: the same visit
-    // order as the monolith's by-name index walk, so only_a / only_b
-    // and the changed list keep their historical ordering.
-    auto names_a = db_a
-                       ? sortedNames(*db_a)
-                       : std::vector<
-                             std::pair<std::string_view, uint32_t>>{};
-    auto names_b = db_b
-                       ? sortedNames(*db_b)
-                       : std::vector<
-                             std::pair<std::string_view, uint32_t>>{};
-    size_t i = 0, j = 0;
-    while (i < names_a.size() || j < names_b.size()) {
-        if (j == names_b.size() ||
-            (i < names_a.size() &&
-             names_a[i].first < names_b[j].first)) {
-            out.only_a.emplace_back(names_a[i++].first);
+    // Merge-walk the two shards' name indexes (name-sorted, one row
+    // per name), so only_a / only_b and the changed list come out in
+    // name order.
+    static const std::map<std::string_view, uint32_t> kNoNames;
+    const auto &names_a = db_a ? db_a->by_name_ : kNoNames;
+    const auto &names_b = db_b ? db_b->by_name_ : kNoNames;
+    auto i = names_a.begin();
+    auto j = names_b.begin();
+    while (i != names_a.end() || j != names_b.end()) {
+        if (j == names_b.end() ||
+            (i != names_a.end() && i->first < j->first)) {
+            out.only_a.emplace_back((i++)->first);
             continue;
         }
-        if (i == names_a.size() ||
-            names_b[j].first < names_a[i].first) {
-            out.only_b.emplace_back(names_b[j++].first);
+        if (i == names_a.end() || j->first < i->first) {
+            out.only_b.emplace_back((j++)->first);
             continue;
         }
         ++out.common;
-        CatalogDiffEntry entry{db_a->record(names_a[i].second),
-                               db_b->record(names_b[j].second)};
-        compareRecords(entry.a, entry.b, entry);
+        CatalogDiff::Entry entry{db_a->record((i++)->second),
+                                 db_b->record((j++)->second)};
+        compareRecords(entry);
         if (entry.tp_differs || entry.ports_differ ||
             entry.latency_differs)
             out.changed.push_back(entry);
-        ++i;
-        ++j;
     }
     return out;
 }
@@ -392,48 +407,55 @@ DatabaseCatalog::toCharacterizationSet(
         empty.arch = arch;
         return empty;
     }
-    return db->toCharacterizationSet(arch, instr_db);
+    return db->toCharacterizationSet(instr_db);
 }
 
-std::shared_ptr<const DatabaseCatalog>
-DatabaseCatalog::fromMonolith(const InstructionDatabase &db,
-                              uint64_t generation)
+std::vector<ShardEntry>
+DatabaseCatalog::shardsFromResults(const isa::ResultsDoc &doc,
+                                   const isa::InstrDb *resolve)
 {
-    std::vector<ShardEntry> shards;
-    for (uarch::UArch arch : db.uarches()) {
-        auto shard = std::make_unique<InstructionDatabase>();
-        const uint8_t arch_id = static_cast<uint8_t>(arch);
-        for (uint32_t row = 0;
-             row < static_cast<uint32_t>(db.numRecords()); ++row) {
-            if (db.arch_[row] != arch_id)
-                continue;
-            // Repackage through Canonical: bit-identical to a fresh
-            // single-uarch ingest because row order and per-shard
-            // string interning order are both preserved.
-            RecordView view = db.record(row);
+    std::map<uarch::UArch, std::unique_ptr<InstructionDatabase>> shards;
+    for (const isa::UArchResults &ua : doc.uarches) {
+        uarch::UArch arch = uarch::parseUArch(ua.architecture);
+        std::unique_ptr<InstructionDatabase> &shard = shards[arch];
+        if (!shard)
+            shard = std::make_unique<InstructionDatabase>(arch);
+        const int num_ports = uarch::uarchInfo(arch).num_ports;
+        for (const isa::InstrResult &r : ua.instrs) {
             InstructionDatabase::Canonical rec;
-            rec.arch = arch_id;
-            rec.name = std::string(view.name());
-            rec.mnemonic = std::string(view.mnemonic());
-            rec.extension = std::string(view.extension());
-            rec.usage = view.portUsage();
-            rec.tp_measured = view.tpMeasured();
-            rec.tp_breakers = view.tpWithBreakers();
-            rec.tp_slow = view.tpSlow();
-            rec.tp_ports = view.tpFromPorts();
-            rec.lats = view.latencies();
-            rec.same_reg = view.sameRegCycles();
-            rec.store_rt = view.storeRoundTrip();
+            rec.name = r.name;
+            rec.mnemonic = r.mnemonic;
+            const isa::InstrVariant *variant =
+                resolve ? resolve->byName(r.name) : nullptr;
+            rec.extension =
+                variant ? isa::extensionName(variant->extension())
+                        : std::string("?");
+            rec.usage = uarch::PortUsage::fromString(r.ports);
+            for (const auto &[mask, count] : rec.usage.entries) {
+                if (uarch::portsWithin(mask, num_ports))
+                    continue;
+                fatalIf(mask == 0, "db: ", ua.architecture, "/", r.name,
+                        " has an empty port set");
+                fatal("db: ", ua.architecture, "/", r.name, " uses port ",
+                      uarch::portsOf(mask).back(), ", but ",
+                      ua.architecture, " has ", num_ports, " ports");
+            }
+            // The parser already yields canonical Cycles (foreign
+            // precision was re-rounded at the isa boundary), so the
+            // XML path stores exactly what the in-memory path does.
+            rec.tp_measured = r.tp_measured;
+            rec.tp_breakers = r.tp_with_breakers;
+            rec.tp_slow = r.tp_slow;
+            rec.tp_ports = r.tp_from_ports;
+            rec.lats = r.latencies;
+            rec.same_reg = r.same_reg_cycles;
+            rec.store_rt = r.store_roundtrip;
             shard->append(rec);
         }
-        shard->rebuildIndexes();
-        ShardEntry entry;
-        entry.arch = arch;
-        entry.db = std::move(shard);
-        shards.push_back(std::move(entry));
     }
-    return std::make_shared<DatabaseCatalog>(std::move(shards),
-                                             generation);
+    for (auto &[arch, db] : shards)
+        db->rebuildIndexes();
+    return toEntries(shards);
 }
 
 std::shared_ptr<const DatabaseCatalog>
@@ -792,7 +814,7 @@ saveCatalogDir(const DatabaseCatalog &catalog, const std::string &dir)
                          " (corrupt store?)");
             continue;
         }
-        writeFileAtomic(path, shardBytes(*entry.db, entry.arch),
+        writeFileAtomic(path, shardBytes(*entry.db),
                         "catalog.shard");
     }
 
@@ -924,13 +946,30 @@ readCatalogGeneration(const std::string &dir)
     return candidates.front().generation;
 }
 
+std::shared_ptr<const DatabaseCatalog>
+publishShards(const std::string &dir, std::vector<ShardEntry> shards)
+{
+    std::shared_ptr<const DatabaseCatalog> catalog =
+        readCatalogGeneration(dir)
+            ? DatabaseCatalog::splice(*loadCatalogDir(dir),
+                                      std::move(shards))
+            : std::make_shared<DatabaseCatalog>(std::move(shards), 1);
+    saveCatalogDir(*catalog, dir);
+    return catalog;
+}
+
 void
 migrateSnapshot(const std::string &snapshot_path,
                 const std::string &dir)
 {
-    auto monolith = loadSnapshotFile(snapshot_path);
-    auto catalog = DatabaseCatalog::fromMonolith(*monolith, 1);
-    saveCatalogDir(*catalog, dir);
+    std::vector<ShardEntry> shards;
+    for (auto &db : splitSnapshotFile(snapshot_path)) {
+        ShardEntry entry;
+        entry.arch = db->arch();
+        entry.db = std::move(db);
+        shards.push_back(std::move(entry));
+    }
+    publishShards(dir, std::move(shards));
 }
 
 // ---------------------------------------------------------------------
@@ -948,10 +987,9 @@ CatalogSweepIngestor::onVariant(uarch::UArch arch,
     if (it == shards_.end())
         it = shards_
                  .emplace(arch,
-                          std::make_unique<InstructionDatabase>())
+                          std::make_unique<InstructionDatabase>(arch))
                  .first;
-    it->second->appendCharacterization(static_cast<uint8_t>(arch),
-                                       outcome.result);
+    it->second->appendCharacterization(outcome.result);
     ++ingested_;
 }
 
@@ -961,7 +999,7 @@ CatalogSweepIngestor::declareArch(uarch::UArch arch)
     panicIf(finished_, "CatalogSweepIngestor: declareArch after finish");
     if (shards_.find(arch) == shards_.end())
         shards_.emplace(arch,
-                        std::make_unique<InstructionDatabase>());
+                        std::make_unique<InstructionDatabase>(arch));
 }
 
 void
@@ -979,15 +1017,7 @@ CatalogSweepIngestor::takeShards()
 {
     panicIf(!finished_,
             "CatalogSweepIngestor: takeShards before finish");
-    std::vector<ShardEntry> out;
-    for (auto &[arch, db] : shards_) {
-        ShardEntry entry;
-        entry.arch = arch;
-        entry.db = std::move(db);
-        out.push_back(std::move(entry));
-    }
-    shards_.clear();
-    return out;
+    return toEntries(shards_);
 }
 
 std::shared_ptr<const DatabaseCatalog>

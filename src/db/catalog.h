@@ -5,14 +5,14 @@
  * splicing, and atomic hot-swap friendly ownership.
  *
  * uops.info is a living dataset — the pipeline re-runs per
- * microarchitecture and republishes without rebuilding the world. The
- * monolithic InstructionDatabase snapshot could not express that: one
- * blob, rewritten wholesale, reloaded only by restarting the server.
- * The catalog splits storage at the natural boundary, one shard
- * (a single-uarch InstructionDatabase) per microarchitecture:
+ * microarchitecture and republishes without rebuilding the world, and
+ * its results are published per microarchitecture (one <uopsInfo>
+ * element per uarch in the Section 6.4 export). The catalog stores
+ * them at that natural boundary, one immutable shard (a single-uarch
+ * InstructionDatabase) per microarchitecture:
  *
  *   catalog-dir/
- *     manifest            generation number + per-shard (uarch,
+ *     manifest.<gen>      generation number + per-shard (uarch,
  *                         record count, content hash, file name)
  *     SKL-<hash16>.shard  version-3 shard containers, named by the
  *     NHM-<hash16>.shard  FNV-1a hash of their bytes
@@ -27,11 +27,10 @@
  * server generation keeps old shards alive until the last in-flight
  * request drops its handle.
  *
- * A catalog answers the same queries the monolith did, routing by
- * uarch where possible and merging across shards (in chronological
- * uarch order, matching the monolith's arch-major row order) where
- * not. Catalogs are immutable once built; "mutation" is constructing
- * the next generation.
+ * A catalog is the cross-uarch query surface: it routes by uarch where
+ * possible and concatenates per-shard answers in chronological uarch
+ * order where not. Catalogs are immutable once built; "mutation" is
+ * constructing the next generation (splice, publishShards).
  */
 
 #ifndef UOPS_DB_CATALOG_H
@@ -110,20 +109,21 @@ struct ShardEntry
                               ///  (empty for in-memory shards)
 };
 
-/** Cross-uarch difference of one variant, catalog-level. */
-struct CatalogDiffEntry
-{
-    RecordView a;
-    RecordView b;
-    bool tp_differs = false;
-    bool ports_differ = false;
-    bool latency_differs = false;
-};
-
+/** What changed between two uarches' shards (DatabaseCatalog::diff). */
 struct CatalogDiff
 {
-    size_t common = 0;
-    std::vector<CatalogDiffEntry> changed;
+    /** One variant present on both sides whose records differ. */
+    struct Entry
+    {
+        RecordView a;
+        RecordView b;
+        bool tp_differs = false;
+        bool ports_differ = false;
+        bool latency_differs = false;
+    };
+
+    size_t common = 0;               ///< variants present on both
+    std::vector<Entry> changed;      ///< differing variants only
     std::vector<std::string> only_a;
     std::vector<std::string> only_b;
 };
@@ -176,9 +176,10 @@ struct AnalyticsResult
 class DatabaseCatalog
 {
   public:
-    /** Build from per-uarch shards (each must be single-uarch; they
-     *  are sorted into chronological uarch order). Hashes and record
-     *  counts are computed for entries that carry none. */
+    /** Build from per-uarch shards (each entry's arch must be its
+     *  shard's; they are sorted into chronological uarch order).
+     *  Hashes and record counts are computed for entries that carry
+     *  none. */
     DatabaseCatalog(std::vector<ShardEntry> shards,
                     uint64_t generation);
 
@@ -201,7 +202,7 @@ class DatabaseCatalog
     /** The shard for one uarch; nullptr when absent. */
     const InstructionDatabase *shard(uarch::UArch arch) const;
 
-    // ---- monolith-equivalent queries --------------------------------
+    // ---- cross-shard queries ----------------------------------------
 
     size_t numRecords() const;
     size_t numRecords(uarch::UArch arch) const;
@@ -216,9 +217,8 @@ class DatabaseCatalog
     /**
      * Indexed search. Routed to a single shard when the query
      * constrains the uarch; otherwise per-shard results are
-     * concatenated in chronological uarch order — exactly the row
-     * order of the old arch-major monolith. Query::limit spans
-     * shards.
+     * concatenated in chronological uarch order (arch-major).
+     * Query::limit spans shards.
      */
     std::vector<RecordView> search(const Query &query) const;
 
@@ -235,13 +235,22 @@ class DatabaseCatalog
     // ---- construction helpers ---------------------------------------
 
     /**
-     * Split a multi-uarch monolith into per-uarch shards (the v2 ->
-     * v3 migration and the XML ingest). Lossless and deterministic:
-     * each shard's bytes are identical to what a fresh single-uarch
-     * sweep of the same results would produce.
+     * The XML build path: one shard per uarch a re-parsed Section 6.4
+     * export names (a uarch named twice appends to its shard in
+     * document order), bit-identical to what a sweep of the same
+     * results writes.
+     *
+     * @param resolve Instruction database used to recover the ISA
+     *        extension of each variant (the results XML does not carry
+     *        it). Pass the one the results were produced from to
+     *        obtain bit-identical shards; nullptr records the
+     *        extension as "?".
+     * @throws FatalError on an unknown uarch, a port set outside its
+     *         uarch's ports, or a variant named twice for one uarch.
      */
-    static std::shared_ptr<const DatabaseCatalog>
-    fromMonolith(const InstructionDatabase &db, uint64_t generation);
+    static std::vector<ShardEntry>
+    shardsFromResults(const isa::ResultsDoc &doc,
+                      const isa::InstrDb *resolve);
 
     /**
      * Next generation: @p base with @p fresh shards spliced in (per
@@ -312,9 +321,17 @@ std::optional<uint64_t>
 readCatalogGeneration(const std::string &dir);
 
 /**
+ * Publish @p shards under @p dir (created if missing): spliced onto
+ * the directory's current generation as the next one when it holds a
+ * catalog, else written as generation 1. Returns what was published.
+ */
+std::shared_ptr<const DatabaseCatalog>
+publishShards(const std::string &dir, std::vector<ShardEntry> shards);
+
+/**
  * Lossless v2 -> v3 migration, the only way a v2 monolith enters the
- * store: load the monolith at @p snapshot_path, shard it per uarch,
- * and write a generation-1 catalog under @p dir. v1 snapshots are
+ * store: split the monolith at @p snapshot_path into per-uarch shards
+ * and publish them under @p dir (publishShards). v1 snapshots are
  * still refused (their doubles cannot be reproduced bit-exactly).
  */
 void migrateSnapshot(const std::string &snapshot_path,
@@ -323,9 +340,9 @@ void migrateSnapshot(const std::string &snapshot_path,
 // ---- sweep integration -----------------------------------------------
 
 /**
- * Streaming sweep -> sharded catalog sink (core::SweepSink): each
- * successful characterization is appended to its uarch's shard the
- * moment the engine releases it — no XML tree, no retained report
+ * Streaming sweep -> sharded catalog sink (core::SweepSink), the
+ * streaming build path: each successful characterization is appended
+ * to its uarch's shard the moment the engine releases it — no XML tree, no retained report
  * (pair with keep_results = false). Delivery order (uarch-major,
  * variant-id) makes each shard bit-identical to a single-uarch sweep
  * of the same variants — the property that lets an incremental

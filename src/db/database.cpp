@@ -78,7 +78,7 @@ tpBoundMax(double v)
 uarch::UArch
 RecordView::arch() const
 {
-    return static_cast<uarch::UArch>(db_->arch_[row_]);
+    return db_->arch();
 }
 
 std::string_view
@@ -194,7 +194,7 @@ RecordView::storeRoundTrip() const
 }
 
 // ---------------------------------------------------------------------
-// Ingestion
+// Building a shard
 // ---------------------------------------------------------------------
 
 uint32_t
@@ -221,7 +221,7 @@ InstructionDatabase::str(uint32_t id) const
 void
 InstructionDatabase::append(const Canonical &rec)
 {
-    arch_.push_back(rec.arch);
+    arch_.push_back(static_cast<uint8_t>(uarch_));
     name_.push_back(intern(rec.name));
     mnemonic_.push_back(intern(rec.mnemonic));
     ext_.push_back(intern(rec.extension));
@@ -279,12 +279,11 @@ InstructionDatabase::append(const Canonical &rec)
 
 void
 InstructionDatabase::appendCharacterization(
-    uint8_t arch, const core::InstrCharacterization &c)
+    const core::InstrCharacterization &c)
 {
     // The pipeline's values are canonical Cycles already — this is a
     // plain repackaging, not a conversion.
     Canonical rec;
-    rec.arch = arch;
     rec.name = c.variant->name();
     rec.mnemonic = c.variant->mnemonic();
     rec.extension = isa::extensionName(c.variant->extension());
@@ -307,69 +306,14 @@ InstructionDatabase::appendCharacterization(
     append(rec);
 }
 
-void
-InstructionDatabase::appendSet(const core::CharacterizationSet &set)
+std::unique_ptr<InstructionDatabase>
+InstructionDatabase::fromSet(const core::CharacterizationSet &set)
 {
+    auto db = std::make_unique<InstructionDatabase>(set.arch);
     for (const core::InstrCharacterization &c : set.instrs)
-        appendCharacterization(static_cast<uint8_t>(set.arch), c);
-}
-
-void
-InstructionDatabase::ingest(const core::CharacterizationSet &set)
-{
-    appendSet(set);
-    rebuildIndexes();
-}
-
-void
-InstructionDatabase::ingest(const core::CharacterizationReport &report)
-{
-    for (const core::UArchReport &r : report.uarches)
-        appendSet(r.toSet());
-    rebuildIndexes();
-}
-
-void
-InstructionDatabase::ingestResults(const isa::ResultsDoc &doc,
-                                   const isa::InstrDb *resolve)
-{
-    for (const isa::UArchResults &ua : doc.uarches) {
-        uarch::UArch arch = uarch::parseUArch(ua.architecture);
-        const int num_ports = uarch::uarchInfo(arch).num_ports;
-        for (const isa::InstrResult &r : ua.instrs) {
-            Canonical rec;
-            rec.arch = static_cast<uint8_t>(arch);
-            rec.name = r.name;
-            rec.mnemonic = r.mnemonic;
-            const isa::InstrVariant *variant =
-                resolve ? resolve->byName(r.name) : nullptr;
-            rec.extension =
-                variant ? isa::extensionName(variant->extension())
-                        : std::string("?");
-            rec.usage = uarch::PortUsage::fromString(r.ports);
-            for (const auto &[mask, count] : rec.usage.entries) {
-                if (uarch::portsWithin(mask, num_ports))
-                    continue;
-                fatalIf(mask == 0, "db: ", ua.architecture, "/", r.name,
-                        " has an empty port set");
-                fatal("db: ", ua.architecture, "/", r.name, " uses port ",
-                      uarch::portsOf(mask).back(), ", but ",
-                      ua.architecture, " has ", num_ports, " ports");
-            }
-            // The parser already yields canonical Cycles (foreign
-            // precision was re-rounded at the isa boundary), so the
-            // XML path stores exactly what the in-memory path does.
-            rec.tp_measured = r.tp_measured;
-            rec.tp_breakers = r.tp_with_breakers;
-            rec.tp_slow = r.tp_slow;
-            rec.tp_ports = r.tp_from_ports;
-            rec.lats = r.latencies;
-            rec.same_reg = r.same_reg_cycles;
-            rec.store_rt = r.store_roundtrip;
-            append(rec);
-        }
-    }
-    rebuildIndexes();
+        db->appendCharacterization(c);
+    db->rebuildIndexes();
+    return db;
 }
 
 // ---------------------------------------------------------------------
@@ -379,17 +323,15 @@ InstructionDatabase::ingestResults(const isa::ResultsDoc &doc,
 void
 InstructionDatabase::rebuildIndexes()
 {
-    by_name_arch_.clear();
+    by_name_.clear();
     by_mnemonic_.clear();
     by_extension_.clear();
     const uint32_t n = static_cast<uint32_t>(arch_.size());
     for (uint32_t row = 0; row < n; ++row) {
-        auto key = std::make_pair(str(name_[row]), arch_[row]);
-        auto [it, inserted] = by_name_arch_.emplace(key, row);
+        auto [it, inserted] = by_name_.emplace(str(name_[row]), row);
         fatalIf(!inserted, "db: duplicate record for ",
-                uarch::uarchShortName(
-                    static_cast<uarch::UArch>(arch_[row])),
-                "/", std::string(str(name_[row])));
+                uarch::uarchShortName(uarch_), "/",
+                std::string(str(name_[row])));
         by_mnemonic_[str(mnemonic_[row])].push_back(row);
         by_extension_[str(ext_[row])].push_back(row);
     }
@@ -408,131 +350,38 @@ InstructionDatabase::rebuildIndexes()
     fill_order(lat_order_, [this](uint32_t row) {
         return static_cast<double>(max_latency_[row]);
     });
-
-    arch_runs_.fill({});
-    for (uint32_t row = 0; row < n; ++row) {
-        ArchRun &run = arch_runs_[arch_[row]];
-        if (run.begin == run.end)
-            run = {row, row + 1, true};
-        else if (run.end == row)
-            run.end = row + 1;
-        else
-            run.contiguous = false;
-    }
 }
 
 // ---------------------------------------------------------------------
 // Queries
 // ---------------------------------------------------------------------
 
-std::vector<uarch::UArch>
-InstructionDatabase::uarches() const
-{
-    std::vector<bool> seen(256, false);
-    for (uint8_t a : arch_)
-        seen[a] = true;
-    std::vector<uarch::UArch> out;
-    for (uarch::UArch arch : uarch::allUArches())
-        if (seen[static_cast<uint8_t>(arch)])
-            out.push_back(arch);
-    return out;
-}
-
-size_t
-InstructionDatabase::numRecords(uarch::UArch arch) const
-{
-    size_t n = 0;
-    for (uint8_t a : arch_)
-        if (a == static_cast<uint8_t>(arch))
-            ++n;
-    return n;
-}
-
 std::optional<uint32_t>
-InstructionDatabase::find(uarch::UArch arch, std::string_view name) const
+InstructionDatabase::find(std::string_view name) const
 {
-    auto it = by_name_arch_.find(
-        std::make_pair(name, static_cast<uint8_t>(arch)));
-    if (it == by_name_arch_.end())
+    auto it = by_name_.find(name);
+    if (it == by_name_.end())
         return std::nullopt;
     return it->second;
-}
-
-std::vector<uint32_t>
-InstructionDatabase::findByName(std::string_view name) const
-{
-    std::vector<uint32_t> out;
-    for (auto it = by_name_arch_.lower_bound(
-             std::make_pair(name, uint8_t{0}));
-         it != by_name_arch_.end() && it->first.first == name; ++it)
-        out.push_back(it->second);
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 std::vector<uint32_t>
 InstructionDatabase::search(const Query &query) const
 {
     // The scan executor owns the whole strategy: index short-circuits
-    // for the string predicates, arch-run range restriction, order-
-    // index pre-filters, and batched bitmap scans for the rest.
+    // for the string predicates, order-index pre-filters, and batched
+    // bitmap scans for the rest.
     return ScanExecutor(*this).run(predicatesFromQuery(query),
                                    query.limit);
 }
 
-DiffResult
-InstructionDatabase::diff(uarch::UArch a, uarch::UArch b) const
-{
-    DiffResult out;
-    const uint8_t arch_a = static_cast<uint8_t>(a);
-    const uint8_t arch_b = static_cast<uint8_t>(b);
-
-    // One ordered walk: the index groups rows of the same variant
-    // name together, so each group yields at most one (row_a, row_b)
-    // pairing.
-    for (auto it = by_name_arch_.begin(); it != by_name_arch_.end();) {
-        std::string_view name = it->first.first;
-        std::optional<uint32_t> row_a, row_b;
-        for (; it != by_name_arch_.end() && it->first.first == name;
-             ++it) {
-            if (it->first.second == arch_a)
-                row_a = it->second;
-            if (it->first.second == arch_b)
-                row_b = it->second;
-        }
-        if (row_a && !row_b) {
-            out.only_a.emplace_back(name);
-            continue;
-        }
-        if (!row_a && row_b) {
-            out.only_b.emplace_back(name);
-            continue;
-        }
-        if (!row_a)
-            continue;
-        ++out.common;
-
-        DiffEntry entry;
-        entry.row_a = *row_a;
-        entry.row_b = *row_b;
-        compareRecords(record(*row_a), record(*row_b), entry);
-        if (entry.tp_differs || entry.ports_differ ||
-            entry.latency_differs)
-            out.changed.push_back(entry);
-    }
-    return out;
-}
-
 core::CharacterizationSet
 InstructionDatabase::toCharacterizationSet(
-    uarch::UArch arch, const isa::InstrDb &instr_db) const
+    const isa::InstrDb &instr_db) const
 {
     core::CharacterizationSet set;
-    set.arch = arch;
-    const uint8_t arch_id = static_cast<uint8_t>(arch);
+    set.arch = uarch_;
     for (uint32_t row = 0; row < arch_.size(); ++row) {
-        if (arch_[row] != arch_id)
-            continue;
         RecordView view = record(row);
         const isa::InstrVariant *variant =
             instr_db.byName(std::string(view.name()));

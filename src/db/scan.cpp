@@ -206,7 +206,7 @@ int
 costRank(Kind kind)
 {
     switch (kind) {
-    case Kind::kArchEq: return 0;
+    case Kind::kArchEq:  // resolved before compilation, never ranked
     case Kind::kFlagsAll: return 1;
     case Kind::kPortExact: return 2;
     case Kind::kPortSuperset: return 3;
@@ -240,7 +240,7 @@ evalScalar(const Compiled &p, uint32_t row)
 {
     switch (p.kind) {
     case Kind::kArchEq:
-        return p.col8[row] == p.val8;
+        break;  // resolved before compilation, never evaluated
     case Kind::kFlagsAll:
         return (p.col8[row] & p.val8) == p.val8;
     case Kind::kPortSuperset:
@@ -342,31 +342,24 @@ mask16U16(const Compiled &p, uint32_t base)
 #endif
 }
 
-/** 16 selection bits for rows [base, base+16) of a u8 column. */
-template <Kind K>
+/** 16 selection bits for rows [base, base+16) of the u8 flags
+ *  column: (flags & val8) == val8. */
 inline uint32_t
-mask16U8(const Compiled &p, uint32_t base)
+flagsMask16(const Compiled &p, uint32_t base)
 {
     const uint8_t *src = p.col8 + base;
 #if defined(__SSE2__)
     __m128i x =
         _mm_loadu_si128(reinterpret_cast<const __m128i *>(src));
     const __m128i m = _mm_set1_epi8(static_cast<char>(p.val8));
-    if constexpr (K == Kind::kFlagsAll)
-        x = _mm_and_si128(x, m);
+    x = _mm_and_si128(x, m);
     return static_cast<uint32_t>(
                _mm_movemask_epi8(_mm_cmpeq_epi8(x, m))) &
            0xFFFFu;
 #else
     uint32_t w = 0;
-    for (uint32_t i = 0; i < 16; ++i) {
-        bool hit;
-        if constexpr (K == Kind::kFlagsAll)
-            hit = (src[i] & p.val8) == p.val8;
-        else
-            hit = src[i] == p.val8;
-        w |= static_cast<uint32_t>(hit) << i;
-    }
+    for (uint32_t i = 0; i < 16; ++i)
+        w |= static_cast<uint32_t>((src[i] & p.val8) == p.val8) << i;
     return w;
 #endif
 }
@@ -397,19 +390,10 @@ evalWord(const Compiled &p, uint32_t base, uint32_t n)
     uint32_t k = 0;
     switch (p.kind) {
     case Kind::kArchEq:
-        for (; k + 16 <= n; k += 16)
-            w |= static_cast<uint64_t>(
-                     mask16U8<Kind::kArchEq>(p, base + k))
-                 << k;
-        for (; k < n; ++k)
-            w |= static_cast<uint64_t>(p.col8[base + k] == p.val8)
-                 << k;
-        return w;
+        return w;  // resolved before compilation, never evaluated
     case Kind::kFlagsAll:
         for (; k + 16 <= n; k += 16)
-            w |= static_cast<uint64_t>(
-                     mask16U8<Kind::kFlagsAll>(p, base + k))
-                 << k;
+            w |= static_cast<uint64_t>(flagsMask16(p, base + k)) << k;
         for (; k < n; ++k)
             w |= static_cast<uint64_t>(
                      (p.col8[base + k] & p.val8) == p.val8)
@@ -540,13 +524,13 @@ evalWordAvx512(const Compiled &p, uint32_t base, uint32_t n)
         n == 64 ? ~uint64_t{0} : ((uint64_t{1} << n) - 1);
     switch (p.kind) {
     case Kind::kArchEq:
+        return 0;  // resolved before compilation, never evaluated
     case Kind::kFlagsAll: {
         const __mmask64 live = static_cast<__mmask64>(live64);
-        __m512i v = _mm512_maskz_loadu_epi8(live, p.col8 + base);
         const __m512i mask = _mm512_set1_epi8(
             static_cast<char>(p.val8));
-        if (p.kind == Kind::kFlagsAll)
-            v = _mm512_and_si512(v, mask);
+        const __m512i v = _mm512_and_si512(
+            _mm512_maskz_loadu_epi8(live, p.col8 + base), mask);
         return _mm512_cmpeq_epi8_mask(v, mask) & live64;
     }
     case Kind::kPortSuperset:
@@ -646,17 +630,18 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
                   ScanStats *stats) const
 {
     const InstructionDatabase &db = db_;
-    const uint32_t n = static_cast<uint32_t>(db.arch_.size());
+    const uint32_t n = static_cast<uint32_t>(db.numRecords());
     std::vector<uint32_t> out;
     if (n == 0 || limit == 0)
         return out;
 
     // One classification pass: which tiers can fire at all. Point
     // queries (arch + a value predicate) skip the index tiers on a
-    // single branch each instead of re-walking the conjunction.
+    // single branch each instead of re-walking the conjunction. A
+    // shard holds one uarch, so an arch predicate is a constant:
+    // true (dropped) or false (no rows).
     bool has_string = false;
     bool has_order_range = false;
-    const ScanPredicate *arch_pred = nullptr;
     for (const ScanPredicate &p : preds) {
         switch (p.kind) {
         case Kind::kNameEq:
@@ -669,7 +654,8 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
             has_order_range = true;
             break;
         case Kind::kArchEq:
-            arch_pred = &p;
+            if (p.a != static_cast<uint8_t>(db.arch()))
+                return out;
             break;
         default:
             break;
@@ -698,9 +684,12 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
     if (has_string) {
         for (const ScanPredicate &p : preds) {
             switch (p.kind) {
-            case Kind::kNameEq:
-                narrow(db.findByName(p.text));
+            case Kind::kNameEq: {
+                std::optional<uint32_t> row = db.find(p.text);
+                narrow(row ? std::vector<uint32_t>{*row}
+                           : std::vector<uint32_t>{});
                 break;
+            }
             case Kind::kMnemonicEq: {
                 auto it = db.by_mnemonic_.find(p.text);
                 narrow(it != db.by_mnemonic_.end()
@@ -770,30 +759,7 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
             return out;
     }
 
-    // --- Tier 2a: a uarch predicate over arch-grouped rows collapses
-    // to a contiguous row range instead of a per-row compare. Decided
-    // before compilation so the predicate is never materialized —
-    // but only on the batch path: index candidates span all arches,
-    // so there the predicate must stay.
-    uint32_t begin = 0;
-    uint32_t end = n;
-    bool arch_as_range = false;
-    if (arch_pred && !have_candidates) {
-        const auto &run =
-            db.arch_runs_[static_cast<uint8_t>(arch_pred->a)];
-        if (run.begin == run.end)
-            return out;  // uarch absent entirely
-        if (run.contiguous) {
-            begin = run.begin;
-            end = run.end;
-            arch_as_range = true;
-            if (stats)
-                stats->used_arch_range = true;
-        }
-        // interleaved rows: keep the predicate
-    }
-
-    // --- Tier 2b: compile the predicates (cheap-first), binding
+    // --- Compile the predicates (cheap-first), binding
     // columns and narrowing operands. An unresolvable interned-string
     // operand means no row can match.
     std::array<Compiled, PredicateSet::kCapacity> compiled;
@@ -803,11 +769,7 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
         c.kind = p.kind;
         switch (p.kind) {
         case Kind::kArchEq:
-            if (arch_as_range)
-                continue;  // consumed by the range restriction
-            c.col8 = db.arch_.data();
-            c.val8 = static_cast<uint8_t>(p.a);
-            break;
+            continue;  // resolved by the classification pass
         case Kind::kFlagsAll:
             c.col8 = db.flags_.data();
             c.val8 = static_cast<uint8_t>(p.a);
@@ -880,24 +842,23 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
         return out;
     }
 
-    // --- Tier 3: batched 64-row bitmap scan. The unlimited case —
+    // --- Tier 2: batched 64-row bitmap scan. The unlimited case —
     // every query without an explicit cap — skips the per-match limit
     // check entirely.
     if (stats)
-        stats->rows_considered = end - begin;
-    const size_t range = end - begin;
+        stats->rows_considered = n;
     const bool avx = haveAvx512();
-    if (limit >= range) {
+    if (limit >= n) {
         // Unlimited (the common case): raw-pointer emission into a
         // pre-sized buffer (growth is doubled so huge tables don't
         // pay a full-range zero-fill upfront). emitWord writes at
         // most one slot per set bit, so a 64-slot headroom check per
         // block is the only bound needed.
-        out.resize(std::min<size_t>(range + 8, size_t{65536}));
+        out.resize(std::min<size_t>(size_t{n} + 8, size_t{65536}));
         size_t count = 0;
-        for (uint32_t base = begin; base < end; base += 64) {
+        for (uint32_t base = 0; base < n; base += 64) {
             const uint32_t block =
-                std::min<uint32_t>(64, end - base);
+                std::min<uint32_t>(64, n - base);
             uint64_t word = block == 64 ? ~uint64_t{0}
                                         : ((uint64_t{1} << block) - 1);
             for (size_t i = 0; word && i < num_compiled; ++i)
@@ -918,10 +879,10 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
             stats->rows_matched = count;
         return out;
     }
-    out.reserve(std::min<size_t>({limit, range, size_t{65536}}));
-    for (uint32_t base = begin; base < end; base += 64) {
+    out.reserve(std::min<size_t>({limit, size_t{n}, size_t{65536}}));
+    for (uint32_t base = 0; base < n; base += 64) {
         const uint32_t block =
-            std::min<uint32_t>(64, end - base);
+            std::min<uint32_t>(64, n - base);
         uint64_t word = block == 64 ? ~uint64_t{0}
                                     : ((uint64_t{1} << block) - 1);
         for (size_t i = 0; word && i < num_compiled; ++i)

@@ -6,24 +6,24 @@
  * lookups, range scans, the diff and analytics merges — is a
  * conjunction of per-column predicates applied to the columnar store.
  * Instead of one hand-written loop per query shape, a query compiles
- * into a PredicateSet and ScanExecutor::run evaluates it in three
- * tiers, cheapest first:
+ * into a PredicateSet and ScanExecutor::run evaluates it in tiers,
+ * cheapest first:
  *
+ *  0. Constants. A database is one uarch's shard, so a uarch
+ *     predicate is resolved once, before anything else: it either
+ *     matches the shard (and is dropped) or no row can match.
  *  1. Index short-circuits. String-equality predicates (name,
  *     mnemonic, extension) never scan: they resolve through the
  *     in-memory equal-range indexes and intersect into a sorted
  *     candidate list. A selective throughput/latency range likewise
  *     pre-filters through the sorted order indexes when the window is
  *     small relative to the table.
- *  2. Arch-run restriction. Rows are ingested grouped by
- *     microarchitecture, so a uarch predicate usually collapses to a
- *     contiguous [begin, end) row range instead of a filter.
- *  3. Batched column scans. Whatever predicates remain run over the
- *     surviving row range in 64-row blocks, each predicate producing
- *     a 64-bit selection mask that is ANDed into the block's bitmap
- *     (with early-out once the bitmap is empty). The fixed-width
- *     integer columns (u8 arch/flags, u16 port masks / uop counts /
- *     latencies) use SSE2 compare+movemask kernels — 16 rows per
+ *  2. Batched column scans. Whatever predicates remain run over the
+ *     shard in 64-row blocks, each predicate producing a 64-bit
+ *     selection mask that is ANDed into the block's bitmap (with
+ *     early-out once the bitmap is empty). The fixed-width integer
+ *     columns (u8 flags, u16 port masks / uop counts / latencies)
+ *     use SSE2 compare+movemask kernels — 16 rows per
  *     instruction — with scalar fallbacks that the compiler can
  *     auto-vectorize; matching row ids are extracted from the bitmap
  *     with countr_zero, so the emission loop costs only the matches.
@@ -57,7 +57,7 @@ namespace uops::db {
 struct ScanPredicate
 {
     enum class Kind : uint8_t {
-        kArchEq,        ///< arch column == a
+        kArchEq,        ///< shard uarch == a (a constant per shard)
         kNameEq,        ///< interned name == text
         kMnemonicEq,    ///< interned mnemonic == text
         kExtensionEq,   ///< interned extension == text
@@ -127,13 +127,12 @@ struct ScanStats
     size_t rows_matched = 0;     ///< rows emitted (<= limit)
     bool used_string_index = false;  ///< equal-range pre-filter hit
     bool used_order_index = false;   ///< tp/lat order-index pre-filter
-    bool used_arch_range = false;    ///< contiguous arch-run restriction
 };
 
 /**
- * Executes PredicateSets against one database. Stateless and cheap to
+ * Executes PredicateSets against one shard. Stateless and cheap to
  * construct (holds only the reference); safe to use concurrently from
- * any number of threads once the database's ingest has finished.
+ * any number of threads.
  */
 class ScanExecutor
 {

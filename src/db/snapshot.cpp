@@ -1,7 +1,6 @@
 #include "snapshot.h"
 
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -60,12 +59,13 @@ class Writer
     }
 
     void
-    header(uint32_t version, uint64_t records)
+    shardHeader(uint64_t records, uarch::UArch arch)
     {
         raw(kMagic, sizeof kMagic);
-        scalar(version);
+        scalar(kShardVersion);
         scalar(kEndianTag);
         scalar(records);
+        scalar<uint64_t>(static_cast<uint8_t>(arch));
     }
 
     template <typename T>
@@ -103,8 +103,7 @@ class Writer
  * The one container reader. array() binds columns straight into the
  * buffer instead of copying. Alignment holds by format: the header is
  * a multiple of 8 bytes and every array is padded to 8, so each
- * element pointer is 8-byte aligned within an 8-byte-aligned buffer
- * (a page-aligned mapping, or loadSnapshotBytes' owned copy).
+ * element pointer is 8-byte aligned within the page-aligned mapping.
  */
 class Reader
 {
@@ -305,13 +304,13 @@ struct SnapshotCodec
     static void
     rebuild(InstructionDatabase &db)
     {
-        // Re-intern so later ingests dedup against loaded strings.
+        // Re-intern so string predicates resolve to loaded ids.
         db.intern_map_.clear();
         for (uint32_t id = 0;
              id < static_cast<uint32_t>(db.str_off_.size()); ++id)
             db.intern_map_.emplace(std::string(db.str(id)), id);
-        // A duplicate (uarch, name) record is a bad container, not a
-        // bad process: report it like every other check here.
+        // A duplicate record is a bad container, not a bad process:
+        // report it like every other check here.
         try {
             db.rebuildIndexes();
         } catch (const FatalError &e) {
@@ -325,129 +324,99 @@ struct SnapshotCodec
     {
         db.backing_ = std::move(backing);
     }
+
+    /** One shard per uarch present in @p rows (a bound, checked v2
+     *  monolith), appended in row order: per-shard row order and
+     *  string interning order both match a fresh build. */
+    static std::vector<std::unique_ptr<InstructionDatabase>>
+    split(const InstructionDatabase &rows)
+    {
+        std::vector<std::unique_ptr<InstructionDatabase>> out;
+        for (uarch::UArch arch : uarch::allUArches()) {
+            std::unique_ptr<InstructionDatabase> shard;
+            for (uint32_t row = 0;
+                 row < static_cast<uint32_t>(rows.numRecords());
+                 ++row) {
+                if (rows.arch_[row] != static_cast<uint8_t>(arch))
+                    continue;
+                if (!shard)
+                    shard = std::make_unique<InstructionDatabase>(arch);
+                RecordView view = rows.record(row);
+                InstructionDatabase::Canonical rec;
+                rec.name = std::string(view.name());
+                rec.mnemonic = std::string(view.mnemonic());
+                rec.extension = std::string(view.extension());
+                rec.usage = view.portUsage();
+                rec.tp_measured = view.tpMeasured();
+                rec.tp_breakers = view.tpWithBreakers();
+                rec.tp_slow = view.tpSlow();
+                rec.tp_ports = view.tpFromPorts();
+                rec.lats = view.latencies();
+                rec.same_reg = view.sameRegCycles();
+                rec.store_rt = view.storeRoundTrip();
+                shard->append(rec);
+            }
+            if (!shard)
+                continue;
+            rebuild(*shard);
+            out.push_back(std::move(shard));
+        }
+        return out;
+    }
 };
 
 namespace {
 
-/** Check and bind the container in [data, data + size); @p backing
- *  keeps those bytes alive for as long as the database lives. */
-std::unique_ptr<InstructionDatabase>
-loadContainer(const char *data, size_t size,
-              std::shared_ptr<const void> backing,
-              std::optional<uarch::UArch> expected)
+struct Header
 {
-    Reader ar(data, size);
+    uint32_t version = 0;
+    uint64_t records = 0;
+    std::optional<uarch::UArch> arch;  ///< set for a v3 shard
+};
+
+Header
+readHeader(Reader &ar)
+{
     char magic[8];
     ar.raw(magic, sizeof magic);
     storeCheck(std::memcmp(magic, kMagic, sizeof magic) != 0,
             "db snapshot: bad magic");
-    uint32_t version = ar.scalar<uint32_t>();
-    storeCheck(version == 1,
+    Header header;
+    header.version = ar.scalar<uint32_t>();
+    storeCheck(header.version == 1,
             "db snapshot: version 1 (floating-point cycle columns) is "
             "no longer supported; re-run characterize or re-ingest the "
             "results XML to produce a current snapshot");
-    storeCheck(version != kSnapshotVersion && version != kShardVersion,
-            "db snapshot: unsupported version ", version);
+    storeCheck(header.version != kSnapshotVersion &&
+                   header.version != kShardVersion,
+            "db snapshot: unsupported version ", header.version);
     uint32_t endian = ar.scalar<uint32_t>();
     storeCheck(endian != kEndianTag, "db snapshot: foreign byte order");
-    uint64_t records = ar.scalar<uint64_t>();
-    std::optional<uarch::UArch> shard_arch;
-    if (version == kShardVersion) {
+    header.records = ar.scalar<uint64_t>();
+    if (header.version == kShardVersion) {
         uint64_t id = ar.scalar<uint64_t>();
-        shard_arch = uarch::uarchFromId(id);
-        storeCheck(!shard_arch, "db shard: unknown uarch id ", id);
+        header.arch = uarch::uarchFromId(id);
+        storeCheck(!header.arch, "db shard: unknown uarch id ", id);
     }
-    if (expected) {
-        storeCheck(!shard_arch, "db shard: expected a version-",
-                kShardVersion, " shard, got a version-", version,
-                " container");
-        storeCheck(*shard_arch != *expected, "db shard: header uarch ",
-                uarch::uarchShortName(*shard_arch),
-                " does not match expected ",
-                uarch::uarchShortName(*expected));
-    }
-
-    auto db = std::make_unique<InstructionDatabase>();
-    SnapshotCodec::columns(ar, *db);
-    SnapshotCodec::validate(*db, records);
-    SnapshotCodec::validateArchs(*db, shard_arch);
-    SnapshotCodec::rebuild(*db);
-    SnapshotCodec::setBacking(*db, std::move(backing));
-    return db;
-}
-
-void
-saveSnapshot(const InstructionDatabase &db, std::ostream &os)
-{
-    Writer writer(os);
-    writer.header(kSnapshotVersion, db.numRecords());
-    SnapshotCodec::columns(writer, db);
-    fatalIf(!os, "db snapshot: write failed");
+    return header;
 }
 
 } // namespace
 
-std::string
-snapshotBytes(const InstructionDatabase &db)
-{
-    std::ostringstream os(std::ios::binary);
-    saveSnapshot(db, os);
-    return os.str();
-}
-
-std::unique_ptr<InstructionDatabase>
-loadSnapshotBytes(const std::string &bytes)
-{
-    // std::string storage promises no 8-byte alignment; the bound
-    // columns need it, so the bytes move into a uint64_t buffer.
-    auto buffer =
-        std::make_shared<std::vector<uint64_t>>((bytes.size() + 7) / 8);
-    if (!bytes.empty())
-        std::memcpy(buffer->data(), bytes.data(), bytes.size());
-    const char *data = reinterpret_cast<const char *>(buffer->data());
-    return loadContainer(data, bytes.size(), std::move(buffer),
-                         std::nullopt);
-}
-
 void
-saveSnapshotFile(const InstructionDatabase &db, const std::string &path)
+saveShard(const InstructionDatabase &db, std::ostream &os)
 {
-    std::ofstream os(path, std::ios::binary);
-    fatalIf(!os, "db snapshot: cannot open ", path, " for writing");
-    saveSnapshot(db, os);
-    os.flush();
-    fatalIf(!os, "db snapshot: write to ", path, " failed");
-}
-
-std::unique_ptr<InstructionDatabase>
-loadSnapshotFile(const std::string &path)
-{
-    auto mapping = mapFile(path);
-    return loadContainer(mapping->data(), mapping->size(), mapping,
-                         std::nullopt);
-}
-
-// ---------------------------------------------------------------------
-// Per-uarch shards
-// ---------------------------------------------------------------------
-
-void
-saveShard(const InstructionDatabase &db, uarch::UArch arch,
-          std::ostream &os)
-{
-    SnapshotCodec::validateArchs(db, arch);
     Writer writer(os);
-    writer.header(kShardVersion, db.numRecords());
-    writer.scalar<uint64_t>(static_cast<uint8_t>(arch));
+    writer.shardHeader(db.numRecords(), db.arch());
     SnapshotCodec::columns(writer, db);
     fatalIf(!os, "db shard: write failed");
 }
 
 std::string
-shardBytes(const InstructionDatabase &db, uarch::UArch arch)
+shardBytes(const InstructionDatabase &db)
 {
     std::ostringstream os(std::ios::binary);
-    saveShard(db, arch, os);
+    saveShard(db, os);
     return os.str();
 }
 
@@ -456,9 +425,42 @@ loadShardMapped(std::shared_ptr<const MappedFile> mapping,
                 uarch::UArch expected)
 {
     fatalIf(mapping == nullptr, "db shard: null mapping");
-    const MappedFile &file = *mapping;
-    return loadContainer(file.data(), file.size(), std::move(mapping),
-                         expected);
+    Reader ar(mapping->data(), mapping->size());
+    Header header = readHeader(ar);
+    storeCheck(!header.arch, "db shard: expected a version-",
+            kShardVersion, " shard, got a version-", header.version,
+            " container");
+    storeCheck(*header.arch != expected, "db shard: header uarch ",
+            uarch::uarchShortName(*header.arch),
+            " does not match expected ",
+            uarch::uarchShortName(expected));
+
+    auto db = std::make_unique<InstructionDatabase>(*header.arch);
+    SnapshotCodec::columns(ar, *db);
+    SnapshotCodec::validate(*db, header.records);
+    SnapshotCodec::validateArchs(*db, header.arch);
+    SnapshotCodec::rebuild(*db);
+    SnapshotCodec::setBacking(*db, std::move(mapping));
+    return db;
+}
+
+std::vector<std::unique_ptr<InstructionDatabase>>
+splitSnapshotFile(const std::string &path)
+{
+    auto mapping = mapFile(path);
+    Reader ar(mapping->data(), mapping->size());
+    Header header = readHeader(ar);
+    storeCheck(header.version != kSnapshotVersion,
+            "db snapshot: expected a version-", kSnapshotVersion,
+            " monolith, got a version-", header.version, " container");
+    // The monolith's rows, bound into the mapping and checked, are
+    // only read by split(): never indexed, never returned. Its uarch
+    // is a placeholder; every row carries its own.
+    InstructionDatabase rows(uarch::UArch::Nehalem);
+    SnapshotCodec::columns(ar, rows);
+    SnapshotCodec::validate(rows, header.records);
+    SnapshotCodec::validateArchs(rows, std::nullopt);
+    return SnapshotCodec::split(rows);
 }
 
 } // namespace uops::db

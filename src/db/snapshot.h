@@ -2,38 +2,33 @@
  * @file
  * Versioned binary container formats for the instruction database.
  *
- * Two container kinds share one layout family (little-endian,
- * mmap-friendly, every array 8-byte aligned):
+ * The store's unit is the shard (version 3), one uarch's
+ * InstructionDatabase (little-endian, mmap-friendly, every array
+ * 8-byte aligned):
  *
- *   monolith (version 2)
- *     header   8-byte magic "UOPSDB\x1a\n", u32 version, u32 endian
- *              tag (0x0A0B0C0D as written by the producer — a reader
- *              on a byte-swapped host rejects the file instead of
- *              misreading it), u64 record count
- *     arrays   the columnar arrays of InstructionDatabase, in a fixed
- *              order, each as: u64 element count, raw element bytes,
- *              zero padding to the next 8-byte boundary
+ *   header   8-byte magic "UOPSDB\x1a\n", u32 version, u32 endian
+ *            tag (0x0A0B0C0D as written by the producer — a reader on
+ *            a byte-swapped host rejects the file instead of
+ *            misreading it), u64 record count, u64 microarchitecture
+ *            id
+ *   arrays   the columnar arrays of InstructionDatabase, in a fixed
+ *            order, each as: u64 element count, raw element bytes,
+ *            zero padding to the next 8-byte boundary
  *
- *   shard (version 3)
- *     identical, plus one u64 microarchitecture id after the record
- *     count. A shard holds exactly one uarch's records — the unit of
- *     the sharded catalog store (catalog.h), which writes one shard
- *     file per uarch plus a manifest.
+ * The sharded catalog store (catalog.h) writes one shard file per
+ * uarch plus a manifest. Because every array is a contiguous raw dump
+ * aligned to 8 bytes, the loader checks the container and binds each
+ * column in place into the file mapping, which the database keeps
+ * alive. The in-memory query indexes are *not* serialized — they are
+ * deterministically rebuilt on load, so two shards with equal bytes
+ * answer every query identically. Shards are bit-exact:
+ * save(load(save(db))) == save(db).
  *
- * Version 2 remains readable (and writable, for migration tests);
- * v1 files (IEEE-double cycle columns) are refused with an explicit
- * error. Because every array is a contiguous raw dump aligned to 8
- * bytes, one reader serves every load: it checks the container and
- * binds each column in place, into a file mapping
- * (loadShardMapped, loadSnapshotFile) or an owned 8-byte-aligned
- * buffer (loadSnapshotBytes), which the database keeps alive. The
- * in-memory query indexes are *not* serialized — they are
- * deterministically rebuilt on load, so two databases with equal
- * container bytes answer every query identically.
- *
- * Containers are bit-exact: save(load(save(db))) == save(db), and a
- * database ingested from XML produces the same bytes as one ingested
- * in memory from the same results (see tests/db_test.cpp).
+ * The legacy version-2 monolith is the same layout without the uarch
+ * id, holding the rows of several uarches. It is read, never written,
+ * and only to split it into shards (splitSnapshotFile, reached through
+ * `uopsq migrate`). v1 files (IEEE-double cycle columns) are refused
+ * with an explicit error.
  */
 
 #ifndef UOPS_DB_SNAPSHOT_H
@@ -42,6 +37,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "db/database.h"
 #include "support/mmap_file.h"
@@ -63,56 +59,40 @@ class StoreError : public FatalError
     explicit StoreError(const std::string &msg) : FatalError(msg) {}
 };
 
-/** Monolith (single-file, multi-uarch) container version. */
+/** Legacy monolith (single-file, multi-uarch) container version;
+ *  read only by splitSnapshotFile. */
 constexpr uint32_t kSnapshotVersion = 2;
 
 /** Per-uarch shard container version. */
 constexpr uint32_t kShardVersion = 3;
 
-/** Serialized monolith bytes. */
-std::string snapshotBytes(const InstructionDatabase &db);
-
-/**
- * Load a monolith or shard container held in memory (throws
- * StoreError on malformed input: bad magic, unsupported version,
- * foreign endianness, truncated or inconsistent arrays, an unknown
- * shard uarch, or a shard whose records disagree with its header
- * uarch). The bytes are copied once into an aligned buffer the
- * database owns.
- */
-std::unique_ptr<InstructionDatabase>
-loadSnapshotBytes(const std::string &bytes);
-
-/** Save to / load from a file path (the load maps the file). */
-void saveSnapshotFile(const InstructionDatabase &db,
-                      const std::string &path);
-std::unique_ptr<InstructionDatabase>
-loadSnapshotFile(const std::string &path);
-
-// ---- per-uarch shards (catalog storage unit) -------------------------
-
-/**
- * Serialize @p db as a version-3 shard for @p arch. Every record must
- * belong to @p arch (throws FatalError otherwise) — a shard is
- * single-uarch by definition.
- */
-void saveShard(const InstructionDatabase &db, uarch::UArch arch,
-               std::ostream &os);
+/** Serialize @p db as a version-3 shard of its uarch. */
+void saveShard(const InstructionDatabase &db, std::ostream &os);
 
 /** Serialized shard bytes (the content that shard hashes cover). */
-std::string shardBytes(const InstructionDatabase &db,
-                       uarch::UArch arch);
+std::string shardBytes(const InstructionDatabase &db);
 
 /**
  * Zero-copy shard load: columns are bound directly into @p mapping,
  * which the returned database keeps alive; only the rebuilt indexes
- * allocate. The first mutation of the returned database (ingesting on
- * top of it) copies the touched columns out of the mapping.
+ * allocate. Throws StoreError on malformed input: bad magic,
+ * unsupported version, foreign endianness, truncated or inconsistent
+ * arrays, or records that disagree with the header uarch.
  * @p expected guards against a manifest/file mismatch.
  */
 std::unique_ptr<InstructionDatabase>
 loadShardMapped(std::shared_ptr<const MappedFile> mapping,
                 uarch::UArch expected);
+
+/**
+ * Map, check and bind the legacy version-2 monolith at @p path, then
+ * split its rows into per-uarch shards (uarch order, rows in file
+ * order). Each shard is bit-identical to a fresh build of the same
+ * records. Throws StoreError on a malformed container, any other
+ * version included.
+ */
+std::vector<std::unique_ptr<InstructionDatabase>>
+splitSnapshotFile(const std::string &path);
 
 } // namespace uops::db
 

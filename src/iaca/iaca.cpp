@@ -27,14 +27,6 @@ versionName(Version v)
     return "?";
 }
 
-const std::vector<Version> &
-allVersions()
-{
-    static const std::vector<Version> all = {Version::V21, Version::V22,
-                                             Version::V23, Version::V30};
-    return all;
-}
-
 std::vector<Version>
 versionsFor(UArch arch)
 {

@@ -46,9 +46,6 @@ enum class Version { V21, V22, V23, V30 };
 /** "2.1" etc. */
 std::string versionName(Version v);
 
-/** All versions, oldest first. */
-const std::vector<Version> &allVersions();
-
 /** Versions supporting a microarchitecture (Table 1, column 4). */
 std::vector<Version> versionsFor(uarch::UArch arch);
 

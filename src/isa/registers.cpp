@@ -193,24 +193,6 @@ regUnit(const Reg &reg)
     panic("regUnit: unreachable");
 }
 
-std::string
-archUnitName(ArchUnit unit)
-{
-    if (unit >= kUnitGprBase && unit < kUnitMmxBase)
-        return kGpr64Names[unit - kUnitGprBase];
-    if (unit >= kUnitMmxBase && unit < kUnitVecBase)
-        return "MM" + std::to_string(unit - kUnitMmxBase);
-    if (unit >= kUnitVecBase && unit < kUnitFlagCf)
-        return "V" + std::to_string(unit - kUnitVecBase);
-    if (unit == kUnitFlagCf)
-        return "CF";
-    if (unit == kUnitFlagAf)
-        return "AF";
-    if (unit == kUnitFlagSpazo)
-        return "SPAZO";
-    return "?" + std::to_string(unit);
-}
-
 std::vector<ArchUnit>
 FlagMask::units() const
 {

@@ -90,9 +90,6 @@ constexpr int kNumArchUnits = 43;
 /** Unit that a register renames to. */
 ArchUnit regUnit(const Reg &reg);
 
-/** Human-readable unit name for diagnostics. */
-std::string archUnitName(ArchUnit unit);
-
 /**
  * Bitmask over the three flag groups.
  *

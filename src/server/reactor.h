@@ -89,7 +89,6 @@ class Reactor
     {
         return conn_count_.load(std::memory_order_relaxed);
     }
-    size_t numThreads() const { return workers_.size(); }
 
   private:
     struct Completion

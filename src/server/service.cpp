@@ -938,7 +938,7 @@ QueryService::handleDiff(const HttpRequest &request,
     json.member("b", std::string_view(uarch::uarchShortName(*b)));
     json.member("common", diff.common);
     json.key("changed").beginArray();
-    for (const db::CatalogDiffEntry &entry : diff.changed) {
+    for (const db::CatalogDiff::Entry &entry : diff.changed) {
         json.beginObject();
         json.member("name", std::string_view(entry.a.name()));
         json.member("tp_differs", entry.tp_differs);

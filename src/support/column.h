@@ -3,14 +3,12 @@
  * Owned-or-borrowed columnar storage.
  *
  * The instruction database stores every field as a flat array of
- * trivially copyable elements. During ingest those arrays must grow;
- * after a snapshot load they are views into the loaded container (a
- * memory-mapped file, or an aligned copy of in-memory bytes) that the
- * database does not own. Column<T> unifies the two: it is a growable
- * vector in owned mode and a (pointer, size) view in borrowed mode,
- * with copy-on-write — the first mutation of a borrowed column
- * materializes a private owned copy, so ingesting on top of a loaded
- * database is legal and never writes through the map.
+ * trivially copyable elements. While a shard is being built those
+ * arrays grow; after a shard load they are views into the mapped
+ * container that the database does not own. Column<T> unifies the
+ * two: it is a growable vector in owned mode and a (pointer, size)
+ * view in borrowed mode. A loaded shard is immutable, so mutating a
+ * bound column is a programming error (a panic), never a silent copy.
  *
  * The holder of borrowed columns is responsible for keeping the
  * backing buffer alive (InstructionDatabase retains a shared_ptr to
@@ -24,6 +22,8 @@
 #include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "support/status.h"
 
 namespace uops {
 
@@ -47,7 +47,7 @@ class Column
     void
     push_back(const T &value)
     {
-        ensureOwned();
+        checkOwned();
         owned_.push_back(value);
         refresh();
     }
@@ -55,18 +55,17 @@ class Column
     void
     append(const T *ptr, size_t n)
     {
-        ensureOwned();
+        checkOwned();
         owned_.insert(owned_.end(), ptr, ptr + n);
         refresh();
     }
 
     /** Become a view of @p n elements at @p ptr (caller keeps the
-     *  buffer alive; snapshot load). */
+     *  buffer alive; shard load). */
     void
     bind(const T *ptr, size_t n)
     {
-        owned_.clear();
-        owned_.shrink_to_fit();
+        panicIf(!owned_.empty(), "column: bind over owned elements");
         data_ = ptr;
         size_ = n;
         borrowed_ = true;
@@ -77,13 +76,9 @@ class Column
 
   private:
     void
-    ensureOwned()
+    checkOwned() const
     {
-        if (!borrowed_)
-            return;
-        owned_.assign(data_, data_ + size_);
-        borrowed_ = false;
-        refresh();
+        panicIf(borrowed_, "column: mutation of a bound column");
     }
 
     void

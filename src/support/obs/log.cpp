@@ -208,12 +208,6 @@ Logger::setMinLevel(LogLevel level)
     min_level_.store(level, std::memory_order_relaxed);
 }
 
-LogLevel
-Logger::minLevel() const
-{
-    return min_level_.load(std::memory_order_relaxed);
-}
-
 LogEvent
 Logger::event(LogLevel level, std::string_view component,
               std::string_view event_name)

@@ -111,7 +111,6 @@ class Logger
     void setSink(Sink sink);
 
     void setMinLevel(LogLevel level);
-    LogLevel minLevel() const;
 
     bool
     enabled(LogLevel level) const

@@ -197,12 +197,6 @@ SpanSet::span(std::string_view name)
     return Scope(this, index);
 }
 
-uint64_t
-SpanSet::elapsedUs() const
-{
-    return traceNowUs() - base_us_;
-}
-
 void
 SpanSet::close(size_t index)
 {

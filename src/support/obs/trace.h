@@ -128,9 +128,6 @@ class SpanSet
      *  carry dur_us == 0. */
     const std::vector<Entry> &entries() const { return entries_; }
 
-    /** Microseconds since this SpanSet was created. */
-    uint64_t elapsedUs() const;
-
   private:
     friend class Scope;
     void close(size_t index);

@@ -1,18 +1,21 @@
 /**
  * @file
  * Tests for the instruction-performance database (src/db): the
- * golden round-trip property (characterize → XML export → XML ingest
- * → snapshot save → snapshot load must be bit-identical to the
- * in-memory ingest path), columnar queries, snapshot validation,
- * snapshot-identical answers under concurrent readers, and the
- * sharded catalog engine (golden shard round-trip through the mapped
- * loader, incremental-sweep splicing bit-identical to a full sweep,
- * lossless v2 → v3 migration, and corrupt-store rejection).
+ * golden round-trip property (characterize → XML export → XML shards
+ * → shard save → mapped load must be bit-identical to the in-memory
+ * and streaming build paths), catalog queries, shard validation,
+ * identical answers under concurrent readers, and the sharded
+ * catalog engine (golden shard round-trip through the mapped loader,
+ * incremental-sweep splicing bit-identical to a full sweep, publishing
+ * onto an existing store, lossless v2 → v3 migration of a committed
+ * fixture, the legacy manifest fallback, and corrupt-store rejection).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -53,84 +56,154 @@ sliceReport()
     return report;
 }
 
-/** Database built through the in-memory ingest path. */
-const db::InstructionDatabase &
-sliceDb()
+/** Fresh, empty temp directory for one test. */
+std::string
+freshDir(const std::string &name)
 {
-    // Built in place: InstructionDatabase is neither copyable nor
-    // movable (its indexes hold views into the string pool).
-    static const db::InstructionDatabase *database = [] {
-        auto *built = new db::InstructionDatabase();
-        built->ingest(sliceReport());
-        return built;
+    auto path = std::filesystem::temp_directory_path() /
+                ("uops_db_test_" + name);
+    std::filesystem::remove_all(path);
+    return path.string();
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    EXPECT_TRUE(static_cast<bool>(is)) << path;
+    std::ostringstream os;
+    os << is.rdbuf();
+    return std::move(os).str();
+}
+
+void
+spill(const std::string &path, const std::string &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
+    ASSERT_TRUE(static_cast<bool>(os)) << path;
+}
+
+/** Map @p bytes as a shard of @p arch (through a temp file: shards
+ *  are only ever loaded from a mapping). */
+std::unique_ptr<db::InstructionDatabase>
+loadShardBytes(const std::string &bytes, uarch::UArch arch)
+{
+    const std::string path = freshDir("shard_bytes") + ".shard";
+    spill(path, bytes);
+    return db::loadShardMapped(mapFile(path), arch);
+}
+
+/** The in-memory build path: one shard per uarch set of the report. */
+const std::vector<std::unique_ptr<db::InstructionDatabase>> &
+setShards()
+{
+    static const auto shards = [] {
+        std::vector<std::unique_ptr<db::InstructionDatabase>> out;
+        for (const core::UArchReport &r : sliceReport().uarches)
+            out.push_back(db::InstructionDatabase::fromSet(r.toSet()));
+        return out;
     }();
-    return *database;
+    return shards;
+}
+
+/** The XML build path over the same report. */
+std::vector<db::ShardEntry>
+xmlShards()
+{
+    return db::DatabaseCatalog::shardsFromResults(
+        isa::parseResultsXml(sliceReport().toXmlString()),
+        &defaultDb());
+}
+
+/** Catalog built by the sharded streaming sweep (same slice). */
+std::shared_ptr<const db::DatabaseCatalog>
+sweepCatalog()
+{
+    static const auto catalog = [] {
+        core::BatchOptions options;
+        options.num_threads = 2;
+        options.characterizer.filter = sliceFilter;
+        options.keep_results = false;
+        return db::runCatalogSweep(defaultDb(), kArches, options,
+                                   nullptr);
+    }();
+    return catalog;
 }
 
 // ---------------------------------------------------------------------
 // The golden round-trip (acceptance criterion).
 // ---------------------------------------------------------------------
 
-TEST(DbRoundTrip, XmlIngestIsBitIdenticalToInMemoryIngest)
+TEST(DbRoundTrip, XmlShardsAreBitIdenticalToInMemoryShards)
 {
-    // characterize → XML export → XML ingest ...
-    std::string xml_text = sliceReport().toXmlString();
-    isa::ResultsDoc doc = isa::parseResultsXml(xml_text);
-    db::InstructionDatabase from_xml;
-    from_xml.ingestResults(doc, &defaultDb());
+    // characterize → XML export → XML shards ...
+    std::vector<db::ShardEntry> from_xml = xmlShards();
 
-    // ... must match the in-memory ingest bit for bit.
-    EXPECT_EQ(db::snapshotBytes(sliceDb()),
-              db::snapshotBytes(from_xml));
+    // ... must match the in-memory build bit for bit.
+    ASSERT_EQ(from_xml.size(), setShards().size());
+    for (size_t i = 0; i < from_xml.size(); ++i) {
+        EXPECT_EQ(from_xml[i].arch, setShards()[i]->arch());
+        EXPECT_EQ(from_xml[i].db->arch(), from_xml[i].arch);
+        EXPECT_EQ(db::shardBytes(*from_xml[i].db),
+                  db::shardBytes(*setShards()[i]));
+    }
 }
 
-TEST(DbRoundTrip, SnapshotSaveLoadIsBitExact)
+TEST(DbRoundTrip, ShardSaveLoadIsBitExact)
 {
-    std::string bytes = db::snapshotBytes(sliceDb());
-    auto loaded = db::loadSnapshotBytes(bytes);
-    // save(load(save(db))) == save(db)
-    EXPECT_EQ(db::snapshotBytes(*loaded), bytes);
-    EXPECT_EQ(loaded->numRecords(), sliceDb().numRecords());
+    for (const auto &shard : setShards()) {
+        std::string bytes = db::shardBytes(*shard);
+        auto loaded = loadShardBytes(bytes, shard->arch());
+        // save(load(save(db))) == save(db)
+        EXPECT_EQ(db::shardBytes(*loaded), bytes);
+        EXPECT_EQ(loaded->arch(), shard->arch());
+        EXPECT_EQ(loaded->numRecords(), shard->numRecords());
+    }
 }
 
 TEST(DbRoundTrip, FullPipelineGolden)
 {
     // The complete chain of the acceptance criterion in one line per
-    // stage: characterize → XML → ingest → save → load, then compare
+    // stage: characterize → XML → shards → save → load, then compare
     // query answers (not just bytes) against the in-memory path.
-    auto doc = isa::parseResultsXml(sliceReport().toXmlString());
-    db::InstructionDatabase from_xml;
-    from_xml.ingestResults(doc, &defaultDb());
-    auto loaded = db::loadSnapshotBytes(db::snapshotBytes(from_xml));
-
-    const db::InstructionDatabase &direct = sliceDb();
-    ASSERT_EQ(loaded->numRecords(), direct.numRecords());
-    for (uint32_t row = 0;
-         row < static_cast<uint32_t>(direct.numRecords()); ++row) {
-        db::RecordView a = direct.record(row);
-        db::RecordView b = loaded->record(row);
-        EXPECT_EQ(a.name(), b.name());
-        EXPECT_EQ(a.arch(), b.arch());
-        EXPECT_EQ(a.extension(), b.extension());
-        EXPECT_TRUE(a.portUsage() == b.portUsage());
-        EXPECT_EQ(a.uopCount(), b.uopCount());
-        EXPECT_EQ(a.maxLatency(), b.maxLatency());
-        // Bit-identical doubles, not approximately equal.
-        EXPECT_EQ(a.tpMeasured(), b.tpMeasured());
-        EXPECT_EQ(a.tpWithBreakers(), b.tpWithBreakers());
-        EXPECT_EQ(a.tpSlow(), b.tpSlow());
-        EXPECT_EQ(a.tpFromPorts(), b.tpFromPorts());
-        EXPECT_EQ(a.sameRegCycles(), b.sameRegCycles());
-        EXPECT_EQ(a.storeRoundTrip(), b.storeRoundTrip());
-        auto lats_a = a.latencies();
-        auto lats_b = b.latencies();
-        ASSERT_EQ(lats_a.size(), lats_b.size());
-        for (size_t i = 0; i < lats_a.size(); ++i) {
-            EXPECT_EQ(lats_a[i].src_op, lats_b[i].src_op);
-            EXPECT_EQ(lats_a[i].dst_op, lats_b[i].dst_op);
-            EXPECT_EQ(lats_a[i].cycles, lats_b[i].cycles);
-            EXPECT_EQ(lats_a[i].upper_bound, lats_b[i].upper_bound);
-            EXPECT_EQ(lats_a[i].slow_cycles, lats_b[i].slow_cycles);
+    std::vector<db::ShardEntry> from_xml = xmlShards();
+    ASSERT_EQ(from_xml.size(), setShards().size());
+    for (size_t s = 0; s < from_xml.size(); ++s) {
+        auto loaded = loadShardBytes(db::shardBytes(*from_xml[s].db),
+                                     from_xml[s].arch);
+        const db::InstructionDatabase &direct = *setShards()[s];
+        ASSERT_EQ(loaded->numRecords(), direct.numRecords());
+        for (uint32_t row = 0;
+             row < static_cast<uint32_t>(direct.numRecords()); ++row) {
+            db::RecordView a = direct.record(row);
+            db::RecordView b = loaded->record(row);
+            EXPECT_EQ(a.name(), b.name());
+            EXPECT_EQ(a.arch(), b.arch());
+            EXPECT_EQ(a.extension(), b.extension());
+            EXPECT_TRUE(a.portUsage() == b.portUsage());
+            EXPECT_EQ(a.uopCount(), b.uopCount());
+            EXPECT_EQ(a.maxLatency(), b.maxLatency());
+            // Bit-identical fixed-point values, not approximately
+            // equal.
+            EXPECT_EQ(a.tpMeasured(), b.tpMeasured());
+            EXPECT_EQ(a.tpWithBreakers(), b.tpWithBreakers());
+            EXPECT_EQ(a.tpSlow(), b.tpSlow());
+            EXPECT_EQ(a.tpFromPorts(), b.tpFromPorts());
+            EXPECT_EQ(a.sameRegCycles(), b.sameRegCycles());
+            EXPECT_EQ(a.storeRoundTrip(), b.storeRoundTrip());
+            auto lats_a = a.latencies();
+            auto lats_b = b.latencies();
+            ASSERT_EQ(lats_a.size(), lats_b.size());
+            for (size_t i = 0; i < lats_a.size(); ++i) {
+                EXPECT_EQ(lats_a[i].src_op, lats_b[i].src_op);
+                EXPECT_EQ(lats_a[i].dst_op, lats_b[i].dst_op);
+                EXPECT_EQ(lats_a[i].cycles, lats_b[i].cycles);
+                EXPECT_EQ(lats_a[i].upper_bound,
+                          lats_b[i].upper_bound);
+                EXPECT_EQ(lats_a[i].slow_cycles,
+                          lats_b[i].slow_cycles);
+            }
         }
     }
 }
@@ -140,10 +213,10 @@ TEST(DbRoundTrip, StreamingSweepIngestIsBitIdenticalToAllPaths)
     // Direct sweep -> shards: records stream into per-uarch shard
     // databases while the sweep runs, with no XML tree and
     // (keep_results = false) no retained per-variant results. Every
-    // shard must be byte-identical to the same uarch split out of
-    // both the in-memory ingest of a full report and the
-    // XML-materializing path — with integer Cycles columns that is
-    // plain memcmp equality, no text canonicalization anywhere.
+    // shard must be byte-identical to the in-memory build of the same
+    // uarch's set and to the XML-materializing path — with integer
+    // Cycles columns that is plain memcmp equality, no text
+    // canonicalization anywhere.
     core::BatchOptions options;
     options.num_threads = 4;
     options.characterizer.filter = sliceFilter;
@@ -166,21 +239,16 @@ TEST(DbRoundTrip, StreamingSweepIngestIsBitIdenticalToAllPaths)
               std::string::npos);
 
     db::DatabaseCatalog streamed(ingestor.takeShards(), 1);
-    db::InstructionDatabase from_xml;
-    from_xml.ingestResults(
-        isa::parseResultsXml(sliceReport().toXmlString()),
-        &defaultDb());
-    const db::InstructionDatabase &xml_db = from_xml;
-    for (const db::InstructionDatabase *mono : {&sliceDb(), &xml_db}) {
-        auto split = db::DatabaseCatalog::fromMonolith(*mono, 1);
-        ASSERT_EQ(streamed.shards().size(), split->shards().size());
-        for (size_t i = 0; i < split->shards().size(); ++i) {
-            const db::ShardEntry &got = streamed.shards()[i];
-            const db::ShardEntry &want = split->shards()[i];
-            EXPECT_EQ(got.arch, want.arch);
-            EXPECT_EQ(db::shardBytes(*got.db, got.arch),
-                      db::shardBytes(*want.db, want.arch));
-        }
+    std::vector<db::ShardEntry> from_xml = xmlShards();
+    ASSERT_EQ(streamed.shards().size(), setShards().size());
+    ASSERT_EQ(streamed.shards().size(), from_xml.size());
+    for (size_t i = 0; i < setShards().size(); ++i) {
+        const db::ShardEntry &got = streamed.shards()[i];
+        EXPECT_EQ(got.arch, setShards()[i]->arch());
+        EXPECT_EQ(db::shardBytes(*got.db),
+                  db::shardBytes(*setShards()[i]));
+        EXPECT_EQ(db::shardBytes(*got.db),
+                  db::shardBytes(*from_xml[i].db));
     }
 }
 
@@ -206,8 +274,7 @@ TEST(DbRoundTrip, IngestRejectsPortsTheUArchLacks)
             "<ports usage=\"" + usage + "\" uops=\"1\"/>"
             "<throughput measured=\"0.33\"/>"
             "</instruction></uopsInfo>");
-        db::InstructionDatabase database;
-        database.ingestResults(doc, nullptr);
+        db::DatabaseCatalog::shardsFromResults(doc, nullptr);
     };
     EXPECT_NO_THROW(ingest("1*p015"));
     try {
@@ -227,6 +294,43 @@ TEST(DbRoundTrip, IngestRejectsPortsTheUArchLacks)
                   std::string::npos)
             << e.what();
     }
+}
+
+/** One <uopsInfo> element of @p arch naming @p names (1*p015 each). */
+std::string
+uopsInfo(const std::string &arch, std::vector<std::string> names)
+{
+    std::string xml = "<uopsInfo architecture=\"" + arch + "\">";
+    for (const std::string &name : names)
+        xml += "<instruction name=\"" + name +
+               "\" mnemonic=\"NOT\"><ports usage=\"1*p015\" "
+               "uops=\"1\"/><throughput measured=\"0.33\"/>"
+               "</instruction>";
+    return xml + "</uopsInfo>";
+}
+
+TEST(DbRoundTrip, UArchNamedTwiceAppendsInDocumentOrder)
+{
+    // One shard per uarch, whatever the document's shape: a uarch
+    // named by two <uopsInfo> elements gets one shard holding both
+    // elements' records in document order.
+    std::vector<db::ShardEntry> shards =
+        db::DatabaseCatalog::shardsFromResults(
+            isa::parseResultsXml("<uopsBatch>" +
+                                 uopsInfo("SKL", {"NOT_R64"}) +
+                                 uopsInfo("NHM", {"NOT_R32"}) +
+                                 uopsInfo("SKL", {"NOT_R16", "NOT_R8"}) +
+                                 "</uopsBatch>"),
+            nullptr);
+    ASSERT_EQ(shards.size(), 2u);
+    EXPECT_EQ(shards[0].arch, uarch::UArch::Nehalem);
+    EXPECT_EQ(shards[1].arch, uarch::UArch::Skylake);
+    const db::InstructionDatabase &skl = *shards[1].db;
+    ASSERT_EQ(skl.numRecords(), 3u);
+    EXPECT_EQ(skl.record(0).name(), "NOT_R64");
+    EXPECT_EQ(skl.record(1).name(), "NOT_R16");
+    EXPECT_EQ(skl.record(2).name(), "NOT_R8");
+    EXPECT_EQ(skl.record(2).extension(), "?");
 }
 
 // ---------------------------------------------------------------------
@@ -281,128 +385,136 @@ TEST(ResultsXml, PortUsageStringRoundTrips)
 }
 
 // ---------------------------------------------------------------------
-// Queries.
+// Queries (the catalog is the cross-uarch surface; a shard answers
+// for its own uarch).
 // ---------------------------------------------------------------------
 
 TEST(DbQuery, PointLookup)
 {
-    const db::InstructionDatabase &database = sliceDb();
-    auto row = database.find(uarch::UArch::Skylake, "ADD_R64_R64");
-    ASSERT_TRUE(row.has_value());
-    db::RecordView rec = database.record(*row);
-    EXPECT_EQ(rec.name(), "ADD_R64_R64");
-    EXPECT_EQ(rec.mnemonic(), "ADD");
-    EXPECT_EQ(rec.arch(), uarch::UArch::Skylake);
-    EXPECT_GT(rec.uopCount(), 0);
-    EXPECT_GT(rec.tpMeasured().hundredths(), 0);
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
+    auto rec = catalog.find(uarch::UArch::Skylake, "ADD_R64_R64");
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->name(), "ADD_R64_R64");
+    EXPECT_EQ(rec->mnemonic(), "ADD");
+    EXPECT_EQ(rec->arch(), uarch::UArch::Skylake);
+    EXPECT_GT(rec->uopCount(), 0);
+    EXPECT_GT(rec->tpMeasured().hundredths(), 0);
 
-    EXPECT_FALSE(
-        database.find(uarch::UArch::Skylake, "NO_SUCH_VARIANT"));
+    // The shard's own lookup is by name alone.
+    const db::InstructionDatabase &skl =
+        *catalog.shard(uarch::UArch::Skylake);
+    auto row = skl.find("ADD_R64_R64");
+    ASSERT_TRUE(row.has_value());
+    EXPECT_EQ(skl.record(*row).tpMeasured(), rec->tpMeasured());
+    EXPECT_FALSE(skl.find("NO_SUCH_VARIANT"));
+
+    EXPECT_FALSE(catalog.find(uarch::UArch::Skylake, "NO_SUCH_VARIANT"));
     // Present on both uarches.
-    EXPECT_EQ(database.findByName("ADD_R64_R64").size(), 2u);
+    EXPECT_EQ(catalog.findByName("ADD_R64_R64").size(), 2u);
 }
 
 TEST(DbQuery, MnemonicAndExtensionIndexes)
 {
-    const db::InstructionDatabase &database = sliceDb();
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
     db::Query query;
     query.mnemonic = "ADD";
-    auto rows = database.search(query);
-    ASSERT_FALSE(rows.empty());
-    for (uint32_t row : rows)
-        EXPECT_EQ(database.record(row).mnemonic(), "ADD");
+    auto records = catalog.search(query);
+    ASSERT_FALSE(records.empty());
+    for (const db::RecordView &rec : records)
+        EXPECT_EQ(rec.mnemonic(), "ADD");
 
     db::Query by_ext;
     by_ext.extension = "AVX";
     by_ext.arch = uarch::UArch::Skylake;
-    auto avx_rows = database.search(by_ext);
-    ASSERT_FALSE(avx_rows.empty());
-    for (uint32_t row : avx_rows)
-        EXPECT_EQ(database.record(row).extension(), "AVX");
+    auto avx = catalog.search(by_ext);
+    ASSERT_FALSE(avx.empty());
+    for (const db::RecordView &rec : avx)
+        EXPECT_EQ(rec.extension(), "AVX");
 
     // AVX doesn't exist on Nehalem.
     by_ext.arch = uarch::UArch::Nehalem;
-    EXPECT_TRUE(database.search(by_ext).empty());
+    EXPECT_TRUE(catalog.search(by_ext).empty());
 }
 
 TEST(DbQuery, PortMaskSupersetScan)
 {
-    const db::InstructionDatabase &database = sliceDb();
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
     db::Query query;
     query.arch = uarch::UArch::Skylake;
     query.uses_ports = uarch::portMask({0, 5});
-    auto rows = database.search(query);
-    ASSERT_FALSE(rows.empty());
-    for (uint32_t row : rows) {
-        uarch::PortMask mask = database.record(row).portUnion();
-        EXPECT_EQ(mask & query.uses_ports, query.uses_ports)
-            << std::string(database.record(row).name());
-    }
+    auto records = catalog.search(query);
+    ASSERT_FALSE(records.empty());
+    for (const db::RecordView &rec : records)
+        EXPECT_EQ(rec.portUnion() & query.uses_ports, query.uses_ports)
+            << std::string(rec.name());
     // Sanity: the filter excludes something (e.g. pure p23 loads).
     db::Query all;
     all.arch = uarch::UArch::Skylake;
-    EXPECT_LT(rows.size(), database.search(all).size());
+    EXPECT_LT(records.size(), catalog.search(all).size());
 }
 
 TEST(DbQuery, ThroughputAndLatencyRanges)
 {
-    const db::InstructionDatabase &database = sliceDb();
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
     db::Query query;
     query.tp_min = db::tpBoundMin(0.9);
     query.tp_max = db::tpBoundMax(30.0);
-    auto rows = database.search(query);
-    ASSERT_FALSE(rows.empty());
-    for (uint32_t row : rows) {
-        double tp = database.record(row).tpMeasured().toDouble();
+    auto records = catalog.search(query);
+    ASSERT_FALSE(records.empty());
+    for (const db::RecordView &rec : records) {
+        double tp = rec.tpMeasured().toDouble();
         EXPECT_GE(tp, 0.9);
         EXPECT_LE(tp, 30.0);
     }
 
     db::Query lat_query;
     lat_query.lat_min = 10;   // dividers
-    auto lat_rows = database.search(lat_query);
-    ASSERT_FALSE(lat_rows.empty());
-    for (uint32_t row : lat_rows)
-        EXPECT_GE(database.record(row).maxLatency(), 10);
+    auto lat_records = catalog.search(lat_query);
+    ASSERT_FALSE(lat_records.empty());
+    for (const db::RecordView &rec : lat_records)
+        EXPECT_GE(rec.maxLatency(), 10);
 }
 
 TEST(DbQuery, LimitAndCombinedPredicates)
 {
-    const db::InstructionDatabase &database = sliceDb();
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
     db::Query query;
     query.arch = uarch::UArch::Skylake;
     query.limit = 3;
-    EXPECT_EQ(database.search(query).size(), 3u);
+    EXPECT_EQ(catalog.search(query).size(), 3u);
 
     db::Query combined;
     combined.mnemonic = "DIV";
     combined.arch = uarch::UArch::Skylake;
     combined.lat_min = 2;
-    auto rows = database.search(combined);
-    for (uint32_t row : rows) {
-        EXPECT_EQ(database.record(row).mnemonic(), "DIV");
-        EXPECT_GE(database.record(row).maxLatency(), 2);
+    auto records = catalog.search(combined);
+    EXPECT_FALSE(records.empty());
+    for (const db::RecordView &rec : records) {
+        EXPECT_EQ(rec.mnemonic(), "DIV");
+        EXPECT_GE(rec.maxLatency(), 2);
     }
 }
 
 TEST(DbQuery, CrossUArchDiff)
 {
-    const db::InstructionDatabase &database = sliceDb();
-    db::DiffResult diff =
-        database.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
+    db::CatalogDiff diff =
+        catalog.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
     EXPECT_GT(diff.common, 0u);
     // AVX variants exist only on Skylake.
     EXPECT_FALSE(diff.only_b.empty());
     EXPECT_TRUE(diff.only_a.empty());
-    for (const db::DiffEntry &entry : diff.changed) {
+    EXPECT_TRUE(std::is_sorted(diff.only_b.begin(), diff.only_b.end()));
+    for (const db::CatalogDiff::Entry &entry : diff.changed) {
         EXPECT_TRUE(entry.tp_differs || entry.ports_differ ||
                     entry.latency_differs);
-        EXPECT_EQ(database.record(entry.row_a).name(),
-                  database.record(entry.row_b).name());
+        EXPECT_EQ(entry.a.name(), entry.b.name());
+        EXPECT_EQ(entry.a.arch(), uarch::UArch::Nehalem);
+        EXPECT_EQ(entry.b.arch(), uarch::UArch::Skylake);
     }
     // Diff against self reports nothing.
-    db::DiffResult self =
-        database.diff(uarch::UArch::Skylake, uarch::UArch::Skylake);
+    db::CatalogDiff self =
+        catalog.diff(uarch::UArch::Skylake, uarch::UArch::Skylake);
     EXPECT_TRUE(self.changed.empty());
     EXPECT_TRUE(self.only_a.empty());
     EXPECT_TRUE(self.only_b.empty());
@@ -410,87 +522,134 @@ TEST(DbQuery, CrossUArchDiff)
 
 TEST(DbQuery, UArchEnumeration)
 {
-    const db::InstructionDatabase &database = sliceDb();
-    auto arches = database.uarches();
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
+    auto arches = catalog.uarches();
     ASSERT_EQ(arches.size(), 2u);
     EXPECT_EQ(arches[0], uarch::UArch::Nehalem);
     EXPECT_EQ(arches[1], uarch::UArch::Skylake);
-    EXPECT_EQ(database.numRecords(uarch::UArch::Nehalem) +
-                  database.numRecords(uarch::UArch::Skylake),
-              database.numRecords());
+    EXPECT_EQ(catalog.numRecords(uarch::UArch::Nehalem) +
+                  catalog.numRecords(uarch::UArch::Skylake),
+              catalog.numRecords());
 }
 
 TEST(DbQuery, ToCharacterizationSetResolvesVariants)
 {
-    const db::InstructionDatabase &database = sliceDb();
-    auto set = database.toCharacterizationSet(uarch::UArch::Skylake,
-                                              defaultDb());
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
+    auto set = catalog.toCharacterizationSet(uarch::UArch::Skylake,
+                                             defaultDb());
+    EXPECT_EQ(set.arch, uarch::UArch::Skylake);
     EXPECT_EQ(set.instrs.size(),
-              database.numRecords(uarch::UArch::Skylake));
+              catalog.numRecords(uarch::UArch::Skylake));
     const auto *c = set.find("ADD_R64_R64");
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->variant, defaultDb().byName("ADD_R64_R64"));
     EXPECT_FALSE(c->latency.pairs.empty());
     EXPECT_GT(c->ports.usage.totalUops(), 0);
+
+    // The in-memory build path round-trips through the set.
+    auto rebuilt = db::InstructionDatabase::fromSet(set);
+    EXPECT_EQ(db::shardBytes(*rebuilt),
+              db::shardBytes(*catalog.shard(uarch::UArch::Skylake)));
 }
 
 // ---------------------------------------------------------------------
-// Snapshot validation.
+// Container validation.
 // ---------------------------------------------------------------------
+
+/** The committed legacy monolith: the NHM and SKL shards of
+ *  `uopsq characterize --arches NHM,SKL --mod 64`, written as one
+ *  version-2 container before that format stopped being written. */
+std::string
+v2Fixture()
+{
+    return slurp(std::string(UOPS_TEST_DATA_DIR) +
+                 "/nhm_skl_mod64_v2.snap");
+}
 
 TEST(DbSnapshot, RejectsCorruptInput)
 {
-    std::string bytes = db::snapshotBytes(sliceDb());
+    // The same corruptions against both readers: the shard loader
+    // (shard bytes; first array after the 32-byte header) and the v2
+    // reader behind migration (the fixture; 24-byte header).
+    const std::string snap = freshDir("corrupt_v2") + ".snap";
+    const std::string out = freshDir("corrupt_v2_out");
+    auto shard_load = [](const std::string &bytes) {
+        loadShardBytes(bytes, uarch::UArch::Nehalem);
+    };
+    auto migrate = [&](const std::string &bytes) {
+        spill(snap, bytes);
+        db::migrateSnapshot(snap, out);
+    };
+    struct Reader
+    {
+        std::string bytes;
+        size_t first_array;
+        std::function<void(const std::string &)> load;
+    };
+    const Reader readers[] = {
+        {db::shardBytes(*setShards()[0]), 32, shard_load},
+        {v2Fixture(), 24, migrate},
+    };
+    for (const Reader &reader : readers) {
+        const std::string &bytes = reader.bytes;
+        ASSERT_GT(bytes.size(), 64u);
+        EXPECT_NO_THROW(reader.load(bytes));
 
-    EXPECT_THROW(db::loadSnapshotBytes(""), FatalError);
-    EXPECT_THROW(
-        db::loadSnapshotBytes(bytes.substr(0, bytes.size() / 2)),
-        FatalError);
+        EXPECT_THROW(reader.load(""), db::StoreError);
+        EXPECT_THROW(reader.load(bytes.substr(0, bytes.size() / 2)),
+                     db::StoreError);
 
-    std::string bad_magic = bytes;
-    bad_magic[0] = 'X';
-    EXPECT_THROW(db::loadSnapshotBytes(bad_magic), FatalError);
+        std::string bad_magic = bytes;
+        bad_magic[0] = 'X';
+        EXPECT_THROW(reader.load(bad_magic), db::StoreError);
 
-    std::string bad_version = bytes;
-    bad_version[8] = char(0x7f);
-    EXPECT_THROW(db::loadSnapshotBytes(bad_version), FatalError);
+        std::string bad_version = bytes;
+        bad_version[8] = char(0x7f);
+        EXPECT_THROW(reader.load(bad_version), db::StoreError);
 
-    // A corrupt array-length prefix (first array starts after the
-    // 24-byte header) must be a FatalError before anything is bound:
-    // 16M declared elements exceed the remaining buffer bytes but pass
-    // the implausible-size cap, so this exercises the remaining-bytes
-    // bound specifically.
-    std::string length_bomb = bytes;
-    length_bomb[24] = char(0xff);
-    length_bomb[25] = char(0xff);
-    length_bomb[26] = char(0xff);
-    for (size_t i = 3; i < 8; ++i)
-        length_bomb[24 + i] = 0;
-    EXPECT_THROW(db::loadSnapshotBytes(length_bomb), FatalError);
-}
+        // A corrupt array-length prefix must be refused before
+        // anything is bound: 16M declared elements exceed the
+        // remaining bytes but pass the implausible-size cap, so this
+        // exercises the remaining-bytes bound specifically.
+        std::string length_bomb = bytes;
+        const size_t at = reader.first_array;
+        length_bomb[at] = char(0xff);
+        length_bomb[at + 1] = char(0xff);
+        length_bomb[at + 2] = char(0xff);
+        for (size_t i = 3; i < 8; ++i)
+            length_bomb[at + i] = 0;
+        EXPECT_THROW(reader.load(length_bomb), db::StoreError);
+    }
 
-TEST(DbSnapshot, IngestAfterLoadStaysBitIdentical)
-{
-    // Loading a snapshot re-interns the string pool, so ingesting
-    // more uarches on top of a loaded database must produce the same
-    // bytes as ingesting everything in memory.
-    db::InstructionDatabase direct;
-    direct.ingest(sliceReport().uarches[0].toSet());
-    direct.ingest(sliceReport().uarches[1].toSet());
-
-    db::InstructionDatabase first;
-    first.ingest(sliceReport().uarches[0].toSet());
-    auto resumed = db::loadSnapshotBytes(db::snapshotBytes(first));
-    resumed->ingest(sliceReport().uarches[1].toSet());
-
-    EXPECT_EQ(db::snapshotBytes(direct), db::snapshotBytes(*resumed));
+    // Each reader takes only its own version.
+    EXPECT_THROW(shard_load(v2Fixture()), db::StoreError);
+    EXPECT_THROW(migrate(db::shardBytes(*setShards()[0])),
+                 db::StoreError);
 }
 
 TEST(DbSnapshot, DuplicateIngestIsRejected)
 {
-    db::InstructionDatabase database;
-    database.ingest(sliceReport().uarches[0].toSet());
-    EXPECT_THROW(database.ingest(sliceReport().uarches[0].toSet()),
+    // A document naming one variant twice for one uarch (here across
+    // two elements of that uarch) cannot become a shard.
+    try {
+        db::DatabaseCatalog::shardsFromResults(
+            isa::parseResultsXml("<uopsBatch>" +
+                                 uopsInfo("NHM", {"NOT_R64"}) +
+                                 uopsInfo("SKL", {"NOT_R64"}) +
+                                 uopsInfo("NHM", {"NOT_R64"}) +
+                                 "</uopsBatch>"),
+            nullptr);
+        ADD_FAILURE() << "duplicate NHM/NOT_R64 ingested";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "duplicate record for NHM/NOT_R64"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(db::DatabaseCatalog::shardsFromResults(
+                     isa::parseResultsXml(
+                         uopsInfo("SKL", {"NOT_R8", "NOT_R8"})),
+                     nullptr),
                  FatalError);
 }
 
@@ -500,50 +659,54 @@ TEST(DbSnapshot, DuplicateIngestIsRejected)
 
 TEST(DbConcurrency, ParallelReadersSeeIdenticalAnswers)
 {
-    const db::InstructionDatabase &database = sliceDb();
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
+    auto names = [](const std::vector<db::RecordView> &records) {
+        std::vector<std::string> out;
+        for (const db::RecordView &rec : records)
+            out.emplace_back(rec.name());
+        return out;
+    };
 
     // Baseline answers, computed single-threaded.
     db::Query by_ports;
     by_ports.uses_ports = uarch::portMask({0});
-    const auto baseline_ports = database.search(by_ports);
+    const auto baseline_ports = names(catalog.search(by_ports));
     db::Query by_mnemonic;
     by_mnemonic.mnemonic = "ADD";
-    const auto baseline_add = database.search(by_mnemonic);
+    const auto baseline_add = names(catalog.search(by_mnemonic));
     const auto baseline_diff =
-        database.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
-    const auto baseline_row =
-        database.find(uarch::UArch::Skylake, "ADD_R64_R64");
-    ASSERT_TRUE(baseline_row.has_value());
-    const Cycles baseline_tp =
-        database.record(*baseline_row).tpMeasured();
+        catalog.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
+    const auto baseline_rec =
+        catalog.find(uarch::UArch::Skylake, "ADD_R64_R64");
+    ASSERT_TRUE(baseline_rec.has_value());
+    const Cycles baseline_tp = baseline_rec->tpMeasured();
 
     std::atomic<size_t> mismatches{0};
     ThreadPool pool(8);
     pool.parallelFor(400, [&](size_t i, size_t) {
         switch (i % 4) {
           case 0: {
-            if (database.search(by_ports) != baseline_ports)
+            if (names(catalog.search(by_ports)) != baseline_ports)
                 ++mismatches;
             break;
           }
           case 1: {
-            if (database.search(by_mnemonic) != baseline_add)
+            if (names(catalog.search(by_mnemonic)) != baseline_add)
                 ++mismatches;
             break;
           }
           case 2: {
-            auto diff = database.diff(uarch::UArch::Nehalem,
-                                      uarch::UArch::Skylake);
+            auto diff = catalog.diff(uarch::UArch::Nehalem,
+                                     uarch::UArch::Skylake);
             if (diff.common != baseline_diff.common ||
                 diff.changed.size() != baseline_diff.changed.size())
                 ++mismatches;
             break;
           }
           case 3: {
-            auto row =
-                database.find(uarch::UArch::Skylake, "ADD_R64_R64");
-            if (!row ||
-                database.record(*row).tpMeasured() != baseline_tp)
+            auto rec =
+                catalog.find(uarch::UArch::Skylake, "ADD_R64_R64");
+            if (!rec || rec->tpMeasured() != baseline_tp)
                 ++mismatches;
             break;
           }
@@ -556,46 +719,20 @@ TEST(DbConcurrency, ParallelReadersSeeIdenticalAnswers)
 // The sharded catalog engine.
 // ---------------------------------------------------------------------
 
-/** Fresh, empty temp directory for one test. */
-std::string
-freshDir(const std::string &name)
+TEST(Catalog, XmlShardsMatchSweepShards)
 {
-    auto path = std::filesystem::temp_directory_path() /
-                ("uops_db_test_" + name);
-    std::filesystem::remove_all(path);
-    return path.string();
-}
-
-/** Catalog built by the sharded streaming sweep (same slice). */
-std::shared_ptr<const db::DatabaseCatalog>
-sweepCatalog()
-{
-    static const auto catalog = [] {
-        core::BatchOptions options;
-        options.num_threads = 2;
-        options.characterizer.filter = sliceFilter;
-        options.keep_results = false;
-        return db::runCatalogSweep(defaultDb(), kArches, options,
-                                   nullptr);
-    }();
-    return catalog;
-}
-
-TEST(Catalog, ShardedSweepMatchesMonolithSplit)
-{
-    // The two construction paths — streaming per-uarch sweep ingest
-    // and splitting a monolithic database — must produce the same
-    // shard bytes, or migration and incremental sweeps could not be
-    // compared by hash.
-    auto split = db::DatabaseCatalog::fromMonolith(sliceDb(), 1);
-    ASSERT_EQ(split->shards().size(),
+    // The two catalog construction paths — the streaming per-uarch
+    // sweep and the re-parsed XML export — must produce the same
+    // shard bytes, or `uopsq ingest` and an incremental sweep could
+    // not be compared by hash.
+    db::DatabaseCatalog from_xml(xmlShards(), 1);
+    ASSERT_EQ(from_xml.shards().size(),
               sweepCatalog()->shards().size());
-    for (size_t i = 0; i < split->shards().size(); ++i) {
-        const db::ShardEntry &a = split->shards()[i];
+    for (size_t i = 0; i < from_xml.shards().size(); ++i) {
+        const db::ShardEntry &a = from_xml.shards()[i];
         const db::ShardEntry &b = sweepCatalog()->shards()[i];
         EXPECT_EQ(a.arch, b.arch);
-        EXPECT_EQ(db::shardBytes(*a.db, a.arch),
-                  db::shardBytes(*b.db, b.arch));
+        EXPECT_EQ(db::shardBytes(*a.db), db::shardBytes(*b.db));
         EXPECT_EQ(a.hash, b.hash);
         EXPECT_EQ(a.file, b.file);
     }
@@ -613,11 +750,11 @@ TEST(Catalog, GoldenShardRoundTrip)
         const db::ShardEntry &got = loaded->shards()[i];
         const db::ShardEntry &want = sweepCatalog()->shards()[i];
         EXPECT_EQ(got.arch, want.arch);
+        EXPECT_EQ(got.db->arch(), want.arch);
         EXPECT_EQ(got.records, want.records);
         EXPECT_EQ(got.hash, want.hash);
         // Loaded shards re-serialize to the exact bytes saved.
-        EXPECT_EQ(db::shardBytes(*got.db, got.arch),
-                  db::shardBytes(*want.db, want.arch));
+        EXPECT_EQ(db::shardBytes(*got.db), db::shardBytes(*want.db));
     }
 
     // Query answers match the in-memory catalog.
@@ -658,8 +795,7 @@ TEST(Catalog, IncrementalSpliceEqualsFullSweep)
         EXPECT_EQ(got.arch, want.arch);
         EXPECT_EQ(got.hash, want.hash)
             << uarch::uarchShortName(got.arch);
-        EXPECT_EQ(db::shardBytes(*got.db, got.arch),
-                  db::shardBytes(*want.db, want.arch));
+        EXPECT_EQ(db::shardBytes(*got.db), db::shardBytes(*want.db));
     }
     // The untouched shard is shared with the base, not copied.
     EXPECT_EQ(spliced->shard(uarch::UArch::Nehalem),
@@ -674,38 +810,90 @@ TEST(Catalog, IncrementalSpliceEqualsFullSweep)
     db::saveCatalogDir(*base, dir_incr);
     db::saveCatalogDir(*spliced, dir_incr);
     for (const db::ShardEntry &entry : sweepCatalog()->shards()) {
-        std::ifstream a(dir_full + "/" + entry.file,
-                        std::ios::binary);
-        std::ifstream b(dir_incr + "/" + entry.file,
-                        std::ios::binary);
-        ASSERT_TRUE(a && b) << entry.file;
-        std::stringstream bytes_a, bytes_b;
-        bytes_a << a.rdbuf();
-        bytes_b << b.rdbuf();
-        EXPECT_EQ(bytes_a.str(), bytes_b.str()) << entry.file;
-        EXPECT_EQ(fnv1a64(bytes_a.str()), entry.hash);
+        std::string bytes = slurp(dir_full + "/" + entry.file);
+        EXPECT_EQ(bytes, slurp(dir_incr + "/" + entry.file))
+            << entry.file;
+        EXPECT_EQ(fnv1a64(bytes), entry.hash);
     }
     EXPECT_EQ(db::loadCatalogDir(dir_incr)->generation(), 2u);
 }
 
+TEST(Catalog, PublishOntoExistingCatalogAddsAGeneration)
+{
+    // `uopsq ingest` into a directory that already holds generation 2
+    // must publish generation 3 on top of it — not rewrite generation
+    // 1 in place, where the newer generation would shadow it.
+    core::BatchOptions options;
+    options.num_threads = 2;
+    auto sweep = [&options](const char *mnemonic,
+                            const db::DatabaseCatalog *base,
+                            core::CharacterizationReport *report) {
+        options.characterizer.filter =
+            [mnemonic](const isa::InstrVariant &v) {
+                return v.mnemonic() == mnemonic;
+            };
+        return db::runCatalogSweep(defaultDb(), {uarch::UArch::Nehalem},
+                                   options, base, report);
+    };
+    auto gen1 = sweep("XOR", nullptr, nullptr);
+    auto gen2 = sweep("IMUL", gen1.get(), nullptr);
+    core::CharacterizationReport report;
+    auto added = sweep("ADD", nullptr, &report);
+
+    const std::string dir = freshDir("publish");
+    db::saveCatalogDir(*gen1, dir);
+    db::saveCatalogDir(*gen2, dir);
+    const std::string manifest1 = dir + "/" + db::manifestFileName(1);
+    const std::string manifest1_bytes = slurp(manifest1);
+
+    auto published = db::publishShards(
+        dir, db::DatabaseCatalog::shardsFromResults(
+                 isa::parseResultsXml(report.toXmlString()),
+                 &defaultDb()));
+    EXPECT_EQ(published->generation(), 3u);
+    EXPECT_EQ(slurp(manifest1), manifest1_bytes);
+
+    auto loaded = db::loadCatalogDir(dir);
+    EXPECT_EQ(loaded->generation(), 3u);
+    EXPECT_EQ(loaded->contentHash(), added->contentHash());
+
+    // An empty directory starts at generation 1.
+    const std::string fresh = freshDir("publish_fresh");
+    EXPECT_EQ(db::publishShards(fresh, xmlShards())->generation(), 1u);
+    EXPECT_EQ(db::loadCatalogDir(fresh)->contentHash(),
+              sweepCatalog()->contentHash());
+}
+
 TEST(Catalog, MigrateV2SnapshotIsLossless)
 {
-    // A legacy monolith converts to a shard set whose bytes equal a
-    // fresh sharded sweep of the same results (v1 stays refused by
-    // the loader underneath).
-    const std::string snap =
-        freshDir("migrate_src") + "_v2.snap";
-    db::saveSnapshotFile(sliceDb(), snap);
-
+    // The committed legacy monolith converts to exactly the shard set
+    // `uopsq characterize --arches NHM,SKL --mod 64` writes (v1 stays
+    // refused by the reader underneath).
+    const std::string snap = freshDir("migrate_src") + "_v2.snap";
+    spill(snap, v2Fixture());
     const std::string dir = freshDir("migrate_out");
     db::migrateSnapshot(snap, dir);
+
     auto migrated = db::loadCatalogDir(dir);
     EXPECT_EQ(migrated->generation(), 1u);
-    ASSERT_EQ(migrated->shards().size(),
-              sweepCatalog()->shards().size());
-    for (size_t i = 0; i < migrated->shards().size(); ++i)
-        EXPECT_EQ(migrated->shards()[i].hash,
-                  sweepCatalog()->shards()[i].hash);
+    ASSERT_EQ(migrated->shards().size(), 2u);
+    EXPECT_EQ(migrated->shards()[0].file,
+              "NHM-7d4f2240de755f7b.shard");
+    EXPECT_EQ(migrated->shards()[1].file,
+              "SKL-46811200eddeb5ea.shard");
+    EXPECT_EQ(migrated->shards()[0].hash, 0x7d4f2240de755f7bull);
+    EXPECT_EQ(migrated->shards()[1].hash, 0x46811200eddeb5eaull);
+
+    // The same results swept fresh hash the same.
+    core::BatchOptions options;
+    options.num_threads = 2;
+    options.keep_results = false;
+    options.characterizer.filter = [](const isa::InstrVariant &v) {
+        return v.id() % 64 == 0;
+    };
+    auto swept =
+        db::runCatalogSweep(defaultDb(), kArches, options, nullptr);
+    EXPECT_EQ(migrated->contentHash(), swept->contentHash());
 
     // The legacy file itself is not a catalog: migration is the only
     // way in, and the refusal says so.
@@ -719,80 +907,41 @@ TEST(Catalog, MigrateV2SnapshotIsLossless)
     }
 }
 
-TEST(Catalog, QueriesMatchMonolith)
+TEST(Catalog, QueriesSpanShardsInArchOrder)
 {
     const db::DatabaseCatalog &catalog = *sweepCatalog();
-    const db::InstructionDatabase &mono = sliceDb();
+    const db::InstructionDatabase &nhm =
+        *catalog.shard(uarch::UArch::Nehalem);
+    const db::InstructionDatabase &skl =
+        *catalog.shard(uarch::UArch::Skylake);
+    EXPECT_EQ(catalog.numRecords(), nhm.numRecords() + skl.numRecords());
 
-    EXPECT_EQ(catalog.numRecords(), mono.numRecords());
-    EXPECT_EQ(catalog.uarches(), mono.uarches());
-
-    // Search answers in the same order as the arch-major monolith.
+    // Unrouted search answers arch-major: every shard's hits in row
+    // order, shards in chronological uarch order.
     db::Query query;
     query.uses_ports = uarch::portMask({0, 5});
-    auto catalog_rows = catalog.search(query);
-    auto mono_rows = mono.search(query);
-    ASSERT_EQ(catalog_rows.size(), mono_rows.size());
-    for (size_t i = 0; i < mono_rows.size(); ++i) {
-        db::RecordView want = mono.record(mono_rows[i]);
-        EXPECT_EQ(catalog_rows[i].name(), want.name());
-        EXPECT_EQ(catalog_rows[i].arch(), want.arch());
-        EXPECT_EQ(catalog_rows[i].tpMeasured(), want.tpMeasured());
+    std::vector<db::RecordView> want;
+    for (const db::InstructionDatabase *shard : {&nhm, &skl})
+        for (uint32_t row : shard->search(query))
+            want.push_back(shard->record(row));
+    auto got = catalog.search(query);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].name(), want[i].name());
+        EXPECT_EQ(got[i].arch(), want[i].arch());
+        EXPECT_EQ(got[i].row(), want[i].row());
     }
 
-    // Limits span shards exactly like a monolith row-order scan.
+    // Limits span shards in that order.
     db::Query limited;
-    limited.limit = static_cast<size_t>(
-        mono.numRecords(uarch::UArch::Nehalem) + 2);
+    limited.limit = static_cast<size_t>(nhm.numRecords() + 2);
     auto spanning = catalog.search(limited);
     ASSERT_EQ(spanning.size(), limited.limit);
     EXPECT_EQ(spanning.front().arch(), uarch::UArch::Nehalem);
+    EXPECT_EQ(spanning[nhm.numRecords() - 1].arch(),
+              uarch::UArch::Nehalem);
+    EXPECT_EQ(spanning[nhm.numRecords()].arch(), uarch::UArch::Skylake);
     EXPECT_EQ(spanning.back().arch(), uarch::UArch::Skylake);
-
-    EXPECT_EQ(catalog.findByName("ADD_R64_R64").size(),
-              mono.findByName("ADD_R64_R64").size());
-
-    // Diff agrees with the monolith in content and order.
-    auto catalog_diff =
-        catalog.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
-    auto mono_diff =
-        mono.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
-    EXPECT_EQ(catalog_diff.common, mono_diff.common);
-    EXPECT_EQ(catalog_diff.only_a, mono_diff.only_a);
-    EXPECT_EQ(catalog_diff.only_b, mono_diff.only_b);
-    ASSERT_EQ(catalog_diff.changed.size(),
-              mono_diff.changed.size());
-    for (size_t i = 0; i < mono_diff.changed.size(); ++i) {
-        EXPECT_EQ(catalog_diff.changed[i].a.name(),
-                  mono.record(mono_diff.changed[i].row_a).name());
-        EXPECT_EQ(catalog_diff.changed[i].tp_differs,
-                  mono_diff.changed[i].tp_differs);
-        EXPECT_EQ(catalog_diff.changed[i].ports_differ,
-                  mono_diff.changed[i].ports_differ);
-        EXPECT_EQ(catalog_diff.changed[i].latency_differs,
-                  mono_diff.changed[i].latency_differs);
-    }
-}
-
-TEST(Catalog, MmapLoadIsCopyOnWriteForLaterIngest)
-{
-    // Ingesting on top of a zero-copy-loaded shard must produce the
-    // same bytes as the all-in-memory build: the first mutation
-    // copies the borrowed columns out of the mapping.
-    const std::string dir = freshDir("mmap_cow");
-    db::saveCatalogDir(*sweepCatalog(), dir);
-    const db::ShardEntry &nhm = sweepCatalog()->shards().front();
-    ASSERT_EQ(nhm.arch, uarch::UArch::Nehalem);
-
-    auto mapped = db::loadShardMapped(mapFile(dir + "/" + nhm.file),
-                                      uarch::UArch::Nehalem);
-    mapped->ingest(sliceReport().uarches[1].toSet());
-
-    db::InstructionDatabase direct;
-    direct.ingest(sliceReport().uarches[0].toSet());
-    direct.ingest(sliceReport().uarches[1].toSet());
-    EXPECT_EQ(db::snapshotBytes(*mapped),
-              db::snapshotBytes(direct));
 }
 
 TEST(Catalog, CorruptStoreIsRefused)
@@ -819,14 +968,36 @@ TEST(Catalog, CorruptStoreIsRefused)
         file.write(&byte, 1);
     }
     EXPECT_THROW(db::loadCatalogDir(dir), FatalError);
+}
 
-    // A torn manifest is rejected too.
-    {
-        std::ofstream manifest(dir + "/manifest",
-                               std::ios::binary | std::ios::trunc);
-        manifest << "UOPSMF";
-    }
-    EXPECT_THROW(db::loadCatalogDir(dir), FatalError);
+TEST(Catalog, LegacyManifestIsAFallbackCandidate)
+{
+    // A pre-numbered store keeps its single `manifest` file; it still
+    // loads, as the generation its header names.
+    const std::string dir = freshDir("legacy");
+    db::saveCatalogDir(*sweepCatalog(), dir);
+    std::filesystem::rename(dir + "/" + db::manifestFileName(1),
+                            dir + "/" + db::kManifestFile);
+    EXPECT_EQ(db::readCatalogGeneration(dir),
+              std::optional<uint64_t>(1));
+    auto legacy = db::loadCatalogDir(dir);
+    EXPECT_EQ(legacy->generation(), 1u);
+    EXPECT_EQ(legacy->contentHash(), sweepCatalog()->contentHash());
+
+    // A torn legacy manifest beside an intact numbered one is never
+    // chosen: the numbered generation loads, nothing is rejected, and
+    // the legacy file is left alone.
+    const std::string torn = freshDir("legacy_torn");
+    db::saveCatalogDir(*sweepCatalog(), torn);
+    spill(torn + "/" + db::kManifestFile, "UOPSMF");
+    db::RecoveryReport report;
+    auto loaded =
+        db::loadCatalogDir(torn, db::LoadMode::Mmap, true, &report);
+    EXPECT_EQ(loaded->generation(), 1u);
+    EXPECT_EQ(loaded->contentHash(), sweepCatalog()->contentHash());
+    EXPECT_FALSE(report.recovered);
+    EXPECT_TRUE(report.rejected_generations.empty());
+    EXPECT_TRUE(std::filesystem::exists(torn + "/" + db::kManifestFile));
 }
 
 TEST(Catalog, EmptyShardRoundTrips)
@@ -847,6 +1018,8 @@ TEST(Catalog, EmptyShardRoundTrips)
     db::saveCatalogDir(*catalog, dir);
     auto loaded = db::loadCatalogDir(dir);
     EXPECT_EQ(loaded->numRecords(uarch::UArch::Nehalem), 0u);
+    EXPECT_EQ(loaded->shards().front().db->arch(),
+              uarch::UArch::Nehalem);
     EXPECT_EQ(loaded->shards().front().hash,
               catalog->shards().front().hash);
 }

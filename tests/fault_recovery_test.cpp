@@ -653,9 +653,8 @@ notShardBytes(const std::string &ports)
         "<ports usage=\"1*" + ports + "\" uops=\"1\"/>"
         "<throughput measured=\"0.33\"/>"
         "</instruction></uopsInfo>");
-    db::InstructionDatabase database;
-    database.ingestResults(doc, nullptr);
-    return db::shardBytes(database, uarch::UArch::Nehalem);
+    return db::shardBytes(
+        *db::DatabaseCatalog::shardsFromResults(doc, nullptr)[0].db);
 }
 
 TEST(CorruptionCorpus, ShardPortSetsOutsideTheUArchAreRejected)

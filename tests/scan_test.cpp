@@ -2,9 +2,10 @@
  * @file
  * Property and regression tests for the predicate-pushdown scan
  * executor (src/db/scan.*): randomized composed predicates must
- * answer exactly like a brute-force RecordView filter over a seeded
- * all-nine-uarch catalog, the index/arch-run short-circuits must
- * actually fire (asserted through ScanStats), the fixed-point
+ * answer exactly like a brute-force RecordView filter over every shard
+ * of a seeded all-nine-uarch catalog and across the catalog, the
+ * index short-circuits and the per-shard arch constant must actually
+ * fire (asserted through ScanStats), the fixed-point
  * throughput-bound conversion must round the way the doc comment
  * promises, and the cross-generation analytics merge must agree with
  * a hand-built name-keyed diff.
@@ -33,7 +34,7 @@ namespace {
 
 /** Same diverse slice as db_test (GPR ALU, zero idiom, SSE, AVX,
  *  divider, memory), but swept across every supported generation so
- *  arch-run restriction and analytics merges see all nine shards. */
+ *  the arch constant and analytics merges see all nine shards. */
 bool
 scanSliceFilter(const isa::InstrVariant &v)
 {
@@ -42,36 +43,25 @@ scanSliceFilter(const isa::InstrVariant &v)
            m == "MOVAPS" || m == "VPXOR" || m == "IMUL";
 }
 
-const core::CharacterizationReport &
-nineReport()
-{
-    static const core::CharacterizationReport report = [] {
-        core::BatchOptions options;
-        options.num_threads = 2;
-        options.characterizer.filter = scanSliceFilter;
-        return core::runBatchSweep(defaultDb(), uarch::allUArches(),
-                                   options);
-    }();
-    return report;
-}
-
-const db::InstructionDatabase &
-nineDb()
-{
-    static const db::InstructionDatabase *database = [] {
-        auto *built = new db::InstructionDatabase();
-        built->ingest(nineReport());
-        return built;
-    }();
-    return *database;
-}
-
 std::shared_ptr<const db::DatabaseCatalog>
 nineCatalog()
 {
-    static const auto catalog =
-        db::DatabaseCatalog::fromMonolith(nineDb(), 1);
+    static const auto catalog = [] {
+        core::BatchOptions options;
+        options.num_threads = 2;
+        options.characterizer.filter = scanSliceFilter;
+        options.keep_results = false;
+        return db::runCatalogSweep(defaultDb(), uarch::allUArches(),
+                                   options, nullptr);
+    }();
     return catalog;
+}
+
+/** One shard of the nine-uarch catalog. */
+const db::InstructionDatabase &
+nineShard(uarch::UArch arch)
+{
+    return *nineCatalog()->shard(arch);
 }
 
 /** The RecordFlag byte reconstructed purely through the public
@@ -148,17 +138,53 @@ bruteForceSearch(const db::InstructionDatabase &db, const db::Query &q)
     return rows;
 }
 
+/** Brute force across the catalog: every record, arch-major, capped
+ *  by the query's limit across shards. */
+std::vector<db::RecordView>
+bruteForceSearch(const db::DatabaseCatalog &catalog, const db::Query &q)
+{
+    std::vector<db::RecordView> out;
+    for (const db::ShardEntry &entry : catalog.shards())
+        for (uint32_t row = 0;
+             row < static_cast<uint32_t>(entry.db->numRecords());
+             ++row) {
+            if (out.size() >= q.limit)
+                return out;
+            if (matchesBruteForce(entry.db->record(row), q))
+                out.push_back(entry.db->record(row));
+        }
+    return out;
+}
+
+/** (uarch, name) of each record: what identifies it across shards. */
+std::vector<std::pair<uarch::UArch, std::string>>
+identities(const std::vector<db::RecordView> &records)
+{
+    std::vector<std::pair<uarch::UArch, std::string>> out;
+    for (const db::RecordView &r : records)
+        out.emplace_back(r.arch(), std::string(r.name()));
+    return out;
+}
+
 /** One random query: every field set with independent probability,
- *  operands sampled from a real row half the time (so conjunctions
- *  actually hit) and drawn blind otherwise (so misses and
- *  unsatisfiable combinations are exercised too). */
+ *  operands sampled from a real record of the catalog half the time
+ *  (so conjunctions actually hit) and drawn blind otherwise (so
+ *  misses and unsatisfiable combinations are exercised too). */
 db::Query
-randomQuery(std::mt19937 &rng, const db::InstructionDatabase &db)
+randomQuery(std::mt19937 &rng, const db::DatabaseCatalog &catalog)
 {
     std::uniform_real_distribution<double> coin(0.0, 1.0);
     std::uniform_int_distribution<uint32_t> any_row(
-        0, static_cast<uint32_t>(db.numRecords()) - 1);
-    db::RecordView sample = db.record(any_row(rng));
+        0, static_cast<uint32_t>(catalog.numRecords()) - 1);
+    uint32_t pick = any_row(rng);
+    const db::ShardEntry *home = nullptr;
+    for (const db::ShardEntry &entry : catalog.shards()) {
+        home = &entry;
+        if (pick < entry.db->numRecords())
+            break;
+        pick -= static_cast<uint32_t>(entry.db->numRecords());
+    }
+    db::RecordView sample = home->db->record(pick);
 
     db::Query q;
     if (coin(rng) < 0.5)
@@ -219,16 +245,23 @@ randomQuery(std::mt19937 &rng, const db::InstructionDatabase &db)
 
 TEST(ScanProperty, RandomComposedPredicatesMatchBruteForce)
 {
-    const db::InstructionDatabase &db = nineDb();
-    ASSERT_GT(db.numRecords(), 400u);
+    const db::DatabaseCatalog &catalog = *nineCatalog();
+    ASSERT_EQ(catalog.shards().size(), 9u);
+    ASSERT_GT(catalog.numRecords(), 400u);
 
     std::mt19937 rng(0x5EED);
     for (int trial = 0; trial < 400; ++trial) {
-        db::Query q = randomQuery(rng, db);
-        auto expected = bruteForceSearch(db, q);
-        auto actual = db.search(q);
-        ASSERT_EQ(expected, actual)
-            << "trial " << trial << " diverged from brute force";
+        db::Query q = randomQuery(rng, catalog);
+        // Per shard: the executor, arch constant included.
+        for (const db::ShardEntry &entry : catalog.shards())
+            ASSERT_EQ(bruteForceSearch(*entry.db, q), entry.db->search(q))
+                << "trial " << trial << " diverged from brute force on "
+                << uarch::uarchShortName(entry.arch);
+        // Across the catalog: routing, arch-major order and a limit
+        // that spans shards.
+        ASSERT_EQ(identities(bruteForceSearch(catalog, q)),
+                  identities(catalog.search(q)))
+            << "trial " << trial << " diverged across the catalog";
     }
 }
 
@@ -236,7 +269,7 @@ TEST(ScanProperty, ExecutorWithExplicitPredicatesMatchesQueryPath)
 {
     // The factory-built PredicateSet must behave exactly like the
     // Query compiled through predicatesFromQuery.
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = nineShard(uarch::UArch::Skylake);
     db::Query q;
     q.arch = uarch::UArch::Skylake;
     q.uses_ports = uarch::portMask({0, 5});
@@ -248,25 +281,28 @@ TEST(ScanProperty, ExecutorWithExplicitPredicatesMatchesQueryPath)
     preds.add(db::latBetween(std::nullopt, 6));
 
     db::ScanExecutor exec(db);
+    ASSERT_FALSE(exec.run(preds).empty());
     EXPECT_EQ(db.search(q), exec.run(preds));
     EXPECT_EQ(bruteForceSearch(db, q), exec.run(preds));
 }
 
 TEST(ScanProperty, EmptyPredicateSetReturnsEveryRowInOrder)
 {
-    const db::InstructionDatabase &db = nineDb();
-    db::ScanExecutor exec(db);
-    auto rows = exec.run(db::PredicateSet{});
-    ASSERT_EQ(rows.size(), db.numRecords());
-    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
-    EXPECT_EQ(rows.front(), 0u);
-    EXPECT_EQ(rows.back(),
-              static_cast<uint32_t>(db.numRecords()) - 1);
+    for (const db::ShardEntry &entry : nineCatalog()->shards()) {
+        const db::InstructionDatabase &db = *entry.db;
+        db::ScanExecutor exec(db);
+        auto rows = exec.run(db::PredicateSet{});
+        ASSERT_EQ(rows.size(), db.numRecords());
+        EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+        EXPECT_EQ(rows.front(), 0u);
+        EXPECT_EQ(rows.back(),
+                  static_cast<uint32_t>(db.numRecords()) - 1);
+    }
 }
 
 TEST(ScanProperty, LimitTruncatesFirstMatchesExactly)
 {
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = nineShard(uarch::UArch::Haswell);
     db::Query q;
     q.uses_ports = uarch::portMask({0});
     auto all = db.search(q);
@@ -291,7 +327,7 @@ TEST(ScanProperty, PredicateSetOverflowThrows)
 
 TEST(ScanStats, StringIndexShortCircuitsTheScan)
 {
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = nineShard(uarch::UArch::Skylake);
     db::PredicateSet preds;
     preds.add(db::mnemonicIs("ADD"));
     preds.add(db::archIs(uarch::UArch::Skylake));
@@ -308,7 +344,7 @@ TEST(ScanStats, StringIndexShortCircuitsTheScan)
 
 TEST(ScanStats, UnknownStringOperandAnswersEmptyWithoutScanning)
 {
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = nineShard(uarch::UArch::Skylake);
     db::PredicateSet preds;
     preds.add(db::nameIs("NO SUCH VARIANT"));
     db::ScanStats stats;
@@ -317,24 +353,35 @@ TEST(ScanStats, UnknownStringOperandAnswersEmptyWithoutScanning)
     EXPECT_EQ(stats.rows_considered, 0u);
 }
 
-TEST(ScanStats, ArchPredicateCollapsesToContiguousRange)
+TEST(ScanStats, ArchPredicateIsAConstantPerShard)
 {
-    const db::InstructionDatabase &db = nineDb();
-    db::PredicateSet preds;
-    preds.add(db::archIs(uarch::UArch::Haswell));
-    db::ScanStats stats;
+    // A shard holds one uarch: its own arch predicate considers every
+    // row (and filters none), any other arch considers none.
+    const db::InstructionDatabase &db = nineShard(uarch::UArch::Haswell);
     db::ScanExecutor exec(db);
-    auto rows = exec.run(preds, SIZE_MAX, &stats);
-    ASSERT_FALSE(rows.empty());
-    EXPECT_TRUE(stats.used_arch_range);
-    // The range restriction considered exactly the uarch's rows.
-    EXPECT_EQ(stats.rows_considered, rows.size());
-    EXPECT_EQ(stats.rows_matched, rows.size());
+    for (uarch::UArch arch : uarch::allUArches()) {
+        db::PredicateSet preds;
+        preds.add(db::archIs(arch));
+        db::ScanStats stats;
+        auto rows = exec.run(preds, SIZE_MAX, &stats);
+        if (arch == uarch::UArch::Haswell) {
+            EXPECT_EQ(rows.size(), db.numRecords());
+            EXPECT_EQ(stats.rows_considered, db.numRecords());
+        } else {
+            EXPECT_TRUE(rows.empty()) << uarch::uarchShortName(arch);
+            EXPECT_EQ(stats.rows_considered, 0u);
+        }
+        EXPECT_EQ(stats.rows_matched, rows.size());
+
+        // The same holds behind the string index.
+        preds.add(db::mnemonicIs("ADD"));
+        EXPECT_EQ(exec.run(preds).empty(), arch != uarch::UArch::Haswell);
+    }
 }
 
 TEST(ScanStats, SelectiveThroughputWindowUsesOrderIndex)
 {
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = nineShard(uarch::UArch::Skylake);
     // The most expensive throughput in the slice (the divider) is
     // rare; its exact window is far below the n/4 cutoff, so the
     // order index must pre-filter instead of scanning.
@@ -406,16 +453,19 @@ TEST(TpBounds, RangeQueryAgreesWithDoubleComparison)
 {
     // End to end: converting a double range at the boundary must
     // select exactly the records a double comparison would.
-    const db::InstructionDatabase &db = nineDb();
+    const db::DatabaseCatalog &catalog = *nineCatalog();
     for (double lo : {0.25, 0.33, 0.5, 1.0, 3.07}) {
         db::Query q;
         q.tp_min = db::tpBoundMin(lo);
-        std::vector<uint32_t> expected;
-        for (uint32_t row = 0;
-             row < static_cast<uint32_t>(db.numRecords()); ++row)
-            if (db.record(row).tpMeasured().toDouble() >= lo)
-                expected.push_back(row);
-        EXPECT_EQ(db.search(q), expected) << "lo=" << lo;
+        std::vector<db::RecordView> expected;
+        for (const db::ShardEntry &entry : catalog.shards())
+            for (uint32_t row = 0;
+                 row < static_cast<uint32_t>(entry.db->numRecords());
+                 ++row)
+                if (entry.db->record(row).tpMeasured().toDouble() >= lo)
+                    expected.push_back(entry.db->record(row));
+        EXPECT_EQ(identities(catalog.search(q)), identities(expected))
+            << "lo=" << lo;
     }
 }
 
@@ -432,25 +482,26 @@ TEST(Analytics, ChangedSetMatchesHandBuiltDiff)
     q.direction = db::AnalyticsQuery::Direction::Changed;
     auto result = catalog->analytics(q);
 
-    // Reference: name-keyed maps over the monolith's two shards.
-    const db::InstructionDatabase &db = nineDb();
-    std::map<std::string_view, uint32_t> from_rows, to_rows;
-    for (uint32_t row = 0;
-         row < static_cast<uint32_t>(db.numRecords()); ++row) {
-        db::RecordView r = db.record(row);
-        if (r.arch() == q.from)
-            from_rows[r.name()] = row;
-        if (r.arch() == q.to)
-            to_rows[r.name()] = row;
-    }
+    // Reference: name-keyed maps over the two shards.
+    const db::InstructionDatabase &from = nineShard(q.from);
+    const db::InstructionDatabase &to = nineShard(q.to);
+    auto by_name = [](const db::InstructionDatabase &db) {
+        std::map<std::string_view, uint32_t> rows;
+        for (uint32_t row = 0;
+             row < static_cast<uint32_t>(db.numRecords()); ++row)
+            rows[db.record(row).name()] = row;
+        return rows;
+    };
+    const auto from_rows = by_name(from);
+    const auto to_rows = by_name(to);
     size_t common = 0, changed = 0;
     for (const auto &[name, from_row] : from_rows) {
         auto it = to_rows.find(name);
         if (it == to_rows.end())
             continue;
         ++common;
-        db::RecordView a = db.record(from_row);
-        db::RecordView b = db.record(it->second);
+        db::RecordView a = from.record(from_row);
+        db::RecordView b = to.record(it->second);
         if (a.tpMeasured() != b.tpMeasured() ||
             a.maxLatency() != b.maxLatency())
             ++changed;

@@ -56,29 +56,19 @@ sliceFilter(const isa::InstrVariant &v)
            m == "MOVAPS";
 }
 
-const db::InstructionDatabase &
-sliceDb()
-{
-    static const db::InstructionDatabase *database = [] {
-        core::BatchOptions options;
-        options.num_threads = 2;
-        options.characterizer.filter = sliceFilter;
-        auto report = core::runBatchSweep(
-            defaultDb(),
-            {uarch::UArch::Nehalem, uarch::UArch::Skylake}, options);
-        auto *built = new db::InstructionDatabase();
-        built->ingest(report);
-        return built;
-    }();
-    return *database;
-}
-
 /** The shared slice as a sharded catalog (the serving input). */
 std::shared_ptr<const db::DatabaseCatalog>
 sliceCatalog()
 {
-    static const auto catalog =
-        db::DatabaseCatalog::fromMonolith(sliceDb(), 1);
+    static const auto catalog = [] {
+        core::BatchOptions options;
+        options.num_threads = 2;
+        options.characterizer.filter = sliceFilter;
+        options.keep_results = false;
+        return db::runCatalogSweep(
+            defaultDb(), {uarch::UArch::Nehalem, uarch::UArch::Skylake},
+            options, nullptr);
+    }();
     return catalog;
 }
 
@@ -139,12 +129,12 @@ directInstrBody(const db::DatabaseCatalog &catalog,
     for (const db::ShardEntry &shard : catalog.shards()) {
         if (arch && shard.arch != *arch)
             continue;
-        for (uint32_t row : shard.db->findByName(name)) {
+        if (std::optional<uint32_t> row = shard.db->find(name)) {
             if (!first)
                 body += ',';
             first = false;
             server::JsonWriter json;
-            server::writeRecordJson(json, shard.db->record(row));
+            server::writeRecordJson(json, shard.db->record(*row));
             body += std::move(json).str();
         }
     }
@@ -585,8 +575,8 @@ TEST(Service, PredictSimulatesAndAnalyzesKernels)
     // The static IACA-style analysis rides along under "analysis",
     // equal to a direct PerformancePredictor run over the same
     // reconstructed characterization set.
-    auto set = sliceDb().toCharacterizationSet(uarch::UArch::Skylake,
-                                               defaultDb());
+    auto set = sliceCatalog()->toCharacterizationSet(
+        uarch::UArch::Skylake, defaultDb());
     core::PerformancePredictor predictor(set);
     core::Prediction expected = predictor.analyzeLoop(
         asm_("ADD RAX, RBX\nIMUL RCX, RAX"));
