@@ -1,12 +1,39 @@
 #include "harness.h"
 
 #include "sim/measurement_cache.h"
+#include "support/obs/metrics.h"
 #include "support/status.h"
 
 namespace uops::sim {
 
 using isa::InstrInstance;
 using isa::Kernel;
+
+namespace {
+
+obs::Counter &
+simCycles(const char *mode)
+{
+    return obs::Registry::global().counter(
+        "uops_sim_cycles_total",
+        "Algorithm-2 core cycles, stepped (simulated) or skipped by "
+        "exact fast-forward (fast_forwarded)",
+        {{"mode", mode}});
+}
+
+/** Count one run's cycles. Once per run, never per cycle: a shared
+ *  atomic bumped every cycle would slow the sweep's workers. */
+void
+countCycles(const RunResult &result)
+{
+    static obs::Counter &simulated = simCycles("simulated");
+    static obs::Counter &skipped = simCycles("fast_forwarded");
+    simulated.inc(static_cast<uint64_t>(result.simulated_cycles));
+    skipped.inc(
+        static_cast<uint64_t>(result.cycles - result.simulated_cycles));
+}
+
+} // namespace
 
 MeasurementHarness::MeasurementHarness(const uarch::TimingDb &timing,
                                        SimOptions sim)
@@ -43,6 +70,7 @@ MeasurementHarness::runOnce(const DecodedKernel &decoded, int n) const
                       decoded.bodySize() * static_cast<size_t>(n) + 1);
 
     RunResult result = pipeline_.run(decoded, n, markers);
+    countCycles(result);
     return result.snapshots[1] - result.snapshots[0];
 }
 

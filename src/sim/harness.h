@@ -23,11 +23,15 @@
  *
  * Hot path: the body is decoded into a µop template once per measure()
  * call and the pipeline unrolls it logically (sim/decoded.h) — the
- * n-copy kernel is never materialized. When a MeasurementCache is
- * attached (setCache), byte-identical bodies are served from the
- * cache; cached results are bit-identical to recomputation because a
- * Measurement is a pure function of the key on a fixed timing
- * database.
+ * n-copy kernel is never materialized, and once the copies reach a
+ * steady state the rest of the run is fast-forwarded exactly
+ * (sim/pipeline.h); a materialized kernel is the reference both are
+ * tested against. Each run adds its stepped and fast-forwarded cycles
+ * to uops_sim_cycles_total in obs::Registry::global(). When a
+ * MeasurementCache is attached (setCache), byte-identical bodies are
+ * served from the cache; cached results are bit-identical to
+ * recomputation because a Measurement is a pure function of the key
+ * on a fixed timing database.
  */
 
 #ifndef UOPS_SIM_HARNESS_H

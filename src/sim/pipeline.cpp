@@ -68,6 +68,14 @@ class PipelineScratch
     std::vector<int> waiting;
     std::vector<int64_t> div_busy;
     std::vector<int> instr_uops_left;
+
+    /** Fast-forward period search: the canonical state at the current
+     *  copy boundary, Brent's saved one, and the value renumbering
+     *  (-1: not yet numbered). */
+    std::vector<int64_t> state;
+    std::vector<int64_t> saved_state;
+    std::vector<int32_t> canon_value;
+    std::vector<int32_t> canon_touched;
 };
 
 namespace {
@@ -90,7 +98,9 @@ class Core
           pending_rename_only_(s.pending_rename_only), rob_(s.rob),
           bound_(s.bound), bound_head_(s.bound_head),
           waiting_(s.waiting), div_busy_(s.div_busy),
-          instr_uops_left_(s.instr_uops_left)
+          instr_uops_left_(s.instr_uops_left), state_(s.state),
+          saved_state_(s.saved_state), canon_value_(s.canon_value),
+          canon_touched_(s.canon_touched)
     {
         marker_set_.assign(markers.begin(), markers.end());
         std::sort(marker_set_.begin(), marker_set_.end());
@@ -114,6 +124,8 @@ class Core
         // -1: not yet renamed (blocks the in-order retire cursor).
         instr_uops_left_.assign(total_, -1);
         result_.snapshots.resize(marker_set_.size());
+        if (decoded.bodySize() > 0)
+            next_boundary_ = decoded.prologueSize();
     }
 
     RunResult
@@ -121,10 +133,13 @@ class Core
     {
         while (!done()) {
             ++cycle_;
-            panicIf(cycle_ > options_.max_cycles,
+            // The budgets see logical cycles, fast-forwarded included,
+            // so a run is admitted or refused exactly as without it.
+            int64_t logical = cycle_ + cycle_offset_;
+            panicIf(logical > options_.max_cycles,
                     "simulation exceeded max_cycles (deadlock?)");
             if (options_.cycle_budget > 0 &&
-                cycle_ > options_.cycle_budget) {
+                logical > options_.cycle_budget) {
                 throw CycleBudgetExceeded(
                     "simulation exceeded the cycle budget (" +
                         std::to_string(options_.cycle_budget) +
@@ -138,9 +153,10 @@ class Core
             if (!activity_ && options_.skip_idle)
                 skipIdleCycles();
         }
-        counters_.cycles = cycle_;
+        counters_.cycles = cycle_ + cycle_offset_;
         result_.final = counters_;
-        result_.cycles = cycle_;
+        result_.cycles = counters_.cycles;
+        result_.simulated_cycles = cycle_;
         return std::move(result_);
     }
 
@@ -407,6 +423,8 @@ class Core
             if (pendingEmpty()) {
                 if (next_instr_ >= total_)
                     return;
+                if (next_instr_ >= next_boundary_)
+                    copyBoundary(issued);
                 // A serializing instruction in flight blocks younger
                 // instructions until it has fully retired.
                 if (serializer_in_flight_ >= 0) {
@@ -578,7 +596,7 @@ class Core
                                        marker_set_.end(),
                                        retire_cursor_);
             if (it != marker_set_.end() && *it == retire_cursor_) {
-                counters_.cycles = cycle_;
+                counters_.cycles = cycle_ + cycle_offset_;
                 result_.snapshots[static_cast<size_t>(
                     it - marker_set_.begin())] = counters_;
             }
@@ -627,15 +645,206 @@ class Core
             cycle_ = next - 1;
     }
 
+    // ---- exact fast-forward ------------------------------------------
+    /**
+     * Runs at the issue stage's first refill inside each body copy.
+     * One step of Brent's cycle detection over the copies' canonical
+     * states: once copy c's state equals copy c-p's, every later
+     * period repeats it, so the remaining stream is shortened by k·p
+     * copies and their counter and cycle deltas are added in closed
+     * form (DESIGN.md, "Exact fast-forward").
+     */
+    void
+    copyBoundary(int issued)
+    {
+        const size_t body = decoded_.bodySize();
+        const size_t begin = decoded_.prologueSize();
+        const size_t end = begin + body * static_cast<size_t>(body_reps_);
+        const auto copy = static_cast<int64_t>((next_instr_ - begin) / body);
+        // A period found past the midpoint saves less than looking
+        // for it costs.
+        if (next_instr_ >= end || 2 * (copy + 1) > body_reps_) {
+            next_boundary_ = kNever;
+            return;
+        }
+        next_boundary_ = begin + body * static_cast<size_t>(copy + 1);
+        // The cheap head of the state pre-filters: the rest is only
+        // serialized when Brent's saved state is due to be replaced or
+        // the heads match.
+        const size_t head =
+            encodeHead(issued, begin + body * static_cast<size_t>(copy));
+        const bool due = saved_copy_ < 0 || copy - saved_copy_ >= power_;
+        const bool candidate =
+            saved_copy_ >= 0 &&
+            std::equal(state_.begin(),
+                       state_.begin() + static_cast<ptrdiff_t>(head),
+                       saved_state_.begin());
+        if (!due && !candidate)
+            return;
+        encodeRest();
+        if (candidate && state_ == saved_state_) {
+            fastForward(copy, copy - saved_copy_, end);
+            return;
+        }
+        if (due) {
+            if (saved_copy_ >= 0)
+                power_ *= 2;
+            std::swap(state_, saved_state_);
+            saved_copy_ = copy;
+            saved_cycle_ = cycle_;
+            saved_counters_ = counters_;
+        }
+    }
+
+    /** Skip k whole periods of @p period copies. The shorter run from
+     *  copy @p copy evolves exactly as the longer one from copy
+     *  copy + k·period, shifted by k times the period's deltas. */
+    void
+    fastForward(int64_t copy, int64_t period, size_t epilogue)
+    {
+        next_boundary_ = kNever;
+        const int64_t k = (body_reps_ - copy - 1) / period;
+        if (k < 1)
+            return;
+        // A marker still to retire must move with the stream: only
+        // epilogue markers do.
+        for (size_t m : marker_set_)
+            if (m >= retire_cursor_ && m < epilogue)
+                return;
+        const size_t shift =
+            static_cast<size_t>(k * period) * decoded_.bodySize();
+        body_reps_ -= static_cast<int>(k * period);
+        total_ -= shift;
+        for (size_t &m : marker_set_)
+            if (m >= epilogue)
+                m -= shift;
+        const PerfCounters delta = counters_ - saved_counters_;
+        for (int p = 0; p < kMaxPorts; ++p)
+            counters_.port_uops[p] += k * delta.port_uops[p];
+        counters_.uops_issued += k * delta.uops_issued;
+        counters_.uops_eliminated += k * delta.uops_eliminated;
+        counters_.instrs_retired += k * delta.instrs_retired;
+        cycle_offset_ += k * (cycle_ - saved_cycle_);
+    }
+
+    /**
+     * Serialize everything that steers later cycles into state_,
+     * relative to cycle_ and next_instr_, so two copy boundaries
+     * compare equal exactly when their futures are the same up to a
+     * time and index shift. Times are clamped where every smaller
+     * value behaves alike; values are numbered in order of first
+     * reference. encodeHead writes the fixed-size scalars and
+     * returns their count; encodeRest appends the rest.
+     */
+    size_t
+    encodeHead(int issued, size_t copy_begin)
+    {
+        state_.clear();
+        const auto next = static_cast<int64_t>(next_instr_);
+        state_.push_back(issued);
+        state_.push_back(activity_);
+        state_.push_back(static_cast<int64_t>(next_instr_ - copy_begin));
+        state_.push_back(
+            static_cast<int64_t>(mov_elim_counter_ % kMovElimPeriod));
+        state_.push_back(dirty_upper_);
+        // A retired serializer blocks nothing, like none at all.
+        state_.push_back(serializer_in_flight_ >= 0 &&
+                                 static_cast<size_t>(
+                                     serializer_in_flight_) >=
+                                     retire_cursor_
+                             ? serializer_in_flight_ - next
+                             : 1);
+        state_.push_back(rs_count_);
+        for (int p = 0; p < info_.num_ports; ++p) {
+            state_.push_back(waiting_[p]);
+            state_.push_back(std::max<int64_t>(0, div_busy_[p] - cycle_));
+        }
+        state_.push_back(next - static_cast<int64_t>(retire_cursor_));
+        state_.push_back(static_cast<int64_t>(rob_.size() - retire_head_));
+        state_.push_back(static_cast<int64_t>(mem_value_.size()));
+        return state_.size();
+    }
+
+    void
+    encodeRest()
+    {
+        if (canon_value_.size() < value_ready_.size())
+            canon_value_.resize(value_ready_.size(), -1);
+        const auto next = static_cast<int64_t>(next_instr_);
+        for (size_t i = retire_cursor_; i < next_instr_; ++i)
+            state_.push_back(instr_uops_left_[i]);
+        for (size_t i = retire_head_; i < rob_.size(); ++i) {
+            const UopDyn &u = rob_[i];
+            state_.push_back(u.instr_idx - next);
+            if (u.complete >= 0) { // dispatched or rename-only
+                state_.push_back(std::max<int64_t>(0, u.complete - cycle_));
+                continue;
+            }
+            state_.push_back(-1);
+            state_.push_back(reinterpret_cast<intptr_t>(u.spec));
+            state_.push_back(u.port);
+            state_.push_back(u.slow);
+            state_.push_back(static_cast<int64_t>(u.srcs.size()));
+            for (int32_t v : u.srcs)
+                encodeValue(v);
+            state_.push_back(static_cast<int64_t>(u.dsts.size()));
+            for (int32_t v : u.dsts)
+                encodeValue(v);
+        }
+        for (int32_t v : unit_value_)
+            encodeValue(v);
+        // Lookups are by tag, so the table's order is free to fix.
+        std::sort(mem_value_.begin(), mem_value_.end());
+        for (const auto &[tag, v] : mem_value_) {
+            state_.push_back(tag);
+            encodeValue(v);
+        }
+        for (int32_t v : canon_touched_)
+            canon_value_[v] = -1;
+        canon_touched_.clear();
+    }
+
+    /** A value not yet produced is named by its canonical number; a
+     *  produced one never changes again, so its ready time (clamped
+     *  where it is ready for every consumer) and domain are all of
+     *  it. */
+    void
+    encodeValue(int32_t v)
+    {
+        const int64_t ready = value_ready_[v];
+        if (ready >= kNotReady) {
+            int32_t &id = canon_value_[v];
+            if (id < 0) {
+                id = static_cast<int32_t>(canon_touched_.size());
+                canon_touched_.push_back(v);
+            }
+            state_.push_back(kNotReady);
+            state_.push_back(id);
+            return;
+        }
+        const int64_t rel = ready - cycle_;
+        if (rel <= -info_.bypass_delay) {
+            state_.push_back(-info_.bypass_delay);
+            state_.push_back(0);
+            return;
+        }
+        state_.push_back(rel);
+        state_.push_back(value_domain_[v]);
+    }
+
     // ---- members -----------------------------------------------------
+    static constexpr size_t kNever = std::numeric_limits<size_t>::max();
+
     const uarch::TimingDb &timing_;
     const uarch::UArchInfo &info_;
     const SimOptions &options_;
     const DecodedKernel &decoded_;
-    const int body_reps_;
-    const size_t total_; ///< virtual stream length
+    int body_reps_;  ///< body copies in the stream (fewer once fast-forwarded)
+    size_t total_;   ///< virtual stream length
 
     int64_t cycle_ = 0;
+    /** Cycles fast-forwarded: the logical clock is cycle_ + this. */
+    int64_t cycle_offset_ = 0;
     size_t next_instr_ = 0;
     int32_t serializer_in_flight_ = -1;
     bool dirty_upper_ = false;
@@ -661,6 +870,18 @@ class Core
     std::vector<int> &waiting_;
     std::vector<int64_t> &div_busy_;
     std::vector<int> &instr_uops_left_;
+
+    /** Period search (Brent): next copy start to check, and the saved
+     *  copy's state, clock and counters. */
+    size_t next_boundary_ = kNever;
+    std::vector<int64_t> &state_;
+    std::vector<int64_t> &saved_state_;
+    std::vector<int32_t> &canon_value_;
+    std::vector<int32_t> &canon_touched_;
+    int64_t saved_copy_ = -1;
+    int64_t saved_cycle_ = 0;
+    int64_t power_ = 1;
+    PerfCounters saved_counters_;
 
     PerfCounters counters_;
     RunResult result_;

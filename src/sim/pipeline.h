@@ -38,7 +38,15 @@
  * retire in a cycle, the simulated clock skips ahead to the next
  * cycle at which a value becomes ready, the divider frees up, or the
  * oldest µop completes — cycle-exact, since no architectural state
- * can change in the skipped span.
+ * can change in the skipped span. With body copies, the run looks for
+ * a copy boundary whose canonical state repeats an earlier one's;
+ * from there the remaining copies are periodic, so whole periods are
+ * cut from the stream and their counter and cycle deltas added in
+ * closed form (exact fast-forward, DESIGN.md). The results, cycles
+ * and budgets are those of the full run; RunResult::simulated_cycles
+ * tells how many cycles were stepped. A materialized kernel run
+ * through run(const Kernel&) is one logical copy and never
+ * fast-forwards, so it is the reference for the n-copy runs.
  *
  * Thread-safety: because of the reused scratch arena, a Pipeline
  * instance must not execute concurrent run() calls. The batch engine
@@ -91,9 +99,10 @@ struct SimOptions
     int64_t max_cycles = 50'000'000;
 
     /** Admission budget for externally-supplied kernels: a run whose
-     *  simulated clock passes this many cycles throws
-     *  CycleBudgetExceeded (0 disables the budget). Purely an abort
-     *  threshold — results of runs within budget are unaffected. */
+     *  logical clock (fast-forwarded cycles included) passes this many
+     *  cycles throws CycleBudgetExceeded (0 disables the budget).
+     *  Purely an abort threshold — results of runs within budget are
+     *  unaffected. */
     int64_t cycle_budget = 0;
 
     /** Skip idle stretches of the simulated clock (cycle-exact; off
@@ -107,6 +116,8 @@ struct RunResult
     PerfCounters final;                  ///< Counters at end of run.
     std::vector<PerfCounters> snapshots; ///< At marker retirements.
     int64_t cycles = 0;                  ///< Total cycles to drain.
+    /** Cycles actually stepped: `cycles` less those fast-forwarded. */
+    int64_t simulated_cycles = 0;
 };
 
 /**
@@ -141,7 +152,8 @@ class Pipeline
      * Execute a decoded template with @p body_reps logical body
      * copies: prologue · body × body_reps · epilogue. Produces
      * bit-identical results to run() on the equivalent materialized
-     * kernel, without building it.
+     * kernel, without building it and, once the copies repeat,
+     * without stepping the periodic tail.
      *
      * @param markers Virtual-stream indices for counter snapshots.
      */

@@ -14,9 +14,13 @@
  *    off, and across 1 and 4 worker threads;
  *  - a nine-uarch sweep's XML digest matches the committed one, so
  *    the measured results are pinned across commits too;
- *  - logical unrolling over a DecodedKernel reproduces the
- *    materialized n-copy kernel exactly (counters and snapshots),
- *    including macro-fusion across copy boundaries;
+ *  - logical unrolling over a DecodedKernel, with the exact
+ *    fast-forward of its periodic tail, reproduces the materialized
+ *    n-copy kernel exactly (counters and snapshots) on all nine
+ *    uarches, including macro-fusion across copy boundaries, and a
+ *    counter read inside the body keeps every copy;
+ *  - a cycle budget admits and refuses the runs it would without
+ *    the fast-forward;
  *  - a Pipeline reusing its scratch arena across runs reproduces a
  *    fresh pipeline's results run for run;
  *  - idle-cycle skipping is cycle-exact against plain stepping.
@@ -218,6 +222,9 @@ TEST(Determinism, SweepDigestIsCommitted)
 // Logical unrolling and the scratch arena.
 // ---------------------------------------------------------------------
 
+/** A body whose serializing LFENCE empties the core every copy. */
+const char *const kDrainingBody = "IMUL RAX, RBX\nLFENCE\nIMUL RCX, RBX";
+
 /** Bodies covering the rename/dispatch special cases: ALU chains,
  *  fusion (including across copy boundaries), zero idioms and move
  *  elimination, vectors with bypass, divider, memory round trips,
@@ -230,12 +237,53 @@ const char *const kUnrollBodies[] = {
     "PSHUFD XMM1, XMM2, 0\nPADDD XMM1, XMM3\nMULPS XMM4, XMM1",
     "DIV RBX\nADD RCX, RDX",
     "MOV [RAX], RBX\nMOV RCX, [RAX]\nMOVSX RDX, CL",
-    "IMUL RAX, RBX\nLFENCE\nIMUL RCX, RBX",
+    kDrainingBody,
+    // State the fast-forward's period search must carry: the move-
+    // elimination counter, the dirty upper YMM state, store
+    // forwarding, the divider and partial-register merges.
+    "MOV RAX, RBX\nMOV RBX, RAX",
+    "VADDPS YMM0, YMM0, YMM1\nADDPS XMM2, XMM2",
+    "ADD RAX, [RBX]\nADD [RCX], RDX",
+    "DIV RBX\nIMUL RCX, RDX\nMOV RAX, RCX",
+    "ADD AL, BL\nADD CL, AL",
+    // Drained cores, where only the counter or the flag tells one
+    // copy boundary from the next.
+    "MOV RAX, RBX\nLFENCE",
+    "SQRTPS XMM2, XMM3\nSQRTPS XMM2, XMM4\nVADDPS YMM0, YMM0, YMM1\n"
+    "CPUID",
+    // Drained, with the last instruction fused into the next copy
+    // but not into the epilogue: the shortened stream must keep the
+    // copy in flight.
+    "JZ 1\nLFENCE\nCMP RAX, RBX",
 };
+
+/** @p listing with its newlines shown as "; ". */
+std::string
+oneLine(std::string listing)
+{
+    for (size_t at = listing.find('\n'); at != std::string::npos;
+         at = listing.find('\n', at))
+        listing.replace(at, 1, "; ");
+    return listing;
+}
+
+/** True when every instruction of @p kernel exists on @p arch. */
+bool
+supportedOn(UArch arch, const isa::Kernel &kernel)
+{
+    const uarch::UArchInfo &info = uarch::uarchInfo(arch);
+    for (const isa::InstrInstance &inst : kernel)
+        if (!info.supports(*inst.variant))
+            return false;
+    return true;
+}
 
 TEST(Determinism, LogicalUnrollMatchesMaterializedKernel)
 {
-    for (UArch arch : {UArch::Nehalem, UArch::Skylake}) {
+    // A materialized kernel is one logical copy, which the exact
+    // fast-forward never shortens, so it is the reference for the
+    // n-copy runs it does shorten.
+    for (UArch arch : uarch::allUArches()) {
         const auto &tdb = timingDb(arch);
         sim::Pipeline pipeline(tdb);
         auto prologue = asm_("MOV RAX, 7\nCPUID\nRDTSC\nCPUID");
@@ -243,7 +291,10 @@ TEST(Determinism, LogicalUnrollMatchesMaterializedKernel)
 
         for (const char *listing : kUnrollBodies) {
             auto body = asm_(listing);
-            for (int n : {1, 3, 10}) {
+            if (!supportedOn(arch, body))
+                continue;
+            sim::DecodedKernel decoded(tdb, prologue, body, epilogue);
+            for (int n : {1, 3, 10, 37, 110}) {
                 isa::Kernel flat;
                 flat.insert(flat.end(), prologue.begin(),
                             prologue.end());
@@ -253,15 +304,78 @@ TEST(Determinism, LogicalUnrollMatchesMaterializedKernel)
                             epilogue.end());
                 std::vector<size_t> markers = {2, flat.size() - 2};
 
-                sim::DecodedKernel decoded(tdb, prologue, body,
-                                           epilogue);
-                expectRunsEqual(
-                    pipeline.run(flat, markers),
-                    pipeline.run(decoded, n, markers),
-                    std::string(listing) + " n=" + std::to_string(n));
+                sim::RunResult reference = pipeline.run(flat, markers);
+                EXPECT_EQ(reference.simulated_cycles, reference.cycles);
+                sim::RunResult logical =
+                    pipeline.run(decoded, n, markers);
+                std::string what = uarch::uarchName(arch) + " " +
+                                   oneLine(listing) +
+                                   " n=" + std::to_string(n);
+                expectRunsEqual(reference, logical, what);
+                EXPECT_LE(logical.simulated_cycles, logical.cycles)
+                    << what;
+                // The LFENCE drains the core every copy, so its copies
+                // repeat at once: a period detector that never fires
+                // would pass the equality checks above vacuously.
+                if (listing == kDrainingBody && n == 110) {
+                    EXPECT_LT(logical.simulated_cycles, logical.cycles)
+                        << what << ": fast-forward did not engage";
+                }
             }
         }
     }
+}
+
+TEST(Determinism, BodyMarkersSeeEveryCopy)
+{
+    // A counter read inside the body pins its copy: the run must not
+    // skip it, and every snapshot must match the materialized kernel.
+    const int n = sim::kUnrollLarge;
+    for (UArch arch : uarch::allUArches()) {
+        const auto &tdb = timingDb(arch);
+        sim::Pipeline pipeline(tdb);
+        auto wrapper = asm_("CPUID\nRDTSC\nCPUID");
+        auto body = asm_(kDrainingBody);
+        isa::Kernel flat = wrapper;
+        std::vector<size_t> markers;
+        for (int i = 0; i < n; ++i) {
+            markers.push_back(flat.size());
+            flat.insert(flat.end(), body.begin(), body.end());
+        }
+        flat.insert(flat.end(), wrapper.begin(), wrapper.end());
+        markers.push_back(flat.size() - 2);
+
+        sim::DecodedKernel decoded(tdb, wrapper, body, wrapper);
+        expectRunsEqual(pipeline.run(flat, markers),
+                        pipeline.run(decoded, n, markers),
+                        uarch::uarchName(arch));
+    }
+}
+
+TEST(Determinism, CycleBudgetCountsFastForwardedCycles)
+{
+    // The budget bounds the logical clock, fast-forwarded cycles
+    // included: a budget that saw only the stepped cycles would
+    // admit (say, turn a /predict 429 into a 200) a run that the
+    // full simulation refuses.
+    const auto &tdb = timingDb(UArch::Skylake);
+    auto wrapper = asm_("CPUID\nRDTSC\nCPUID");
+    auto body = asm_(kDrainingBody);
+    sim::DecodedKernel decoded(tdb, wrapper, body, wrapper);
+    const int n = sim::kUnrollLarge;
+    const std::vector<size_t> markers = {1, decoded.totalSize(n) - 2};
+
+    sim::RunResult full = sim::Pipeline(tdb).run(decoded, n, markers);
+    ASSERT_LT(full.simulated_cycles, full.cycles)
+        << "the body's steady state was not fast-forwarded";
+
+    sim::Pipeline over(tdb, {.cycle_budget = full.cycles - 1});
+    EXPECT_THROW(over.run(decoded, n, markers),
+                 sim::CycleBudgetExceeded);
+    sim::Pipeline within(tdb, {.cycle_budget = full.cycles});
+    sim::RunResult admitted = within.run(decoded, n, markers);
+    expectRunsEqual(full, admitted, "budget == cycles");
+    EXPECT_EQ(admitted.simulated_cycles, full.simulated_cycles);
 }
 
 TEST(Determinism, ScratchArenaReuseReproducesFreshPipeline)
@@ -291,6 +405,8 @@ TEST(Determinism, IdleCycleSkippingIsCycleExact)
         for (const char *listing : kUnrollBodies) {
             // Long dependent chains maximize idle stretches.
             auto body = asm_(listing);
+            if (!supportedOn(arch, body))
+                continue;
             isa::Kernel kernel;
             for (int i = 0; i < 40; ++i)
                 kernel.insert(kernel.end(), body.begin(), body.end());

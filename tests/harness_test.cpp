@@ -2,12 +2,14 @@
  * @file
  * Tests for the Algorithm-2 measurement infrastructure details:
  * marker snapshots, per-body counters, serializing behaviour, move
- * elimination, and capacity limits of the simulated core.
+ * elimination, capacity limits of the simulated core, and the
+ * simulated-cycle counters.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/pipeline.h"
+#include "support/obs/metrics.h"
 #include "test_util.h"
 
 namespace uops::test {
@@ -77,6 +79,24 @@ TEST(Harness, RsCapacityLimitsParallelism)
         body += "ADD RAX, R8\nADD RBX, R8\nADD RCX, R8\n";
     auto m = measure(UArch::Nehalem, body);
     EXPECT_NEAR(m.totalPortUops(), 37.0, 0.5); // 1 div + 36 adds
+}
+
+TEST(Harness, CountsSteppedAndFastForwardedCycles)
+{
+    // Every Algorithm-2 run adds its cycles to the process registry,
+    // split into those stepped and those the fast-forward skipped.
+    sim::MeasurementHarness harness(timingDb(UArch::Skylake));
+    harness.measure(asm_("ADD RAX, RBX")); // registers the series
+    auto cycles = [](const char *mode) {
+        return obs::Registry::global()
+            .counter("uops_sim_cycles_total", "", {{"mode", mode}})
+            .value();
+    };
+    uint64_t simulated = cycles("simulated");
+    uint64_t skipped = cycles("fast_forwarded");
+    harness.measure(asm_("IMUL RAX, RBX\nLFENCE\nIMUL RCX, RBX"));
+    EXPECT_GT(cycles("simulated"), simulated);
+    EXPECT_GT(cycles("fast_forwarded"), skipped);
 }
 
 TEST(Harness, EmptyBodyPanics)
