@@ -13,44 +13,6 @@ OperandSpec::effectiveWidth() const
 }
 
 std::string
-OperandSpec::toString() const
-{
-    std::string access;
-    if (read)
-        access += "r";
-    if (written)
-        access += "w";
-    if (access.empty())
-        access = "-";
-
-    std::string base;
-    switch (kind) {
-      case OpKind::Reg:
-        base = regClassName(reg_class);
-        if (fixed_reg >= 0)
-            base += "=" + regName(Reg{reg_class, fixed_reg});
-        break;
-      case OpKind::Mem:
-        base = "M" + std::to_string(width);
-        break;
-      case OpKind::Imm:
-        return "I" + std::to_string(width);
-      case OpKind::Flags: {
-        std::string out = "FLAGS";
-        if (flags_read.any())
-            out += ":r=" + flags_read.toString();
-        if (flags_written.any())
-            out += ":w=" + flags_written.toString();
-        return out;
-      }
-    }
-    std::string out = base + ":" + access;
-    if (implicit)
-        out = "*" + out;
-    return out;
-}
-
-std::string
 OperandSpec::typeTag() const
 {
     switch (kind) {

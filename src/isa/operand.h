@@ -62,9 +62,6 @@ struct OperandSpec
     /** True when both read and written. */
     bool readWritten() const { return read && written; }
 
-    /** Compact human-readable form, e.g. "R64:rw" or "M64:r". */
-    std::string toString() const;
-
     /** Short type tag used in variant names, e.g. "R64", "M32", "I8". */
     std::string typeTag() const;
 };

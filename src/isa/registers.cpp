@@ -193,10 +193,10 @@ regUnit(const Reg &reg)
     panic("regUnit: unreachable");
 }
 
-std::vector<ArchUnit>
+FlagUnits
 FlagMask::units() const
 {
-    std::vector<ArchUnit> out;
+    FlagUnits out;
     if (cf)
         out.push_back(kUnitFlagCf);
     if (af)
@@ -225,25 +225,6 @@ FlagMask::fromLetters(const std::string &letters)
         }
     }
     return mask;
-}
-
-std::string
-FlagMask::toString() const
-{
-    std::vector<std::string> parts;
-    if (cf)
-        parts.push_back("C");
-    if (af)
-        parts.push_back("A");
-    if (spazo)
-        parts.push_back("SPZO");
-    std::string out;
-    for (size_t i = 0; i < parts.size(); ++i) {
-        if (i)
-            out += "+";
-        out += parts[i];
-    }
-    return out.empty() ? "-" : out;
 }
 
 } // namespace uops::isa

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace uops::isa {
 
@@ -90,6 +89,23 @@ constexpr int kNumArchUnits = 43;
 /** Unit that a register renames to. */
 ArchUnit regUnit(const Reg &reg);
 
+/** Units of a FlagMask, held inline (at most the three flag groups)
+ *  so that iterating a mask never allocates. */
+class FlagUnits
+{
+  public:
+    const ArchUnit *begin() const { return units_; }
+    const ArchUnit *end() const { return units_ + size_; }
+    size_t size() const { return size_; }
+
+  private:
+    friend struct FlagMask;
+    void push_back(ArchUnit unit) { units_[size_++] = unit; }
+
+    ArchUnit units_[3] = {};
+    uint8_t size_ = 0;
+};
+
 /**
  * Bitmask over the three flag groups.
  *
@@ -105,13 +121,10 @@ struct FlagMask
     bool operator==(const FlagMask &other) const = default;
 
     /** Units covered by this mask. */
-    std::vector<ArchUnit> units() const;
+    FlagUnits units() const;
 
     /** Parse DSL letters ("CAPZSO" subsets). */
     static FlagMask fromLetters(const std::string &letters);
-
-    /** Canonical letter form, e.g. "C.SPZO" -> "C+SPAZO". */
-    std::string toString() const;
 };
 
 } // namespace uops::isa

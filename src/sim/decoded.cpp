@@ -1,5 +1,8 @@
 #include "sim/decoded.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "support/status.h"
 
 namespace uops::sim {
@@ -10,6 +13,7 @@ using isa::OperandSpec;
 using isa::OpKind;
 using isa::RegClass;
 using uarch::Domain;
+using uarch::OpRef;
 using uarch::UopSpec;
 
 DecodedKernel::DecodedKernel(const uarch::TimingDb &timing,
@@ -46,6 +50,12 @@ DecodedKernel::DecodedKernel(const uarch::TimingDb &timing,
         last.fused_wrap =
             fusedSpec(*last.inst, *pattern_[prologue_size_].inst);
     }
+    // Both fused variants read and write what the producer's µop does.
+    for (DecodedInstr &d : pattern_) {
+        const UopSpec *fused = d.fused_next ? d.fused_next : d.fused_wrap;
+        if (fused != nullptr)
+            d.fused_plan = planUop(*d.inst, *fused, -1, false);
+    }
 }
 
 DecodedKernel::Ref
@@ -67,7 +77,7 @@ DecodedKernel::at(size_t v, int body_reps) const
 }
 
 DecodedInstr
-DecodedKernel::decodeOne(const InstrInstance &inst) const
+DecodedKernel::decodeOne(const InstrInstance &inst)
 {
     DecodedInstr d;
     d.inst = &inst;
@@ -92,6 +102,10 @@ DecodedKernel::decodeOne(const InstrInstance &inst) const
         d.elim_src_unit = isa::regUnit(inst.regOf(expl[1]));
     }
 
+    d.plan.reserve(d.uops->size());
+    for (const UopSpec &spec : *d.uops)
+        d.plan.push_back(planUop(inst, spec, d.skip_unit, true));
+
     if (inst.variant->mnemonic() == "VZEROUPPER") {
         d.ymm_effect = DecodedInstr::YmmEffect::ClearUpper;
     } else if (inst.variant->attrs().is_avx) {
@@ -103,6 +117,103 @@ DecodedKernel::decodeOne(const InstrInstance &inst) const
         }
     }
     return d;
+}
+
+UopPlan
+DecodedKernel::planUop(const InstrInstance &inst, const UopSpec &spec,
+                       int skip_unit, bool merges)
+{
+    using Kind = RenameRef::Kind;
+    static_assert(isa::kUnitFlagAf == isa::kUnitFlagCf + 1 &&
+                      isa::kUnitFlagSpazo == isa::kUnitFlagCf + 2,
+                  "RenameRef::Kind::Flags numbers the flag units in order");
+    UopPlan plan;
+    auto temp = [&](int index) {
+        num_temps_ = std::max(num_temps_, static_cast<size_t>(index) + 1);
+        return RenameRef{Kind::Temp, false, index};
+    };
+    for (const OpRef &r : spec.reads) {
+        const auto i = static_cast<size_t>(r.index);
+        switch (r.kind) {
+          case OpRef::Kind::Operand: {
+            const OperandSpec &op = inst.variant->operand(i);
+            if (op.kind == OpKind::Flags) {
+                // Each flag group is a separate source.
+                for (isa::ArchUnit u : op.flags_read.units())
+                    plan.srcs.push_back({Kind::Unit, false, u});
+                break;
+            }
+            panicIf(op.kind != OpKind::Reg,
+                    "planUop: unexpected operand kind for ",
+                    inst.variant->name());
+            isa::ArchUnit u = isa::regUnit(inst.regOf(i));
+            if (u != skip_unit) // dependency-breaking idiom
+                plan.srcs.push_back({Kind::Unit, false, u});
+            break;
+          }
+          case OpRef::Kind::MemAddr:
+            plan.srcs.push_back(
+                {Kind::Unit, false, isa::regUnit(inst.ops[i].mem.base)});
+            break;
+          case OpRef::Kind::MemData:
+            plan.srcs.push_back({Kind::Mem, false, inst.ops[i].mem.tag});
+            break;
+          case OpRef::Kind::Temp:
+            plan.srcs.push_back(temp(r.index));
+            break;
+        }
+    }
+    // Partial-register and dirty-upper merges add a read of the
+    // written register's previous value.
+    for (const OpRef &w : spec.writes) {
+        if (!merges || w.kind != OpRef::Kind::Operand)
+            continue;
+        const auto i = static_cast<size_t>(w.index);
+        const OperandSpec &op = inst.variant->operand(i);
+        if (op.kind != OpKind::Reg)
+            continue;
+        RegClass cls = op.reg_class;
+        bool narrow = cls == RegClass::Gpr8 || cls == RegClass::Gpr8High ||
+                      cls == RegClass::Gpr16;
+        // Legacy-SSE XMM writes merge while the upper state is dirty.
+        bool dirty = !narrow && info_.sse_avx_transition &&
+                     cls == RegClass::Xmm && !inst.variant->attrs().is_avx;
+        isa::ArchUnit u = isa::regUnit(inst.regOf(i));
+        if ((narrow || dirty) && u != skip_unit)
+            plan.srcs.push_back({Kind::Unit, dirty, u});
+    }
+    panicIf(plan.srcs.size() > UINT8_MAX, "planUop: too many sources for ",
+            inst.variant->name());
+    for (const OpRef &w : spec.writes) {
+        const auto i = static_cast<size_t>(w.index);
+        switch (w.kind) {
+          case OpRef::Kind::Operand: {
+            const OperandSpec &op = inst.variant->operand(i);
+            if (op.kind == OpKind::Flags) {
+                int bits = 0;
+                for (isa::ArchUnit u : op.flags_written.units())
+                    bits |= 1 << (u - isa::kUnitFlagCf);
+                plan.dsts.push_back({Kind::Flags, false, bits});
+                break;
+            }
+            panicIf(op.kind != OpKind::Reg,
+                    "planUop: unexpected operand kind for ",
+                    inst.variant->name());
+            plan.dsts.push_back(
+                {Kind::Unit, false, isa::regUnit(inst.regOf(i))});
+            break;
+          }
+          case OpRef::Kind::MemData:
+            plan.dsts.push_back({Kind::Mem, false, inst.ops[i].mem.tag});
+            break;
+          case OpRef::Kind::Temp:
+            plan.dsts.push_back(temp(w.index));
+            break;
+          case OpRef::Kind::MemAddr:
+            panic("planUop: a µop cannot write an address");
+        }
+    }
+    return plan;
 }
 
 bool

@@ -7,11 +7,12 @@
  * per run and the simulator re-derived the per-instruction decode
  * (µop list selection, zero-idiom/move-elimination classification,
  * macro-fusion eligibility, serializing attribute, SSE/AVX transition
- * effect) once per unrolled copy. All of those decisions are a pure
- * function of the instruction *instance*, not of its position in the
- * unrolled stream, so a DecodedKernel computes them exactly once per
- * body instruction and the pipeline unrolls *logically*: the virtual
- * instruction stream
+ * effect, and which architectural units, memory tags and temporaries
+ * each µop reads and writes) once per unrolled copy. All of those
+ * decisions are a pure function of the instruction *instance*, not of
+ * its position in the unrolled stream, so a DecodedKernel computes
+ * them exactly once per body instruction and the pipeline unrolls
+ * *logically*: the virtual instruction stream
  *
  *     prologue · body × reps · epilogue
  *
@@ -43,11 +44,50 @@
 
 namespace uops::sim {
 
+/** Where a renamed µop reads a source or binds a destination value. */
+struct RenameRef
+{
+    enum class Kind : uint8_t {
+        Unit,  ///< architectural unit @c index
+        Flags, ///< destination only: the flag units in bit set @c index
+               ///< (bit i: unit kUnitFlagCf + i)
+        Mem,   ///< memory location with tag @c index
+        Temp,  ///< intra-instruction temporary @c index
+    };
+
+    Kind kind = Kind::Unit;
+    /** Merge source taken only while the upper YMM state is dirty. */
+    bool dirty_only = false;
+    int index = 0;
+};
+
+/**
+ * The rename plan of one µop: its sources in order (reads, flag
+ * groups expanded, dependency-breaking reads dropped, then merge
+ * reads) and one binding per write. Resolving the operands once here
+ * leaves each unrolled copy only table lookups, with no allocation.
+ */
+struct UopPlan
+{
+    std::vector<RenameRef> srcs;
+    std::vector<RenameRef> dsts; ///< parallel to UopSpec::writes
+};
+
+/** Sources and destinations a renamed µop holds without allocating:
+ *  the most any µop of the timing tables has (SHLD/SHRD by an
+ *  immediate read five values). sim_pipeline_test checks the tables
+ *  against them. */
+constexpr size_t kUopSrcsInline = 5;
+constexpr size_t kUopDstsInline = 4;
+
 /** Per-instance decode results reused across unrolled copies. */
 struct DecodedInstr
 {
     const isa::InstrInstance *inst = nullptr;
     const std::vector<uarch::UopSpec> *uops = nullptr;
+    std::vector<UopPlan> plan; ///< parallel to *uops
+    /** Plan of the fused-pair µop (no merge reads), when fusible. */
+    UopPlan fused_plan;
 
     bool rename_direct = false; ///< no execution µops (NOP / zero idiom)
     bool try_mov_elim = false;  ///< move-elimination candidate
@@ -113,8 +153,17 @@ class DecodedKernel
     /** Decode entry at virtual index @p v of a @p body_reps-copy run. */
     Ref at(size_t v, int body_reps) const;
 
+    /** Temporaries a rename plan names (one past the largest index). */
+    size_t numTemps() const { return num_temps_; }
+
   private:
-    DecodedInstr decodeOne(const isa::InstrInstance &inst) const;
+    DecodedInstr decodeOne(const isa::InstrInstance &inst);
+
+    /** Rename plan of @p spec as a µop of @p inst; @p merges adds the
+     *  partial-register and dirty-upper merge reads. */
+    UopPlan planUop(const isa::InstrInstance &inst,
+                    const uarch::UopSpec &spec, int skip_unit,
+                    bool merges);
 
     /** Macro-fusion eligibility (moved here from the pipeline; the
      *  decision is static per instance pair). */
@@ -131,6 +180,7 @@ class DecodedKernel
     std::vector<std::unique_ptr<uarch::UopSpec>> fused_specs_;
     size_t prologue_size_ = 0;
     size_t body_size_ = 0;
+    size_t num_temps_ = 0;
 };
 
 } // namespace uops::sim

@@ -8,18 +8,14 @@
 
 namespace uops::sim {
 
-using isa::InstrInstance;
-using isa::Kernel;
-using isa::OpKind;
-using isa::OperandSpec;
-using isa::Reg;
-using isa::RegClass;
 using uarch::Domain;
-using uarch::OpRef;
 using uarch::UopSpec;
 
 namespace {
 
+/** value_ready_ of a value not yet produced. While µops wait on the
+ *  value, the slot holds kNotReady plus one more than the head of its
+ *  waiter list, so the list costs no table of its own. */
 constexpr int64_t kNotReady = std::numeric_limits<int64_t>::max() / 4;
 
 /** Move elimination succeeds for one candidate in every kMovElimPeriod
@@ -33,10 +29,27 @@ struct UopDyn
     int32_t instr_idx = -1;
     int16_t port = -1;
     bool slow = false;
-    bool dispatched = false;
+    uint8_t unready = 0;                  ///< sources not yet produced
     int64_t complete = -1;                ///< -1: not finished.
-    SmallVector<int32_t, 4> srcs;         ///< value ids
-    SmallVector<int32_t, 4> dsts;         ///< value ids, per write
+    SmallVector<int32_t, kUopSrcsInline> srcs; ///< value ids
+    SmallVector<int32_t, kUopDstsInline> dsts; ///< value ids, per write
+};
+
+// A worker keeps one ROB per uarch, so every byte here multiplies.
+static_assert(sizeof(UopDyn) <= 96, "UopDyn must not grow");
+
+/** A node of a value's waiter list: one read by a waiting µop. */
+struct Waiter
+{
+    uint32_t uop; ///< ROB index
+    int32_t next; ///< next node, -1: end of list
+};
+
+/** A µop whose sources are all produced, waiting for its port. */
+struct Candidate
+{
+    uint32_t uop;  ///< ROB index
+    int64_t ready; ///< first cycle at which every source is ready for it
 };
 
 } // namespace
@@ -60,11 +73,9 @@ class PipelineScratch
     std::vector<std::pair<int, int32_t>> mem_value;
     std::vector<int32_t> temp_value;
 
-    std::vector<UopDyn> pending_uops;
-    std::vector<uint8_t> pending_rename_only;
     std::vector<UopDyn> rob;
-    std::vector<std::vector<size_t>> bound;
-    std::vector<size_t> bound_head;
+    std::vector<Waiter> waiters;
+    std::vector<std::vector<Candidate>> candidates;
     std::vector<int> waiting;
     std::vector<int64_t> div_busy;
     std::vector<int> instr_uops_left;
@@ -94,9 +105,7 @@ class Core
           marker_set_(s.marker_set), value_ready_(s.value_ready),
           value_domain_(s.value_domain), unit_value_(s.unit_value),
           mem_value_(s.mem_value), temp_value_(s.temp_value),
-          pending_uops_(s.pending_uops),
-          pending_rename_only_(s.pending_rename_only), rob_(s.rob),
-          bound_(s.bound), bound_head_(s.bound_head),
+          rob_(s.rob), waiters_(s.waiters), candidates_(s.candidates),
           waiting_(s.waiting), div_busy_(s.div_busy),
           instr_uops_left_(s.instr_uops_left), state_(s.state),
           saved_state_(s.saved_state), canon_value_(s.canon_value),
@@ -111,14 +120,12 @@ class Core
         value_domain_.push_back(static_cast<uint8_t>(Domain::Gpr));
         unit_value_.assign(isa::kNumArchUnits, 0);
         mem_value_.clear();
-        temp_value_.clear();
-        pending_uops_.clear();
-        pending_rename_only_.clear();
+        temp_value_.assign(decoded.numTemps(), 0);
         rob_.clear();
-        bound_.resize(static_cast<size_t>(info.num_ports));
-        for (auto &queue : bound_)
+        waiters_.clear();
+        candidates_.resize(static_cast<size_t>(info.num_ports));
+        for (auto &queue : candidates_)
             queue.clear();
-        bound_head_.assign(static_cast<size_t>(info.num_ports), 0);
         waiting_.assign(static_cast<size_t>(info.num_ports), 0);
         div_busy_.assign(static_cast<size_t>(info.num_ports), 0);
         // -1: not yet renamed (blocks the in-order retire cursor).
@@ -164,21 +171,8 @@ class Core
     bool
     done() const
     {
-        return next_instr_ >= total_ && pendingEmpty() &&
-               retire_head_ == rob_.size() && retire_cursor_ >= total_;
-    }
-
-    bool
-    pendingEmpty() const
-    {
-        return pending_head_ == pending_uops_.size();
-    }
-
-    void
-    pendingPush(UopDyn &&dyn, bool rename_only)
-    {
-        pending_uops_.push_back(std::move(dyn));
-        pending_rename_only_.push_back(rename_only ? 1 : 0);
+        return next_instr_ >= total_ && retire_head_ == rob_.size() &&
+               retire_cursor_ >= total_;
     }
 
     // ---- value table -------------------------------------------------
@@ -204,136 +198,143 @@ class Core
         return t;
     }
 
-    // ---- renaming ----------------------------------------------------
-    /** Value id currently bound to an OpRef source. */
+    /** Head of the waiter list of a value not yet produced (-1: none). */
     int32_t
-    resolveRead(const InstrInstance &inst, const OpRef &ref)
+    waiterHead(int32_t value) const
     {
-        switch (ref.kind) {
-          case OpRef::Kind::Operand: {
-            const OperandSpec &op = inst.variant->operand(ref.index);
-            if (op.kind == OpKind::Reg)
-                return unit_value_[isa::regUnit(inst.regOf(ref.index))];
-            panicIf(op.kind != OpKind::Flags,
-                    "resolveRead: unexpected operand kind");
-            // Flags: conservatively take the latest of the read groups
-            // by returning a synthetic max value. To stay exact we
-            // treat each group as a separate source (see expandReads).
-            panic("flags reads must be expanded");
-          }
-          case OpRef::Kind::MemAddr: {
-            const Reg &base = inst.ops[ref.index].mem.base;
-            return unit_value_[isa::regUnit(base)];
-          }
-          case OpRef::Kind::MemData: {
-            int tag = inst.ops[ref.index].mem.tag;
-            for (const auto &[t, v] : mem_value_)
-                if (t == tag)
+        return static_cast<int32_t>(value_ready_[value] - kNotReady) - 1;
+    }
+
+    /** Make ROB entry @p uop wait on @p value, not yet produced. */
+    void
+    addWaiter(int32_t value, uint32_t uop)
+    {
+        int32_t node = free_waiter_;
+        if (node >= 0) {
+            free_waiter_ = waiters_[static_cast<size_t>(node)].next;
+        } else {
+            node = static_cast<int32_t>(waiters_.size());
+            waiters_.emplace_back();
+        }
+        waiters_[static_cast<size_t>(node)] = {uop, waiterHead(value)};
+        value_ready_[value] = kNotReady + 1 + node;
+    }
+
+    /** Produce @p value, ready at @p ready, and wake its waiters: a
+     *  µop whose last source this was becomes a candidate at once, so
+     *  a higher-numbered port can still dispatch it this cycle. */
+    void
+    produce(int32_t value, int64_t ready, Domain domain)
+    {
+        int32_t node = waiterHead(value);
+        value_ready_[value] = ready;
+        value_domain_[value] = static_cast<uint8_t>(domain);
+        while (node >= 0) {
+            Waiter &w = waiters_[static_cast<size_t>(node)];
+            const uint32_t uop = w.uop;
+            const int32_t next = w.next;
+            w.next = free_waiter_;
+            free_waiter_ = node;
+            node = next;
+            if (--rob_[uop].unready == 0)
+                schedule(uop);
+        }
+    }
+
+    /** Enter ROB entry @p uop, every source produced, into its port's
+     *  candidates, which stay in ROB order. */
+    void
+    schedule(uint32_t uop)
+    {
+        const UopDyn &u = rob_[uop];
+        int64_t ready = 0;
+        for (int32_t s : u.srcs)
+            ready = std::max(ready, effectiveReady(s, u.spec->domain));
+        auto &queue = candidates_[static_cast<size_t>(u.port)];
+        auto at = queue.end();
+        while (at != queue.begin() && (at - 1)->uop > uop)
+            --at;
+        queue.insert(at, {uop, ready});
+    }
+
+    // ---- renaming ----------------------------------------------------
+    /** Value id currently bound to a source of a rename plan. */
+    int32_t
+    readValue(const RenameRef &r) const
+    {
+        switch (r.kind) {
+          case RenameRef::Kind::Unit:
+            return unit_value_[static_cast<size_t>(r.index)];
+          case RenameRef::Kind::Mem:
+            for (const auto &[tag, v] : mem_value_)
+                if (tag == r.index)
                     return v;
             return 0;
-          }
-          case OpRef::Kind::Temp:
-            return temp_value_.at(static_cast<size_t>(ref.index));
-        }
-        panic("resolveRead: unreachable");
-    }
-
-    /** Expand a read OpRef into concrete source value ids. */
-    void
-    expandReads(const InstrInstance &inst, const OpRef &ref,
-                SmallVector<int32_t, 4> &out, int skip_unit)
-    {
-        if (ref.kind == OpRef::Kind::Operand) {
-            const OperandSpec &op = inst.variant->operand(ref.index);
-            if (op.kind == OpKind::Flags) {
-                for (isa::ArchUnit u : op.flags_read.units())
-                    out.push_back(unit_value_[u]);
-                return;
-            }
-            if (op.kind == OpKind::Reg) {
-                isa::ArchUnit u = isa::regUnit(inst.regOf(ref.index));
-                if (u == skip_unit)
-                    return; // dependency-breaking idiom
-                out.push_back(unit_value_[u]);
-                return;
-            }
-            panic("expandReads: unexpected operand kind for ",
-                  inst.variant->name());
-        }
-        out.push_back(resolveRead(inst, ref));
-    }
-
-    /** Allocate the destination value for a write OpRef and bind it. */
-    int32_t
-    applyWrite(const InstrInstance &inst, const OpRef &ref)
-    {
-        int32_t value = newValue();
-        switch (ref.kind) {
-          case OpRef::Kind::Operand: {
-            const OperandSpec &op = inst.variant->operand(ref.index);
-            if (op.kind == OpKind::Flags) {
-                for (isa::ArchUnit u : op.flags_written.units())
-                    unit_value_[u] = value;
-                return value;
-            }
-            panicIf(op.kind != OpKind::Reg,
-                    "applyWrite: unexpected operand kind");
-            unit_value_[isa::regUnit(inst.regOf(ref.index))] = value;
-            return value;
-          }
-          case OpRef::Kind::MemData: {
-            int tag = inst.ops[ref.index].mem.tag;
-            for (auto &[t, v] : mem_value_) {
-                if (t == tag) {
-                    v = value;
-                    return value;
-                }
-            }
-            mem_value_.emplace_back(tag, value);
-            return value;
-          }
-          case OpRef::Kind::Temp:
-            if (temp_value_.size() <= static_cast<size_t>(ref.index))
-                temp_value_.resize(static_cast<size_t>(ref.index) + 1,
-                                   0);
-            temp_value_[static_cast<size_t>(ref.index)] = value;
-            return value;
-          case OpRef::Kind::MemAddr:
+          case RenameRef::Kind::Temp:
+            return temp_value_[static_cast<size_t>(r.index)];
+          case RenameRef::Kind::Flags:
             break;
         }
-        panic("applyWrite: unreachable");
+        panic("readValue: flags are read one unit at a time");
     }
 
-    /** Merge-dependency unit for narrow GPR writes / dirty-upper SSE. */
-    int
-    mergeUnit(const InstrInstance &inst, const OpRef &ref) const
+    /** Allocate the destination value of a write and bind it. */
+    int32_t
+    bindWrite(const RenameRef &w)
     {
-        if (ref.kind != OpRef::Kind::Operand)
-            return -1;
-        const OperandSpec &op = inst.variant->operand(ref.index);
-        if (op.kind != OpKind::Reg)
-            return -1;
-        RegClass cls = op.reg_class;
-        if (cls == RegClass::Gpr8 || cls == RegClass::Gpr8High ||
-            cls == RegClass::Gpr16)
-            return isa::regUnit(inst.regOf(ref.index));
-        // Dirty-upper merge for legacy-SSE XMM writes.
-        if (info_.sse_avx_transition && dirty_upper_ &&
-            cls == RegClass::Xmm && !inst.variant->attrs().is_avx)
-            return isa::regUnit(inst.regOf(ref.index));
-        return -1;
+        int32_t value = newValue();
+        switch (w.kind) {
+          case RenameRef::Kind::Unit:
+            unit_value_[static_cast<size_t>(w.index)] = value;
+            break;
+          case RenameRef::Kind::Flags:
+            for (int bit = 0; bit < 3; ++bit)
+                if (w.index & (1 << bit))
+                    unit_value_[static_cast<size_t>(isa::kUnitFlagCf +
+                                                    bit)] = value;
+            break;
+          case RenameRef::Kind::Mem: {
+            auto it = std::find_if(
+                mem_value_.begin(), mem_value_.end(),
+                [&](const auto &entry) { return entry.first == w.index; });
+            if (it != mem_value_.end())
+                it->second = value;
+            else
+                mem_value_.emplace_back(w.index, value);
+            break;
+          }
+          case RenameRef::Kind::Temp:
+            temp_value_[static_cast<size_t>(w.index)] = value;
+            break;
+        }
+        return value;
+    }
+
+    /** Append one renamed µop to the ROB, behind the issue cursor. All
+     *  its sources are read before any destination is bound. */
+    void
+    renameUop(const UopSpec &spec, const UopPlan &plan, int32_t idx,
+              bool slow)
+    {
+        UopDyn &dyn = rob_.emplace_back();
+        dyn.spec = &spec;
+        dyn.instr_idx = idx;
+        dyn.slow = slow;
+        for (const RenameRef &r : plan.srcs)
+            if (!r.dirty_only || dirty_upper_)
+                dyn.srcs.push_back(readValue(r));
+        for (const RenameRef &w : plan.dsts)
+            dyn.dsts.push_back(bindWrite(w));
     }
 
     // ---- issue -------------------------------------------------------
-    /** Generate and enqueue the renamed µops of the next instruction.
-     *  The static decode (µop selection, idiom classification) comes
+    /** Rename the next instruction into the ROB. The static decode
+     *  (µop selection, idiom classification, rename plan) comes
      *  precomputed from the template; only the renaming is per-copy. */
     void
     renameInstruction(const DecodedInstr &d, int32_t idx)
     {
         activity_ = true;
-        const InstrInstance &inst = *d.inst;
-        const std::vector<UopSpec> &uops = *d.uops;
 
         // Move elimination: reg-reg moves handled by the ROB.
         bool eliminated_mov =
@@ -341,48 +342,30 @@ class Core
 
         if (d.rename_direct || eliminated_mov) {
             // Rename-stage execution: one issued-but-not-dispatched µop.
-            UopDyn dyn;
-            dyn.instr_idx = idx;
             if (eliminated_mov) {
                 // Zero-latency: destination aliases the source value.
                 unit_value_[d.elim_dst_unit] =
                     unit_value_[d.elim_src_unit];
             } else {
-                // NOP / zero idiom: results ready immediately.
-                for (const auto &u : uops)
-                    for (const auto &w : u.writes)
-                        if (w.kind == OpRef::Kind::Operand) {
-                            int32_t v = applyWrite(inst, w);
-                            value_ready_[v] = 0;
-                        }
+                // NOP / zero idiom: register and flag results ready
+                // immediately.
+                for (const UopPlan &plan : d.plan)
+                    for (const RenameRef &w : plan.dsts)
+                        if (w.kind == RenameRef::Kind::Unit ||
+                            w.kind == RenameRef::Kind::Flags)
+                            value_ready_[bindWrite(w)] = 0;
             }
+            rob_.emplace_back().instr_idx = idx;
             instr_uops_left_[static_cast<size_t>(idx)] = 1;
-            pendingPush(std::move(dyn), true);
             return;
         }
 
-        temp_value_.assign(temp_value_.size(), 0);
-        int count = 0;
-        for (const auto &spec : uops) {
-            UopDyn dyn;
-            dyn.spec = &spec;
-            dyn.instr_idx = idx;
-            dyn.slow = d.slow;
-            for (const auto &r : spec.reads)
-                expandReads(inst, r, dyn.srcs, d.skip_unit);
-            // Partial-register / dirty-upper merges add a read of the
-            // written register's previous value.
-            for (const auto &w : spec.writes) {
-                int mu = mergeUnit(inst, w);
-                if (mu >= 0 && mu != d.skip_unit)
-                    dyn.srcs.push_back(unit_value_[mu]);
-            }
-            for (const auto &w : spec.writes)
-                dyn.dsts.push_back(applyWrite(inst, w));
-            pendingPush(std::move(dyn), false);
-            ++count;
-        }
-        instr_uops_left_[static_cast<size_t>(idx)] = count;
+        std::fill(temp_value_.begin(), temp_value_.end(), 0);
+        const std::vector<UopSpec> &uops = *d.uops;
+        for (size_t i = 0; i < uops.size(); ++i)
+            renameUop(uops[i], d.plan[i], idx, d.slow);
+        instr_uops_left_[static_cast<size_t>(idx)] =
+            static_cast<int>(uops.size());
 
         // Track the YMM upper state for the SSE/AVX transition model.
         if (info_.sse_avx_transition) {
@@ -393,34 +376,14 @@ class Core
         }
     }
 
-    /** Rename a macro-fused pair into a single branch-unit µop; the
-     *  fused spec itself is precomputed by the template. */
-    void
-    renameFusedPair(const DecodedInstr &d, const UopSpec &spec,
-                    int32_t idx)
-    {
-        activity_ = true;
-        const InstrInstance &prod = *d.inst;
-        UopDyn dyn;
-        dyn.spec = &spec;
-        dyn.instr_idx = idx;
-        for (const auto &r : spec.reads)
-            expandReads(prod, r, dyn.srcs, -1);
-        for (const auto &w : spec.writes)
-            dyn.dsts.push_back(applyWrite(prod, w));
-
-        instr_uops_left_[static_cast<size_t>(idx)] = 1;
-        instr_uops_left_[static_cast<size_t>(idx) + 1] = 0;
-        pendingPush(std::move(dyn), false);
-    }
-
     void
     issue()
     {
         int issued = 0;
         while (issued < info_.issue_width) {
-            // Refill the pending queue from the instruction stream.
-            if (pendingEmpty()) {
+            // Rename the next instruction once every renamed µop has
+            // issued.
+            if (issue_head_ == rob_.size()) {
                 if (next_instr_ >= total_)
                     return;
                 if (next_instr_ >= next_boundary_)
@@ -438,7 +401,7 @@ class Core
                 const DecodedInstr &d = *ref.instr;
                 if (d.serializing) {
                     // Drain: all older µops must have retired first.
-                    if (retire_head_ != rob_.size())
+                    if (retire_head_ != issue_head_)
                         return;
                     serializer_in_flight_ =
                         static_cast<int32_t>(next_instr_);
@@ -449,46 +412,41 @@ class Core
                 // once at decode time.
                 const UopSpec *fused =
                     ref.wraps ? d.fused_wrap : d.fused_next;
+                const auto idx = static_cast<int32_t>(next_instr_);
                 if (fused != nullptr && next_instr_ + 1 < total_) {
-                    renameFusedPair(d, *fused,
-                                    static_cast<int32_t>(next_instr_));
+                    renameUop(*fused, d.fused_plan, idx, false);
+                    instr_uops_left_[next_instr_] = 1;
+                    instr_uops_left_[next_instr_ + 1] = 0;
+                    activity_ = true;
                     next_instr_ += 2;
                     continue;
                 }
-                renameInstruction(d,
-                                  static_cast<int32_t>(next_instr_));
+                renameInstruction(d, idx);
                 ++next_instr_;
             }
-            while (!pendingEmpty() && issued < info_.issue_width) {
-                bool rename_only =
-                    pending_rename_only_[pending_head_] != 0;
+            while (issue_head_ < rob_.size() &&
+                   issued < info_.issue_width) {
+                UopDyn &u = rob_[issue_head_];
                 // Capacity checks.
-                if (rob_.size() - retire_head_ >=
+                if (issue_head_ - retire_head_ >=
                     static_cast<size_t>(info_.rob_size))
                     return;
-                if (!rename_only && rs_count_ >= info_.rs_size)
+                if (u.spec != nullptr && rs_count_ >= info_.rs_size)
                     return;
-                UopDyn dyn = std::move(pending_uops_[pending_head_]);
-                ++pending_head_;
-                if (pendingEmpty()) {
-                    pending_uops_.clear();
-                    pending_rename_only_.clear();
-                    pending_head_ = 0;
-                }
+                const auto uop = static_cast<uint32_t>(issue_head_++);
                 ++issued;
                 activity_ = true;
                 ++counters_.uops_issued;
-                if (rename_only || dyn.spec == nullptr) {
+                if (u.spec == nullptr) {
                     ++counters_.uops_eliminated;
-                    dyn.complete = cycle_;
-                    rob_.push_back(std::move(dyn));
+                    u.complete = cycle_;
                     continue;
                 }
                 // Bind to the least-loaded allowed port. Scans the
                 // mask bits directly (ascending, like portsOf) — this
                 // runs once per issued µop, too hot for a vector.
                 int best = -1;
-                uarch::PortMask mask = dyn.spec->ports;
+                uarch::PortMask mask = u.spec->ports;
                 for (int p = 0; p < info_.num_ports; ++p) {
                     if (!(mask & static_cast<uarch::PortMask>(1u << p)))
                         continue;
@@ -496,53 +454,45 @@ class Core
                         best = p;
                 }
                 panicIf(best < 0, "µop with no valid port");
-                dyn.port = static_cast<int16_t>(best);
+                u.port = static_cast<int16_t>(best);
                 ++waiting_[best];
                 ++rs_count_;
-                rob_.push_back(std::move(dyn));
-                bound_[static_cast<size_t>(best)].push_back(
-                    rob_.size() - 1);
+                // Wait once per read of each source not yet produced
+                // (ADD RAX, RAX waits twice on RAX).
+                for (int32_t s : u.srcs) {
+                    if (value_ready_[s] >= kNotReady) {
+                        addWaiter(s, uop);
+                        ++u.unready;
+                    }
+                }
+                if (u.unready == 0)
+                    schedule(uop);
             }
         }
     }
 
     // ---- dispatch ----------------------------------------------------
+    /** Each port dispatches its oldest candidate that is ready and, for
+     *  a divider µop, finds the divider free: the µop a scan of every
+     *  bound µop in ROB order would pick. */
     void
     dispatch()
     {
         for (int p = 0; p < info_.num_ports; ++p) {
-            auto &queue = bound_[static_cast<size_t>(p)];
-            size_t &head = bound_head_[static_cast<size_t>(p)];
-            // Compact fully-drained queues.
-            if (head > 0 && head == queue.size()) {
-                queue.clear();
-                head = 0;
-            }
-            for (size_t i = head; i < queue.size(); ++i) {
-                UopDyn &u = rob_[queue[i]];
-                if (u.dispatched)
+            auto &queue = candidates_[static_cast<size_t>(p)];
+            for (size_t i = 0; i < queue.size(); ++i) {
+                if (queue[i].ready > cycle_)
                     continue;
+                UopDyn &u = rob_[queue[i].uop];
                 const UopSpec &spec = *u.spec;
                 if (spec.div_occupancy > 0 && div_busy_[p] > cycle_)
                     continue;
-                bool ready = true;
-                for (int32_t s : u.srcs) {
-                    if (effectiveReady(s, spec.domain) > cycle_) {
-                        ready = false;
-                        break;
-                    }
-                }
-                if (!ready)
-                    continue;
-                // Dispatch.
-                u.dispatched = true;
+                queue.erase(queue.begin() + static_cast<ptrdiff_t>(i));
                 activity_ = true;
                 int64_t max_done = cycle_ + 1;
                 for (size_t w = 0; w < u.dsts.size(); ++w) {
                     int lat = spec.writeLatency(w, u.slow);
-                    value_ready_[u.dsts[w]] = cycle_ + lat;
-                    value_domain_[u.dsts[w]] =
-                        static_cast<uint8_t>(spec.domain);
+                    produce(u.dsts[w], cycle_ + lat, spec.domain);
                     max_done = std::max(
                         max_done, cycle_ + static_cast<int64_t>(lat));
                 }
@@ -559,14 +509,8 @@ class Core
                                   : spec.div_occupancy;
                     div_busy_[p] = cycle_ + occ;
                 }
-                // Mark as drained if at the head.
-                if (i == head)
-                    ++head;
                 break; // one µop per port per cycle
             }
-            // Advance head past dispatched entries.
-            while (head < queue.size() && rob_[queue[head]].dispatched)
-                ++head;
         }
     }
 
@@ -575,7 +519,7 @@ class Core
     retire()
     {
         int retired = 0;
-        while (retire_head_ < rob_.size() &&
+        while (retire_head_ < issue_head_ &&
                retired < info_.retire_width) {
             UopDyn &u = rob_[retire_head_];
             if (u.complete < 0 || u.complete > cycle_)
@@ -607,38 +551,32 @@ class Core
     // ---- idle-cycle skip ---------------------------------------------
     /**
      * Nothing dispatched, issued, renamed, or retired this cycle, so
-     * every blocked µop waits on a purely time-based condition: a
-     * source value becoming ready (plus bypass), the divider freeing
-     * up, or the oldest ROB entry completing. Until the earliest such
-     * threshold no architectural state can change, so jumping the
-     * clock there is exact. With no finite threshold the simulation
-     * is genuinely deadlocked; fall through to normal stepping and
-     * let the max_cycles guard fire as before.
+     * the core waits on purely time-based conditions: a candidate's
+     * sources becoming ready (bypass included), the divider freeing up
+     * for a candidate, or the oldest ROB entry completing. A µop with a
+     * source not yet produced cannot act before its producer
+     * dispatches, which is itself one of these events. Until the
+     * earliest of them no architectural state can change, so jumping
+     * the clock there is exact. With no finite event the simulation is
+     * genuinely deadlocked; fall through to normal stepping and let the
+     * max_cycles guard fire as before.
      */
     void
     skipIdleCycles()
     {
         int64_t next = kNotReady;
-        if (retire_head_ < rob_.size()) {
+        if (retire_head_ < issue_head_) {
             const UopDyn &u = rob_[retire_head_];
             if (u.complete > cycle_)
                 next = std::min(next, u.complete);
         }
         for (int p = 0; p < info_.num_ports; ++p) {
-            const auto &queue = bound_[static_cast<size_t>(p)];
-            for (size_t i = bound_head_[static_cast<size_t>(p)];
-                 i < queue.size(); ++i) {
-                const UopDyn &u = rob_[queue[i]];
-                if (u.dispatched)
-                    continue;
-                const UopSpec &spec = *u.spec;
-                if (spec.div_occupancy > 0 && div_busy_[p] > cycle_)
+            for (const Candidate &c : candidates_[static_cast<size_t>(p)]) {
+                if (c.ready > cycle_)
+                    next = std::min(next, c.ready);
+                else if (rob_[c.uop].spec->div_occupancy > 0 &&
+                         div_busy_[p] > cycle_)
                     next = std::min(next, div_busy_[p]);
-                for (int32_t s : u.srcs) {
-                    int64_t r = effectiveReady(s, spec.domain);
-                    if (r > cycle_ && r < kNotReady)
-                        next = std::min(next, r);
-                }
             }
         }
         if (next < kNotReady && next - 1 > cycle_)
@@ -690,6 +628,9 @@ class Core
             if (saved_copy_ >= 0)
                 power_ *= 2;
             std::swap(state_, saved_state_);
+            // Both buffers keep the larger capacity, so a warmed
+            // pipeline never grows whichever one comes up next.
+            state_.reserve(saved_state_.capacity());
             saved_copy_ = copy;
             saved_cycle_ = cycle_;
             saved_counters_ = counters_;
@@ -760,7 +701,7 @@ class Core
             state_.push_back(std::max<int64_t>(0, div_busy_[p] - cycle_));
         }
         state_.push_back(next - static_cast<int64_t>(retire_cursor_));
-        state_.push_back(static_cast<int64_t>(rob_.size() - retire_head_));
+        state_.push_back(static_cast<int64_t>(issue_head_ - retire_head_));
         state_.push_back(static_cast<int64_t>(mem_value_.size()));
         return state_.size();
     }
@@ -773,7 +714,7 @@ class Core
         const auto next = static_cast<int64_t>(next_instr_);
         for (size_t i = retire_cursor_; i < next_instr_; ++i)
             state_.push_back(instr_uops_left_[i]);
-        for (size_t i = retire_head_; i < rob_.size(); ++i) {
+        for (size_t i = retire_head_; i < issue_head_; ++i) {
             const UopDyn &u = rob_[i];
             state_.push_back(u.instr_idx - next);
             if (u.complete >= 0) { // dispatched or rename-only
@@ -858,15 +799,17 @@ class Core
     std::vector<std::pair<int, int32_t>> &mem_value_;
     std::vector<int32_t> &temp_value_;
 
-    std::vector<UopDyn> &pending_uops_;
-    std::vector<uint8_t> &pending_rename_only_;
-    size_t pending_head_ = 0;
+    /** Retired µops, then issued ones from retire_head_, then renamed
+     *  ones waiting to issue from issue_head_. */
     std::vector<UopDyn> &rob_;
     size_t retire_head_ = 0;
+    size_t issue_head_ = 0;
     size_t retire_cursor_ = 0;
     int rs_count_ = 0;
-    std::vector<std::vector<size_t>> &bound_;
-    std::vector<size_t> &bound_head_;
+    std::vector<Waiter> &waiters_;
+    int32_t free_waiter_ = -1; ///< free list through Waiter::next
+    /** Per port, in ROB order. */
+    std::vector<std::vector<Candidate>> &candidates_;
     std::vector<int> &waiting_;
     std::vector<int64_t> &div_busy_;
     std::vector<int> &instr_uops_left_;

@@ -30,13 +30,19 @@
  *
  * Performance: run() executes either a materialized kernel or a
  * DecodedKernel template with logical body unrolling (the measurement
- * hot path — see sim/decoded.h). Per-run working state (reorder
- * buffer, value tables, port queues) lives in a scratch arena owned by
- * the Pipeline and reused across runs, so steady-state runs allocate
- * almost nothing. Results are unaffected: every run starts from a
- * fully reset power-on state. When no µop can dispatch, issue, or
- * retire in a cycle, the simulated clock skips ahead to the next
- * cycle at which a value becomes ready, the divider frees up, or the
+ * hot path — see sim/decoded.h). Renaming follows the template's
+ * per-µop rename plan and writes straight into the reorder buffer.
+ * Per-run working state (reorder buffer, value tables, waiter nodes,
+ * per-port candidate lists) lives in a scratch arena owned by the
+ * Pipeline and reused across runs, so a warmed Pipeline's run
+ * allocates nothing per µop or per copy. Results are unaffected: every
+ * run starts from a fully reset power-on state. Scheduling is event
+ * driven: a µop waits on the values it lacks, the producer's dispatch
+ * wakes it, and once every source is produced it joins its port's
+ * candidates in ROB order, from which each port dispatches the oldest
+ * ready one. When no µop can dispatch, issue, or retire in a cycle,
+ * the simulated clock skips ahead to the next cycle at which a
+ * candidate becomes ready, the divider frees up for one, or the
  * oldest µop completes — cycle-exact, since no architectural state
  * can change in the skipped span. With body copies, the run looks for
  * a copy boundary whose canonical state repeats an earlier one's;

@@ -19,6 +19,7 @@
 #define UOPS_SUPPORT_SMALL_VECTOR_H
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <type_traits>
 
@@ -112,7 +113,7 @@ class SmallVector
     void
     grow()
     {
-        size_t new_cap = capacity_ * 2;
+        uint32_t new_cap = capacity_ * 2;
         T *heap = new T[new_cap];
         std::memcpy(heap, data_, size_ * sizeof(T));
         releaseHeap();
@@ -160,8 +161,10 @@ class SmallVector
 
     T inline_[N];
     T *data_ = inline_;
-    size_t size_ = 0;
-    size_t capacity_ = N;
+    // 32-bit counts keep the header to one pointer plus eight bytes,
+    // so an odd N of 4-byte elements fills the padding before data_.
+    uint32_t size_ = 0;
+    uint32_t capacity_ = N;
 };
 
 } // namespace uops

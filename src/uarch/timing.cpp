@@ -10,18 +10,6 @@
 
 namespace uops::uarch {
 
-std::string
-OpRef::toString() const
-{
-    switch (kind) {
-      case Kind::Operand: return "op" + std::to_string(index);
-      case Kind::MemAddr: return "addr" + std::to_string(index);
-      case Kind::MemData: return "mem" + std::to_string(index);
-      case Kind::Temp: return "t" + std::to_string(index);
-    }
-    return "?";
-}
-
 int
 UopSpec::writeLatency(size_t w, bool slow) const
 {

@@ -50,8 +50,6 @@ struct OpRef
     static OpRef temp(int i) { return {Kind::Temp, i}; }
 
     bool operator==(const OpRef &other) const = default;
-
-    std::string toString() const;
 };
 
 /** Execution domain of a µop (bypass-delay classification). */

@@ -267,17 +267,6 @@ oneLine(std::string listing)
     return listing;
 }
 
-/** True when every instruction of @p kernel exists on @p arch. */
-bool
-supportedOn(UArch arch, const isa::Kernel &kernel)
-{
-    const uarch::UArchInfo &info = uarch::uarchInfo(arch);
-    for (const isa::InstrInstance &inst : kernel)
-        if (!info.supports(*inst.variant))
-            return false;
-    return true;
-}
-
 TEST(Determinism, LogicalUnrollMatchesMaterializedKernel)
 {
     // A materialized kernel is one logical copy, which the exact
@@ -398,7 +387,7 @@ TEST(Determinism, IdleCycleSkippingIsCycleExact)
 {
     sim::SimOptions stepping;
     stepping.skip_idle = false;
-    for (UArch arch : {UArch::Nehalem, UArch::Skylake}) {
+    for (UArch arch : uarch::allUArches()) {
         const auto &tdb = timingDb(arch);
         sim::Pipeline fast(tdb);
         sim::Pipeline slow(tdb, stepping);

@@ -2,12 +2,49 @@
  * @file
  * Unit tests for the cycle-level pipeline simulator: dependency
  * chains, port throughput, renaming, eliminations, memory, divider,
- * flags, and the SSE/AVX transition model.
+ * flags, the SSE/AVX transition model, the scheduler's edge cases
+ * against recorded results, and allocation-free runs.
  */
+
+#include <atomic>
+#include <cstdlib>
+#include <fstream>
+#include <new>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "core/codegen.h"
+#include "sim/pipeline.h"
 #include "test_util.h"
+
+// Counts the heap allocations this binary makes while counting is on.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<size_t> g_allocations{0};
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (g_count_allocations.load(std::memory_order_relaxed))
+        g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace uops::test {
 namespace {
@@ -329,6 +366,198 @@ TEST(SimHarness, OverheadCancellation)
     // counter-read overhead exactly: a 1-cycle chain measures 1.0.
     auto m = measure(UArch::Haswell, "ADD RAX, RBX");
     EXPECT_NEAR(m.cycles, 1.0, 0.02);
+}
+
+// ---------------------------------------------------------------------
+// Scheduler edge cases, pinned to recorded results.
+// ---------------------------------------------------------------------
+
+/** Kernels that exercise the scheduler's corner cases. */
+const std::pair<const char *, const char *> kSchedulerKernels[] = {
+    // A load (low port) and a multiply wake consumers that bind to
+    // higher-numbered ports in the middle of the dispatch port loop.
+    {"wake-from-lower-port",
+     "MOV RAX, [RBX]\nADD RAX, RCX\nIMUL RDX, RAX\nADD RSI, RDX\n"
+     "PSHUFD XMM1, XMM2, 0\nPADDD XMM3, XMM1"},
+    // ADD RBX waits on the multiply while younger independent adds
+    // queue on the same ports; once woken it is the oldest.
+    {"woken-older-than-queued",
+     "IMUL RAX, RAX\nADD RBX, RAX\nADD RCX, R8\nADD RDX, R8\n"
+     "ADD RSI, R8\nADD RDI, R8\nADD R9, R8\nADD R10, R8"},
+    // The first DIVPS waits on a source and on the divider SQRTPS
+    // holds; the second waits on the divider alone.
+    {"divider-busy-source-pending",
+     "SQRTPS XMM1, XMM2\nADDPS XMM3, XMM1\nDIVPS XMM4, XMM3\n"
+     "DIVPS XMM5, XMM6"},
+    // Every source read twice.
+    {"duplicate-sources",
+     "ADD RAX, RAX\nIMUL RBX, RBX\nPADDQ XMM1, XMM1\nADC RCX, RCX\n"
+     "SHLD RDX, RDX, 3"},
+    // Serializing instructions drain the core behind long latencies.
+    {"serializer-drain",
+     "IMUL RAX, RBX\nCPUID\nADD RAX, RCX\nLFENCE\nDIV RBX\nLFENCE"},
+};
+
+std::string
+renderCounters(const sim::PerfCounters &c)
+{
+    std::string out = "c=" + std::to_string(c.cycles) + " p=";
+    for (int p = 0; p < sim::kMaxPorts; ++p)
+        out += (p ? ":" : "") + std::to_string(c.port_uops[p]);
+    return out + " i=" + std::to_string(c.uops_issued) +
+           " e=" + std::to_string(c.uops_eliminated) +
+           " r=" + std::to_string(c.instrs_retired);
+}
+
+std::string
+renderRun(const sim::RunResult &r)
+{
+    std::string out = "cycles=" + std::to_string(r.cycles) +
+                      " simulated=" + std::to_string(r.simulated_cycles) +
+                      " final{" + renderCounters(r.final) + "}";
+    for (const sim::PerfCounters &snap : r.snapshots)
+        out += " snap{" + renderCounters(snap) + "}";
+    return out;
+}
+
+TEST(SimScheduler, EdgeCasesMatchRecordedResults)
+{
+    // tests/data/scheduler_goldens.txt was recorded by the scan-based
+    // scheduler that rescanned every bound µop each cycle; the
+    // event-driven one must reproduce it exactly, with and without
+    // idle-cycle skipping. Never re-record it for a refactor.
+    std::ifstream file(std::string(UOPS_TEST_DATA_DIR) +
+                       "/scheduler_goldens.txt");
+    ASSERT_TRUE(file) << "missing scheduler_goldens.txt";
+    std::vector<std::string> expected;
+    for (std::string line; std::getline(file, line);)
+        if (!line.empty() && line[0] != '#')
+            expected.push_back(line);
+
+    sim::SimOptions stepping;
+    stepping.skip_idle = false;
+    auto prologue = asm_("MOV RAX, 7\nCPUID\nRDTSC\nCPUID");
+    auto epilogue = asm_("CPUID\nRDTSC\nCPUID\nADD RAX, RBX");
+    std::vector<std::string> actual;
+    for (UArch arch : uarch::allUArches()) {
+        const auto &tdb = timingDb(arch);
+        sim::Pipeline pipeline(tdb);
+        sim::Pipeline slow(tdb, stepping);
+        for (const auto &[name, listing] : kSchedulerKernels) {
+            auto body = asm_(listing);
+            if (!supportedOn(arch, body))
+                continue;
+            std::string what = uarch::uarchName(arch) + " " + name;
+            sim::DecodedKernel decoded(tdb, prologue, body, epilogue);
+            for (int n : {sim::kUnrollSmall, sim::kUnrollLarge}) {
+                std::vector<size_t> markers = {2,
+                                               decoded.totalSize(n) - 2};
+                sim::RunResult run = pipeline.run(decoded, n, markers);
+                EXPECT_EQ(renderRun(run),
+                          renderRun(slow.run(decoded, n, markers)))
+                    << what << " n=" << n << ": skipping is not exact";
+                actual.push_back(what + " n=" + std::to_string(n) + " " +
+                                 renderRun(run));
+            }
+            isa::Kernel flat = prologue;
+            for (int i = 0; i < sim::kUnrollSmall; ++i)
+                flat.insert(flat.end(), body.begin(), body.end());
+            flat.insert(flat.end(), epilogue.begin(), epilogue.end());
+            std::vector<size_t> markers = {2, flat.size() - 2};
+            sim::RunResult run = pipeline.run(flat, markers);
+            EXPECT_EQ(renderRun(run), renderRun(slow.run(flat, markers)))
+                << what << " flat: skipping is not exact";
+            actual.push_back(what + " flat " + renderRun(run));
+        }
+    }
+
+    for (size_t i = 0; i < std::max(expected.size(), actual.size()); ++i)
+        EXPECT_EQ(i < expected.size() ? expected[i] : "<none>",
+                  i < actual.size() ? actual[i] : "<none>")
+            << "line " << i + 1;
+    if (HasFailure()) {
+        std::ostringstream all;
+        for (const std::string &line : actual)
+            all << line << "\n";
+        ADD_FAILURE() << "results:\n" << all.str();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Allocation-free runs.
+// ---------------------------------------------------------------------
+
+TEST(SimAllocation, TableUopsFitInline)
+{
+    // A renamed µop holds its value ids inline; one with more sources
+    // or destinations than that would allocate on every copy.
+    for (UArch arch : uarch::allUArches()) {
+        const auto &tdb = timingDb(arch);
+        const uarch::UArchInfo &info = uarch::uarchInfo(arch);
+        for (const isa::InstrVariant *variant : defaultDb().all()) {
+            if (!info.supports(*variant))
+                continue;
+            core::RegPool pool(core::RegPool::Zone::Analyzed);
+            isa::Kernel body = {core::makeIndependent(*variant, pool)};
+            sim::DecodedKernel decoded(tdb, {}, body, {});
+            const sim::DecodedInstr &d = *decoded.at(0, 1).instr;
+            for (const sim::UopPlan &plan : d.plan) {
+                EXPECT_LE(plan.srcs.size(), sim::kUopSrcsInline)
+                    << uarch::uarchName(arch) << " " << variant->name();
+                EXPECT_LE(plan.dsts.size(), sim::kUopDstsInline)
+                    << uarch::uarchName(arch) << " " << variant->name();
+            }
+        }
+    }
+}
+
+TEST(SimAllocation, RunsAllocateNothingPerUopOrCopy)
+{
+    // Flags read and written, memory operands, store forwarding, a
+    // five-source µop, partial-register and dirty-upper merges, the
+    // divider and macro-fusion.
+    const char *const bodies[] = {
+        "ADD RAX, [RBX]\nADC RCX, RDX\nCMP RAX, RCX\nJZ 1",
+        "ADD [RCX], RDX\nMOV RSI, [RCX]\nSHLD RDI, RSI, 3\nMOV AL, BL",
+        "VADDPS YMM0, YMM0, YMM1\nADDPS XMM2, XMM3\nDIV RBX\nCMC",
+    };
+    auto prologue = asm_("MOV RAX, 7\nCPUID\nRDTSC\nCPUID");
+    auto epilogue = asm_("CPUID\nRDTSC\nCPUID\nADD RAX, RBX");
+    for (UArch arch : uarch::allUArches()) {
+        const auto &tdb = timingDb(arch);
+        sim::Pipeline pipeline(tdb);
+        for (const char *listing : bodies) {
+            auto body = asm_(listing);
+            if (!supportedOn(arch, body))
+                continue;
+            sim::DecodedKernel decoded(tdb, prologue, body, epilogue);
+            // A counter read in the last copy keeps every copy
+            // simulated, so a per-copy allocation cannot hide in the
+            // fast-forwarded tail.
+            auto markers = [&](int n) {
+                return std::vector<size_t>{
+                    2, prologue.size() + body.size() * (n - 1),
+                    decoded.totalSize(n) - 2};
+            };
+            auto countAllocations = [&](int n) {
+                std::vector<size_t> at = markers(n);
+                g_allocations = 0;
+                g_count_allocations = true;
+                sim::RunResult run = pipeline.run(decoded, n, at);
+                g_count_allocations = false;
+                EXPECT_EQ(run.simulated_cycles, run.cycles);
+                return g_allocations.load();
+            };
+            // Warm the scratch arena to the larger run's size.
+            pipeline.run(decoded, sim::kUnrollLarge,
+                         markers(sim::kUnrollLarge));
+            size_t small = countAllocations(sim::kUnrollSmall);
+            size_t large = countAllocations(sim::kUnrollLarge);
+            EXPECT_EQ(small, large)
+                << uarch::uarchName(arch) << " " << listing
+                << ": a run allocates per µop or per copy";
+        }
+    }
 }
 
 } // namespace

@@ -55,6 +55,17 @@ measure(uarch::UArch arch, const std::string &listing)
     return harness.measure(asm_(listing));
 }
 
+/** True when every instruction of @p kernel exists on @p arch. */
+inline bool
+supportedOn(uarch::UArch arch, const isa::Kernel &kernel)
+{
+    const uarch::UArchInfo &info = uarch::uarchInfo(arch);
+    for (const isa::InstrInstance &inst : kernel)
+        if (!info.supports(*inst.variant))
+            return false;
+    return true;
+}
+
 } // namespace uops::test
 
 #endif // UOPS_TESTS_TEST_UTIL_H
