@@ -172,20 +172,15 @@ runBatchSweep(const isa::InstrDb &db,
                 db, arch, options.characterizer));
     }
 
-    // One shared measurement memo-cache per uarch: the blocking-kernel
-    // and chain-instrument measurements repeat across variants and
-    // workers, and cached results are bit-identical to recomputation,
-    // so sharing changes wall-clock only, never the report.
-    std::vector<std::unique_ptr<sim::MeasurementCache>> memo_caches;
-    if (options.share_measurements) {
-        memo_caches.reserve(arches.size());
-        for (size_t a = 0; a < arches.size(); ++a)
-            memo_caches.push_back(
-                std::make_unique<sim::MeasurementCache>());
-        for (auto &per_arch : workers)
-            for (size_t a = 0; a < arches.size(); ++a)
-                per_arch[a]->setMeasurementCache(memo_caches[a].get());
-    }
+    // One measurement memo-cache for every worker and uarch: kernels
+    // repeat across variants, workers and generations that share a
+    // core and µop tables, and cached results are bit-identical to
+    // recomputation, so sharing changes wall-clock only, never the
+    // report.
+    sim::MeasurementCache memo_cache;
+    for (auto &per_arch : workers)
+        for (auto &tool : per_arch)
+            tool->setMeasurementCache(&memo_cache);
 
     // Instrument calibration and blocking-set discovery are a
     // deterministic function of (db, uarch) and dominate per-worker

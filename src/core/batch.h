@@ -13,6 +13,14 @@
  * deterministic — byte-identical to a sequential sweep — regardless of
  * thread count or scheduling.
  *
+ * All workers and uarches share one measurement memo-cache
+ * (sim::MeasurementCache), so a kernel — the blocking kernels of
+ * Algorithm 1 especially — is simulated once per distinct core and
+ * µop tables rather than once per (variant, worker, uarch): the
+ * refresh generations (WSM, BDW, KBL, CFL) mostly replay their
+ * predecessor's runs. Cached measurements are bit-identical to
+ * recomputation, so the cache changes wall-clock only.
+ *
  * Per-variant failures (simulator aborts, codegen limitations) are
  * recorded in the report instead of aborting the batch, mirroring how
  * the uops.info pipeline skips unmeasurable instructions but still
@@ -80,16 +88,6 @@ struct BatchOptions
 
     /** Per-uarch characterizer configuration (filter, harness). */
     Characterizer::Options characterizer;
-
-    /**
-     * Share one measurement memo-cache per uarch across all workers
-     * (sim::MeasurementCache), so byte-identical kernels — the
-     * blocking kernels of Algorithm 1 especially — are simulated once
-     * per uarch instead of once per (variant, worker). Results are
-     * unchanged (cached measurements are bit-identical); disable only
-     * for differential testing or to bound memory.
-     */
-    bool share_measurements = true;
 
     /**
      * Progress hook, invoked from worker threads exactly once per

@@ -106,8 +106,8 @@ class Characterizer
      * Attach a measurement memo-cache to the harness (nullptr
      * detaches). Cached results are bit-identical to recomputation,
      * so attaching a cache never changes results; the batch engine
-     * shares one cache per uarch across all workers. The cache must
-     * only hold measurements of the same (db, uarch).
+     * shares one cache across all workers and uarches. Characterizers
+     * sharing a cache must share one instruction database.
      */
     void setMeasurementCache(sim::MeasurementCache *cache);
 

@@ -83,10 +83,14 @@ PortUsageAnalyzer::analyze(const InstrVariant &variant,
     // Line 1: sort the combinations by size.
     std::vector<PortMask> combos = blocking.sortedCombos();
     if (options_.no_sorting) {
-        // Ablation: arbitrary (map) order.
+        // Ablation: descending mask order. (Ascending map order would
+        // not ablate anything: a subset's mask is always smaller than
+        // its superset's, so that order is already sorted by
+        // inclusion.)
         combos.clear();
-        for (const auto &[mask, b] : blocking.combos)
-            combos.push_back(mask);
+        for (auto it = blocking.combos.rbegin();
+             it != blocking.combos.rend(); ++it)
+            combos.push_back(it->first);
     }
 
     // Optimization: only combinations sharing ports with the isolation

@@ -125,14 +125,6 @@ IacaAnalyzer::IacaAnalyzer(const isa::InstrDb &db, UArch arch, Version v)
 {
 }
 
-bool
-IacaAnalyzer::supported() const
-{
-    auto versions = versionsFor(arch_);
-    return std::find(versions.begin(), versions.end(), version_) !=
-           versions.end();
-}
-
 IacaInstrModel
 IacaAnalyzer::model(const InstrVariant &variant) const
 {

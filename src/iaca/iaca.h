@@ -78,9 +78,6 @@ class IacaAnalyzer
     uarch::UArch arch() const { return arch_; }
     Version version() const { return version_; }
 
-    /** False when this version does not support the uarch. */
-    bool supported() const;
-
     /** The (possibly wrong) model for one instruction variant. */
     IacaInstrModel model(const isa::InstrVariant &variant) const;
 

@@ -7,11 +7,6 @@ PredictEngine::PredictEngine(const isa::InstrDb &instrs,
     : instrs_(instrs), options_(options),
       pool_(std::max<size_t>(1, options.num_threads))
 {
-    // One shared memo per generation, eagerly: cheap (empty sharded
-    // maps) and spares the hot path a creation race.
-    for (uarch::UArch arch : uarch::allUArches())
-        sim_caches_.emplace(arch,
-                            std::make_unique<sim::MeasurementCache>());
     worker_states_.resize(pool_.numWorkers());
 }
 
@@ -26,7 +21,7 @@ PredictEngine::runOnWorker(size_t worker, uarch::UArch arch,
     if (it == states.end()) {
         auto predictor = std::make_unique<sim::BlockPredictor>(
             instrs_, arch, options_.cycle_budget);
-        predictor->setCache(sim_caches_.at(arch).get());
+        predictor->setCache(&sim_cache_);
         it = states.emplace(arch, std::move(predictor)).first;
     }
     sim::Measurement m = it->second->predict(body);
@@ -95,11 +90,9 @@ PredictEngine::stats() const
     out.simulations = simulations_.load(std::memory_order_relaxed);
     out.coalesced = coalesced_.load(std::memory_order_relaxed);
     out.rejected = rejected_.load(std::memory_order_relaxed);
-    for (const auto &[arch, cache] : sim_caches_) {
-        out.sim_cache_hits += cache->hits();
-        out.sim_cache_misses += cache->misses();
-        out.sim_cache_entries += cache->size();
-    }
+    out.sim_cache_hits = sim_cache_.hits();
+    out.sim_cache_misses = sim_cache_.misses();
+    out.sim_cache_entries = sim_cache_.size();
     {
         std::lock_guard<std::mutex> lock(jobs_mutex_);
         out.inflight = inflight_;

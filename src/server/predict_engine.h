@@ -25,10 +25,12 @@
  *    pipeline scratch) is per (worker, uarch), created lazily and
  *    touched only by its owning worker — the pool's worker index is
  *    the whole synchronization story. Completed measurements are
- *    memoized in one shared MeasurementCache per uarch, so repeat
- *    kernels after the single-flight window closes still skip the
- *    simulator. Timing is catalog-independent, so these caches
- *    survive generation hot-swaps.
+ *    memoized in one MeasurementCache shared by every worker and
+ *    uarch, so repeat kernels after the single-flight window closes
+ *    still skip the simulator, and a kernel measured on SKL is not
+ *    simulated again for KBL or CFL (the cache key names the core
+ *    and µop tables, not the uarch). Timing is catalog-independent,
+ *    so the cache survives generation hot-swaps.
  *
  * The cycle budget is the engine's only simulation policy, and it
  * only decides whether a kernel's Algorithm-2 run completes.
@@ -140,9 +142,9 @@ class PredictEngine
     const isa::InstrDb &instrs_;
     Options options_;
 
-    /** Shared memo per uarch (lock-sharded internally). */
-    std::map<uarch::UArch, std::unique_ptr<sim::MeasurementCache>>
-        sim_caches_;
+    /** Shared memo of every worker and uarch (lock-sharded
+     *  internally). */
+    sim::MeasurementCache sim_cache_;
 
     /** Lazily-built simulators, indexed [worker][uarch]; each map is
      *  owned by exactly one pool worker. */

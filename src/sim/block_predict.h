@@ -21,9 +21,10 @@
  *    BlockPredictor owns a private TimingDb rather than sharing one.
  *    An instance is therefore single-threaded like the Pipeline it
  *    wraps — keep one per worker thread — but a MeasurementCache may
- *    be shared across all instances for one uarch (timing is a pure
+ *    be shared across all instances of every uarch (timing is a pure
  *    function of the generation, independent of catalog contents or
- *    serving epoch).
+ *    serving epoch, and the cache key names the core and µop tables
+ *    a run reads).
  *
  * The measurement itself is exactly Algorithm 2 on the decoded
  * template (sim/harness.h): per-iteration steady-state cycles and
@@ -67,7 +68,8 @@ class BlockPredictor
     uarch::UArch arch() const { return timing_.arch(); }
     const uarch::UArchInfo &info() const { return harness_.info(); }
 
-    /** Share a per-uarch measurement memo (nullptr detaches). */
+    /** Share a measurement memo (nullptr detaches); predictors of
+     *  any uarch may share one. */
     void setCache(MeasurementCache *cache) { harness_.setCache(cache); }
 
     /**

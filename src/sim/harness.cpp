@@ -11,6 +11,9 @@ using isa::Kernel;
 
 namespace {
 
+/** timing_ids_ slot of a variant not interned yet. */
+constexpr uint32_t kNoTimingId = UINT32_MAX;
+
 obs::Counter &
 simCycles(const char *mode)
 {
@@ -74,6 +77,42 @@ MeasurementHarness::runOnce(const DecodedKernel &decoded, int n) const
     return result.snapshots[1] - result.snapshots[0];
 }
 
+void
+MeasurementHarness::setCache(MeasurementCache *cache)
+{
+    cache_ = cache;
+    key_prefix_.clear();
+    timing_ids_.clear();
+    if (cache == nullptr)
+        return;
+    // The prologue and epilogue are serializer, counter read,
+    // serializer, so these two ids name all six wrapper tables.
+    MeasurementCache::appendId(key_prefix_,
+                               cache->coreId(info(), pipeline_.options()));
+    for (const isa::InstrVariant *wrapper : {serializer_, counter_reader_})
+        MeasurementCache::appendId(
+            key_prefix_, cache->timingId(timing_.timing(*wrapper)));
+    timing_ids_.assign(timing_.instrDb().size(), kNoTimingId);
+}
+
+std::string
+MeasurementHarness::cacheKey(const Kernel &body) const
+{
+    std::string key;
+    key.reserve(key_prefix_.size() + 4 + body.size() * 56);
+    key += key_prefix_;
+    MeasurementCache::appendId(key, static_cast<uint32_t>(body.size()));
+    for (const InstrInstance &inst : body) {
+        uint32_t &id =
+            timing_ids_.at(static_cast<size_t>(inst.variant->id()));
+        if (id == kNoTimingId)
+            id = cache_->timingId(timing_.timing(*inst.variant));
+        MeasurementCache::appendId(key, id);
+    }
+    MeasurementCache::appendFingerprint(key, body);
+    return key;
+}
+
 Measurement
 MeasurementHarness::measure(const Kernel &body) const
 {
@@ -82,11 +121,11 @@ MeasurementHarness::measure(const Kernel &body) const
     if (cache_ == nullptr)
         return measureUncached(body);
 
-    std::string key = MeasurementCache::fingerprint(body);
+    MeasurementCache::Key key(cacheKey(body));
     if (auto hit = cache_->lookup(key))
         return *hit;
     Measurement m = measureUncached(body);
-    cache_->insert(key, m);
+    cache_->insert(std::move(key), m);
     return m;
 }
 

@@ -28,16 +28,20 @@
  * (sim/pipeline.h); a materialized kernel is the reference both are
  * tested against. Each run adds its stepped and fast-forwarded cycles
  * to uops_sim_cycles_total in obs::Registry::global(). When a
- * MeasurementCache is attached (setCache), byte-identical bodies are
- * served from the cache; cached results are bit-identical to
- * recomputation because a Measurement is a pure function of the key
- * on a fixed timing database.
+ * MeasurementCache is attached (setCache), a run is served from the
+ * cache whenever any harness sharing it has simulated the same core,
+ * µop tables and operand bindings; cached results are bit-identical
+ * to recomputation because a Measurement is a pure function of
+ * exactly those inputs.
  */
 
 #ifndef UOPS_SIM_HARNESS_H
 #define UOPS_SIM_HARNESS_H
 
 #include <array>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "isa/kernel.h"
 #include "sim/pipeline.h"
@@ -89,11 +93,13 @@ class MeasurementHarness
     const uarch::TimingDb &timingDb() const { return timing_; }
 
     /**
-     * Attach a measurement memo-cache (nullptr detaches). The cache
-     * must only be shared between harnesses with the same timing
-     * database; it may be shared across threads.
+     * Attach a measurement memo-cache (nullptr detaches). Any
+     * harnesses over one instruction database may share a cache,
+     * across uarches and threads: its key names the simulated core
+     * and µop tables, so entries are shared exactly where the runs
+     * would be identical (sim/measurement_cache.h).
      */
-    void setCache(MeasurementCache *cache) { cache_ = cache; }
+    void setCache(MeasurementCache *cache);
 
     /**
      * Measure one benchmark body.
@@ -106,6 +112,9 @@ class MeasurementHarness
   private:
     /** measure() without the memo-cache. */
     Measurement measureUncached(const isa::Kernel &body) const;
+
+    /** The memo-cache key bytes of @p body on this harness. */
+    std::string cacheKey(const isa::Kernel &body) const;
 
     /** One Algorithm-2 run with @p n logical body copies; returns the
      *  counter delta between the two reads. */
@@ -120,6 +129,10 @@ class MeasurementHarness
     isa::Kernel prologue_;
     isa::Kernel epilogue_;
     MeasurementCache *cache_ = nullptr;
+    /** With a cache: the key's core id and the wrapper's timing ids. */
+    std::string key_prefix_;
+    /** With a cache: timing id by variant id, interned on first use. */
+    mutable std::vector<uint32_t> timing_ids_;
 };
 
 } // namespace uops::sim

@@ -114,6 +114,8 @@ struct SimOptions
     /** Skip idle stretches of the simulated clock (cycle-exact; off
      *  only for differential testing). */
     bool skip_idle = true;
+
+    bool operator==(const SimOptions &other) const = default;
 };
 
 /** Result of simulating one kernel. */
@@ -143,6 +145,7 @@ class Pipeline
     Pipeline &operator=(const Pipeline &) = delete;
 
     const uarch::UArchInfo &info() const { return info_; }
+    const SimOptions &options() const { return options_; }
 
     /**
      * Execute @p kernel to completion.

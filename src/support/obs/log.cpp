@@ -218,12 +218,6 @@ Logger::event(LogLevel level, std::string_view component,
 }
 
 uint64_t
-Logger::emitted() const
-{
-    return emitted_.load(std::memory_order_relaxed);
-}
-
-uint64_t
 Logger::suppressed() const
 {
     return suppressed_.load(std::memory_order_relaxed);
@@ -260,7 +254,6 @@ Logger::emit(std::string &&line)
                     sink_(summary);
                 else
                     stderrSink(summary);
-                emitted_.fetch_add(1, std::memory_order_relaxed);
             }
             window_start_ = now;
             window_count_ = 0;
@@ -278,7 +271,6 @@ Logger::emit(std::string &&line)
         sink_(line);
     else
         stderrSink(line);
-    emitted_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Logger &

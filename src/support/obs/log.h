@@ -123,9 +123,6 @@ class Logger
     LogEvent event(LogLevel level, std::string_view component,
                    std::string_view event_name);
 
-    /** Lines actually handed to the sink (summaries included). */
-    uint64_t emitted() const;
-
     /** Lines dropped by the rate limiter. */
     uint64_t suppressed() const;
 
@@ -141,7 +138,6 @@ class Logger
     std::chrono::steady_clock::time_point window_start_{};
     uint64_t window_count_ = 0;
     uint64_t window_suppressed_ = 0;
-    std::atomic<uint64_t> emitted_{0};
     std::atomic<uint64_t> suppressed_{0};
 };
 

@@ -86,6 +86,8 @@ struct UopSpec
 
     /** Latency of write @p w for the given value class. */
     int writeLatency(size_t w, bool slow) const;
+
+    bool operator==(const UopSpec &other) const = default;
 };
 
 /** Complete timing of one instruction variant on one uarch. */
@@ -115,6 +117,8 @@ struct TimingInfo
 
     /** Maximum latency over all µop writes (used for blockRep). */
     int maxLatency() const;
+
+    bool operator==(const TimingInfo &other) const = default;
 };
 
 /**

@@ -132,6 +132,8 @@ struct UArchInfo
 
     /** True when @p variant exists on this generation. */
     bool supports(const isa::InstrVariant &variant) const;
+
+    bool operator==(const UArchInfo &other) const = default;
 };
 
 /** Descriptor for a generation (static storage). */

@@ -10,8 +10,11 @@
  *
  *  - a MeasurementCache hit is bit-identical to the cache miss that
  *    populated it, and to an uncached harness;
- *  - runBatchSweep XML is byte-identical with the memo-cache on and
- *    off, and across 1 and 4 worker threads;
+ *  - one cache shared by harnesses of all nine uarches serves an
+ *    entry exactly where the core and µop tables match;
+ *  - runBatchSweep's per-uarch XML, with its one cache shared across
+ *    uarches, is byte-identical to each uarch characterized with no
+ *    cache, on 1 and 4 worker threads;
  *  - a nine-uarch sweep's XML digest matches the committed one, so
  *    the measured results are pinned across commits too;
  *  - logical unrolling over a DecodedKernel, with the exact
@@ -26,6 +29,8 @@
  *  - idle-cycle skipping is cycle-exact against plain stepping.
  */
 
+#include <map>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -126,6 +131,25 @@ TEST(Determinism, FingerprintSeparatesKernels)
     EXPECT_NE(a, c); // lengths differ
     EXPECT_EQ(a, sim::MeasurementCache::fingerprint(asm_("ADD RAX, RBX")));
 
+    // Fields packed narrower than they are declared still separate.
+    EXPECT_NE(sim::MeasurementCache::fingerprint(asm_("ADD RAX, 1")),
+              sim::MeasurementCache::fingerprint(asm_("ADD RAX, 257")))
+        << "immediate";
+    EXPECT_NE(sim::MeasurementCache::fingerprint(asm_("ADD RAX, -1")),
+              sim::MeasurementCache::fingerprint(asm_("ADD RAX, 255")))
+        << "immediate sign";
+    EXPECT_NE(
+        sim::MeasurementCache::fingerprint(asm_("MOV RCX, [RAX]")),
+        sim::MeasurementCache::fingerprint(asm_("MOV RCX, [RAX+256]")))
+        << "memory tag";
+    isa::Kernel fast = asm_("DIV RBX");
+    isa::Kernel slow = fast;
+    fast[0].div_class = isa::DivValueClass::Fast;
+    slow[0].div_class = isa::DivValueClass::Slow;
+    EXPECT_NE(sim::MeasurementCache::fingerprint(fast),
+              sim::MeasurementCache::fingerprint(slow))
+        << "divider value class";
+
     // The /predict kernel memo keys on the uarch name followed by the
     // cache key, so one kernel never aliases across generations.
     EXPECT_EQ(sim::BlockPredictor::fingerprint(UArch::Skylake,
@@ -135,6 +159,94 @@ TEST(Determinism, FingerprintSeparatesKernels)
                                                asm_("ADD RAX, RBX")),
               sim::BlockPredictor::fingerprint(UArch::Haswell,
                                                asm_("ADD RAX, RBX")));
+}
+
+TEST(Determinism, CacheSharesExactlyWhereCoreAndTimingsMatch)
+{
+    // Nine harnesses, one per uarch, over one cache: a refresh
+    // generation replays its predecessor's entries, and nothing else
+    // is shared.
+    const std::vector<std::string> corpus = {
+        "ADD RAX, RBX",
+        "ADC RAX, RBX",
+        "DIV RBX",
+        "MOV RAX, RBX\nMOV RBX, RAX",
+        "VXORPS XMM0, XMM1, XMM2\nVPXOR XMM3, XMM0, XMM4",
+        "CMP RAX, RBX\nJZ 1",
+        "SHLD RAX, RAX, 1",
+        "MOV [RAX], RBX\nMOV RCX, [RAX]",
+        // Same µop tables on WSM and SNB; only SNB's core fuses.
+        "ADD RAX, RBX\nJZ 1",
+    };
+
+    sim::MeasurementCache cache;
+    std::map<UArch, std::unique_ptr<sim::MeasurementHarness>> cached;
+    for (UArch arch : uarch::allUArches()) {
+        cached[arch] =
+            std::make_unique<sim::MeasurementHarness>(timingDb(arch));
+        cached[arch]->setCache(&cache);
+    }
+    // The entries each (uarch, body) added, and its result.
+    struct Run
+    {
+        size_t added = 0;
+        sim::Measurement m;
+    };
+    std::map<std::pair<UArch, std::string>, Run> runs;
+    for (UArch arch : uarch::allUArches()) {
+        sim::MeasurementHarness uncached(timingDb(arch));
+        for (const std::string &listing : corpus) {
+            isa::Kernel body = asm_(listing);
+            if (!supportedOn(arch, body))
+                continue;
+            Run &run = runs[{arch, listing}];
+            size_t before = cache.size();
+            run.m = cached[arch]->measure(body);
+            run.added = cache.size() - before;
+            expectMeasurementsIdentical(
+                uncached.measure(body), run.m,
+                uarch::uarchShortName(arch) + ": " + listing);
+        }
+    }
+    auto run = [&runs](UArch arch, const std::string &listing) {
+        return runs.at({arch, listing});
+    };
+    auto timingId = [&cache](UArch arch, const isa::InstrVariant &v) {
+        return cache.timingId(timingDb(arch).timing(v));
+    };
+
+    for (const std::string &listing : corpus) {
+        if (!supportedOn(UArch::Skylake, asm_(listing)))
+            continue;
+        EXPECT_EQ(run(UArch::KabyLake, listing).added, 0u) << listing;
+        EXPECT_EQ(run(UArch::CoffeeLake, listing).added, 0u) << listing;
+    }
+
+    // ADC's tables differ between HSW and BDW: two entries.
+    const std::string adc = "ADC RAX, RBX";
+    EXPECT_EQ(run(UArch::Haswell, adc).added, 1u);
+    EXPECT_EQ(run(UArch::Broadwell, adc).added, 1u);
+    EXPECT_NE(timingId(UArch::Haswell, *asm_(adc)[0].variant),
+              timingId(UArch::Broadwell, *asm_(adc)[0].variant));
+    EXPECT_EQ(run(UArch::Broadwell, "ADD RAX, RBX").added, 0u);
+
+    // IVB's core eliminates moves and SNB's does not.
+    const std::string chain = "MOV RAX, RBX\nMOV RBX, RAX";
+    EXPECT_EQ(run(UArch::SandyBridge, chain).added, 1u);
+    EXPECT_EQ(run(UArch::IvyBridge, chain).added, 1u);
+    EXPECT_NE(run(UArch::SandyBridge, chain).m.uops_eliminated,
+              run(UArch::IvyBridge, chain).m.uops_eliminated);
+
+    // Equal tables on different cores: only the core id separates
+    // WSM's unfused run from SNB's fused one.
+    const std::string alu_jcc = "ADD RAX, RBX\nJZ 1";
+    for (const isa::InstrInstance &inst : asm_(alu_jcc))
+        EXPECT_EQ(timingId(UArch::Westmere, *inst.variant),
+                  timingId(UArch::SandyBridge, *inst.variant))
+            << inst.variant->name();
+    EXPECT_EQ(run(UArch::SandyBridge, alu_jcc).added, 1u);
+    EXPECT_NE(run(UArch::Westmere, alu_jcc).m.uops_issued,
+              run(UArch::SandyBridge, alu_jcc).m.uops_issued);
 }
 
 TEST(Determinism, SharedCacheIsThreadSafeAndExact)
@@ -166,30 +278,41 @@ TEST(Determinism, SharedCacheIsThreadSafeAndExact)
 
 TEST(Determinism, BatchXmlByteIdenticalAcrossCacheAndThreads)
 {
-    auto options = [](size_t threads, bool share) {
-        core::BatchOptions o;
-        o.num_threads = threads;
-        o.share_measurements = share;
-        o.characterizer.filter = [](const isa::InstrVariant &v) {
-            const std::string &m = v.mnemonic();
-            return m == "ADD" || m == "PXOR" || m == "DIV" ||
-                   m == "MOVAPS" || m == "VPXOR";
-        };
-        return o;
+    core::Characterizer::Options characterizer;
+    characterizer.filter = [](const isa::InstrVariant &v) {
+        const std::string &m = v.mnemonic();
+        return m == "ADD" || m == "PXOR" || m == "DIV" ||
+               m == "MOVAPS" || m == "VPXOR";
     };
-    const std::vector<UArch> arches = {UArch::Nehalem, UArch::Skylake};
+    // HSW/BDW and SKL/KBL/CFL share cores and most µop tables, so the
+    // sweep's one cache serves hits across uarches here.
+    const std::vector<UArch> arches = {UArch::Haswell, UArch::Broadwell,
+                                       UArch::Skylake, UArch::KabyLake};
 
-    std::string baseline =
-        core::runBatchSweep(defaultDb(), arches, options(1, false))
-            .toXmlString();
-    EXPECT_EQ(baseline,
-              core::runBatchSweep(defaultDb(), arches, options(1, true))
-                  .toXmlString())
-        << "memo-cache changed the report";
-    EXPECT_EQ(baseline,
-              core::runBatchSweep(defaultDb(), arches, options(4, true))
-                  .toXmlString())
-        << "threading changed the report";
+    // Uncached baseline: each uarch characterized on its own.
+    std::vector<std::string> baseline;
+    for (UArch arch : arches)
+        baseline.push_back(
+            core::exportResultsXml(
+                core::Characterizer(defaultDb(), arch, characterizer)
+                    .run())
+                ->toString());
+
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+        core::BatchOptions options;
+        options.num_threads = threads;
+        options.characterizer = characterizer;
+        core::CharacterizationReport report =
+            core::runBatchSweep(defaultDb(), arches, options);
+        EXPECT_EQ(report.numFailed(), 0u);
+        ASSERT_EQ(report.uarches.size(), arches.size());
+        for (size_t a = 0; a < arches.size(); ++a)
+            EXPECT_EQ(baseline[a],
+                      core::exportResultsXml(report.uarches[a].toSet())
+                          ->toString())
+                << uarch::uarchShortName(arches[a]) << " with "
+                << threads << " thread(s)";
+    }
 }
 
 TEST(Determinism, SweepDigestIsCommitted)
