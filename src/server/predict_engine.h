@@ -33,7 +33,9 @@
  *    so the cache survives generation hot-swaps.
  *
  * The cycle budget is the engine's only simulation policy, and it
- * only decides whether a kernel's Algorithm-2 run completes.
+ * only decides whether a kernel's Algorithm-2 run completes. It
+ * bounds the body copies' cycles: the harness does not simulate the
+ * CPUID/RDTSC wrapper (sim/harness.h).
  *
  * Exceptions from a simulation (validation FatalError, budget
  * overrun) propagate through the shared future to every coalesced
@@ -90,8 +92,9 @@ class PredictEngine
          *  are rejected with PredictOverloaded. */
         size_t max_inflight = 64;
 
-        /** Simulated-cycle budget of each run (0 = unbounded);
-         *  past it a kernel fails with CycleBudgetExceeded. */
+        /** Simulated-cycle budget of each run's body copies
+         *  (0 = unbounded); past it a kernel fails with
+         *  CycleBudgetExceeded. */
         int64_t cycle_budget = sim::kDefaultCycleBudget;
     };
 

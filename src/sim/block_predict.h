@@ -28,9 +28,11 @@
  *
  * The measurement itself is exactly Algorithm 2 on the decoded
  * template (sim/harness.h): per-iteration steady-state cycles and
- * port pressure with the harness wrapper cost cancelled. Results are
- * bit-identical to driving sim::Pipeline through a MeasurementHarness
- * directly: the cycle budget only decides whether a run completes.
+ * port pressure from the n = 110 and n = 10 runs' difference. Results
+ * are bit-identical to driving sim::Pipeline through a
+ * MeasurementHarness directly: the cycle budget only decides whether
+ * a run completes, and it bounds body cycles only, since the harness
+ * does not simulate the CPUID/RDTSC wrapper.
  */
 
 #ifndef UOPS_SIM_BLOCK_PREDICT_H
@@ -47,10 +49,10 @@ namespace uops::sim {
 
 class MeasurementCache;
 
-/** Default per-run simulated-cycle budget. It comfortably covers
- *  every latency-bound kernel a bounded instruction count can
- *  produce, while capping a worker's worst-case time on one
- *  request. */
+/** Default per-run simulated-cycle budget (body copies only). It
+ *  comfortably covers every latency-bound kernel a bounded
+ *  instruction count can produce, while capping a worker's
+ *  worst-case time on one request. */
 constexpr int64_t kDefaultCycleBudget = 20'000'000;
 
 /**

@@ -28,8 +28,10 @@
  * matching the virtual position, reproducing the materialized
  * kernel's fusion decisions bit for bit.
  *
- * Lifetime: a DecodedKernel borrows the three kernels; they must
- * outlive it. The fused-pair µop specs are owned by the template.
+ * Lifetime: a DecodedKernel borrows the instructions of the three
+ * kernels; they must outlive it (so an empty prologue or epilogue,
+ * as the harness passes, may be a temporary). The fused-pair µop
+ * specs are owned by the template.
  */
 
 #ifndef UOPS_SIM_DECODED_H

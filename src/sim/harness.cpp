@@ -42,56 +42,24 @@ MeasurementHarness::MeasurementHarness(const uarch::TimingDb &timing,
                                        SimOptions sim)
     : timing_(timing), pipeline_(timing, sim)
 {
-    const isa::InstrDb &db = timing.instrDb();
-    serializer_ = db.byName("CPUID_R32i_R32i_R32i_R32i");
-    if (serializer_ == nullptr)
-        serializer_ = db.byName("CPUID");
-    counter_reader_ = db.byName("RDTSC_R32i_R32i");
-    if (counter_reader_ == nullptr)
-        counter_reader_ = db.byName("RDTSC");
-    fatalIf(serializer_ == nullptr || counter_reader_ == nullptr,
-            "harness: CPUID/RDTSC must be present in the instruction DB");
-
-    // start <- readPerfCtrs() / end <- readPerfCtrs(), wrapped in
-    // serializing instructions; fixed for the harness lifetime.
-    for (Kernel *wrapper : {&prologue_, &epilogue_}) {
-        wrapper->push_back(isa::makeInstance(*serializer_, {}));
-        wrapper->push_back(isa::makeInstance(*counter_reader_, {}));
-        wrapper->push_back(isa::makeInstance(*serializer_, {}));
-    }
 }
 
 PerfCounters
 MeasurementHarness::runOnce(const DecodedKernel &decoded, int n) const
 {
-    // Counter snapshots at the two RDTSC retirements; indices in the
-    // logical stream prologue · body×n · epilogue.
-    std::vector<size_t> markers;
-    markers.reserve(2);
-    markers.push_back(1);
-    markers.push_back(decoded.prologueSize() +
-                      decoded.bodySize() * static_cast<size_t>(n) + 1);
-
-    RunResult result = pipeline_.run(decoded, n, markers);
+    RunResult result = pipeline_.run(decoded, n);
     countCycles(result);
-    return result.snapshots[1] - result.snapshots[0];
+    return result.final;
 }
 
 void
 MeasurementHarness::setCache(MeasurementCache *cache)
 {
     cache_ = cache;
-    key_prefix_.clear();
     timing_ids_.clear();
     if (cache == nullptr)
         return;
-    // The prologue and epilogue are serializer, counter read,
-    // serializer, so these two ids name all six wrapper tables.
-    MeasurementCache::appendId(key_prefix_,
-                               cache->coreId(info(), pipeline_.options()));
-    for (const isa::InstrVariant *wrapper : {serializer_, counter_reader_})
-        MeasurementCache::appendId(
-            key_prefix_, cache->timingId(timing_.timing(*wrapper)));
+    core_id_ = cache->coreId(info(), pipeline_.options());
     timing_ids_.assign(timing_.instrDb().size(), kNoTimingId);
 }
 
@@ -99,8 +67,8 @@ std::string
 MeasurementHarness::cacheKey(const Kernel &body) const
 {
     std::string key;
-    key.reserve(key_prefix_.size() + 4 + body.size() * 56);
-    key += key_prefix_;
+    key.reserve(8 + body.size() * 56);
+    MeasurementCache::appendId(key, core_id_);
     MeasurementCache::appendId(key, static_cast<uint32_t>(body.size()));
     for (const InstrInstance &inst : body) {
         uint32_t &id =
@@ -134,7 +102,7 @@ MeasurementHarness::measureUncached(const Kernel &body) const
 {
     // Decode the body (µop selection, idiom and fusion analysis) once;
     // both unroll factors reuse the template.
-    DecodedKernel decoded(timing_, prologue_, body, epilogue_);
+    DecodedKernel decoded(timing_, {}, body, {});
     PerfCounters small = runOnce(decoded, kUnrollSmall);
     PerfCounters diff = runOnce(decoded, kUnrollLarge) - small;
 

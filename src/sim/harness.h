@@ -21,6 +21,30 @@
  * the simulator is exact and every run starts from power-on state, so
  * one pair of runs is the whole measurement.
  *
+ * The wrapper is not simulated: each run is the n body copies alone,
+ * and the measurement is (final(110) - final(10)) / 100 of their
+ * end-of-run counters. This is bit-identical to simulating the full
+ * listing above and differencing the counters at the two RDTSC
+ * retirements, because the wrapper is neutral:
+ *
+ *  - The body starts on an empty core. The prologue ends in CPUID,
+ *    and nothing younger renames until CPUID has fully retired. At
+ *    that point no µop is in flight; every register value has been
+ *    produced, in the GPR domain, which never pays a bypass delay;
+ *    there is no memory value; the move-elimination phase is 0 and
+ *    the upper YMM state is clean; the divider is free. That is the
+ *    power-on state, shifted in time.
+ *  - The epilogue adds a constant. It starts with CPUID, which waits
+ *    until every body µop has retired. Its µops are GPR-domain µops
+ *    that read only values already produced (so no bypass delay) and
+ *    never use the divider. So after the body drains the epilogue
+ *    adds the same cycles and µops to both runs, and they cancel in
+ *    the difference.
+ *
+ * Harness.BodyOnlyMatchesFullAlgorithm2 (tests/harness_test.cpp)
+ * checks this bit for bit on all nine uarches against the wrapped
+ * runs, with a corpus that touches each state the argument relies on.
+ *
  * Hot path: the body is decoded into a µop template once per measure()
  * call and the pipeline unrolls it logically (sim/decoded.h) — the
  * n-copy kernel is never materialized, and once the copies reach a
@@ -82,9 +106,10 @@ class MeasurementHarness
     /**
      * @param sim Options for the underlying pipeline; the defaults
      *            match direct Pipeline construction. A cycle_budget
-     *            here bounds each Algorithm-2 run (untrusted-kernel
-     *            admission control); budgeted and unbudgeted runs
-     *            that complete produce bit-identical measurements.
+     *            here bounds each Algorithm-2 run's body cycles
+     *            (untrusted-kernel admission control); budgeted and
+     *            unbudgeted runs that complete produce bit-identical
+     *            measurements.
      */
     explicit MeasurementHarness(const uarch::TimingDb &timing,
                                 SimOptions sim = {});
@@ -116,21 +141,15 @@ class MeasurementHarness
     /** The memo-cache key bytes of @p body on this harness. */
     std::string cacheKey(const isa::Kernel &body) const;
 
-    /** One Algorithm-2 run with @p n logical body copies; returns the
-     *  counter delta between the two reads. */
+    /** One Algorithm-2 run with @p n logical body copies and no
+     *  wrapper; returns its end-of-run counters. */
     PerfCounters runOnce(const DecodedKernel &decoded, int n) const;
 
     const uarch::TimingDb &timing_;
     Pipeline pipeline_;
-    const isa::InstrVariant *serializer_;
-    const isa::InstrVariant *counter_reader_;
-    /** Algorithm 2's fixed wrapper code: serializer / counter read /
-     *  serializer, built once and decoded with every body. */
-    isa::Kernel prologue_;
-    isa::Kernel epilogue_;
     MeasurementCache *cache_ = nullptr;
-    /** With a cache: the key's core id and the wrapper's timing ids. */
-    std::string key_prefix_;
+    /** With a cache: the key's core id. */
+    uint32_t core_id_ = 0;
     /** With a cache: timing id by variant id, interned on first use. */
     mutable std::vector<uint32_t> timing_ids_;
 };

@@ -20,8 +20,7 @@
  *    blanked — the pipeline and the decoder never read those — plus
  *    the harness's SimOptions, so a budgeted harness never shares
  *    entries with an unbudgeted one;
- *  - the µop table (TimingInfo) of every instruction of the prologue,
- *    the body and the epilogue (timingId);
+ *  - the µop table (TimingInfo) of every body instruction (timingId);
  *  - the body's operand bindings (fingerprint), which include each
  *    instruction's variant id.
  *

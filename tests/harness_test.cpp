@@ -2,8 +2,9 @@
  * @file
  * Tests for the Algorithm-2 measurement infrastructure details:
  * marker snapshots, per-body counters, serializing behaviour, move
- * elimination, capacity limits of the simulated core, and the
- * simulated-cycle counters.
+ * elimination, capacity limits of the simulated core, the
+ * simulated-cycle counters, and the body-only runs' equality with
+ * Algorithm 2's fully wrapped runs.
  */
 
 #include <gtest/gtest.h>
@@ -85,7 +86,8 @@ TEST(Harness, CountsSteppedAndFastForwardedCycles)
 {
     // Every Algorithm-2 run adds its cycles to the process registry,
     // split into those stepped and those the fast-forward skipped.
-    sim::MeasurementHarness harness(timingDb(UArch::Skylake));
+    const auto &tdb = timingDb(UArch::Skylake);
+    sim::MeasurementHarness harness(tdb);
     harness.measure(asm_("ADD RAX, RBX")); // registers the series
     auto cycles = [](const char *mode) {
         return obs::Registry::global()
@@ -97,6 +99,96 @@ TEST(Harness, CountsSteppedAndFastForwardedCycles)
     harness.measure(asm_("IMUL RAX, RBX\nLFENCE\nIMUL RCX, RBX"));
     EXPECT_GT(cycles("simulated"), simulated);
     EXPECT_GT(cycles("fast_forwarded"), skipped);
+
+    // The harness steps the body copies and nothing else: no wrapper.
+    auto body = asm_("ADD RAX, RBX");
+    sim::DecodedKernel decoded(tdb, {}, body, {});
+    sim::Pipeline pipeline(tdb);
+    int64_t body_cycles = 0;
+    for (int n : {sim::kUnrollSmall, sim::kUnrollLarge})
+        body_cycles += pipeline.run(decoded, n).simulated_cycles;
+    simulated = cycles("simulated");
+    sim::MeasurementHarness(tdb).measure(body);
+    EXPECT_EQ(cycles("simulated") - simulated,
+              static_cast<uint64_t>(body_cycles));
+}
+
+/** Bodies touching each state the wrapper's neutrality relies on
+ *  (sim/harness.h): what the prologue leaves behind for the body and
+ *  what the body leaves behind for the epilogue. */
+const char *const kWrapperNeutralBodies[] = {
+    // First reads are the four registers CPUID writes.
+    "ADD RAX, RBX\nADD RCX, RDX",
+    // A MOV chain whose off-chain MOV is the first candidate: the
+    // move-elimination phase decides which MOV of every copy goes.
+    "MOV RAX, RBX\nMOV RCX, RBX\nMOV RBX, RCX",
+    // Upper YMM state: dirtied before an SSE write, and a clean start
+    // that keeps an SSE-only body free of merge dependencies.
+    "VADDPS YMM0, YMM0, YMM1\nADDPS XMM2, XMM2",
+    "SQRTPS XMM2, XMM3",
+    "DIV RBX",
+    // Serializing instructions inside the body.
+    "IMUL RAX, RBX\nLFENCE\nIMUL RCX, RBX",
+    "ADD RAX, RBX\nCPUID",
+    // A fused pair at the body's end, next to the epilogue.
+    "ADD RCX, RDX\nCMP RAX, RBX\nJZ 1",
+    // A vector-domain value in EAX, which the epilogue's CPUID reads.
+    "MOVD EAX, XMM0",
+    "MOV [RAX], RBX\nMOV RCX, [RAX]",
+};
+
+/** Algorithm 2 with its full wrapper, both counter reads inside the
+ *  runs: the reference for the harness's body-only runs. */
+sim::Measurement
+wrappedMeasurement(const uarch::TimingDb &tdb, const isa::Kernel &body)
+{
+    const isa::InstrDb &db = defaultDb();
+    const isa::InstrInstance serializer =
+        isa::makeInstance(*db.byName("CPUID_R32i_R32i_R32i_R32i"), {});
+    const isa::InstrInstance reader =
+        isa::makeInstance(*db.byName("RDTSC_R32i_R32i"), {});
+    const isa::Kernel wrapper = {serializer, reader, serializer};
+    sim::DecodedKernel decoded(tdb, wrapper, body, wrapper);
+    sim::Pipeline pipeline(tdb);
+    auto reads = [&](int n) {
+        sim::RunResult r = pipeline.run(
+            decoded, n,
+            {1, wrapper.size() + static_cast<size_t>(n) * body.size() + 1});
+        return r.snapshots[1] - r.snapshots[0];
+    };
+    sim::PerfCounters diff =
+        reads(sim::kUnrollLarge) - reads(sim::kUnrollSmall);
+
+    constexpr double scale = sim::kUnrollLarge - sim::kUnrollSmall;
+    sim::Measurement m;
+    m.cycles = static_cast<double>(diff.cycles) / scale;
+    for (size_t p = 0; p < sim::kMaxPorts; ++p)
+        m.port_uops[p] = static_cast<double>(diff.port_uops[p]) / scale;
+    m.uops_issued = static_cast<double>(diff.uops_issued) / scale;
+    m.uops_eliminated = static_cast<double>(diff.uops_eliminated) / scale;
+    return m;
+}
+
+TEST(Harness, BodyOnlyMatchesFullAlgorithm2)
+{
+    // The harness does not simulate the CPUID/RDTSC wrapper; its
+    // measurement must equal the wrapped procedure's bit for bit.
+    for (UArch arch : uarch::allUArches()) {
+        const auto &tdb = timingDb(arch);
+        sim::MeasurementHarness harness(tdb);
+        for (const char *listing : kWrapperNeutralBodies) {
+            auto body = asm_(listing);
+            if (!supportedOn(arch, body))
+                continue;
+            sim::Measurement got = harness.measure(body);
+            sim::Measurement want = wrappedMeasurement(tdb, body);
+            std::string what = uarch::uarchName(arch) + ": " + listing;
+            EXPECT_EQ(got.cycles, want.cycles) << what;
+            EXPECT_EQ(got.port_uops, want.port_uops) << what;
+            EXPECT_EQ(got.uops_issued, want.uops_issued) << what;
+            EXPECT_EQ(got.uops_eliminated, want.uops_eliminated) << what;
+        }
+    }
 }
 
 TEST(Harness, EmptyBodyPanics)
