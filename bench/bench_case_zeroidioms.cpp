@@ -32,7 +32,7 @@ struct IdiomRow
 std::optional<IdiomRow>
 probe(uarch::UArch arch, const isa::InstrVariant &v)
 {
-    auto expl = v.explicitOperands();
+    const auto &expl = v.explicitOperands();
     if (expl.size() < 2)
         return std::nullopt;
     const auto &a = v.operand(expl[0]);

@@ -21,58 +21,59 @@ RegPool::RegPool(Zone zone) : zone_(zone)
     next_mem_tag_ = zone == Zone::Analyzed ? 1000 : 2000;
 }
 
-std::vector<int>
+std::span<const int>
 RegPool::candidates(RegClass cls, bool src) const
 {
     // Reserved everywhere: RSP(4), RBP(5) (stack), R14/R15 (harness
     // reserved registers, Section 6.2), XMM0 (implicit blend mask).
     // RAX/RCX/RDX are allowed as destinations but excluded dynamically
     // when a variant pins them as implicit operands.
-    std::vector<int> out;
-    auto add_range = [&](std::initializer_list<int> idxs) {
-        for (int i : idxs)
-            out.push_back(i);
-    };
-    bool analyzed = zone_ == Zone::Analyzed;
+    static constexpr int kGprDst[] = {0, 1, 2, 3};
+    static constexpr int kGprSrc[] = {6, 7};
+    static constexpr int kGprFillerDst[] = {8, 9, 10, 11};
+    static constexpr int kGprFillerSrc[] = {12, 13};
+    static constexpr int kGpr8HighDst[] = {0, 1};
+    static constexpr int kGpr8HighSrc[] = {2, 3};
+    static constexpr int kMmxDst[] = {0, 1, 2};
+    static constexpr int kMmxSrc[] = {3};
+    static constexpr int kMmxFillerDst[] = {4, 5, 6};
+    static constexpr int kMmxFillerSrc[] = {7};
+    static constexpr int kVecDst[] = {1, 2, 3, 4};
+    static constexpr int kVecSrc[] = {5, 6, 7};
+    static constexpr int kVecFillerDst[] = {8, 9, 10, 11};
+    static constexpr int kVecFillerSrc[] = {12, 13, 14, 15};
+    const bool analyzed = zone_ == Zone::Analyzed;
     switch (cls) {
       case RegClass::Gpr8:
       case RegClass::Gpr16:
       case RegClass::Gpr32:
       case RegClass::Gpr64:
         if (analyzed)
-            src ? add_range({6, 7}) : add_range({0, 1, 2, 3});
-        else
-            src ? add_range({12, 13}) : add_range({8, 9, 10, 11});
-        break;
+            return src ? std::span<const int>(kGprSrc) : kGprDst;
+        return src ? std::span<const int>(kGprFillerSrc) : kGprFillerDst;
       case RegClass::Gpr8High:
-        src ? add_range({2, 3}) : add_range({0, 1});
-        break;
+        return src ? std::span<const int>(kGpr8HighSrc) : kGpr8HighDst;
       case RegClass::Mmx:
         if (analyzed)
-            src ? add_range({3}) : add_range({0, 1, 2});
-        else
-            src ? add_range({7}) : add_range({4, 5, 6});
-        break;
+            return src ? std::span<const int>(kMmxSrc) : kMmxDst;
+        return src ? std::span<const int>(kMmxFillerSrc) : kMmxFillerDst;
       case RegClass::Xmm:
       case RegClass::Ymm:
         if (analyzed)
-            src ? add_range({5, 6, 7}) : add_range({1, 2, 3, 4});
-        else
-            src ? add_range({12, 13, 14, 15})
-                : add_range({8, 9, 10, 11});
-        break;
+            return src ? std::span<const int>(kVecSrc) : kVecDst;
+        return src ? std::span<const int>(kVecFillerSrc) : kVecFillerDst;
       case RegClass::None:
         break;
     }
-    return out;
+    return {};
 }
 
 isa::Reg
 RegPool::pick(RegClass cls, bool src)
 {
-    auto cand = candidates(cls, src);
-    panicIf(cand.empty(), "RegPool: no candidates for class ",
-            isa::regClassName(cls));
+    std::span<const int> cand = candidates(cls, src);
+    if (cand.empty())
+        panic("RegPool: no candidates for class ", isa::regClassName(cls));
     size_t &cur = cursor_[static_cast<int>(cls) * 2 + (src ? 1 : 0)];
     for (size_t tries = 0; tries < cand.size(); ++tries) {
         int idx = cand[cur % cand.size()];
@@ -104,7 +105,11 @@ RegPool::nextSrc(RegClass cls)
 void
 RegPool::exclude(const Reg &reg)
 {
-    excluded_.push_back(reg);
+    // makeIndependent excludes a variant's fixed registers per built
+    // instance; keep each once so the list stays short.
+    if (std::find(excluded_.begin(), excluded_.end(), reg) ==
+        excluded_.end())
+        excluded_.push_back(reg);
 }
 
 MemLoc
@@ -129,8 +134,10 @@ makeIndependent(const InstrVariant &variant, RegPool &pool,
         if (op.kind == OpKind::Reg && op.fixed_reg >= 0)
             pool.exclude(Reg{op.reg_class, op.fixed_reg});
 
+    const std::vector<int> &expl = variant.explicitOperands();
     std::vector<OperandValue> values;
-    for (int idx : variant.explicitOperands()) {
+    values.reserve(expl.size());
+    for (int idx : expl) {
         const OperandSpec &op = variant.operand(idx);
         OperandValue val;
         switch (op.kind) {

@@ -18,7 +18,9 @@
 #ifndef UOPS_CORE_CODEGEN_H
 #define UOPS_CORE_CODEGEN_H
 
+#include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "isa/kernel.h"
@@ -65,7 +67,8 @@ class RegPool
     isa::MemLoc nextMem(isa::RegClass base_class = isa::RegClass::Gpr64);
 
   private:
-    std::vector<int> candidates(isa::RegClass cls, bool src) const;
+    /** The zone's registers of @p cls for one role (static tables). */
+    std::span<const int> candidates(isa::RegClass cls, bool src) const;
     isa::Reg pick(isa::RegClass cls, bool src);
 
     Zone zone_;

@@ -1,6 +1,7 @@
 #include "port_usage.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "support/status.h"
@@ -142,8 +143,9 @@ PortUsageAnalyzer::analyze(const InstrVariant &variant,
 
         // Line 6/7: µops on the combination's ports, minus blocking.
         double uops = 0.0;
-        for (int p : uarch::portsOf(pc))
-            uops += m.port_uops[static_cast<size_t>(p)];
+        for (uarch::PortMask rest = pc; rest != 0;
+             rest = static_cast<uarch::PortMask>(rest & (rest - 1)))
+            uops += m.port_uops[static_cast<size_t>(std::countr_zero(rest))];
         uops -= block_rep;
 
         // Lines 8-10: subtract µops attributed to strict subsets.

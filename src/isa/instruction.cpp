@@ -1,5 +1,7 @@
 #include "instruction.h"
 
+#include <algorithm>
+
 #include "support/status.h"
 
 namespace uops::isa {
@@ -81,6 +83,14 @@ InstrVariant::InstrVariant(int id, std::string mnemonic,
       attrs_(attrs)
 {
     name_ = makeVariantName(mnemonic_, operands_);
+    auto is_explicit = [](const OperandSpec &op) {
+        return !op.implicit && op.kind != OpKind::Flags;
+    };
+    explicit_.reserve(static_cast<size_t>(
+        std::count_if(operands_.begin(), operands_.end(), is_explicit)));
+    for (size_t i = 0; i < operands_.size(); ++i)
+        if (is_explicit(operands_[i]))
+            explicit_.push_back(static_cast<int>(i));
 }
 
 std::vector<int>
@@ -108,16 +118,6 @@ InstrVariant::destOperands() const
         if (writes)
             out.push_back(static_cast<int>(i));
     }
-    return out;
-}
-
-std::vector<int>
-InstrVariant::explicitOperands() const
-{
-    std::vector<int> out;
-    for (size_t i = 0; i < operands_.size(); ++i)
-        if (!operands_[i].implicit && operands_[i].kind != OpKind::Flags)
-            out.push_back(static_cast<int>(i));
     return out;
 }
 
@@ -170,7 +170,7 @@ std::string
 InstrVariant::syntaxTemplate() const
 {
     std::string out = mnemonic_;
-    auto expl = explicitOperands();
+    const auto &expl = explicitOperands();
     for (size_t i = 0; i < expl.size(); ++i) {
         out += (i == 0) ? " " : ", ";
         out += "%" + std::to_string(i);

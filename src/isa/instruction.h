@@ -130,8 +130,9 @@ class InstrVariant
     /** Indices of operands that are written (destinations). */
     std::vector<int> destOperands() const;
 
-    /** Indices of explicit operands, in syntax order. */
-    std::vector<int> explicitOperands() const;
+    /** Indices of explicit operands, in syntax order (computed once:
+     *  the benchmark generators ask for them per built instance). */
+    const std::vector<int> &explicitOperands() const { return explicit_; }
 
     /** Index of the flags pseudo-operand, or -1. */
     int flagsOperand() const;
@@ -154,6 +155,7 @@ class InstrVariant
     std::string mnemonic_;
     std::string name_;
     std::vector<OperandSpec> operands_;
+    std::vector<int> explicit_;
     Extension ext_;
     InstrAttributes attrs_;
 };

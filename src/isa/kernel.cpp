@@ -66,7 +66,7 @@ makeInstance(const InstrVariant &variant,
     inst.variant = &variant;
     inst.ops.resize(variant.numOperands());
 
-    auto expl = variant.explicitOperands();
+    const auto &expl = variant.explicitOperands();
     fatalIf(explicit_values.size() != expl.size(), "makeInstance(",
             variant.name(), "): expected ", expl.size(),
             " explicit operands, got ", explicit_values.size());
@@ -192,7 +192,7 @@ assembleLine(const InstrDb &db, const std::string &line)
     fatalIf(candidates.empty(), "assemble: unknown mnemonic '", mnemonic,
             "'");
     for (const InstrVariant *variant : candidates) {
-        auto expl = variant->explicitOperands();
+        const auto &expl = variant->explicitOperands();
         if (expl.size() != values.size())
             continue;
         bool ok = true;

@@ -93,11 +93,11 @@ DecodedKernel::decodeOne(const InstrInstance &inst)
     d.slow = inst.div_class == isa::DivValueClass::Slow;
 
     if (idiom) {
-        auto expl = inst.variant->explicitOperands();
+        const auto &expl = inst.variant->explicitOperands();
         d.skip_unit = isa::regUnit(inst.regOf(expl[0]));
     }
     if (d.try_mov_elim) {
-        auto expl = inst.variant->explicitOperands();
+        const auto &expl = inst.variant->explicitOperands();
         d.elim_dst_unit = isa::regUnit(inst.regOf(expl[0]));
         d.elim_src_unit = isa::regUnit(inst.regOf(expl[1]));
     }

@@ -15,11 +15,12 @@
  *   serializing instruction                       CPUID
  *
  * The counter-read and serializing overhead is cancelled exactly as in
- * the paper: the harness runs once with n = 10 and once with n = 110
- * copies of the body, subtracts the two measurements and divides by
- * 100. The paper repeats this 100 times to average out hardware noise;
- * the simulator is exact and every run starts from power-on state, so
- * one pair of runs is the whole measurement.
+ * the paper: the harness takes the counters with n = 10 and with
+ * n = 110 copies of the body, subtracts the two measurements and
+ * divides by 100. The paper repeats this 100 times to average out
+ * hardware noise; the simulator is exact and every run starts from
+ * power-on state, so one pair of counter readings is the whole
+ * measurement, and mostly one run gives both (below).
  *
  * The wrapper is not simulated: each run is the n body copies alone,
  * and the measurement is (final(110) - final(10)) / 100 of their
@@ -44,6 +45,32 @@
  * Harness.BodyOnlyMatchesFullAlgorithm2 (tests/harness_test.cpp)
  * checks this bit for bit on all nine uarches against the wrapped
  * runs, with a corpus that touches each state the argument relies on.
+ *
+ * One run suffices for most bodies. The n = 110 run's first ten copies
+ * evolve exactly as the n = 10 run does, because a µop's timing never
+ * depends on younger µops: every shared resource is taken oldest
+ * first. Rename, port binding (by the counts of older waiting µops),
+ * reservation-station and reorder-buffer capacity, move elimination
+ * and the upper YMM state all work in program order; each port
+ * dispatches its oldest ready candidate; retirement is in order. So
+ * the harness runs n = 110 once and reads the n = 10 counters off it
+ * (Pipeline::run's prefix: the prefix copies' µops, instructions and
+ * the clock at which the last of them retired). That still holds when
+ * the run is fast-forwarded: the period search starts after the
+ * prefix, the cut run matches the uncut one until the cut, and what
+ * lies beyond the cut is younger than every prefix µop. Two kinds of
+ * body break the argument and keep the two runs:
+ *
+ *  - The divider. A younger divider µop that is ready can take the
+ *    divider ahead of an older one that is not, and so delay it: on
+ *    NHM, DIV RBX; DIV RCX; DIVSS XMM2, XMM3; DIVSS XMM4, XMM5 takes
+ *    678 prefix cycles against 675 in the n = 10 run.
+ *  - Copy-wrapping fusion. The tenth copy's last instruction fuses
+ *    with the eleventh copy's first only in the long run: on NHM,
+ *    JZ 1; CMP RAX, RBX takes 13 prefix cycles against 12.
+ *
+ * Harness.OneRunMatchesTwoRuns checks the prefix against the n = 10
+ * run on all nine uarches, and that both exceptions are real.
  *
  * Hot path: the body is decoded into a µop template once per measure()
  * call and the pipeline unrolls it logically (sim/decoded.h) — the
@@ -92,8 +119,8 @@ struct Measurement
     }
 };
 
-/** Body copies in Algorithm 2's two runs; the measurement is their
- *  counter difference divided by kUnrollLarge - kUnrollSmall. */
+/** Body copies at Algorithm 2's two counter readings; the measurement
+ *  is their counter difference divided by kUnrollLarge - kUnrollSmall. */
 constexpr int kUnrollSmall = 10;
 constexpr int kUnrollLarge = 110;
 
@@ -142,8 +169,10 @@ class MeasurementHarness
     std::string cacheKey(const isa::Kernel &body) const;
 
     /** One Algorithm-2 run with @p n logical body copies and no
-     *  wrapper; returns its end-of-run counters. */
-    PerfCounters runOnce(const DecodedKernel &decoded, int n) const;
+     *  wrapper, whose first @p prefix_copies copies are also counted
+     *  on their own (RunResult::prefix). */
+    RunResult runOnce(const DecodedKernel &decoded, int n,
+                      int prefix_copies = 0) const;
 
     const uarch::TimingDb &timing_;
     Pipeline pipeline_;

@@ -98,10 +98,13 @@ class Core
     Core(const uarch::TimingDb &timing, const uarch::UArchInfo &info,
          const SimOptions &options, const DecodedKernel &decoded,
          int body_reps, const std::vector<size_t> &markers,
-         PipelineScratch &s)
+         int prefix_copies, PipelineScratch &s)
         : timing_(timing), info_(info), options_(options),
           decoded_(decoded), body_reps_(body_reps),
           total_(decoded.totalSize(body_reps)),
+          prefix_end_(decoded.prologueSize() +
+                      decoded.bodySize() *
+                          static_cast<size_t>(prefix_copies)),
           marker_set_(s.marker_set), value_ready_(s.value_ready),
           value_domain_(s.value_domain), unit_value_(s.unit_value),
           mem_value_(s.mem_value), temp_value_(s.temp_value),
@@ -131,8 +134,11 @@ class Core
         // -1: not yet renamed (blocks the in-order retire cursor).
         instr_uops_left_.assign(total_, -1);
         result_.snapshots.resize(marker_set_.size());
+        // The period search starts after the prefix: a cut removes
+        // copies from the boundary it is found at on, so it never
+        // removes a prefix copy.
         if (decoded.bodySize() > 0)
-            next_boundary_ = decoded.prologueSize();
+            next_boundary_ = prefix_end_;
     }
 
     RunResult
@@ -436,9 +442,13 @@ class Core
                 const auto uop = static_cast<uint32_t>(issue_head_++);
                 ++issued;
                 activity_ = true;
+                const bool in_prefix =
+                    static_cast<size_t>(u.instr_idx) < prefix_end_;
                 ++counters_.uops_issued;
+                result_.prefix.uops_issued += in_prefix;
                 if (u.spec == nullptr) {
                     ++counters_.uops_eliminated;
+                    result_.prefix.uops_eliminated += in_prefix;
                     u.complete = cycle_;
                     continue;
                 }
@@ -501,6 +511,8 @@ class Core
                     cycle_ + static_cast<int64_t>(spec.latency));
                 u.complete = max_done;
                 ++counters_.port_uops[static_cast<size_t>(p)];
+                if (static_cast<size_t>(u.instr_idx) < prefix_end_)
+                    ++result_.prefix.port_uops[static_cast<size_t>(p)];
                 --waiting_[p];
                 --rs_count_;
                 if (spec.div_occupancy > 0) {
@@ -536,6 +548,13 @@ class Core
                instr_uops_left_[retire_cursor_] == 0) {
             ++counters_.instrs_retired;
             activity_ = true;
+            // The prefix's clock is the stepped one: a cut only ever
+            // shifts instructions younger than the prefix.
+            if (retire_cursor_ < prefix_end_) {
+                ++result_.prefix.instrs_retired;
+                if (retire_cursor_ + 1 == prefix_end_)
+                    result_.prefix.cycles = cycle_;
+            }
             auto it = std::lower_bound(marker_set_.begin(),
                                        marker_set_.end(),
                                        retire_cursor_);
@@ -782,6 +801,8 @@ class Core
     const DecodedKernel &decoded_;
     int body_reps_;  ///< body copies in the stream (fewer once fast-forwarded)
     size_t total_;   ///< virtual stream length
+    /** Stream index past the prologue and the prefix copies. */
+    size_t prefix_end_;
 
     int64_t cycle_ = 0;
     /** Cycles fast-forwarded: the logical clock is cycle_ + this. */
@@ -851,14 +872,16 @@ Pipeline::run(const isa::Kernel &kernel,
 
 RunResult
 Pipeline::run(const DecodedKernel &decoded, int body_reps,
-              const std::vector<size_t> &markers) const
+              const std::vector<size_t> &markers, int prefix_copies) const
 {
     panicIf(decoded.bodySize() > 0 && body_reps < 1,
             "Pipeline::run: body_reps must be >= 1");
+    panicIf(prefix_copies < 0 || prefix_copies > body_reps,
+            "Pipeline::run: prefix_copies must be in [0, body_reps]");
     if (decoded.bodySize() == 0)
-        body_reps = 0;
+        body_reps = prefix_copies = 0;
     Core core(timing_, info_, options_, decoded, body_reps, markers,
-              *scratch_);
+              prefix_copies, *scratch_);
     return core.run();
 }
 

@@ -50,7 +50,9 @@
  * cut from the stream and their counter and cycle deltas added in
  * closed form (exact fast-forward, DESIGN.md). The results, cycles
  * and budgets are those of the full run; RunResult::simulated_cycles
- * tells how many cycles were stepped. A materialized kernel run
+ * tells how many cycles were stepped. A run can also count its first
+ * body copies on their own (RunResult::prefix), which gives Algorithm
+ * 2's n = 10 counters from the n = 110 run. A materialized kernel run
  * through run(const Kernel&) is one logical copy and never
  * fast-forwards, so it is the reference for the n-copy runs.
  *
@@ -126,6 +128,18 @@ struct RunResult
     int64_t cycles = 0;                  ///< Total cycles to drain.
     /** Cycles actually stepped: `cycles` less those fast-forwarded. */
     int64_t simulated_cycles = 0;
+    /**
+     * The counters of the prologue and the first prefix_copies body
+     * copies on their own: port_uops, uops_issued and uops_eliminated
+     * count the µops of those instructions, instrs_retired counts
+     * those instructions, and cycles is the clock at which the last of
+     * them retired (0 if there is none). Oldest-first resources keep
+     * younger µops from moving older ones, so this equals the final
+     * counters of a run with prefix_copies copies and no epilogue,
+     * unless the body uses the divider or its last instruction fuses
+     * with the next copy's first (DESIGN.md, "Why one run suffices").
+     */
+    PerfCounters prefix;
 };
 
 /**
@@ -165,9 +179,14 @@ class Pipeline
      * without stepping the periodic tail.
      *
      * @param markers Virtual-stream indices for counter snapshots.
+     * @param prefix_copies Body copies whose counters RunResult::prefix
+     *                reports on their own (at most body_reps). The
+     *                period search starts after them, so no
+     *                fast-forward cut removes one.
      */
     RunResult run(const DecodedKernel &decoded, int body_reps,
-                  const std::vector<size_t> &markers = {}) const;
+                  const std::vector<size_t> &markers = {},
+                  int prefix_copies = 0) const;
 
   private:
     const uarch::TimingDb &timing_;

@@ -53,7 +53,7 @@ class TimingDb
     sameRegOperands(const isa::InstrInstance &inst)
     {
         const isa::InstrVariant &v = *inst.variant;
-        auto expl = v.explicitOperands();
+        const auto &expl = v.explicitOperands();
         if (expl.size() < 2)
             return false;
         const auto &a = v.operand(expl[0]);

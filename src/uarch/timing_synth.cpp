@@ -501,7 +501,7 @@ classify(const InstrVariant &v)
 
     // Operand-shape refinements.
     if (cls == Cls::MovReg) {
-        auto expl = v.explicitOperands();
+        const auto &expl = v.explicitOperands();
         if (v.operand(expl[1]).kind == OpKind::Imm)
             return Cls::MovImm;
         return Cls::MovReg; // includes load/store forms (handled later)
@@ -509,7 +509,7 @@ classify(const InstrVariant &v)
     if (cls == Cls::MovdCross) {
         // MOVQ/MOVD between two vector/MMX registers is a shuffle-like
         // move; GPR<->vector transfers cross domains.
-        auto expl = v.explicitOperands();
+        const auto &expl = v.explicitOperands();
         bool gpr_involved = false;
         for (int i : expl)
             if (v.operand(i).kind == OpKind::Reg &&
@@ -528,7 +528,7 @@ classify(const InstrVariant &v)
     if (cls == Cls::VShiftImm) {
         // Shift-by-register (xmm count) forms are two-µop on most
         // generations.
-        auto expl = v.explicitOperands();
+        const auto &expl = v.explicitOperands();
         int reg_srcs = 0;
         for (int i : expl)
             if (v.operand(i).kind == OpKind::Reg)

@@ -1,6 +1,7 @@
 #include "uarch.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "support/status.h"
@@ -74,7 +75,7 @@ portsOf(PortMask mask)
 int
 portCount(PortMask mask)
 {
-    return static_cast<int>(portsOf(mask).size());
+    return std::popcount(mask);
 }
 
 bool

@@ -100,17 +100,29 @@ TEST(Harness, CountsSteppedAndFastForwardedCycles)
     EXPECT_GT(cycles("simulated"), simulated);
     EXPECT_GT(cycles("fast_forwarded"), skipped);
 
-    // The harness steps the body copies and nothing else: no wrapper.
-    auto body = asm_("ADD RAX, RBX");
-    sim::DecodedKernel decoded(tdb, {}, body, {});
+    // The harness steps the body copies and nothing else: no wrapper,
+    // and for most bodies only the n = 110 run, whose prefix gives the
+    // n = 10 counters. A divider body still steps both runs.
     sim::Pipeline pipeline(tdb);
-    int64_t body_cycles = 0;
+    auto addsCycles = [&](const char *listing, int64_t want) {
+        simulated = cycles("simulated");
+        sim::MeasurementHarness(tdb).measure(asm_(listing));
+        EXPECT_EQ(cycles("simulated") - simulated,
+                  static_cast<uint64_t>(want))
+            << listing;
+    };
+    auto add = asm_("ADD RAX, RBX");
+    sim::DecodedKernel add_decoded(tdb, {}, add, {});
+    addsCycles("ADD RAX, RBX",
+               pipeline.run(add_decoded, sim::kUnrollLarge, {},
+                            sim::kUnrollSmall)
+                   .simulated_cycles);
+    auto div = asm_("DIV RBX");
+    sim::DecodedKernel div_decoded(tdb, {}, div, {});
+    int64_t div_cycles = 0;
     for (int n : {sim::kUnrollSmall, sim::kUnrollLarge})
-        body_cycles += pipeline.run(decoded, n).simulated_cycles;
-    simulated = cycles("simulated");
-    sim::MeasurementHarness(tdb).measure(body);
-    EXPECT_EQ(cycles("simulated") - simulated,
-              static_cast<uint64_t>(body_cycles));
+        div_cycles += pipeline.run(div_decoded, n).simulated_cycles;
+    addsCycles("DIV RBX", div_cycles);
 }
 
 /** Bodies touching each state the wrapper's neutrality relies on
@@ -137,6 +149,31 @@ const char *const kWrapperNeutralBodies[] = {
     "MOV [RAX], RBX\nMOV RCX, [RAX]",
 };
 
+/** Algorithm 2's per-body measurement from the counter difference of
+ *  its n = 110 and n = 10 readings. */
+sim::Measurement
+perBody(const sim::PerfCounters &diff)
+{
+    constexpr double scale = sim::kUnrollLarge - sim::kUnrollSmall;
+    sim::Measurement m;
+    m.cycles = static_cast<double>(diff.cycles) / scale;
+    for (size_t p = 0; p < sim::kMaxPorts; ++p)
+        m.port_uops[p] = static_cast<double>(diff.port_uops[p]) / scale;
+    m.uops_issued = static_cast<double>(diff.uops_issued) / scale;
+    m.uops_eliminated = static_cast<double>(diff.uops_eliminated) / scale;
+    return m;
+}
+
+void
+expectSameMeasurement(const sim::Measurement &got,
+                      const sim::Measurement &want, const std::string &what)
+{
+    EXPECT_EQ(got.cycles, want.cycles) << what;
+    EXPECT_EQ(got.port_uops, want.port_uops) << what;
+    EXPECT_EQ(got.uops_issued, want.uops_issued) << what;
+    EXPECT_EQ(got.uops_eliminated, want.uops_eliminated) << what;
+}
+
 /** Algorithm 2 with its full wrapper, both counter reads inside the
  *  runs: the reference for the harness's body-only runs. */
 sim::Measurement
@@ -156,17 +193,7 @@ wrappedMeasurement(const uarch::TimingDb &tdb, const isa::Kernel &body)
             {1, wrapper.size() + static_cast<size_t>(n) * body.size() + 1});
         return r.snapshots[1] - r.snapshots[0];
     };
-    sim::PerfCounters diff =
-        reads(sim::kUnrollLarge) - reads(sim::kUnrollSmall);
-
-    constexpr double scale = sim::kUnrollLarge - sim::kUnrollSmall;
-    sim::Measurement m;
-    m.cycles = static_cast<double>(diff.cycles) / scale;
-    for (size_t p = 0; p < sim::kMaxPorts; ++p)
-        m.port_uops[p] = static_cast<double>(diff.port_uops[p]) / scale;
-    m.uops_issued = static_cast<double>(diff.uops_issued) / scale;
-    m.uops_eliminated = static_cast<double>(diff.uops_eliminated) / scale;
-    return m;
+    return perBody(reads(sim::kUnrollLarge) - reads(sim::kUnrollSmall));
 }
 
 TEST(Harness, BodyOnlyMatchesFullAlgorithm2)
@@ -180,14 +207,87 @@ TEST(Harness, BodyOnlyMatchesFullAlgorithm2)
             auto body = asm_(listing);
             if (!supportedOn(arch, body))
                 continue;
-            sim::Measurement got = harness.measure(body);
-            sim::Measurement want = wrappedMeasurement(tdb, body);
-            std::string what = uarch::uarchName(arch) + ": " + listing;
-            EXPECT_EQ(got.cycles, want.cycles) << what;
-            EXPECT_EQ(got.port_uops, want.port_uops) << what;
-            EXPECT_EQ(got.uops_issued, want.uops_issued) << what;
-            EXPECT_EQ(got.uops_eliminated, want.uops_eliminated) << what;
+            expectSameMeasurement(harness.measure(body),
+                                  wrappedMeasurement(tdb, body),
+                                  uarch::uarchName(arch) + ": " + listing);
         }
+    }
+}
+
+/** Bodies whose n = 10 run is the n = 110 run's prefix (sim/harness.h,
+ *  "one run suffices"). The chains fill the scheduler, so on NHM and
+ *  WSM (IMUL, MOV AL) and HSW-CFL (SHLD) their period is found and the
+ *  tail cut while the tenth copy is still in flight: the prefix must
+ *  keep the stepped clock there. */
+const char *const kOneRunBodies[] = {
+    "ADD RAX, RBX",
+    "IMUL RAX, RAX",
+    "SHLD RAX, RBX, 3\nSHLD RAX, RBX, 3\nSHLD RAX, RBX, 3\n"
+    "SHLD RAX, RBX, 3\nSHLD RAX, RBX, 3\nSHLD RAX, RBX, 3\n"
+    "SHLD RAX, RBX, 3\nSHLD RAX, RBX, 3",
+    "MOV AL, [RBX]\nMOV AL, [RBX]\nMOV AL, [RBX]\nMOV AL, [RBX]\n"
+    "MOV AL, [RBX]\nMOV AL, [RBX]\nMOV AL, [RBX]\nMOV AL, [RBX]",
+    "MOV [RAX], RBX\nMOV RCX, [RAX]",
+    "IMUL RAX, RBX\nLFENCE\nIMUL RCX, RBX",
+    "MOV RAX, RBX\nMOV RCX, RBX\nMOV RBX, RCX",
+    "VADDPS YMM0, YMM0, YMM1\nADDPS XMM2, XMM2",
+    "ADD RCX, RDX\nCMP RAX, RBX\nJZ 1",
+};
+
+/** The two exceptions, each with a prefix that differs on NHM. */
+const char *const kTwoRunBodies[] = {
+    // A younger ready divider µop takes the divider first.
+    "DIV RBX\nDIV RCX\nDIVSS XMM2, XMM3\nDIVSS XMM4, XMM5",
+    // The tenth copy's CMP fuses with the eleventh copy's JZ.
+    "JZ 1\nCMP RAX, RBX",
+};
+
+void
+expectSameCounters(const sim::PerfCounters &got,
+                   const sim::PerfCounters &want, const std::string &what)
+{
+    EXPECT_EQ(got.cycles, want.cycles) << what;
+    EXPECT_EQ(got.port_uops, want.port_uops) << what;
+    EXPECT_EQ(got.uops_issued, want.uops_issued) << what;
+    EXPECT_EQ(got.uops_eliminated, want.uops_eliminated) << what;
+    EXPECT_EQ(got.instrs_retired, want.instrs_retired) << what;
+}
+
+TEST(Harness, OneRunMatchesTwoRuns)
+{
+    // The harness reads the n = 10 counters off the n = 110 run, except
+    // for divider and copy-fusing bodies: either way measure() must
+    // equal Algorithm 2's two separate runs.
+    for (UArch arch : uarch::allUArches()) {
+        const auto &tdb = timingDb(arch);
+        sim::Pipeline pipeline(tdb);
+        sim::MeasurementHarness harness(tdb);
+        auto check = [&](const char *listing, bool prefix_exact) {
+            auto body = asm_(listing);
+            if (!supportedOn(arch, body))
+                return;
+            const std::string what = uarch::uarchName(arch) + ": " + listing;
+            sim::DecodedKernel decoded(tdb, {}, body, {});
+            sim::PerfCounters small =
+                pipeline.run(decoded, sim::kUnrollSmall).final;
+            sim::RunResult large = pipeline.run(
+                decoded, sim::kUnrollLarge, {}, sim::kUnrollSmall);
+            if (prefix_exact) {
+                expectSameCounters(large.prefix, small, what);
+            } else if (arch == UArch::Nehalem) {
+                EXPECT_NE(large.prefix.cycles, small.cycles) << what;
+            }
+            // The prefix does not change the run itself.
+            expectSameCounters(large.final,
+                               pipeline.run(decoded, sim::kUnrollLarge).final,
+                               what);
+            expectSameMeasurement(harness.measure(body),
+                                  perBody(large.final - small), what);
+        };
+        for (const char *listing : kOneRunBodies)
+            check(listing, true);
+        for (const char *listing : kTwoRunBodies)
+            check(listing, false);
     }
 }
 

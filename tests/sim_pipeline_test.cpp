@@ -3,7 +3,8 @@
  * Unit tests for the cycle-level pipeline simulator: dependency
  * chains, port throughput, renaming, eliminations, memory, divider,
  * flags, the SSE/AVX transition model, the scheduler's edge cases
- * against recorded results, and allocation-free runs.
+ * against recorded results, allocation-free runs, and kernels built
+ * without per-operand allocations.
  */
 
 #include <atomic>
@@ -509,6 +510,24 @@ TEST(SimAllocation, TableUopsFitInline)
             }
         }
     }
+}
+
+TEST(SimAllocation, BuildingKernelsAllocatesNothingPerOperand)
+{
+    // A throughput or blocking kernel's instances each allocate their
+    // operand array and the explicit values they are built from; the
+    // pool's registers and the variant's operand list cost nothing.
+    const isa::InstrVariant &add = *defaultDb().byName("ADD_R64_R64");
+    constexpr int kCount = 96;
+    core::RegPool pool(core::RegPool::Zone::Analyzed);
+    core::independentSequence(add, pool, kCount); // warms the pool
+    g_allocations = 0;
+    g_count_allocations = true;
+    isa::Kernel kernel = core::independentSequence(add, pool, kCount);
+    g_count_allocations = false;
+    ASSERT_EQ(kernel.size(), static_cast<size_t>(kCount));
+    // One more for the kernel's own array.
+    EXPECT_LE(g_allocations.load(), 2u * kCount + 1);
 }
 
 TEST(SimAllocation, RunsAllocateNothingPerUopOrCopy)
