@@ -1,6 +1,8 @@
 #include "codegen.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "support/status.h"
 
@@ -135,8 +137,10 @@ makeIndependent(const InstrVariant &variant, RegPool &pool,
             pool.exclude(Reg{op.reg_class, op.fixed_reg});
 
     const std::vector<int> &expl = variant.explicitOperands();
-    std::vector<OperandValue> values;
-    values.reserve(expl.size());
+    std::array<OperandValue, 8> values;   // the ISA's widest form has 4
+    fatalIf(expl.size() > values.size(), "makeIndependent(",
+            variant.name(), "): ", expl.size(), " explicit operands");
+    size_t count = 0;
     for (int idx : expl) {
         const OperandSpec &op = variant.operand(idx);
         OperandValue val;
@@ -157,10 +161,11 @@ makeIndependent(const InstrVariant &variant, RegPool &pool,
           case OpKind::Flags:
             break;
         }
-        values.push_back(val);
+        values[count++] = val;
     }
-    InstrInstance inst =
-        isa::makeInstance(variant, values, pool.nextMem());
+    InstrInstance inst = isa::makeInstance(
+        variant, std::span<const OperandValue>(values.data(), count),
+        pool.nextMem());
     if (variant.attrs().uses_divider &&
         div_class == isa::DivValueClass::None)
         inst.div_class = isa::DivValueClass::Fast;

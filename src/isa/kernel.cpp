@@ -59,7 +59,7 @@ kernelToAsm(const Kernel &kernel)
 
 InstrInstance
 makeInstance(const InstrVariant &variant,
-             const std::vector<OperandValue> &explicit_values,
+             std::span<const OperandValue> explicit_values,
              const MemLoc &implicit_mem)
 {
     InstrInstance inst;

@@ -12,6 +12,8 @@
 #ifndef UOPS_ISA_KERNEL_H
 #define UOPS_ISA_KERNEL_H
 
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,8 +82,21 @@ std::string kernelToAsm(const Kernel &kernel);
  * implicit_mem.
  */
 InstrInstance makeInstance(const InstrVariant &variant,
-                           const std::vector<OperandValue> &explicit_values,
+                           std::span<const OperandValue> explicit_values,
                            const MemLoc &implicit_mem = MemLoc{});
+
+/** makeInstance over a braced list, e.g. {{.reg = a}, {.reg = b}}. */
+inline InstrInstance
+makeInstance(const InstrVariant &variant,
+             std::initializer_list<OperandValue> explicit_values,
+             const MemLoc &implicit_mem = MemLoc{})
+{
+    return makeInstance(variant,
+                        std::span<const OperandValue>(
+                            explicit_values.begin(),
+                            explicit_values.size()),
+                        implicit_mem);
+}
 
 /**
  * Parse one Intel-syntax assembler line against the database, e.g.

@@ -82,8 +82,14 @@ Conn::queueResponse(const HttpResponse &response, bool keep_alive)
     // on the wire). A blob ends its chunk — the shared body is
     // referenced, never copied — so the next response opens a fresh
     // one.
-    if (out_.empty() || out_.back().blob)
+    if (out_.empty() || out_.back().blob) {
+        // One allocation for the new chunk, not one per doubling as
+        // the head grows from empty: a head with an ETag and a request
+        // ID is about 200 bytes.
         out_.emplace_back();
+        out_.back().bytes.reserve(
+            256 + (response.blob ? 0 : response.body.size()));
+    }
     Chunk &tail = out_.back();
     appendResponseHead(tail.bytes, response, keep_alive);
     if (response.status != 304) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 
 #include "support/status.h"
 #include "support/strings.h"
@@ -324,11 +324,20 @@ void
 appendResponseHead(std::string &out, const HttpResponse &response,
                    bool keep_alive)
 {
-    char scratch[32];
+    appendResponseHead(out, response, response.bodySize(), keep_alive);
+}
+
+void
+appendResponseHead(std::string &out, const HttpResponse &response,
+                   size_t content_length, bool keep_alive)
+{
+    char digits[20];
     out += "HTTP/1.1 ";
-    out += std::string_view(
-        scratch, std::snprintf(scratch, sizeof scratch, "%d ",
-                               response.status));
+    out.append(digits,
+               std::to_chars(digits, digits + sizeof digits,
+                             response.status)
+                   .ptr);
+    out += ' ';
     out += statusText(response.status);
     out += "\r\n";
     if (response.status == 304) {
@@ -339,9 +348,10 @@ appendResponseHead(std::string &out, const HttpResponse &response,
         out += "Content-Type: ";
         out += response.content_type;
         out += "\r\nContent-Length: ";
-        out += std::string_view(
-            scratch, std::snprintf(scratch, sizeof scratch, "%zu",
-                                   response.bodySize()));
+        out.append(digits,
+                   std::to_chars(digits, digits + sizeof digits,
+                                 content_length)
+                       .ptr);
         out += "\r\n";
     }
     if (!response.etag.empty()) {

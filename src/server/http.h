@@ -148,6 +148,11 @@ std::string serializeResponseHead(const HttpResponse &response,
 void appendResponseHead(std::string &out, const HttpResponse &response,
                         bool keep_alive);
 
+/** The same head with @p content_length in place of the response's
+ *  body size (a 304 still omits it). */
+void appendResponseHead(std::string &out, const HttpResponse &response,
+                        size_t content_length, bool keep_alive);
+
 /** Whether an If-None-Match header value (empty = absent) matches
  *  @p etag (unquoted value): handles `*`, comma-separated candidate
  *  lists, quoted tags, and weak `W/` prefixes (weak comparison — fine

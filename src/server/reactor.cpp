@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -439,8 +440,11 @@ void
 Reactor::flush(Worker &worker, Conn &conn)
 {
     while (conn.hasOutput()) {
-        struct iovec iov[16];
-        size_t n = conn.gatherOutput(iov, 16);
+        // A blob response takes two iovecs (head, shared body), so 64
+        // carry a 16-deep pipelined batch of them in one sendmsg;
+        // IOV_MAX is 1024.
+        struct iovec iov[64];
+        size_t n = conn.gatherOutput(iov, std::size(iov));
         msghdr msg{};
         msg.msg_iov = iov;
         msg.msg_iovlen = n;

@@ -1,10 +1,14 @@
 #include "log.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <utility>
 
 namespace uops::obs {
 
@@ -39,27 +43,64 @@ parseLogLevel(std::string_view text)
     return std::nullopt;
 }
 
+namespace {
+
+/** Bytes JSON strings must escape: controls, '"' and '\\'. */
+constexpr auto kNeedsEscape = [] {
+    std::array<bool, 256> table{};
+    for (int c = 0; c < 0x20; ++c)
+        table[c] = true;
+    table['"'] = true;
+    table['\\'] = true;
+    return table;
+}();
+
+bool
+needsEscape(unsigned char c)
+{
+    return kNeedsEscape[c];
+}
+
+/** Write the escape for @p c (needsEscape) at @p out; returns the
+ *  end. At most six bytes. */
+char *
+writeEscape(char *out, unsigned char c)
+{
+    *out++ = '\\';
+    switch (c) {
+      case '"': *out++ = '"'; break;
+      case '\\': *out++ = '\\'; break;
+      case '\n': *out++ = 'n'; break;
+      case '\r': *out++ = 'r'; break;
+      case '\t': *out++ = 't'; break;
+      default: {
+        static const char hex[] = "0123456789abcdef";
+        *out++ = 'u';
+        *out++ = '0';
+        *out++ = '0';
+        *out++ = hex[c >> 4];
+        *out++ = hex[c & 0xf];
+      }
+    }
+    return out;
+}
+
+} // namespace
+
 void
 appendJsonEscaped(std::string &out, std::string_view s)
 {
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
+    size_t run = 0;   // start of the pending run of safe bytes
+    for (size_t i = 0; i < s.size(); ++i) {
+        auto c = static_cast<unsigned char>(s[i]);
+        if (!needsEscape(c))
+            continue;
+        out.append(s.data() + run, i - run);
+        char buf[6];
+        out.append(buf, writeEscape(buf, c));
+        run = i + 1;
     }
+    out.append(s.data() + run, s.size() - run);
 }
 
 namespace {
@@ -73,115 +114,211 @@ wallClockUs()
             .count());
 }
 
-std::string
-linePrefix(LogLevel level, std::string_view component,
-           std::string_view event_name)
+/** Digits of the widest int64/uint64 (INT64_MIN's sign included). */
+constexpr size_t kIntBytes = 20;
+
+/** A new thread's first buffer: an access line fits. */
+constexpr size_t kFirstLineBytes = 256;
+
+/** The thread's spare line buffer (null while an event holds it). */
+struct SpareLine
 {
-    std::string line = "{\"ts_us\":" + std::to_string(wallClockUs());
-    line += ",\"level\":\"";
-    line += logLevelName(level);
-    line += "\",\"component\":\"";
-    appendJsonEscaped(line, component);
-    line += "\",\"event\":\"";
-    appendJsonEscaped(line, event_name);
-    line += '"';
-    return line;
+    char *data = nullptr;
+    size_t capacity = 0;
+
+    ~SpareLine();
+};
+
+// Set once the thread's spare is destroyed: an event that dies later
+// in thread exit (a logging destructor) allocates and frees its own
+// buffer. Trivially destructible, so it can be read at any time.
+thread_local bool t_spare_gone = false;
+thread_local SpareLine t_spare;
+
+SpareLine::~SpareLine()
+{
+    delete[] data;
+    data = nullptr;
+    t_spare_gone = true;
 }
 
 } // namespace
 
-LogEvent::LogEvent(Logger *logger, std::string line)
-    : logger_(logger), line_(std::move(line))
+LogEvent::LogEvent(Logger *logger, LogLevel level,
+                   std::string_view component,
+                   std::string_view event_name)
+    : logger_(logger)
 {
+    size_t capacity = kFirstLineBytes;
+    if (!t_spare_gone && t_spare.data != nullptr) {
+        begin_ = std::exchange(t_spare.data, nullptr);
+        capacity = t_spare.capacity;
+    } else {
+        begin_ = new char[capacity];
+    }
+    cur_ = begin_;
+    end_ = begin_ + capacity;
+
+    reserve(64 + kIntBytes + component.size());
+    raw("{\"ts_us\":");
+    cur_ = std::to_chars(cur_, end_, wallClockUs()).ptr;
+    raw(",\"level\":\"");
+    raw(logLevelName(level));
+    raw("\",\"component\":\"");
+    escaped(component, 1);
+    *cur_++ = '"';
+    reserve(16 + event_name.size());
+    raw(",\"event\":\"");
+    escaped(event_name, 1);
+    *cur_++ = '"';
 }
 
 LogEvent::LogEvent(LogEvent &&other) noexcept
-    : logger_(other.logger_), line_(std::move(other.line_))
+    : logger_(std::exchange(other.logger_, nullptr)),
+      begin_(std::exchange(other.begin_, nullptr)),
+      cur_(std::exchange(other.cur_, nullptr)),
+      end_(std::exchange(other.end_, nullptr))
 {
-    other.logger_ = nullptr;
 }
 
 LogEvent::~LogEvent()
 {
-    if (logger_ == nullptr)
+    if (begin_ == nullptr)
         return;
-    line_ += '}';
-    logger_->emit(std::move(line_));
+    if (logger_ != nullptr)
+        logger_->emit(finish());
+    auto capacity = static_cast<size_t>(end_ - begin_);
+    if (capacity <= kKeptLineBytes && !t_spare_gone &&
+        t_spare.data == nullptr) {
+        t_spare.data = begin_;
+        t_spare.capacity = capacity;
+    } else {
+        delete[] begin_;
+    }
+}
+
+std::string_view
+LogEvent::finish()
+{
+    reserve(1);
+    *cur_++ = '}';
+    return std::string_view(begin_, static_cast<size_t>(cur_ - begin_));
 }
 
 void
-LogEvent::beginField(std::string_view key)
+LogEvent::grow(size_t bytes)
 {
-    line_ += ",\"";
-    appendJsonEscaped(line_, key);
-    line_ += "\":";
+    auto used = static_cast<size_t>(cur_ - begin_);
+    size_t capacity = std::max(2 * static_cast<size_t>(end_ - begin_),
+                               used + bytes);
+    char *grown = new char[capacity];
+    std::memcpy(grown, begin_, used);
+    delete[] begin_;
+    begin_ = grown;
+    cur_ = grown + used;
+    end_ = grown + capacity;
+}
+
+void
+LogEvent::raw(std::string_view bytes)
+{
+    std::memcpy(cur_, bytes.data(), bytes.size());
+    cur_ += bytes.size();
+}
+
+void
+LogEvent::escaped(std::string_view s, size_t tail)
+{
+    // The reservation holds s unescaped; an escape widens one byte to
+    // at most six, so it re-reserves for the rest of s and the tail.
+    const char *run = s.data();
+    const char *end = run + s.size();
+    for (const char *p = run; p != end; ++p) {
+        auto c = static_cast<unsigned char>(*p);
+        if (!needsEscape(c))
+            continue;
+        raw(std::string_view(run, static_cast<size_t>(p - run)));
+        reserve(6 + static_cast<size_t>(end - p - 1) + tail);
+        cur_ = writeEscape(cur_, c);
+        run = p + 1;
+    }
+    raw(std::string_view(run, static_cast<size_t>(end - run)));
+}
+
+void
+LogEvent::field(std::string_view key, size_t value_bytes)
+{
+    reserve(key.size() + value_bytes + 4);
+    raw(",\"");
+    escaped(key, value_bytes + 2);
+    raw("\":");
 }
 
 LogEvent &
 LogEvent::str(std::string_view key, std::string_view value)
 {
-    if (logger_ == nullptr)
+    if (begin_ == nullptr)
         return *this;
-    beginField(key);
-    line_ += '"';
-    appendJsonEscaped(line_, value);
-    line_ += '"';
+    field(key, value.size() + 2);
+    *cur_++ = '"';
+    escaped(value, 1);
+    *cur_++ = '"';
     return *this;
 }
 
 LogEvent &
 LogEvent::num(std::string_view key, uint64_t value)
 {
-    if (logger_ == nullptr)
+    if (begin_ == nullptr)
         return *this;
-    beginField(key);
-    line_ += std::to_string(value);
+    field(key, kIntBytes);
+    cur_ = std::to_chars(cur_, end_, value).ptr;
     return *this;
 }
 
 LogEvent &
 LogEvent::num(std::string_view key, int64_t value)
 {
-    if (logger_ == nullptr)
+    if (begin_ == nullptr)
         return *this;
-    beginField(key);
-    line_ += std::to_string(value);
+    field(key, kIntBytes);
+    cur_ = std::to_chars(cur_, end_, value).ptr;
     return *this;
 }
 
 LogEvent &
 LogEvent::num(std::string_view key, double value)
 {
-    if (logger_ == nullptr)
+    if (begin_ == nullptr)
         return *this;
-    beginField(key);
-    if (std::isfinite(value)) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.17g", value);
-        line_ += buf;
-    } else {
-        line_ += "null";   // JSON has no Inf/NaN
-    }
+    // "%.17g" needs at most 24 bytes ("-1.2345678901234567e-308")
+    // plus snprintf's terminator.
+    constexpr size_t kDoubleBytes = 32;
+    field(key, kDoubleBytes);
+    if (std::isfinite(value))
+        cur_ += std::snprintf(cur_, kDoubleBytes, "%.17g", value);
+    else
+        raw("null");   // JSON has no Inf/NaN
     return *this;
 }
 
 LogEvent &
 LogEvent::boolean(std::string_view key, bool value)
 {
-    if (logger_ == nullptr)
+    if (begin_ == nullptr)
         return *this;
-    beginField(key);
-    line_ += value ? "true" : "false";
+    field(key, 5);
+    raw(value ? "true" : "false");
     return *this;
 }
 
 LogEvent &
 LogEvent::nullField(std::string_view key)
 {
-    if (logger_ == nullptr)
+    if (begin_ == nullptr)
         return *this;
-    beginField(key);
-    line_ += "null";
+    field(key, 4);
+    raw("null");
     return *this;
 }
 
@@ -213,8 +350,8 @@ Logger::event(LogLevel level, std::string_view component,
               std::string_view event_name)
 {
     if (!enabled(level))
-        return LogEvent(nullptr, std::string());
-    return LogEvent(this, linePrefix(level, component, event_name));
+        return LogEvent();
+    return LogEvent(this, level, component, event_name);
 }
 
 uint64_t
@@ -238,7 +375,7 @@ stderrSink(std::string_view line)
 } // namespace
 
 void
-Logger::emit(std::string &&line)
+Logger::emit(std::string_view line)
 {
     std::lock_guard<std::mutex> lock(mutex_);
 
@@ -246,14 +383,10 @@ Logger::emit(std::string &&line)
         auto now = std::chrono::steady_clock::now();
         if (now - window_start_ >= std::chrono::seconds(1)) {
             if (window_suppressed_ > 0) {
-                std::string summary = linePrefix(
-                    LogLevel::Warn, "obs", "log_rate_limited");
-                summary += ",\"suppressed\":" +
-                           std::to_string(window_suppressed_) + "}";
-                if (sink_)
-                    sink_(summary);
-                else
-                    stderrSink(summary);
+                LogEvent summary(nullptr, LogLevel::Warn, "obs",
+                                 "log_rate_limited");
+                summary.num("suppressed", window_suppressed_);
+                deliver(summary.finish());
             }
             window_start_ = now;
             window_count_ = 0;
@@ -266,7 +399,12 @@ Logger::emit(std::string &&line)
         }
         ++window_count_;
     }
+    deliver(line);
+}
 
+void
+Logger::deliver(std::string_view line)
+{
     if (sink_)
         sink_(line);
     else

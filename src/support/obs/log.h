@@ -17,6 +17,15 @@
  * epoch), `level`, `component` and `event` before the caller's
  * fields, so any line can be parsed, filtered and joined on its own.
  *
+ * A line is written straight into a byte buffer taken from the
+ * calling thread's one spare: line after line, a thread reuses the
+ * same buffer and logging allocates nothing. The buffer goes back to
+ * the spare slot of whichever thread destroys the event, when that
+ * slot is empty and the buffer is at most kKeptLineBytes, so one
+ * huge line does not pin memory on every thread. An event begun
+ * while another is open on the same thread finds no spare and takes
+ * a fresh buffer; it is emitted as its own line, when it dies.
+ *
  * Emission is serialized by a mutex — lines are atomic, never
  * interleaved — and rate-limited per wall-second: past
  * max_lines_per_second the line is dropped and a single
@@ -25,10 +34,13 @@
  * second instead of unbounded I/O on the request path.
  *
  * The sink is pluggable (tests collect lines in memory, the CLI
- * writes stderr); the default sink writes the line plus '\n' to
- * stderr in one fwrite. defaultLogger() is the process-wide instance
- * for components that are not owned by a server (catalog recovery,
- * CLI commands); its minimum level comes from UOPS_LOG_LEVEL
+ * writes stderr); it sees each line as a view into the event's
+ * buffer, valid only for the duration of the call. The default sink
+ * writes the line plus '\n' to stderr in one fwrite.
+ *
+ * defaultLogger() is the process-wide instance for components that
+ * are not owned by a server (catalog recovery, CLI commands); its
+ * minimum level comes from UOPS_LOG_LEVEL
  * (debug|info|warn|error, default warn so library callers stay quiet
  * unless something is actually wrong).
  */
@@ -61,11 +73,15 @@ class Logger;
 
 /**
  * Move-only field builder; emits on destruction. An event built from
- * a disabled level carries no logger and ignores every call.
+ * a disabled level holds no buffer and ignores every call. Fields
+ * are formatted into the line as they are added.
  */
 class LogEvent
 {
   public:
+    /** Largest buffer a thread keeps for its next line. */
+    static constexpr size_t kKeptLineBytes = 4096;
+
     LogEvent(LogEvent &&other) noexcept;
     LogEvent &operator=(LogEvent &&) = delete;
     LogEvent(const LogEvent &) = delete;
@@ -81,19 +97,42 @@ class LogEvent
 
   private:
     friend class Logger;
-    LogEvent(Logger *logger, std::string line);
+    LogEvent() = default;   ///< disabled: no buffer, writes nothing
+    /** Take a buffer and write the line's common head. A null
+     *  @p logger builds a line the logger delivers itself. */
+    LogEvent(Logger *logger, LogLevel level, std::string_view component,
+             std::string_view event_name);
 
-    void beginField(std::string_view key);
+    /** Close the object; the view lives as long as the buffer. */
+    std::string_view finish();
+
+    /** At least @p bytes free past the cursor. */
+    void
+    reserve(size_t bytes)
+    {
+        if (static_cast<size_t>(end_ - cur_) < bytes)
+            grow(bytes);
+    }
+    void grow(size_t bytes);
+    void raw(std::string_view bytes);
+    /** Write @p s escaped; @p tail more bytes of the current
+     *  reservation follow it. */
+    void escaped(std::string_view s, size_t tail);
+    /** Write `,"key":` and reserve @p value_bytes after it. */
+    void field(std::string_view key, size_t value_bytes);
 
     Logger *logger_ = nullptr;
-    std::string line_;
+    char *begin_ = nullptr;   ///< null: disabled
+    char *cur_ = nullptr;
+    char *end_ = nullptr;
 };
 
 class Logger
 {
   public:
-    /** Receives one finished line (no trailing newline). Must not
-     *  call back into the logger. */
+    /** Receives one finished line (no trailing newline), once per
+     *  line. The view is valid only for the duration of the call.
+     *  Must not call back into the logger. */
     using Sink = std::function<void(std::string_view line)>;
 
     struct Options
@@ -128,7 +167,8 @@ class Logger
 
   private:
     friend class LogEvent;
-    void emit(std::string &&line);
+    void emit(std::string_view line);
+    void deliver(std::string_view line);
 
     std::atomic<LogLevel> min_level_;
     uint64_t max_lines_per_second_;

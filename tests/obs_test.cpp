@@ -327,6 +327,190 @@ TEST(ObsLog, ConcurrentLinesStayWellFormed)
     EXPECT_EQ(distinct.size(), 256u);
 }
 
+/** @p line after its `{"ts_us":<digits>` head: every byte the logger
+ *  writes apart from the clock. */
+std::string
+afterTimestamp(const std::string &line)
+{
+    const std::string head = "{\"ts_us\":";
+    EXPECT_EQ(line.compare(0, head.size(), head), 0) << line;
+    size_t end = head.size();
+    while (end < line.size() &&
+           std::isdigit(static_cast<unsigned char>(line[end])))
+        ++end;
+    EXPECT_GT(end, head.size()) << line;
+    return line.substr(end);
+}
+
+TEST(ObsLog, LinesAreByteExact)
+{
+    obs::Logger::Options options;
+    options.min_level = obs::LogLevel::Debug;
+    obs::Logger logger(options);
+    std::mutex sink_mutex;
+    std::vector<std::string> lines;
+    logger.setSink([&](std::string_view line) {
+        std::lock_guard<std::mutex> lock(sink_mutex);
+        lines.emplace_back(line);
+    });
+    std::vector<std::string> expected;
+
+    // Every field type, every escape; 0x7f and UTF-8 stay raw.
+    logger.event(obs::LogLevel::Info, "go\"lden", "fields\n")
+        .str("s", "plain")
+        .str("esc", std::string_view("q\"b\\n\nr\rt\tc\x01u\x1f"
+                                     "z\0d\x7f\xc3\xa9",
+                                     20))
+        .str("", "")
+        .str("k\\\"\x1f", "v")
+        .num("u0", static_cast<uint64_t>(0))
+        .num("umax", UINT64_MAX)
+        .num("imin", INT64_MIN)
+        .num("imax", INT64_MAX)
+        .num("ineg", static_cast<int64_t>(-7))
+        .num("d", 0.1)
+        .num("dneg", -2.5)
+        .num("dbig", 1e300)
+        .num("dtiny", 5e-324)
+        .num("inf", HUGE_VAL)
+        .num("ninf", -HUGE_VAL)
+        .num("nan", std::nan(""))
+        .boolean("t", true)
+        .boolean("f", false)
+        .nullField("n");
+    expected.push_back(
+        ",\"level\":\"info\",\"component\":\"go\\\"lden\","
+        "\"event\":\"fields\\n\",\"s\":\"plain\","
+        "\"esc\":\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001u\\u001fz\\u0000d"
+        "\x7f\xc3\xa9\",\"\":\"\",\"k\\\\\\\"\\u001f\":\"v\","
+        "\"u0\":0,\"umax\":18446744073709551615,"
+        "\"imin\":-9223372036854775808,\"imax\":9223372036854775807,"
+        "\"ineg\":-7,\"d\":0.10000000000000001,\"dneg\":-2.5,"
+        "\"dbig\":1.0000000000000001e+300,"
+        "\"dtiny\":4.9406564584124654e-324,\"inf\":null,"
+        "\"ninf\":null,\"nan\":null,\"t\":true,\"f\":false,"
+        "\"n\":null}");
+
+    // Every level's name; an event without fields.
+    logger.event(obs::LogLevel::Debug, "", "");
+    expected.push_back(
+        ",\"level\":\"debug\",\"component\":\"\",\"event\":\"\"}");
+    logger.event(obs::LogLevel::Warn, "c", "e").boolean("b", false);
+    expected.push_back(",\"level\":\"warn\",\"component\":\"c\","
+                       "\"event\":\"e\",\"b\":false}");
+    logger.event(obs::LogLevel::Error, "c", "e").num("i", 0.0);
+    expected.push_back(",\"level\":\"error\",\"component\":\"c\","
+                       "\"event\":\"e\",\"i\":0}");
+
+    // Lines far longer than any buffer a thread keeps: plain bytes,
+    // then bytes that all escape to six; then a short line after them.
+    const std::string plain(5000, 'x');
+    const std::string controls(3000, '\x02');
+    logger.event(obs::LogLevel::Info, "long", "line")
+        .str("plain", plain)
+        .str("controls", controls)
+        .num("after", static_cast<uint64_t>(1));
+    std::string escaped_controls;
+    for (size_t i = 0; i < controls.size(); ++i)
+        escaped_controls += "\\u0002";
+    expected.push_back(",\"level\":\"info\",\"component\":\"long\","
+                       "\"event\":\"line\",\"plain\":\"" +
+                       plain + "\",\"controls\":\"" + escaped_controls +
+                       "\",\"after\":1}");
+    logger.event(obs::LogLevel::Info, "short", "line").str("k", "v");
+    expected.push_back(",\"level\":\"info\",\"component\":\"short\","
+                       "\"event\":\"line\",\"k\":\"v\"}");
+
+    // An event built while another is open on the same thread is its
+    // own line, emitted first; the outer one keeps its fields.
+    {
+        obs::LogEvent outer =
+            logger.event(obs::LogLevel::Info, "nest", "outer");
+        outer.str("a", "1");
+        logger.event(obs::LogLevel::Info, "nest", "inner")
+            .str("b", plain.substr(0, 300));
+        outer.num("c", static_cast<int64_t>(3));
+    }
+    expected.push_back(",\"level\":\"info\",\"component\":\"nest\","
+                       "\"event\":\"inner\",\"b\":\"" +
+                       plain.substr(0, 300) + "\"}");
+    expected.push_back(",\"level\":\"info\",\"component\":\"nest\","
+                       "\"event\":\"outer\",\"a\":\"1\",\"c\":3}");
+
+    // A moved event is one line, from its last owner.
+    {
+        obs::LogEvent first =
+            logger.event(obs::LogLevel::Info, "move", "from");
+        first.str("before", "x");
+        obs::LogEvent second(std::move(first));
+        second.str("after", "y");
+    }
+    expected.push_back(",\"level\":\"info\",\"component\":\"move\","
+                       "\"event\":\"from\",\"before\":\"x\","
+                       "\"after\":\"y\"}");
+
+    // An event begun here and finished (destroyed) on another thread;
+    // both threads log normally afterwards.
+    {
+        obs::LogEvent crossing =
+            logger.event(obs::LogLevel::Info, "thread", "crossing");
+        crossing.str("on", "main");
+        std::thread worker([event = std::move(crossing)]() mutable {
+            obs::LogEvent last(std::move(event));
+            last.str("then", "worker");
+        });
+        worker.join();
+    }
+    expected.push_back(",\"level\":\"info\",\"component\":\"thread\","
+                       "\"event\":\"crossing\",\"on\":\"main\","
+                       "\"then\":\"worker\"}");
+    logger.event(obs::LogLevel::Info, "thread", "main_again")
+        .num("n", static_cast<uint64_t>(2));
+    expected.push_back(",\"level\":\"info\",\"component\":\"thread\","
+                       "\"event\":\"main_again\",\"n\":2}");
+
+    // A disabled event writes nothing.
+    logger.setMinLevel(obs::LogLevel::Warn);
+    logger.event(obs::LogLevel::Info, "quiet", "dropped").str("k", "v");
+
+    ASSERT_EQ(lines.size(), expected.size());
+    for (size_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(afterTimestamp(lines[i]), expected[i]) << "line " << i;
+}
+
+TEST(ObsLog, RateLimitSummaryLineIsByteExact)
+{
+    obs::Logger::Options options;
+    options.min_level = obs::LogLevel::Debug;
+    options.max_lines_per_second = 2;
+    obs::Logger logger(options);
+    std::vector<std::string> lines;
+    logger.setSink([&](std::string_view line) {
+        lines.emplace_back(line);
+    });
+    for (int i = 0; i < 5; ++i)
+        logger.event(obs::LogLevel::Info, "burst", "line")
+            .num("i", static_cast<int64_t>(i));
+    ASSERT_EQ(logger.suppressed(), 3u);
+    // The next window opens with the summary of the last one.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+    logger.event(obs::LogLevel::Info, "burst", "later");
+
+    ASSERT_EQ(lines.size(), 4u);
+    EXPECT_EQ(afterTimestamp(lines[0]),
+              ",\"level\":\"info\",\"component\":\"burst\","
+              "\"event\":\"line\",\"i\":0}");
+    EXPECT_EQ(afterTimestamp(lines[1]),
+              ",\"level\":\"info\",\"component\":\"burst\","
+              "\"event\":\"line\",\"i\":1}");
+    EXPECT_EQ(afterTimestamp(lines[2]),
+              ",\"level\":\"warn\",\"component\":\"obs\","
+              "\"event\":\"log_rate_limited\",\"suppressed\":3}");
+    EXPECT_EQ(afterTimestamp(lines[3]),
+              ",\"level\":\"info\",\"component\":\"burst\","
+              "\"event\":\"later\"}");
+}
+
 // ---------------------------------------------------------------------
 // Tracing.
 // ---------------------------------------------------------------------

@@ -13,10 +13,12 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <new>
 #include <regex>
 #include <set>
 #include <thread>
@@ -40,6 +42,34 @@
 #include "support/obs/log.h"
 #include "support/thread_pool.h"
 #include "test_util.h"
+
+// Counts the heap allocations this binary makes while counting is on.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<size_t> g_allocations{0};
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (g_count_allocations.load(std::memory_order_relaxed))
+        g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace uops::test {
 namespace {
@@ -205,18 +235,77 @@ TEST(Http, RejectsMalformedRequests)
 
 TEST(Http, SerializesResponsesWithLengthAndClose)
 {
-    HttpResponse response;
-    response.body = "{\"a\":1}";
-    std::string wire = server::serializeResponse(response);
-    EXPECT_NE(wire.find("HTTP/1.1 200 OK\r\n"), std::string::npos);
-    EXPECT_NE(wire.find("Content-Length: 7\r\n"), std::string::npos);
-    EXPECT_NE(wire.find("Connection: close\r\n"), std::string::npos);
-    EXPECT_NE(wire.find("\r\n\r\n{\"a\":1}"), std::string::npos);
+    HttpResponse body;
+    body.body = "{\"a\":1}";
+    EXPECT_EQ(server::serializeResponse(body),
+              "HTTP/1.1 200 OK\r\n"
+              "Content-Type: application/json\r\n"
+              "Content-Length: 7\r\n"
+              "Connection: close\r\n\r\n"
+              "{\"a\":1}");
 
-    std::string persistent = server::serializeResponse(response, true);
-    EXPECT_NE(persistent.find("Connection: keep-alive\r\n"),
-              std::string::npos);
-    EXPECT_EQ(persistent.find("Connection: close"), std::string::npos);
+    HttpResponse blob;
+    blob.blob = std::make_shared<const std::string>("[1,2,3]");
+    blob.etag = "0123456789abcdef";
+    blob.cache_hit = true;
+    blob.request_id = "client-7";
+    EXPECT_EQ(server::serializeResponse(blob, true),
+              "HTTP/1.1 200 OK\r\n"
+              "Content-Type: application/json\r\n"
+              "Content-Length: 7\r\n"
+              "ETag: \"0123456789abcdef\"\r\n"
+              "X-Cache: hit\r\n"
+              "X-Request-Id: client-7\r\n"
+              "Connection: keep-alive\r\n\r\n"
+              "[1,2,3]");
+    EXPECT_EQ(server::serializeResponseHead(blob, false),
+              "HTTP/1.1 200 OK\r\n"
+              "Content-Type: application/json\r\n"
+              "Content-Length: 7\r\n"
+              "ETag: \"0123456789abcdef\"\r\n"
+              "X-Cache: hit\r\n"
+              "X-Request-Id: client-7\r\n"
+              "Connection: close\r\n\r\n");
+
+    HttpResponse not_modified;
+    not_modified.status = 304;
+    not_modified.etag = "0123456789abcdef";
+    not_modified.request_id = "r";
+    EXPECT_EQ(server::serializeResponse(not_modified, true),
+              "HTTP/1.1 304 Not Modified\r\n"
+              "ETag: \"0123456789abcdef\"\r\n"
+              "X-Request-Id: r\r\n"
+              "Connection: keep-alive\r\n\r\n");
+
+    HttpResponse missing = server::errorResponse(404, "no");
+    EXPECT_EQ(server::serializeResponse(missing, true),
+              "HTTP/1.1 404 Not Found\r\n"
+              "Content-Type: application/json\r\n"
+              "Content-Length: 27\r\n"
+              "Connection: keep-alive\r\n\r\n"
+              "{\"error\":\"no\",\"status\":404}");
+    HttpResponse failed;
+    failed.status = 500;
+    failed.content_type = "text/plain";
+    EXPECT_EQ(server::serializeResponse(failed),
+              "HTTP/1.1 500 Internal Server Error\r\n"
+              "Content-Type: text/plain\r\n"
+              "Content-Length: 0\r\n"
+              "Connection: close\r\n\r\n");
+
+    // Lengths past 32 bits, without a body that long.
+    std::string head;
+    server::appendResponseHead(head, body, size_t{1} << 32, true);
+    EXPECT_EQ(head, "HTTP/1.1 200 OK\r\n"
+                    "Content-Type: application/json\r\n"
+                    "Content-Length: 4294967296\r\n"
+                    "Connection: keep-alive\r\n\r\n");
+    head.clear();
+    server::appendResponseHead(head, body, SIZE_MAX, false);
+    EXPECT_EQ(head, "HTTP/1.1 200 OK\r\n"
+                    "Content-Type: application/json\r\n"
+                    "Content-Length: 18446744073709551615\r\n"
+                    "Connection: close\r\n\r\n");
 }
 
 TEST(Http, KeepAliveSemanticsPerVersionAndHeader)
@@ -2099,6 +2188,58 @@ TEST(ServingLanes, RawFastAndHandleAnswerIdentically)
     EXPECT_EQ(lane_served[kHandleLane], cases.size());
     EXPECT_GT(lane_served[kRawLane], 0u);
     EXPECT_GT(lane_served[kFastLane], 0u);
+}
+
+TEST(ServingLanes, CachedRawRequestAllocatesAtMostOnce)
+{
+    // The reactor's per-request work on a response-cache hit: scan the
+    // head, serve it on the raw lane (access log at Info), append the
+    // response head to a reused buffer. The one allocation left is
+    // the copy of the cached response's 16-character ETag.
+    server::QueryService::Options options;
+    options.log_level = obs::LogLevel::Info;
+    server::QueryService service(sliceCatalog(), defaultDb(), options);
+    size_t log_bytes = 0;
+    service.logger().setSink(
+        [&log_bytes](std::string_view line) { log_bytes += line.size(); });
+
+    db::Query query;
+    query.mnemonic = "ADD";
+    query.arch = uarch::UArch::Skylake;
+    query.limit = 1;
+    auto picked = sliceCatalog()->search(query);
+    ASSERT_EQ(picked.size(), 1u);
+    const std::string head = "GET /instr/" + std::string(picked[0].name()) +
+                             " HTTP/1.1\r\nHost: x\r\n"
+                             "X-Request-Id: client-7\r\n\r\n";
+    std::string out;
+    out.reserve(4096);
+    auto serve = [&] {
+        server::FastGetView view;
+        HttpResponse response;
+        ASSERT_TRUE(server::scanFastGet(head, view));
+        ASSERT_TRUE(service.tryServeRaw(view, response));
+        EXPECT_TRUE(response.cache_hit);
+        out.clear();
+        server::appendResponseHead(out, response, true);
+    };
+    // The first request fills the cache, the second warms the log
+    // line's buffer on a hit.
+    server::FastGetView view;
+    HttpResponse first;
+    ASSERT_TRUE(server::scanFastGet(head, view));
+    ASSERT_TRUE(service.tryServeRaw(view, first));
+    serve();
+
+    constexpr size_t kRequests = 64;
+    size_t bytes_before = log_bytes;
+    g_allocations = 0;
+    g_count_allocations = true;
+    for (size_t i = 0; i < kRequests; ++i)
+        serve();
+    g_count_allocations = false;
+    EXPECT_LE(g_allocations.load(), kRequests);
+    EXPECT_GT(log_bytes, bytes_before);   // the log was on
 }
 
 } // namespace
