@@ -17,63 +17,22 @@ using uarch::OpRef;
 using uarch::UopSpec;
 
 DecodedKernel::DecodedKernel(const uarch::TimingDb &timing,
-                             const Kernel &prologue, const Kernel &body,
-                             const Kernel &epilogue)
-    : timing_(timing), info_(uarch::uarchInfo(timing.arch())),
-      prologue_size_(prologue.size()), body_size_(body.size())
+                             const Kernel &body)
+    : timing_(timing), info_(uarch::uarchInfo(timing.arch()))
 {
-    pattern_.reserve(prologue.size() + body.size() + epilogue.size());
-    for (const InstrInstance &inst : prologue)
-        pattern_.push_back(decodeOne(inst));
+    body_.reserve(body.size());
     for (const InstrInstance &inst : body)
-        pattern_.push_back(decodeOne(inst));
-    for (const InstrInstance &inst : epilogue)
-        pattern_.push_back(decodeOne(inst));
+        body_.push_back(decodeOne(inst));
 
-    // Successor of each pattern position within one pass of the
-    // stream: next element of the same segment, else the first
-    // element of the following non-empty segment.
-    auto successor = [&](size_t pos) -> const InstrInstance * {
-        if (pos + 1 < pattern_.size())
-            return pattern_[pos + 1].inst;
-        return nullptr;
-    };
-    for (size_t pos = 0; pos < pattern_.size(); ++pos) {
-        if (const InstrInstance *next = successor(pos))
-            pattern_[pos].fused_next =
-                fusedSpec(*pattern_[pos].inst, *next);
+    // Each instruction's successor in the stream, the last one's being
+    // the next copy's first. Both members of a fused pair read and
+    // write what the producer's µop does.
+    for (size_t pos = 0; pos < body_.size(); ++pos) {
+        DecodedInstr &d = body_[pos];
+        d.fused = fusedSpec(*d.inst, *body_[(pos + 1) % body_.size()].inst);
+        if (d.fused != nullptr)
+            d.fused_plan = planUop(*d.inst, *d.fused, -1, false);
     }
-    // Copy-wrapping pair: last body instruction -> first body
-    // instruction of the next copy.
-    if (body_size_ > 0) {
-        DecodedInstr &last = pattern_[prologue_size_ + body_size_ - 1];
-        last.fused_wrap =
-            fusedSpec(*last.inst, *pattern_[prologue_size_].inst);
-    }
-    // Both fused variants read and write what the producer's µop does.
-    for (DecodedInstr &d : pattern_) {
-        const UopSpec *fused = d.fused_next ? d.fused_next : d.fused_wrap;
-        if (fused != nullptr)
-            d.fused_plan = planUop(*d.inst, *fused, -1, false);
-    }
-}
-
-DecodedKernel::Ref
-DecodedKernel::at(size_t v, int body_reps) const
-{
-    if (v < prologue_size_)
-        return {&pattern_[v], false};
-    size_t rel = v - prologue_size_;
-    size_t unrolled = body_size_ * static_cast<size_t>(body_reps);
-    if (rel < unrolled) {
-        size_t offset = rel % body_size_;
-        bool last_copy =
-            rel / body_size_ == static_cast<size_t>(body_reps) - 1;
-        return {&pattern_[prologue_size_ + offset],
-                offset == body_size_ - 1 && !last_copy};
-    }
-    return {&pattern_[prologue_size_ + body_size_ + (rel - unrolled)],
-            false};
 }
 
 DecodedInstr

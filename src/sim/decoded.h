@@ -12,26 +12,19 @@
  * decisions are a pure function of the instruction *instance*, not of
  * its position in the unrolled stream, so a DecodedKernel computes
  * them exactly once per body instruction and the pipeline unrolls
- * *logically*: the virtual instruction stream
- *
- *     prologue · body × reps · epilogue
- *
- * is indexed arithmetically, never materialized.
+ * *logically*: the virtual instruction stream body × reps is indexed
+ * arithmetically, never materialized.
  *
  * Macro-fusion is the only decision that looks across instruction
- * boundaries. Each pattern entry therefore carries up to two
- * precomputed fused-pair specs: one for its successor within the
- * stream (`fused_next`, e.g. body[i] -> body[i+1], or the last body
- * instruction into the epilogue on the final copy) and one for the
- * copy-wrapping pair (`fused_wrap`, last body instruction -> first
- * body instruction of the next copy). The pipeline picks the variant
- * matching the virtual position, reproducing the materialized
- * kernel's fusion decisions bit for bit.
+ * boundaries. Each body instruction therefore carries the precomputed
+ * fused-pair spec for its successor in the stream, body[(i + 1) %
+ * size]: the last body instruction's successor is the next copy's
+ * first. The pipeline fuses only where that successor exists, so the
+ * stream's final instruction never fuses, and the decisions match the
+ * materialized kernel's bit for bit.
  *
- * Lifetime: a DecodedKernel borrows the instructions of the three
- * kernels; they must outlive it (so an empty prologue or epilogue,
- * as the harness passes, may be a temporary). The fused-pair µop
- * specs are owned by the template.
+ * Lifetime: a DecodedKernel borrows the body's instructions; they must
+ * outlive it. The fused-pair µop specs are owned by the template.
  */
 
 #ifndef UOPS_SIM_DECODED_H
@@ -108,52 +101,33 @@ struct DecodedInstr
     YmmEffect ymm_effect = YmmEffect::None;
 
     /** Fused-pair µop when this instruction macro-fuses with its
-     *  successor (nullptr: no fusion). See file comment. */
-    const uarch::UopSpec *fused_next = nullptr;
-    const uarch::UopSpec *fused_wrap = nullptr;
+     *  successor in the stream (nullptr: no fusion). See file comment. */
+    const uarch::UopSpec *fused = nullptr;
 };
 
 /**
- * A benchmark run template: decoded prologue, body and epilogue, with
- * the body logically repeatable any number of times.
+ * A benchmark run template: the decoded body, logically repeatable any
+ * number of times.
  */
 class DecodedKernel
 {
   public:
-    DecodedKernel(const uarch::TimingDb &timing,
-                  const isa::Kernel &prologue, const isa::Kernel &body,
-                  const isa::Kernel &epilogue);
+    DecodedKernel(const uarch::TimingDb &timing, const isa::Kernel &body);
 
     DecodedKernel(const DecodedKernel &) = delete;
     DecodedKernel &operator=(const DecodedKernel &) = delete;
 
-    size_t prologueSize() const { return prologue_size_; }
-    size_t bodySize() const { return body_size_; }
-    size_t
-    epilogueSize() const
-    {
-        return pattern_.size() - prologue_size_ - body_size_;
-    }
+    size_t bodySize() const { return body_.size(); }
 
     /** Virtual stream length for @p body_reps body copies. */
     size_t
     totalSize(int body_reps) const
     {
-        return prologue_size_ + body_size_ * static_cast<size_t>(body_reps) +
-               epilogueSize();
+        return body_.size() * static_cast<size_t>(body_reps);
     }
 
-    /** One virtual stream position. */
-    struct Ref
-    {
-        const DecodedInstr *instr = nullptr;
-        /** True for a body-final instruction followed by another body
-         *  copy: fusion must use the wrapping variant. */
-        bool wraps = false;
-    };
-
-    /** Decode entry at virtual index @p v of a @p body_reps-copy run. */
-    Ref at(size_t v, int body_reps) const;
+    /** Decode entry at virtual stream index @p v. */
+    const DecodedInstr &at(size_t v) const { return body_[v % body_.size()]; }
 
     /** Temporaries a rename plan names (one past the largest index). */
     size_t numTemps() const { return num_temps_; }
@@ -178,10 +152,8 @@ class DecodedKernel
 
     const uarch::TimingDb &timing_;
     const uarch::UArchInfo &info_;
-    std::vector<DecodedInstr> pattern_; ///< prologue · body · epilogue
+    std::vector<DecodedInstr> body_;
     std::vector<std::unique_ptr<uarch::UopSpec>> fused_specs_;
-    size_t prologue_size_ = 0;
-    size_t body_size_ = 0;
     size_t num_temps_ = 0;
 };
 

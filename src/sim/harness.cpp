@@ -44,12 +44,11 @@ countCycles(const RunResult &result)
 bool
 oneRunSuffices(const DecodedKernel &decoded)
 {
-    const size_t begin = decoded.prologueSize();
-    const size_t end = begin + decoded.bodySize();
-    if (decoded.at(end - 1, 1).instr->fused_wrap != nullptr)
+    const size_t size = decoded.bodySize();
+    if (decoded.at(size - 1).fused != nullptr)
         return false;
-    for (size_t i = begin; i < end; ++i)
-        for (const uarch::UopSpec &spec : *decoded.at(i, 1).instr->uops)
+    for (size_t i = 0; i < size; ++i)
+        for (const uarch::UopSpec &spec : *decoded.at(i).uops)
             if (spec.div_occupancy > 0)
                 return false;
     return true;
@@ -67,7 +66,7 @@ RunResult
 MeasurementHarness::runOnce(const DecodedKernel &decoded, int n,
                             int prefix_copies) const
 {
-    RunResult result = pipeline_.run(decoded, n, {}, prefix_copies);
+    RunResult result = pipeline_.run(decoded, n, prefix_copies);
     countCycles(result);
     return result;
 }
@@ -124,7 +123,7 @@ MeasurementHarness::measureUncached(const Kernel &body) const
     // both unroll factors reuse the template. The n = 10 counters are
     // the n = 110 run's prefix unless one of the two exceptions of the
     // file comment applies.
-    DecodedKernel decoded(timing_, {}, body, {});
+    DecodedKernel decoded(timing_, body);
     PerfCounters diff;
     if (oneRunSuffices(decoded)) {
         RunResult run = runOnce(decoded, kUnrollLarge, kUnrollSmall);

@@ -43,8 +43,9 @@
  *    the difference.
  *
  * Harness.BodyOnlyMatchesFullAlgorithm2 (tests/harness_test.cpp)
- * checks this bit for bit on all nine uarches against the wrapped
- * runs, with a corpus that touches each state the argument relies on.
+ * checks this bit for bit on all nine uarches against the full
+ * listing, materialized as one kernel and read at its two RDTSCs, with
+ * a corpus that touches each state the argument relies on.
  *
  * One run suffices for most bodies. The n = 110 run's first ten copies
  * evolve exactly as the n = 10 run does, because a µop's timing never

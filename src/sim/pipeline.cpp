@@ -13,6 +13,9 @@ using uarch::UopSpec;
 
 namespace {
 
+/** Ends the marker list: no stream index reaches it. */
+constexpr size_t kNoMarker = std::numeric_limits<size_t>::max();
+
 /** value_ready_ of a value not yet produced. While µops wait on the
  *  value, the slot holds kNotReady plus one more than the head of its
  *  waiter list, so the list costs no table of its own. */
@@ -63,6 +66,7 @@ struct Candidate
 class PipelineScratch
 {
   public:
+    /** Sorted snapshot markers, then a kNoMarker sentinel. */
     std::vector<size_t> marker_set;
 
     std::vector<int64_t> value_ready;
@@ -91,7 +95,11 @@ class PipelineScratch
 
 namespace {
 
-/** Whole-run simulation over a decoded virtual instruction stream. */
+/**
+ * Whole-run simulation over a decoded virtual instruction stream.
+ * Counter snapshots come only from a materialized kernel's run, one
+ * copy, which never fast-forwards, so the markers never move.
+ */
 class Core
 {
   public:
@@ -102,9 +110,7 @@ class Core
         : timing_(timing), info_(info), options_(options),
           decoded_(decoded), body_reps_(body_reps),
           total_(decoded.totalSize(body_reps)),
-          prefix_end_(decoded.prologueSize() +
-                      decoded.bodySize() *
-                          static_cast<size_t>(prefix_copies)),
+          prefix_end_(decoded.totalSize(prefix_copies)),
           marker_set_(s.marker_set), value_ready_(s.value_ready),
           value_domain_(s.value_domain), unit_value_(s.unit_value),
           mem_value_(s.mem_value), temp_value_(s.temp_value),
@@ -116,6 +122,7 @@ class Core
     {
         marker_set_.assign(markers.begin(), markers.end());
         std::sort(marker_set_.begin(), marker_set_.end());
+        marker_set_.push_back(kNoMarker);
         // Value 0: power-on state (ready, integer domain).
         value_ready_.clear();
         value_ready_.push_back(0);
@@ -133,7 +140,7 @@ class Core
         div_busy_.assign(static_cast<size_t>(info.num_ports), 0);
         // -1: not yet renamed (blocks the in-order retire cursor).
         instr_uops_left_.assign(total_, -1);
-        result_.snapshots.resize(marker_set_.size());
+        result_.snapshots.resize(markers.size());
         // The period search starts after the prefix: a cut removes
         // copies from the boundary it is found at on, so it never
         // removes a prefix copy.
@@ -402,9 +409,7 @@ class Core
                         return;
                     serializer_in_flight_ = -1;
                 }
-                DecodedKernel::Ref ref =
-                    decoded_.at(next_instr_, body_reps_);
-                const DecodedInstr &d = *ref.instr;
+                const DecodedInstr &d = decoded_.at(next_instr_);
                 if (d.serializing) {
                     // Drain: all older µops must have retired first.
                     if (retire_head_ != issue_head_)
@@ -416,11 +421,9 @@ class Core
                 // immediately following Jcc decode into a single µop.
                 // The eligible pair (and its fused spec) was decided
                 // once at decode time.
-                const UopSpec *fused =
-                    ref.wraps ? d.fused_wrap : d.fused_next;
                 const auto idx = static_cast<int32_t>(next_instr_);
-                if (fused != nullptr && next_instr_ + 1 < total_) {
-                    renameUop(*fused, d.fused_plan, idx, false);
+                if (d.fused != nullptr && next_instr_ + 1 < total_) {
+                    renameUop(*d.fused, d.fused_plan, idx, false);
                     instr_uops_left_[next_instr_] = 1;
                     instr_uops_left_[next_instr_ + 1] = 0;
                     activity_ = true;
@@ -555,13 +558,11 @@ class Core
                 if (retire_cursor_ + 1 == prefix_end_)
                     result_.prefix.cycles = cycle_;
             }
-            auto it = std::lower_bound(marker_set_.begin(),
-                                       marker_set_.end(),
-                                       retire_cursor_);
-            if (it != marker_set_.end() && *it == retire_cursor_) {
+            // retire_cursor_ only grows, so the next marker is one
+            // compare away.
+            while (marker_set_[next_marker_] == retire_cursor_) {
                 counters_.cycles = cycle_ + cycle_offset_;
-                result_.snapshots[static_cast<size_t>(
-                    it - marker_set_.begin())] = counters_;
+                result_.snapshots[next_marker_++] = counters_;
             }
             ++retire_cursor_;
         }
@@ -615,21 +616,19 @@ class Core
     copyBoundary(int issued)
     {
         const size_t body = decoded_.bodySize();
-        const size_t begin = decoded_.prologueSize();
-        const size_t end = begin + body * static_cast<size_t>(body_reps_);
-        const auto copy = static_cast<int64_t>((next_instr_ - begin) / body);
+        const auto copy = static_cast<int64_t>(next_instr_ / body);
         // A period found past the midpoint saves less than looking
         // for it costs.
-        if (next_instr_ >= end || 2 * (copy + 1) > body_reps_) {
+        if (2 * (copy + 1) > body_reps_) {
             next_boundary_ = kNever;
             return;
         }
-        next_boundary_ = begin + body * static_cast<size_t>(copy + 1);
+        next_boundary_ = body * static_cast<size_t>(copy + 1);
         // The cheap head of the state pre-filters: the rest is only
         // serialized when Brent's saved state is due to be replaced or
         // the heads match.
         const size_t head =
-            encodeHead(issued, begin + body * static_cast<size_t>(copy));
+            encodeHead(issued, body * static_cast<size_t>(copy));
         const bool due = saved_copy_ < 0 || copy - saved_copy_ >= power_;
         const bool candidate =
             saved_copy_ >= 0 &&
@@ -640,7 +639,7 @@ class Core
             return;
         encodeRest();
         if (candidate && state_ == saved_state_) {
-            fastForward(copy, copy - saved_copy_, end);
+            fastForward(copy, copy - saved_copy_);
             return;
         }
         if (due) {
@@ -660,24 +659,14 @@ class Core
      *  copy @p copy evolves exactly as the longer one from copy
      *  copy + k·period, shifted by k times the period's deltas. */
     void
-    fastForward(int64_t copy, int64_t period, size_t epilogue)
+    fastForward(int64_t copy, int64_t period)
     {
         next_boundary_ = kNever;
         const int64_t k = (body_reps_ - copy - 1) / period;
         if (k < 1)
             return;
-        // A marker still to retire must move with the stream: only
-        // epilogue markers do.
-        for (size_t m : marker_set_)
-            if (m >= retire_cursor_ && m < epilogue)
-                return;
-        const size_t shift =
-            static_cast<size_t>(k * period) * decoded_.bodySize();
         body_reps_ -= static_cast<int>(k * period);
-        total_ -= shift;
-        for (size_t &m : marker_set_)
-            if (m >= epilogue)
-                m -= shift;
+        total_ = decoded_.totalSize(body_reps_);
         const PerfCounters delta = counters_ - saved_counters_;
         for (int p = 0; p < kMaxPorts; ++p)
             counters_.port_uops[p] += k * delta.port_uops[p];
@@ -801,7 +790,7 @@ class Core
     const DecodedKernel &decoded_;
     int body_reps_;  ///< body copies in the stream (fewer once fast-forwarded)
     size_t total_;   ///< virtual stream length
-    /** Stream index past the prologue and the prefix copies. */
+    /** Stream index past the prefix copies. */
     size_t prefix_end_;
 
     int64_t cycle_ = 0;
@@ -814,6 +803,7 @@ class Core
     uint64_t mov_elim_counter_ = 0;
 
     std::vector<size_t> &marker_set_;
+    size_t next_marker_ = 0; ///< marker_set_ index of the next snapshot
     std::vector<int64_t> &value_ready_;
     std::vector<uint8_t> &value_domain_;
     std::vector<int32_t> &unit_value_;
@@ -865,14 +855,15 @@ RunResult
 Pipeline::run(const isa::Kernel &kernel,
               const std::vector<size_t> &markers) const
 {
-    static const isa::Kernel kEmpty;
-    DecodedKernel decoded(timing_, kEmpty, kernel, kEmpty);
-    return run(decoded, 1, markers);
+    DecodedKernel decoded(timing_, kernel);
+    return Core(timing_, info_, options_, decoded, kernel.empty() ? 0 : 1,
+                markers, 0, *scratch_)
+        .run();
 }
 
 RunResult
 Pipeline::run(const DecodedKernel &decoded, int body_reps,
-              const std::vector<size_t> &markers, int prefix_copies) const
+              int prefix_copies) const
 {
     panicIf(decoded.bodySize() > 0 && body_reps < 1,
             "Pipeline::run: body_reps must be >= 1");
@@ -880,9 +871,9 @@ Pipeline::run(const DecodedKernel &decoded, int body_reps,
             "Pipeline::run: prefix_copies must be in [0, body_reps]");
     if (decoded.bodySize() == 0)
         body_reps = prefix_copies = 0;
-    Core core(timing_, info_, options_, decoded, body_reps, markers,
-              prefix_copies, *scratch_);
-    return core.run();
+    return Core(timing_, info_, options_, decoded, body_reps, {},
+                prefix_copies, *scratch_)
+        .run();
 }
 
 } // namespace uops::sim

@@ -25,13 +25,13 @@
  *  - SSE/AVX transition behaviour: while the upper YMM state is dirty,
  *    non-VEX vector writes acquire a merge dependency on their
  *    destination (why the tool keeps separate SSE/AVX blocking sets);
- *  - serializing instructions (pipeline drain) and in-order retirement
- *    with counter snapshots at marker instructions (Algorithm 2).
+ *  - serializing instructions (pipeline drain) and in-order retirement.
  *
- * Performance: run() executes either a materialized kernel or a
- * DecodedKernel template with logical body unrolling (the measurement
- * hot path — see sim/decoded.h). Renaming follows the template's
- * per-µop rename plan and writes straight into the reorder buffer.
+ * Performance: run() executes either a materialized kernel, with
+ * counter snapshots at marker instructions, or a DecodedKernel body
+ * template with logical unrolling (the measurement hot path — see
+ * sim/decoded.h). Renaming follows the template's per-µop rename plan
+ * and writes straight into the reorder buffer.
  * Per-run working state (reorder buffer, value tables, waiter nodes,
  * per-port candidate lists) lives in a scratch arena owned by the
  * Pipeline and reused across runs, so a warmed Pipeline's run
@@ -129,15 +129,15 @@ struct RunResult
     /** Cycles actually stepped: `cycles` less those fast-forwarded. */
     int64_t simulated_cycles = 0;
     /**
-     * The counters of the prologue and the first prefix_copies body
-     * copies on their own: port_uops, uops_issued and uops_eliminated
-     * count the µops of those instructions, instrs_retired counts
-     * those instructions, and cycles is the clock at which the last of
-     * them retired (0 if there is none). Oldest-first resources keep
-     * younger µops from moving older ones, so this equals the final
-     * counters of a run with prefix_copies copies and no epilogue,
-     * unless the body uses the divider or its last instruction fuses
-     * with the next copy's first (DESIGN.md, "Why one run suffices").
+     * The counters of the first prefix_copies body copies on their
+     * own: port_uops, uops_issued and uops_eliminated count the µops
+     * of those instructions, instrs_retired counts those instructions,
+     * and cycles is the clock at which the last of them retired (0 if
+     * there is none). Oldest-first resources keep younger µops from
+     * moving older ones, so this equals the final counters of a run
+     * with prefix_copies copies, unless the body uses the divider or
+     * its last instruction fuses with the next copy's first (DESIGN.md,
+     * "Why one run suffices").
      */
     PerfCounters prefix;
 };
@@ -162,30 +162,29 @@ class Pipeline
     const SimOptions &options() const { return options_; }
 
     /**
-     * Execute @p kernel to completion.
+     * Execute @p kernel to completion: one logical copy, which never
+     * fast-forwards, so it is the reference for the n-copy runs.
      *
      * @param kernel  Straight-line instance sequence.
      * @param markers Kernel indices at whose retirement the counters
-     *                are snapshotted (Algorithm 2's counter reads).
+     *                are snapshotted (Algorithm 2's counter reads);
+     *                snapshots[i] is the i-th smallest marker's.
      */
     RunResult run(const isa::Kernel &kernel,
                   const std::vector<size_t> &markers = {}) const;
 
     /**
-     * Execute a decoded template with @p body_reps logical body
-     * copies: prologue · body × body_reps · epilogue. Produces
-     * bit-identical results to run() on the equivalent materialized
-     * kernel, without building it and, once the copies repeat,
-     * without stepping the periodic tail.
+     * Execute a decoded body template with @p body_reps logical
+     * copies. Produces bit-identical results to run() on the
+     * equivalent materialized kernel, without building it and, once
+     * the copies repeat, without stepping the periodic tail.
      *
-     * @param markers Virtual-stream indices for counter snapshots.
      * @param prefix_copies Body copies whose counters RunResult::prefix
      *                reports on their own (at most body_reps). The
      *                period search starts after them, so no
      *                fast-forward cut removes one.
      */
     RunResult run(const DecodedKernel &decoded, int body_reps,
-                  const std::vector<size_t> &markers = {},
                   int prefix_copies = 0) const;
 
   private:

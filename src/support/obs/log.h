@@ -36,7 +36,8 @@
  * The sink is pluggable (tests collect lines in memory, the CLI
  * writes stderr); it sees each line as a view into the event's
  * buffer, valid only for the duration of the call. The default sink
- * writes the line plus '\n' to stderr in one fwrite.
+ * writes the line plus '\n' to file descriptor 2 in one writev, with
+ * no copy.
  *
  * defaultLogger() is the process-wide instance for components that
  * are not owned by a server (catalog recovery, CLI commands); its

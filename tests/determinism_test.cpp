@@ -17,11 +17,10 @@
  *    cache, on 1 and 4 worker threads;
  *  - a nine-uarch sweep's XML digest matches the committed one, so
  *    the measured results are pinned across commits too;
- *  - logical unrolling over a DecodedKernel, with the exact
+ *  - logical unrolling over a DecodedKernel body, with the exact
  *    fast-forward of its periodic tail, reproduces the materialized
- *    n-copy kernel exactly (counters and snapshots) on all nine
- *    uarches, including macro-fusion across copy boundaries, and a
- *    counter read inside the body keeps every copy;
+ *    n-copy kernel exactly on all nine uarches, including
+ *    macro-fusion across copy boundaries;
  *  - a cycle budget admits and refuses the runs it would without
  *    the fast-forward;
  *  - a Pipeline reusing its scratch arena across runs reproduces a
@@ -375,8 +374,8 @@ const char *const kUnrollBodies[] = {
     "SQRTPS XMM2, XMM3\nSQRTPS XMM2, XMM4\nVADDPS YMM0, YMM0, YMM1\n"
     "CPUID",
     // Drained, with the last instruction fused into the next copy
-    // but not into the epilogue: the shortened stream must keep the
-    // copy in flight.
+    // but not at the end of the stream: the shortened stream must
+    // keep the copy in flight.
     "JZ 1\nLFENCE\nCMP RAX, RBX",
 };
 
@@ -398,28 +397,19 @@ TEST(Determinism, LogicalUnrollMatchesMaterializedKernel)
     for (UArch arch : uarch::allUArches()) {
         const auto &tdb = timingDb(arch);
         sim::Pipeline pipeline(tdb);
-        auto prologue = asm_("MOV RAX, 7\nCPUID\nRDTSC\nCPUID");
-        auto epilogue = asm_("CPUID\nRDTSC\nCPUID\nADD RAX, RBX");
-
         for (const char *listing : kUnrollBodies) {
             auto body = asm_(listing);
             if (!supportedOn(arch, body))
                 continue;
-            sim::DecodedKernel decoded(tdb, prologue, body, epilogue);
+            sim::DecodedKernel decoded(tdb, body);
             for (int n : {1, 3, 10, 37, 110}) {
                 isa::Kernel flat;
-                flat.insert(flat.end(), prologue.begin(),
-                            prologue.end());
                 for (int i = 0; i < n; ++i)
                     flat.insert(flat.end(), body.begin(), body.end());
-                flat.insert(flat.end(), epilogue.begin(),
-                            epilogue.end());
-                std::vector<size_t> markers = {2, flat.size() - 2};
 
-                sim::RunResult reference = pipeline.run(flat, markers);
+                sim::RunResult reference = pipeline.run(flat);
                 EXPECT_EQ(reference.simulated_cycles, reference.cycles);
-                sim::RunResult logical =
-                    pipeline.run(decoded, n, markers);
+                sim::RunResult logical = pipeline.run(decoded, n);
                 std::string what = uarch::uarchName(arch) + " " +
                                    oneLine(listing) +
                                    " n=" + std::to_string(n);
@@ -438,32 +428,6 @@ TEST(Determinism, LogicalUnrollMatchesMaterializedKernel)
     }
 }
 
-TEST(Determinism, BodyMarkersSeeEveryCopy)
-{
-    // A counter read inside the body pins its copy: the run must not
-    // skip it, and every snapshot must match the materialized kernel.
-    const int n = sim::kUnrollLarge;
-    for (UArch arch : uarch::allUArches()) {
-        const auto &tdb = timingDb(arch);
-        sim::Pipeline pipeline(tdb);
-        auto wrapper = asm_("CPUID\nRDTSC\nCPUID");
-        auto body = asm_(kDrainingBody);
-        isa::Kernel flat = wrapper;
-        std::vector<size_t> markers;
-        for (int i = 0; i < n; ++i) {
-            markers.push_back(flat.size());
-            flat.insert(flat.end(), body.begin(), body.end());
-        }
-        flat.insert(flat.end(), wrapper.begin(), wrapper.end());
-        markers.push_back(flat.size() - 2);
-
-        sim::DecodedKernel decoded(tdb, wrapper, body, wrapper);
-        expectRunsEqual(pipeline.run(flat, markers),
-                        pipeline.run(decoded, n, markers),
-                        uarch::uarchName(arch));
-    }
-}
-
 TEST(Determinism, CycleBudgetCountsFastForwardedCycles)
 {
     // The budget bounds the logical clock, fast-forwarded cycles
@@ -471,21 +435,18 @@ TEST(Determinism, CycleBudgetCountsFastForwardedCycles)
     // admit (say, turn a /predict 429 into a 200) a run that the
     // full simulation refuses.
     const auto &tdb = timingDb(UArch::Skylake);
-    auto wrapper = asm_("CPUID\nRDTSC\nCPUID");
     auto body = asm_(kDrainingBody);
-    sim::DecodedKernel decoded(tdb, wrapper, body, wrapper);
+    sim::DecodedKernel decoded(tdb, body);
     const int n = sim::kUnrollLarge;
-    const std::vector<size_t> markers = {1, decoded.totalSize(n) - 2};
 
-    sim::RunResult full = sim::Pipeline(tdb).run(decoded, n, markers);
+    sim::RunResult full = sim::Pipeline(tdb).run(decoded, n);
     ASSERT_LT(full.simulated_cycles, full.cycles)
         << "the body's steady state was not fast-forwarded";
 
     sim::Pipeline over(tdb, {.cycle_budget = full.cycles - 1});
-    EXPECT_THROW(over.run(decoded, n, markers),
-                 sim::CycleBudgetExceeded);
+    EXPECT_THROW(over.run(decoded, n), sim::CycleBudgetExceeded);
     sim::Pipeline within(tdb, {.cycle_budget = full.cycles});
-    sim::RunResult admitted = within.run(decoded, n, markers);
+    sim::RunResult admitted = within.run(decoded, n);
     expectRunsEqual(full, admitted, "budget == cycles");
     EXPECT_EQ(admitted.simulated_cycles, full.simulated_cycles);
 }

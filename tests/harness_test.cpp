@@ -112,13 +112,12 @@ TEST(Harness, CountsSteppedAndFastForwardedCycles)
             << listing;
     };
     auto add = asm_("ADD RAX, RBX");
-    sim::DecodedKernel add_decoded(tdb, {}, add, {});
+    sim::DecodedKernel add_decoded(tdb, add);
     addsCycles("ADD RAX, RBX",
-               pipeline.run(add_decoded, sim::kUnrollLarge, {},
-                            sim::kUnrollSmall)
+               pipeline.run(add_decoded, sim::kUnrollLarge, sim::kUnrollSmall)
                    .simulated_cycles);
     auto div = asm_("DIV RBX");
-    sim::DecodedKernel div_decoded(tdb, {}, div, {});
+    sim::DecodedKernel div_decoded(tdb, div);
     int64_t div_cycles = 0;
     for (int n : {sim::kUnrollSmall, sim::kUnrollLarge})
         div_cycles += pipeline.run(div_decoded, n).simulated_cycles;
@@ -174,8 +173,9 @@ expectSameMeasurement(const sim::Measurement &got,
     EXPECT_EQ(got.uops_eliminated, want.uops_eliminated) << what;
 }
 
-/** Algorithm 2 with its full wrapper, both counter reads inside the
- *  runs: the reference for the harness's body-only runs. */
+/** Algorithm 2 with its full wrapper, both counter reads inside a
+ *  materialized kernel: the reference for the harness's body-only
+ *  runs. */
 sim::Measurement
 wrappedMeasurement(const uarch::TimingDb &tdb, const isa::Kernel &body)
 {
@@ -185,12 +185,14 @@ wrappedMeasurement(const uarch::TimingDb &tdb, const isa::Kernel &body)
     const isa::InstrInstance reader =
         isa::makeInstance(*db.byName("RDTSC_R32i_R32i"), {});
     const isa::Kernel wrapper = {serializer, reader, serializer};
-    sim::DecodedKernel decoded(tdb, wrapper, body, wrapper);
     sim::Pipeline pipeline(tdb);
     auto reads = [&](int n) {
-        sim::RunResult r = pipeline.run(
-            decoded, n,
-            {1, wrapper.size() + static_cast<size_t>(n) * body.size() + 1});
+        isa::Kernel flat = wrapper;
+        for (int i = 0; i < n; ++i)
+            flat.insert(flat.end(), body.begin(), body.end());
+        flat.insert(flat.end(), wrapper.begin(), wrapper.end());
+        sim::RunResult r =
+            pipeline.run(flat, {1, flat.size() - wrapper.size() + 1});
         return r.snapshots[1] - r.snapshots[0];
     };
     return perBody(reads(sim::kUnrollLarge) - reads(sim::kUnrollSmall));
@@ -267,11 +269,11 @@ TEST(Harness, OneRunMatchesTwoRuns)
             if (!supportedOn(arch, body))
                 return;
             const std::string what = uarch::uarchName(arch) + ": " + listing;
-            sim::DecodedKernel decoded(tdb, {}, body, {});
+            sim::DecodedKernel decoded(tdb, body);
             sim::PerfCounters small =
                 pipeline.run(decoded, sim::kUnrollSmall).final;
-            sim::RunResult large = pipeline.run(
-                decoded, sim::kUnrollLarge, {}, sim::kUnrollSmall);
+            sim::RunResult large =
+                pipeline.run(decoded, sim::kUnrollLarge, sim::kUnrollSmall);
             if (prefix_exact) {
                 expectSameCounters(large.prefix, small, what);
             } else if (arch == UArch::Nehalem) {

@@ -2,19 +2,22 @@
  * @file
  * Unit tests for the observability layer (support/obs): metrics
  * instruments and registry exposition, the JSON-lines structured
- * logger, and the tracing primitives (trace IDs, span sets, Chrome
- * trace sink).
+ * logger and its default stderr sink, and the tracing primitives
+ * (trace IDs, span sets, Chrome trace sink).
  */
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -22,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc_count.h"
 #include "obs_util.h"
 #include "support/obs/log.h"
 #include "support/obs/metrics.h"
@@ -509,6 +513,66 @@ TEST(ObsLog, RateLimitSummaryLineIsByteExact)
     EXPECT_EQ(afterTimestamp(lines[3]),
               ",\"level\":\"info\",\"component\":\"burst\","
               "\"event\":\"later\"}");
+}
+
+TEST(ObsLog, StderrSinkWritesWholeLinesWithoutAllocating)
+{
+    // With no sink set, a line and its newline go to file descriptor
+    // 2, here redirected into a temporary file, and a thread that logs
+    // line after line allocates nothing for them.
+    obs::Logger::Options options;
+    options.min_level = obs::LogLevel::Info;
+    obs::Logger logger(options);
+    std::string path =
+        (fs::temp_directory_path() / "obs_test_stderr_XXXXXX").string();
+    const int file = mkstemp(path.data());
+    ASSERT_GE(file, 0);
+    std::fflush(stderr);
+    const int saved = dup(STDERR_FILENO);
+    ASSERT_GE(saved, 0);
+    ASSERT_EQ(dup2(file, STDERR_FILENO), STDERR_FILENO);
+
+    constexpr int kLines = 64;
+    auto emit = [&](int i) {
+        logger.event(obs::LogLevel::Info, "sink", "line")
+            .num("i", static_cast<int64_t>(i))
+            .str("pad", std::string_view("q\"\n0123456789", 3 + i % 11));
+    };
+    emit(0); // takes the thread's spare line buffer
+    g_allocations = 0;
+    g_count_allocations = true;
+    for (int i = 1; i <= kLines; ++i)
+        emit(i);
+    g_count_allocations = false;
+    const size_t allocations = g_allocations.load();
+
+    // Restore fd 2 before anything can fail.
+    const bool restored = dup2(saved, STDERR_FILENO) == STDERR_FILENO;
+    close(saved);
+    close(file);
+    ASSERT_TRUE(restored);
+    std::ifstream in(path, std::ios::binary);
+    const std::string written((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    fs::remove(path);
+
+    EXPECT_EQ(allocations, 0u) << "over " << kLines << " lines";
+    std::vector<std::string> lines;
+    for (size_t at = 0, end; at < written.size(); at = end + 1) {
+        end = written.find('\n', at);
+        ASSERT_NE(end, std::string::npos) << "unterminated last line";
+        lines.push_back(written.substr(at, end - at));
+    }
+    ASSERT_EQ(lines.size(), kLines + 1u);
+    for (int i = 0; i <= kLines; ++i) {
+        const std::string pad =
+            std::string("q\\\"\\n0123456789").substr(0, 5 + i % 11);
+        EXPECT_EQ(afterTimestamp(lines[static_cast<size_t>(i)]),
+                  ",\"level\":\"info\",\"component\":\"sink\","
+                  "\"event\":\"line\",\"i\":" +
+                      std::to_string(i) + ",\"pad\":\"" + pad + "\"}")
+            << "line " << i;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -31,6 +31,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "alloc_count.h"
 #include "core/batch.h"
 #include "core/predictor.h"
 #include "db/catalog.h"
@@ -42,34 +43,6 @@
 #include "support/obs/log.h"
 #include "support/thread_pool.h"
 #include "test_util.h"
-
-// Counts the heap allocations this binary makes while counting is on.
-namespace {
-std::atomic<bool> g_count_allocations{false};
-std::atomic<size_t> g_allocations{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    if (g_count_allocations.load(std::memory_order_relaxed))
-        g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size == 0 ? 1 : size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace uops::test {
 namespace {

@@ -7,45 +7,15 @@
  * without per-operand allocations.
  */
 
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "alloc_count.h"
 #include "core/codegen.h"
 #include "sim/pipeline.h"
 #include "test_util.h"
-
-// Counts the heap allocations this binary makes while counting is on.
-namespace {
-std::atomic<bool> g_count_allocations{false};
-std::atomic<size_t> g_allocations{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    if (g_count_allocations.load(std::memory_order_relaxed))
-        g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size == 0 ? 1 : size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace uops::test {
 namespace {
@@ -426,7 +396,10 @@ TEST(SimScheduler, EdgeCasesMatchRecordedResults)
     // tests/data/scheduler_goldens.txt was recorded by the scan-based
     // scheduler that rescanned every bound µop each cycle; the
     // event-driven one must reproduce it exactly, with and without
-    // idle-cycle skipping. Never re-record it for a refactor.
+    // idle-cycle skipping. Never re-record it for a refactor. Each
+    // n-copy line is the materialized wrapped kernel's run, except
+    // `simulated=`: that is its cycles less the cycles the body-only
+    // logical run of the same n cuts by exact fast-forward.
     std::ifstream file(std::string(UOPS_TEST_DATA_DIR) +
                        "/scheduler_goldens.txt");
     ASSERT_TRUE(file) << "missing scheduler_goldens.txt";
@@ -449,26 +422,29 @@ TEST(SimScheduler, EdgeCasesMatchRecordedResults)
             if (!supportedOn(arch, body))
                 continue;
             std::string what = uarch::uarchName(arch) + " " + name;
-            sim::DecodedKernel decoded(tdb, prologue, body, epilogue);
+            sim::DecodedKernel decoded(tdb, body);
+            std::string flat_line;
             for (int n : {sim::kUnrollSmall, sim::kUnrollLarge}) {
-                std::vector<size_t> markers = {2,
-                                               decoded.totalSize(n) - 2};
-                sim::RunResult run = pipeline.run(decoded, n, markers);
-                EXPECT_EQ(renderRun(run),
-                          renderRun(slow.run(decoded, n, markers)))
+                isa::Kernel flat = prologue;
+                for (int i = 0; i < n; ++i)
+                    flat.insert(flat.end(), body.begin(), body.end());
+                flat.insert(flat.end(), epilogue.begin(), epilogue.end());
+                std::vector<size_t> markers = {2, flat.size() - 2};
+                sim::RunResult run = pipeline.run(flat, markers);
+                EXPECT_EQ(renderRun(run), renderRun(slow.run(flat, markers)))
+                    << what << " n=" << n << " flat: skipping is not exact";
+                if (n == sim::kUnrollSmall)
+                    flat_line = what + " flat " + renderRun(run);
+
+                sim::RunResult bare = pipeline.run(decoded, n);
+                EXPECT_EQ(renderRun(bare), renderRun(slow.run(decoded, n)))
                     << what << " n=" << n << ": skipping is not exact";
+                run.simulated_cycles =
+                    run.cycles - (bare.cycles - bare.simulated_cycles);
                 actual.push_back(what + " n=" + std::to_string(n) + " " +
                                  renderRun(run));
             }
-            isa::Kernel flat = prologue;
-            for (int i = 0; i < sim::kUnrollSmall; ++i)
-                flat.insert(flat.end(), body.begin(), body.end());
-            flat.insert(flat.end(), epilogue.begin(), epilogue.end());
-            std::vector<size_t> markers = {2, flat.size() - 2};
-            sim::RunResult run = pipeline.run(flat, markers);
-            EXPECT_EQ(renderRun(run), renderRun(slow.run(flat, markers)))
-                << what << " flat: skipping is not exact";
-            actual.push_back(what + " flat " + renderRun(run));
+            actual.push_back(flat_line);
         }
     }
 
@@ -500,8 +476,8 @@ TEST(SimAllocation, TableUopsFitInline)
                 continue;
             core::RegPool pool(core::RegPool::Zone::Analyzed);
             isa::Kernel body = {core::makeIndependent(*variant, pool)};
-            sim::DecodedKernel decoded(tdb, {}, body, {});
-            const sim::DecodedInstr &d = *decoded.at(0, 1).instr;
+            sim::DecodedKernel decoded(tdb, body);
+            const sim::DecodedInstr &d = decoded.at(0);
             for (const sim::UopPlan &plan : d.plan) {
                 EXPECT_LE(plan.srcs.size(), sim::kUopSrcsInline)
                     << uarch::uarchName(arch) << " " << variant->name();
@@ -540,8 +516,6 @@ TEST(SimAllocation, RunsAllocateNothingPerUopOrCopy)
         "ADD [RCX], RDX\nMOV RSI, [RCX]\nSHLD RDI, RSI, 3\nMOV AL, BL",
         "VADDPS YMM0, YMM0, YMM1\nADDPS XMM2, XMM3\nDIV RBX\nCMC",
     };
-    auto prologue = asm_("MOV RAX, 7\nCPUID\nRDTSC\nCPUID");
-    auto epilogue = asm_("CPUID\nRDTSC\nCPUID\nADD RAX, RBX");
     for (UArch arch : uarch::allUArches()) {
         const auto &tdb = timingDb(arch);
         sim::Pipeline pipeline(tdb);
@@ -549,27 +523,21 @@ TEST(SimAllocation, RunsAllocateNothingPerUopOrCopy)
             auto body = asm_(listing);
             if (!supportedOn(arch, body))
                 continue;
-            sim::DecodedKernel decoded(tdb, prologue, body, epilogue);
-            // A counter read in the last copy keeps every copy
-            // simulated, so a per-copy allocation cannot hide in the
+            sim::DecodedKernel decoded(tdb, body);
+            // Counting every copy as the prefix keeps every copy
+            // simulated (the period search starts after the prefix),
+            // so a per-copy allocation cannot hide in the
             // fast-forwarded tail.
-            auto markers = [&](int n) {
-                return std::vector<size_t>{
-                    2, prologue.size() + body.size() * (n - 1),
-                    decoded.totalSize(n) - 2};
-            };
             auto countAllocations = [&](int n) {
-                std::vector<size_t> at = markers(n);
                 g_allocations = 0;
                 g_count_allocations = true;
-                sim::RunResult run = pipeline.run(decoded, n, at);
+                sim::RunResult run = pipeline.run(decoded, n, n);
                 g_count_allocations = false;
                 EXPECT_EQ(run.simulated_cycles, run.cycles);
                 return g_allocations.load();
             };
             // Warm the scratch arena to the larger run's size.
-            pipeline.run(decoded, sim::kUnrollLarge,
-                         markers(sim::kUnrollLarge));
+            pipeline.run(decoded, sim::kUnrollLarge, sim::kUnrollLarge);
             size_t small = countAllocations(sim::kUnrollSmall);
             size_t large = countAllocations(sim::kUnrollLarge);
             EXPECT_EQ(small, large)
