@@ -42,7 +42,8 @@ struct Prediction
     double frontend_bound = 0.0;
     double divider_bound = 0.0;
     std::array<double, 8> port_pressure{};
-    std::string bottleneck;         ///< "ports" | "deps" | ...
+    /** "ports" | "dependencies" | "front end" | "divider". */
+    std::string bottleneck;
 
     std::string toString() const;
 };

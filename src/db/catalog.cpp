@@ -243,18 +243,6 @@ DatabaseCatalog::uarches() const
     return out;
 }
 
-std::optional<RecordView>
-DatabaseCatalog::find(uarch::UArch arch, std::string_view name) const
-{
-    const InstructionDatabase *db = shard(arch);
-    if (db == nullptr)
-        return std::nullopt;
-    auto row = db->find(name);
-    if (!row)
-        return std::nullopt;
-    return db->record(*row);
-}
-
 std::vector<RecordView>
 DatabaseCatalog::findByName(std::string_view name) const
 {

@@ -208,9 +208,6 @@ class DatabaseCatalog
     size_t numRecords(uarch::UArch arch) const;
     std::vector<uarch::UArch> uarches() const;
 
-    std::optional<RecordView> find(uarch::UArch arch,
-                                   std::string_view name) const;
-
     /** All records with this variant name, in uarch order. */
     std::vector<RecordView> findByName(std::string_view name) const;
 

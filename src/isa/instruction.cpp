@@ -166,18 +166,6 @@ InstrVariant::hasVecOperand() const
     return false;
 }
 
-std::string
-InstrVariant::syntaxTemplate() const
-{
-    std::string out = mnemonic_;
-    const auto &expl = explicitOperands();
-    for (size_t i = 0; i < expl.size(); ++i) {
-        out += (i == 0) ? " " : ", ";
-        out += "%" + std::to_string(i);
-    }
-    return out;
-}
-
 const InstrVariant &
 InstrDb::add(std::string mnemonic, std::vector<OperandSpec> operands,
              Extension ext, InstrAttributes attrs)

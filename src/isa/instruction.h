@@ -147,9 +147,6 @@ class InstrVariant
     /** True when any operand is a vector (XMM/YMM) register. */
     bool hasVecOperand() const;
 
-    /** Assembler syntax with placeholders, e.g. "ADD %0, %1". */
-    std::string syntaxTemplate() const;
-
   private:
     int id_;
     std::string mnemonic_;

@@ -2,13 +2,11 @@
  * @file
  * Parser for the uops.info-style *results* XML (Section 6.4).
  *
- * xml_export.h already round-trips the instruction-set description
- * (Section 6.1); the measurement results emitted by
- * core::exportResultsXml() / CharacterizationReport::toXml() were
- * export-only until now. This module closes that asymmetry with a
+ * The measurement results emitted by core::exportResultsXml() /
+ * CharacterizationReport::toXml() are read back here, into a
  * plain-data representation of the results documents — deliberately
  * free of uarch/ and core/ types so it stays inside the isa layer —
- * and a parser accepting both roots:
+ * by a parser accepting both roots:
  *
  *   <uopsInfo architecture=... processor=...>   one uarch
  *   <uopsBatch uarches=...>                     a whole sweep

@@ -103,15 +103,6 @@ Conn::queueResponse(const HttpResponse &response, bool keep_alive)
 }
 
 size_t
-Conn::outputBytes() const
-{
-    size_t total = 0;
-    for (const Chunk &chunk : out_)
-        total += chunk.size();
-    return total - out_offset_;
-}
-
-size_t
 Conn::gatherOutput(struct iovec *iov, size_t max_iov) const
 {
     size_t n = 0;

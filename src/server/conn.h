@@ -148,7 +148,6 @@ class Conn
     void queueResponse(const HttpResponse &response, bool keep_alive);
 
     bool hasOutput() const { return !out_.empty(); }
-    size_t outputBytes() const;
 
     /** Fill up to @p max_iov iovecs with the pending output, resumed
      *  at the unsent offset. Returns the count filled. */

@@ -26,11 +26,6 @@ HttpServer::HttpServer(QueryService &service, Options options)
 {
 }
 
-HttpServer::HttpServer(QueryService &service)
-    : HttpServer(service, Options{})
-{
-}
-
 HttpServer::~HttpServer()
 {
     stop();

@@ -72,10 +72,8 @@ class HttpServer
         size_t reactor_threads = 0;
     };
 
+    /** `{}` options: loopback, ephemeral port. */
     HttpServer(QueryService &service, Options options);
-
-    /** Default options (loopback, ephemeral port). */
-    explicit HttpServer(QueryService &service);
 
     /** Stops and joins. */
     ~HttpServer();

@@ -295,14 +295,6 @@ QueryService::setReloader(Reloader reloader)
     reloader_ = std::move(reloader);
 }
 
-void
-QueryService::setReloader(std::function<CatalogPtr()> reloader)
-{
-    setReloader([inner = std::move(reloader)](db::RecoveryReport &) {
-        return inner();
-    });
-}
-
 QueryService::StatePtr
 QueryService::reloadState(db::RecoveryReport &report)
 {
@@ -1307,23 +1299,6 @@ QueryService::handleMetrics()
     response.body = registry_.renderPrometheus();
     response.body += obs::Registry::global().renderPrometheus();
     return response;
-}
-
-EndpointMetrics
-QueryService::metrics(Endpoint endpoint) const
-{
-    const EndpointInstruments &ins =
-        instruments_[static_cast<size_t>(endpoint)];
-    EndpointMetrics out;
-    out.requests = ins.requests->value();
-    out.errors = ins.errors->value();
-    out.cache_hits = ins.cache_hits->value();
-    obs::Histogram::Snapshot latency = ins.latency->snapshot();
-    out.total_us = latency.sum;
-    out.samples = latency.count;
-    out.p50_us = latency.quantile(0.50);
-    out.p99_us = latency.quantile(0.99);
-    return out;
 }
 
 } // namespace uops::server

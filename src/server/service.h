@@ -135,21 +135,6 @@ constexpr size_t kNumEndpoints = 10;
 /** Metrics name of a route ("/instr", ...). */
 const char *endpointName(Endpoint endpoint);
 
-/** Point-in-time copy of one endpoint's counters. */
-struct EndpointMetrics
-{
-    uint64_t requests = 0;
-    uint64_t errors = 0;       ///< responses with status >= 400
-    uint64_t cache_hits = 0;
-    uint64_t total_us = 0;     ///< wall time spent in handle()
-    uint64_t samples = 0;      ///< latency observations recorded
-
-    /** Median / tail handle() latency; empty until the endpoint has
-     *  been hit at least once — "no data" is not "0 µs". */
-    std::optional<uint64_t> p50_us;
-    std::optional<uint64_t> p99_us;
-};
-
 /** The request ID a response carries: @p client_id (the raw
  *  X-Request-Id value; empty = absent) when it is safe to echo —
  *  1..128 printable non-space ASCII chars — else a freshly minted
@@ -238,10 +223,6 @@ class QueryService
      */
     bool tryServeRaw(const FastGetView &raw, HttpResponse &response);
 
-    /** Counters for one endpoint (read from the registry — the same
-     *  series /metrics renders, so the two can never disagree). */
-    EndpointMetrics metrics(Endpoint endpoint) const;
-
     /** The service's metrics registry (what GET /metrics renders,
      *  together with obs::Registry::global()). */
     obs::Registry &registry() { return registry_; }
@@ -281,10 +262,6 @@ class QueryService
 
     /** Configure the /reload source. */
     void setReloader(Reloader reloader);
-
-    /** Convenience for reloaders that never recover (in-memory
-     *  swaps, tests): wraps @p reloader to ignore the report. */
-    void setReloader(std::function<CatalogPtr()> reloader);
 
     /** Run the reloader and swap (what POST /reload does). Returns
      *  the new epoch. Throws when no reloader is configured or the
@@ -404,10 +381,9 @@ class QueryService
     ResponseCache kernel_memo_;
     PredictEngine engine_;
 
-    /** Every counter below lives in this registry; the named
-     *  pointers are pre-resolved hot-path handles into it. /metrics
-     *  and metrics() both read the registry, so they agree by
-     *  construction. */
+    /** Every counter below lives in this registry, which /metrics
+     *  renders; the named pointers are pre-resolved hot-path handles
+     *  into it. */
     obs::Registry registry_;
     obs::Logger logger_;
 

@@ -5,8 +5,6 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -177,14 +175,6 @@ LogEvent::LogEvent(Logger *logger, LogLevel level,
     *cur_++ = '"';
 }
 
-LogEvent::LogEvent(LogEvent &&other) noexcept
-    : logger_(std::exchange(other.logger_, nullptr)),
-      begin_(std::exchange(other.begin_, nullptr)),
-      cur_(std::exchange(other.cur_, nullptr)),
-      end_(std::exchange(other.end_, nullptr))
-{
-}
-
 LogEvent::~LogEvent()
 {
     if (begin_ == nullptr)
@@ -291,38 +281,12 @@ LogEvent::num(std::string_view key, int64_t value)
 }
 
 LogEvent &
-LogEvent::num(std::string_view key, double value)
-{
-    if (begin_ == nullptr)
-        return *this;
-    // "%.17g" needs at most 24 bytes ("-1.2345678901234567e-308")
-    // plus snprintf's terminator.
-    constexpr size_t kDoubleBytes = 32;
-    field(key, kDoubleBytes);
-    if (std::isfinite(value))
-        cur_ += std::snprintf(cur_, kDoubleBytes, "%.17g", value);
-    else
-        raw("null");   // JSON has no Inf/NaN
-    return *this;
-}
-
-LogEvent &
 LogEvent::boolean(std::string_view key, bool value)
 {
     if (begin_ == nullptr)
         return *this;
     field(key, 5);
     raw(value ? "true" : "false");
-    return *this;
-}
-
-LogEvent &
-LogEvent::nullField(std::string_view key)
-{
-    if (begin_ == nullptr)
-        return *this;
-    field(key, 4);
-    raw("null");
     return *this;
 }
 

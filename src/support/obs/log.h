@@ -20,11 +20,11 @@
  * A line is written straight into a byte buffer taken from the
  * calling thread's one spare: line after line, a thread reuses the
  * same buffer and logging allocates nothing. The buffer goes back to
- * the spare slot of whichever thread destroys the event, when that
- * slot is empty and the buffer is at most kKeptLineBytes, so one
- * huge line does not pin memory on every thread. An event begun
- * while another is open on the same thread finds no spare and takes
- * a fresh buffer; it is emitted as its own line, when it dies.
+ * the thread's spare slot when the event dies, if that slot is empty
+ * and the buffer is at most kKeptLineBytes, so one huge line does
+ * not pin memory on every thread. An event begun while another is
+ * open on the same thread finds no spare and takes a fresh buffer;
+ * it is emitted as its own line, when it dies.
  *
  * Emission is serialized by a mutex — lines are atomic, never
  * interleaved — and rate-limited per wall-second: past
@@ -73,9 +73,9 @@ void appendJsonEscaped(std::string &out, std::string_view s);
 class Logger;
 
 /**
- * Move-only field builder; emits on destruction. An event built from
- * a disabled level holds no buffer and ignores every call. Fields
- * are formatted into the line as they are added.
+ * Field builder, neither copyable nor movable; emits on destruction.
+ * An event built from a disabled level holds no buffer and ignores
+ * every call. Fields are formatted into the line as they are added.
  */
 class LogEvent
 {
@@ -83,8 +83,6 @@ class LogEvent
     /** Largest buffer a thread keeps for its next line. */
     static constexpr size_t kKeptLineBytes = 4096;
 
-    LogEvent(LogEvent &&other) noexcept;
-    LogEvent &operator=(LogEvent &&) = delete;
     LogEvent(const LogEvent &) = delete;
     LogEvent &operator=(const LogEvent &) = delete;
     ~LogEvent();
@@ -92,9 +90,7 @@ class LogEvent
     LogEvent &str(std::string_view key, std::string_view value);
     LogEvent &num(std::string_view key, uint64_t value);
     LogEvent &num(std::string_view key, int64_t value);
-    LogEvent &num(std::string_view key, double value);
     LogEvent &boolean(std::string_view key, bool value);
-    LogEvent &nullField(std::string_view key);
 
   private:
     friend class Logger;

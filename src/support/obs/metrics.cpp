@@ -35,24 +35,6 @@ Histogram::snapshot() const
     return out;
 }
 
-std::optional<uint64_t>
-Histogram::Snapshot::quantile(double q) const
-{
-    if (count == 0)
-        return std::nullopt;
-    uint64_t target = static_cast<uint64_t>(
-        q * static_cast<double>(count) + 0.999999);
-    if (target > count)
-        target = count;
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < kBuckets; ++i) {
-        cumulative += buckets[i];
-        if (cumulative >= target)
-            return bucketUpperBound(i);
-    }
-    return bucketUpperBound(kBuckets - 1);
-}
-
 namespace {
 
 bool

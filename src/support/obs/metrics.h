@@ -12,8 +12,8 @@
  *              used to live privately in server/service.h: bucket i
  *              holds values whose bit_width is i (bucket 0 is the
  *              exact value 0, the last bucket is open-ended), so
- *              recording stays a single relaxed increment and
- *              quantiles are reconstructed from bucket upper bounds.
+ *              recording stays a single relaxed increment; a
+ *              scraper reads quantiles off the bucket upper bounds.
  *
  * A Registry owns instruments keyed by (name, sorted label set) and
  * renders the whole set in the Prometheus text exposition format
@@ -47,7 +47,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -130,14 +129,6 @@ class Histogram
         std::array<uint64_t, kBuckets> buckets{};
         uint64_t count = 0;
         uint64_t sum = 0;
-
-        /** Smallest bucket upper bound covering quantile @p q — a
-         *  conservative power-of-two ceiling, not an interpolation
-         *  (monitoring wants "no worse than", not pretty). Empty
-         *  when no samples were recorded: an endpoint that was
-         *  never hit has no percentile, which is not the same thing
-         *  as "sub-microsecond". */
-        std::optional<uint64_t> quantile(double q) const;
     };
 
     Snapshot snapshot() const;

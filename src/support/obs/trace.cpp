@@ -66,11 +66,6 @@ ChromeTracer::ChromeTracer(std::string path) : path_(std::move(path))
 {
 }
 
-ChromeTracer::~ChromeTracer()
-{
-    flush();
-}
-
 void
 ChromeTracer::complete(std::string_view name,
                        std::string_view category, uint64_t ts_us,
@@ -86,27 +81,6 @@ ChromeTracer::complete(std::string_view name,
              "}";
     std::lock_guard<std::mutex> lock(mutex_);
     events_.push_back(std::move(event));
-}
-
-void
-ChromeTracer::counter(std::string_view name, double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    std::string event = "{\"name\":\"";
-    appendJsonEscaped(event, name);
-    event += "\",\"ph\":\"C\",\"ts\":" + std::to_string(traceNowUs()) +
-             ",\"pid\":1,\"args\":{\"value\":" + std::string(buf) +
-             "}}";
-    std::lock_guard<std::mutex> lock(mutex_);
-    events_.push_back(std::move(event));
-}
-
-size_t
-ChromeTracer::bufferedEvents() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return events_.size();
 }
 
 void
@@ -155,18 +129,6 @@ SpanSet::Scope::Scope(Scope &&other) noexcept
     : set_(other.set_), index_(other.index_)
 {
     other.set_ = nullptr;
-}
-
-SpanSet::Scope &
-SpanSet::Scope::operator=(Scope &&other) noexcept
-{
-    if (this != &other) {
-        end();
-        set_ = other.set_;
-        index_ = other.index_;
-        other.set_ = nullptr;
-    }
-    return *this;
 }
 
 void

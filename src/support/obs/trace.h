@@ -18,9 +18,9 @@
  * destruction (or explicit end()) closes the span; nesting depth is
  * the number of open scopes at creation.
  *
- * ChromeTracer appends complete ("ph":"X") events — and counter
- * ("ph":"C") series — to an in-memory buffer and writes a
- * chrome://tracing / Perfetto-loadable JSON document on flush().
+ * ChromeTracer appends complete ("ph":"X") events to an in-memory
+ * buffer and writes a chrome://tracing / Perfetto-loadable JSON
+ * document on flush() only; destroying a tracer does not write.
  * ChromeTracer::fromEnv() is the process profiling hook: when
  * UOPS_TRACE=<file> is set it returns a singleton writing to that
  * file (flushed at process exit), otherwise nullptr, so callers
@@ -52,7 +52,6 @@ class ChromeTracer
 {
   public:
     explicit ChromeTracer(std::string path);
-    ~ChromeTracer();
 
     ChromeTracer(const ChromeTracer &) = delete;
     ChromeTracer &operator=(const ChromeTracer &) = delete;
@@ -62,14 +61,9 @@ class ChromeTracer
     void complete(std::string_view name, std::string_view category,
                   uint64_t ts_us, uint64_t dur_us);
 
-    /** A counter sample (rendered as a stacked series). */
-    void counter(std::string_view name, double value);
-
     /** Write the buffered document to the path (atomic buffer swap;
      *  later events start a fresh document on the next flush). */
     void flush();
-
-    size_t bufferedEvents() const;
 
     /** The UOPS_TRACE singleton, or nullptr when unset. */
     static ChromeTracer *fromEnv();
@@ -98,7 +92,6 @@ class SpanSet
       public:
         Scope() = default;
         Scope(Scope &&other) noexcept;
-        Scope &operator=(Scope &&other) noexcept;
         Scope(const Scope &) = delete;
         Scope &operator=(const Scope &) = delete;
         ~Scope() { end(); }

@@ -59,18 +59,6 @@ splitWhitespace(std::string_view s)
     return out;
 }
 
-std::string
-join(const std::vector<std::string> &pieces, std::string_view sep)
-{
-    std::string out;
-    for (size_t i = 0; i < pieces.size(); ++i) {
-        if (i > 0)
-            out += sep;
-        out += pieces[i];
-    }
-    return out;
-}
-
 bool
 startsWith(std::string_view s, std::string_view prefix)
 {
@@ -91,16 +79,6 @@ toUpper(std::string_view s)
     std::string out(s);
     std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
         return static_cast<char>(std::toupper(c));
-    });
-    return out;
-}
-
-std::string
-toLower(std::string_view s)
-{
-    std::string out(s);
-    std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
     });
     return out;
 }
@@ -130,15 +108,6 @@ parseDouble(std::string_view s)
     if (end != t.c_str() + t.size())
         return std::nullopt;
     return value;
-}
-
-std::pair<std::string, std::string>
-splitKeyValue(std::string_view s)
-{
-    size_t pos = s.find('=');
-    if (pos == std::string_view::npos)
-        return {trim(s), ""};
-    return {trim(s.substr(0, pos)), trim(s.substr(pos + 1))};
 }
 
 } // namespace uops

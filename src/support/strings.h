@@ -24,10 +24,6 @@ std::vector<std::string> split(std::string_view s, char sep,
 /** Split on arbitrary whitespace runs. */
 std::vector<std::string> splitWhitespace(std::string_view s);
 
-/** Join pieces with a separator. */
-std::string join(const std::vector<std::string> &pieces,
-                 std::string_view sep);
-
 /** True when @p s begins with @p prefix. */
 bool startsWith(std::string_view s, std::string_view prefix);
 
@@ -37,21 +33,11 @@ bool endsWith(std::string_view s, std::string_view suffix);
 /** Uppercase an ASCII string. */
 std::string toUpper(std::string_view s);
 
-/** Lowercase an ASCII string. */
-std::string toLower(std::string_view s);
-
 /** Parse a decimal integer; empty optional on malformed input. */
 std::optional<long> parseInt(std::string_view s);
 
 /** Parse a decimal floating-point number; empty optional on failure. */
 std::optional<double> parseDouble(std::string_view s);
-
-/**
- * Split a "key=value" pair at the first '='.
- *
- * @return {key, value}; value is empty when no '=' is present.
- */
-std::pair<std::string, std::string> splitKeyValue(std::string_view s);
 
 } // namespace uops
 

@@ -89,12 +89,6 @@ xmlFormatDouble(double value)
 }
 
 XmlNode &
-XmlNode::attr(const std::string &key, double value)
-{
-    return attr(key, xmlFormatDouble(value));
-}
-
-XmlNode &
 XmlNode::attr(const std::string &key, Cycles value)
 {
     return attr(key, value.str());

@@ -51,7 +51,6 @@ class XmlNode
     /** Set (or overwrite) an attribute. Returns *this for chaining. */
     XmlNode &attr(const std::string &key, const std::string &value);
     XmlNode &attr(const std::string &key, long value);
-    XmlNode &attr(const std::string &key, double value);
     XmlNode &attr(const std::string &key, Cycles value);
 
     /** Look up an attribute; empty string when missing. */

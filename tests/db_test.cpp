@@ -392,23 +392,18 @@ TEST(ResultsXml, PortUsageStringRoundTrips)
 TEST(DbQuery, PointLookup)
 {
     const db::DatabaseCatalog &catalog = *sweepCatalog();
-    auto rec = catalog.find(uarch::UArch::Skylake, "ADD_R64_R64");
-    ASSERT_TRUE(rec.has_value());
-    EXPECT_EQ(rec->name(), "ADD_R64_R64");
-    EXPECT_EQ(rec->mnemonic(), "ADD");
-    EXPECT_EQ(rec->arch(), uarch::UArch::Skylake);
-    EXPECT_GT(rec->uopCount(), 0);
-    EXPECT_GT(rec->tpMeasured().hundredths(), 0);
-
-    // The shard's own lookup is by name alone.
+    // A point lookup picks the uarch's shard, then finds by name.
     const db::InstructionDatabase &skl =
         *catalog.shard(uarch::UArch::Skylake);
     auto row = skl.find("ADD_R64_R64");
     ASSERT_TRUE(row.has_value());
-    EXPECT_EQ(skl.record(*row).tpMeasured(), rec->tpMeasured());
+    db::RecordView rec = skl.record(*row);
+    EXPECT_EQ(rec.name(), "ADD_R64_R64");
+    EXPECT_EQ(rec.mnemonic(), "ADD");
+    EXPECT_EQ(rec.arch(), uarch::UArch::Skylake);
+    EXPECT_GT(rec.uopCount(), 0);
+    EXPECT_GT(rec.tpMeasured().hundredths(), 0);
     EXPECT_FALSE(skl.find("NO_SUCH_VARIANT"));
-
-    EXPECT_FALSE(catalog.find(uarch::UArch::Skylake, "NO_SUCH_VARIANT"));
     // Present on both uarches.
     EXPECT_EQ(catalog.findByName("ADD_R64_R64").size(), 2u);
 }
@@ -676,10 +671,11 @@ TEST(DbConcurrency, ParallelReadersSeeIdenticalAnswers)
     const auto baseline_add = names(catalog.search(by_mnemonic));
     const auto baseline_diff =
         catalog.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
-    const auto baseline_rec =
-        catalog.find(uarch::UArch::Skylake, "ADD_R64_R64");
-    ASSERT_TRUE(baseline_rec.has_value());
-    const Cycles baseline_tp = baseline_rec->tpMeasured();
+    const db::InstructionDatabase &skl =
+        *catalog.shard(uarch::UArch::Skylake);
+    const auto baseline_row = skl.find("ADD_R64_R64");
+    ASSERT_TRUE(baseline_row.has_value());
+    const Cycles baseline_tp = skl.record(*baseline_row).tpMeasured();
 
     std::atomic<size_t> mismatches{0};
     ThreadPool pool(8);
@@ -704,9 +700,8 @@ TEST(DbConcurrency, ParallelReadersSeeIdenticalAnswers)
             break;
           }
           case 3: {
-            auto rec =
-                catalog.find(uarch::UArch::Skylake, "ADD_R64_R64");
-            if (!rec || rec->tpMeasured() != baseline_tp)
+            auto row = skl.find("ADD_R64_R64");
+            if (!row || skl.record(*row).tpMeasured() != baseline_tp)
                 ++mismatches;
             break;
           }
@@ -758,11 +753,16 @@ TEST(Catalog, GoldenShardRoundTrip)
     }
 
     // Query answers match the in-memory catalog.
-    auto view = loaded->find(uarch::UArch::Skylake, "ADD_R64_R64");
-    ASSERT_TRUE(view.has_value());
-    auto want_view =
-        sweepCatalog()->find(uarch::UArch::Skylake, "ADD_R64_R64");
-    EXPECT_EQ(view->tpMeasured(), want_view->tpMeasured());
+    const db::InstructionDatabase &got_skl =
+        *loaded->shard(uarch::UArch::Skylake);
+    const db::InstructionDatabase &want_skl =
+        *sweepCatalog()->shard(uarch::UArch::Skylake);
+    auto got_row = got_skl.find("ADD_R64_R64");
+    auto want_row = want_skl.find("ADD_R64_R64");
+    ASSERT_TRUE(got_row.has_value());
+    ASSERT_TRUE(want_row.has_value());
+    EXPECT_EQ(got_skl.record(*got_row).tpMeasured(),
+              want_skl.record(*want_row).tpMeasured());
     db::Query query;
     query.uses_ports = uarch::portMask({0});
     EXPECT_EQ(loaded->search(query).size(),

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -131,11 +132,18 @@ verifyReopen(const std::string &dir, db::RecoveryReport *report)
                                           : *splicedCatalog();
     EXPECT_EQ(loaded->numRecords(), want.numRecords());
     EXPECT_EQ(loaded->uarches(), want.uarches());
-    auto got = loaded->find(uarch::UArch::Nehalem, "ADD_R64_R64");
-    auto ref = want.find(uarch::UArch::Nehalem, "ADD_R64_R64");
-    EXPECT_EQ(got.has_value(), ref.has_value());
-    if (got && ref)
-        EXPECT_EQ(got->tpMeasured(), ref->tpMeasured());
+    auto nhmAddTp = [](const db::DatabaseCatalog &catalog)
+        -> std::optional<Cycles> {
+        const db::InstructionDatabase *nhm =
+            catalog.shard(uarch::UArch::Nehalem);
+        if (nhm == nullptr)
+            return std::nullopt;
+        auto row = nhm->find("ADD_R64_R64");
+        if (!row)
+            return std::nullopt;
+        return nhm->record(*row).tpMeasured();
+    };
+    EXPECT_EQ(nhmAddTp(*loaded), nhmAddTp(want));
     return loaded->generation();
 }
 

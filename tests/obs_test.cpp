@@ -11,9 +11,9 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -77,23 +77,24 @@ TEST(ObsMetrics, HistogramBucketMath)
     EXPECT_EQ(snapshot.buckets[obs::Histogram::kBuckets - 1], 1u);
 }
 
-TEST(ObsMetrics, HistogramQuantilesAreConservative)
+TEST(ObsMetrics, HistogramSnapshotCountsAndSums)
 {
     obs::Histogram histogram;
     auto empty = histogram.snapshot();
     EXPECT_EQ(empty.count, 0u);
-    EXPECT_FALSE(empty.quantile(0.5).has_value());
+    EXPECT_EQ(empty.sum, 0u);
 
     for (uint64_t v : {1ull, 2ull, 3ull, 100ull})
         histogram.observe(v);
     auto snapshot = histogram.snapshot();
     EXPECT_EQ(snapshot.count, 4u);
     EXPECT_EQ(snapshot.sum, 106u);
-    // p50 falls in the bucket holding 2 and 3 (upper bound 3); p99
-    // must cover the outlier's bucket ceiling, never undershoot it.
-    EXPECT_EQ(snapshot.quantile(0.5), std::optional<uint64_t>(3));
-    ASSERT_TRUE(snapshot.quantile(0.99).has_value());
-    EXPECT_GE(*snapshot.quantile(0.99), 100u);
+    // 2 and 3 share the bucket bounded by 3; 100 lands in the one
+    // bounded by 127.
+    EXPECT_EQ(snapshot.buckets[1], 1u);
+    EXPECT_EQ(snapshot.buckets[2], 2u);
+    EXPECT_EQ(snapshot.buckets[7], 1u);
+    EXPECT_EQ(obs::Histogram::bucketUpperBound(7), 127u);
 }
 
 // ---------------------------------------------------------------------
@@ -237,10 +238,7 @@ TEST(ObsLog, EmitsValidJsonWithAllFieldTypes)
         .str("quoted", "a\"b\\c\nd\te\x01f")
         .num("u", static_cast<uint64_t>(42))
         .num("i", static_cast<int64_t>(-7))
-        .num("d", 1.5)
-        .num("nan", std::nan(""))
-        .boolean("yes", true)
-        .nullField("nothing");
+        .boolean("yes", true);
 
     ASSERT_EQ(lines.size(), 1u);
     const std::string &line = lines[0];
@@ -250,9 +248,6 @@ TEST(ObsLog, EmitsValidJsonWithAllFieldTypes)
     EXPECT_NE(line.find("\"event\":\"kitchen_sink\""),
               std::string::npos);
     EXPECT_NE(line.find("\"i\":-7"), std::string::npos);
-    // Non-finite doubles must degrade to null, not invalid JSON.
-    EXPECT_NE(line.find("\"nan\":null"), std::string::npos);
-    EXPECT_NE(line.find("\"nothing\":null"), std::string::npos);
 }
 
 TEST(ObsLog, LevelFilteringIsComplete)
@@ -372,16 +367,8 @@ TEST(ObsLog, LinesAreByteExact)
         .num("imin", INT64_MIN)
         .num("imax", INT64_MAX)
         .num("ineg", static_cast<int64_t>(-7))
-        .num("d", 0.1)
-        .num("dneg", -2.5)
-        .num("dbig", 1e300)
-        .num("dtiny", 5e-324)
-        .num("inf", HUGE_VAL)
-        .num("ninf", -HUGE_VAL)
-        .num("nan", std::nan(""))
         .boolean("t", true)
-        .boolean("f", false)
-        .nullField("n");
+        .boolean("f", false);
     expected.push_back(
         ",\"level\":\"info\",\"component\":\"go\\\"lden\","
         "\"event\":\"fields\\n\",\"s\":\"plain\","
@@ -389,11 +376,7 @@ TEST(ObsLog, LinesAreByteExact)
         "\x7f\xc3\xa9\",\"\":\"\",\"k\\\\\\\"\\u001f\":\"v\","
         "\"u0\":0,\"umax\":18446744073709551615,"
         "\"imin\":-9223372036854775808,\"imax\":9223372036854775807,"
-        "\"ineg\":-7,\"d\":0.10000000000000001,\"dneg\":-2.5,"
-        "\"dbig\":1.0000000000000001e+300,"
-        "\"dtiny\":4.9406564584124654e-324,\"inf\":null,"
-        "\"ninf\":null,\"nan\":null,\"t\":true,\"f\":false,"
-        "\"n\":null}");
+        "\"ineg\":-7,\"t\":true,\"f\":false}");
 
     // Every level's name; an event without fields.
     logger.event(obs::LogLevel::Debug, "", "");
@@ -402,7 +385,8 @@ TEST(ObsLog, LinesAreByteExact)
     logger.event(obs::LogLevel::Warn, "c", "e").boolean("b", false);
     expected.push_back(",\"level\":\"warn\",\"component\":\"c\","
                        "\"event\":\"e\",\"b\":false}");
-    logger.event(obs::LogLevel::Error, "c", "e").num("i", 0.0);
+    logger.event(obs::LogLevel::Error, "c", "e")
+        .num("i", static_cast<int64_t>(0));
     expected.push_back(",\"level\":\"error\",\"component\":\"c\","
                        "\"event\":\"e\",\"i\":0}");
 
@@ -440,38 +424,6 @@ TEST(ObsLog, LinesAreByteExact)
                        plain.substr(0, 300) + "\"}");
     expected.push_back(",\"level\":\"info\",\"component\":\"nest\","
                        "\"event\":\"outer\",\"a\":\"1\",\"c\":3}");
-
-    // A moved event is one line, from its last owner.
-    {
-        obs::LogEvent first =
-            logger.event(obs::LogLevel::Info, "move", "from");
-        first.str("before", "x");
-        obs::LogEvent second(std::move(first));
-        second.str("after", "y");
-    }
-    expected.push_back(",\"level\":\"info\",\"component\":\"move\","
-                       "\"event\":\"from\",\"before\":\"x\","
-                       "\"after\":\"y\"}");
-
-    // An event begun here and finished (destroyed) on another thread;
-    // both threads log normally afterwards.
-    {
-        obs::LogEvent crossing =
-            logger.event(obs::LogLevel::Info, "thread", "crossing");
-        crossing.str("on", "main");
-        std::thread worker([event = std::move(crossing)]() mutable {
-            obs::LogEvent last(std::move(event));
-            last.str("then", "worker");
-        });
-        worker.join();
-    }
-    expected.push_back(",\"level\":\"info\",\"component\":\"thread\","
-                       "\"event\":\"crossing\",\"on\":\"main\","
-                       "\"then\":\"worker\"}");
-    logger.event(obs::LogLevel::Info, "thread", "main_again")
-        .num("n", static_cast<uint64_t>(2));
-    expected.push_back(",\"level\":\"info\",\"component\":\"thread\","
-                       "\"event\":\"main_again\",\"n\":2}");
 
     // A disabled event writes nothing.
     logger.setMinLevel(obs::LogLevel::Warn);
@@ -636,25 +588,27 @@ TEST(ObsTrace, ScopeEndIsIdempotentAndMovable)
     ASSERT_EQ(spans.entries().size(), 1u);
 }
 
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
 TEST(ObsTrace, ChromeTracerWritesLoadableJson)
 {
     auto path = fs::temp_directory_path() /
                 ("obs_trace_" +
                  std::to_string(::getpid()) + ".json");
     fs::remove(path);
-    {
-        obs::ChromeTracer tracer(path.string());
-        tracer.complete("alpha", "test", 10, 5);
-        tracer.counter("queue", 3.0);
-        EXPECT_EQ(tracer.bufferedEvents(), 2u);
-        tracer.flush();
-        EXPECT_EQ(tracer.bufferedEvents(), 0u);
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
+    obs::ChromeTracer tracer(path.string());
+    tracer.complete("alpha", "test", 10, 5);
+    tracer.complete("beta", "test", 15, 1);
+    tracer.flush();
+    std::string doc = readFile(path);
     // One-document JSON: the validator accepts it whole.
     std::string flat;
     for (char c : doc)
@@ -663,8 +617,16 @@ TEST(ObsTrace, ChromeTracerWritesLoadableJson)
     EXPECT_TRUE(isValidJsonObject(flat)) << doc;
     EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(doc.find("\"alpha\""), std::string::npos);
+    EXPECT_NE(doc.find("\"beta\""), std::string::npos);
     EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos);
+
+    // A flush empties the buffer: later events start a fresh
+    // document.
+    tracer.complete("gamma", "test", 20, 2);
+    tracer.flush();
+    doc = readFile(path);
+    EXPECT_NE(doc.find("\"gamma\""), std::string::npos) << doc;
+    EXPECT_EQ(doc.find("\"alpha\""), std::string::npos) << doc;
     fs::remove(path);
 }
 
@@ -673,12 +635,19 @@ TEST(ObsTrace, SpanSetForwardsClosedSpansToTracer)
     auto path = fs::temp_directory_path() /
                 ("obs_spans_" +
                  std::to_string(::getpid()) + ".json");
+    fs::remove(path);
     obs::ChromeTracer tracer(path.string());
     {
         obs::SpanSet spans("unit", &tracer);
         auto scope = spans.span("forwarded");
     }
-    EXPECT_EQ(tracer.bufferedEvents(), 1u);
+    tracer.flush();
+    std::string doc = readFile(path);
+    EXPECT_NE(doc.find("{\"name\":\"forwarded\",\"cat\":\"unit\","
+                       "\"ph\":\"X\""),
+              std::string::npos)
+        << doc;
+    EXPECT_EQ(std::count(doc.begin(), doc.end(), '\n'), 3) << doc;
     fs::remove(path);
 }
 

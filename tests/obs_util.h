@@ -152,6 +152,22 @@ parseExposition(const std::string &text)
     return out;
 }
 
+/** The sample of @p family{endpoint="@p endpoint"}, one of the
+ *  per-endpoint series /metrics renders; a missing series fails the
+ *  test (and reads -1). */
+inline double
+endpointSample(const Exposition &parsed, const std::string &family,
+               const std::string &endpoint)
+{
+    std::string key = family + "{endpoint=\"" + endpoint + "\"}";
+    auto it = parsed.series.find(key);
+    if (it == parsed.series.end()) {
+        ADD_FAILURE() << "missing series: " << key;
+        return -1;
+    }
+    return it->second;
+}
+
 /**
  * Minimal JSON syntax check for one log line: balanced structure,
  * valid strings/escapes/numbers/literals. Accepts exactly one

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "db/catalog.h"
+#include "obs_util.h"
 #include "server/service.h"
 #include "test_util.h"
 
@@ -177,10 +178,14 @@ TEST(PredictSoak, HammeredPredictStaysConsistentAcrossHotSwaps)
     EXPECT_GE(memo.insertions, soakCorpus().size());
 
     // And the requests all landed in the metrics.
-    auto metrics = service.metrics(server::Endpoint::Predict);
-    EXPECT_EQ(metrics.requests,
-              static_cast<uint64_t>(kClientThreads) *
-                  kRequestsPerThread);
+    HttpRequest scrape;
+    scrape.method = "GET";
+    scrape.target = "/metrics";
+    scrape.path = "/metrics";
+    Exposition parsed = parseExposition(service.handle(scrape).body);
+    EXPECT_EQ(endpointSample(parsed, "uops_http_requests_total",
+                             "/predict"),
+              static_cast<double>(kClientThreads * kRequestsPerThread));
 }
 
 TEST(PredictSoak, ReloadEndpointUnderConcurrentPredictLoad)
@@ -189,8 +194,8 @@ TEST(PredictSoak, ReloadEndpointUnderConcurrentPredictLoad)
     // alternating generations while clients predict.
     server::QueryService service(genA(), defaultDb(), soakOptions());
     std::atomic<int> reloads{0};
-    service.setReloader(
-        [&reloads]() -> server::QueryService::CatalogPtr {
+    service.setReloader([&reloads](db::RecoveryReport &)
+                            -> server::QueryService::CatalogPtr {
             return (reloads.fetch_add(1) % 2 == 0) ? genB() : genA();
         });
 

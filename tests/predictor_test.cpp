@@ -138,6 +138,19 @@ TEST(Predictor, FrontEndBound)
     double hw = simulated(UArch::Skylake,
                           "NOP\nNOP\nNOP\nNOP\nNOP\nNOP\nNOP\nNOP");
     EXPECT_LE(p.block_throughput, hw + 0.1);
+
+    // Six fused-domain µops through a 4-wide front end take 1.5
+    // cycles; the four ALU ports and the two load ports need only 1.
+    const char *listing = "ADD RAX, R8\nADD RBX, R8\n"
+                          "ADD RCX, R8\nADD RDX, R8\n"
+                          "MOV RSI, [R9]\nMOV RDI, [R10]";
+    auto mixed = pred.analyzeLoop(asm_(listing));
+    EXPECT_EQ(mixed.bottleneck, "front end");
+    EXPECT_NEAR(mixed.frontend_bound, 1.5, 0.01);
+    EXPECT_NEAR(mixed.port_bound, 1.0, 0.05);
+    EXPECT_NEAR(mixed.block_throughput, 1.5, 0.01);
+    EXPECT_NEAR(simulated(UArch::Skylake, listing),
+                mixed.block_throughput, 0.15);
 }
 
 TEST(Predictor, DividerBound)

@@ -230,7 +230,7 @@ TEST(ReactorConformance, WireIdenticalToHandle)
 {
     auto reactor_service = makeService();
     auto reference_service = makeService();
-    server::HttpServer reactor_http(*reactor_service);
+    server::HttpServer reactor_http(*reactor_service, {});
     reactor_http.start();
     // The reference: the same head httpGet() sends, parsed and
     // answered by handle() on a second service, then serialized.
@@ -286,7 +286,7 @@ TEST(ReactorConformance, WireIdenticalToHandle)
 TEST(ReactorConformance, IfNoneMatchRevalidatesFreeOfBodies)
 {
     auto service = makeService();
-    server::HttpServer http(*service);
+    server::HttpServer http(*service, {});
     http.start();
 
     std::string fresh = httpGet(http.port(), "/uarchs");
@@ -584,7 +584,7 @@ TEST(ReactorTorture, HotSwapUnderLoadServesOnlyWholeGenerations)
     ASSERT_NE(gen_a, gen_b);
 
     auto service = makeService();
-    server::HttpServer http(*service);
+    server::HttpServer http(*service, {});
     http.start();
 
     std::atomic<bool> done{false};

@@ -599,9 +599,13 @@ TEST(Service, AnalyticsResponsesAreCached)
     EXPECT_FALSE(first.cache_hit);
     EXPECT_TRUE(second.cache_hit);
     EXPECT_EQ(first.bodyView(), second.bodyView());
-    auto metrics = service->metrics(Endpoint::Analytics);
-    EXPECT_EQ(metrics.requests, 2u);
-    EXPECT_EQ(metrics.cache_hits, 1u);
+    Exposition parsed = scrape(*service);
+    EXPECT_EQ(endpointSample(parsed, "uops_http_requests_total",
+                             "/analytics"),
+              2.0);
+    EXPECT_EQ(endpointSample(parsed, "uops_http_cache_hits_total",
+                             "/analytics"),
+              1.0);
 }
 
 TEST(Service, DiffEndpointComparesUArches)
@@ -765,10 +769,14 @@ TEST(Service, RepeatedGetHitsCacheWithIdenticalBody)
     EXPECT_NE(first.blob.get(), nullptr);
     EXPECT_EQ(service->cacheStats().owned_bytes, 0u);
 
-    auto metrics = service->metrics(Endpoint::Instr);
-    EXPECT_EQ(metrics.requests, 2u);
-    EXPECT_EQ(metrics.cache_hits, 1u);
-    EXPECT_EQ(metrics.errors, 0u);
+    Exposition parsed = scrape(*service);
+    EXPECT_EQ(endpointSample(parsed, "uops_http_requests_total", "/instr"),
+              2.0);
+    EXPECT_EQ(
+        endpointSample(parsed, "uops_http_cache_hits_total", "/instr"),
+        1.0);
+    EXPECT_EQ(endpointSample(parsed, "uops_http_errors_total", "/instr"),
+              0.0);
 
     auto cache = service->cacheStats();
     EXPECT_EQ(cache.hits, 1u);
@@ -780,10 +788,14 @@ TEST(Service, ErrorsAreCountedAndNotCached)
     auto service = makeService();
     EXPECT_EQ(service->handle(get("/instr/NO_SUCH")).status, 404);
     EXPECT_EQ(service->handle(get("/instr/NO_SUCH")).status, 404);
-    auto metrics = service->metrics(Endpoint::Instr);
-    EXPECT_EQ(metrics.requests, 2u);
-    EXPECT_EQ(metrics.errors, 2u);
-    EXPECT_EQ(metrics.cache_hits, 0u);
+    Exposition parsed = scrape(*service);
+    EXPECT_EQ(endpointSample(parsed, "uops_http_requests_total", "/instr"),
+              2.0);
+    EXPECT_EQ(endpointSample(parsed, "uops_http_errors_total", "/instr"),
+              2.0);
+    EXPECT_EQ(
+        endpointSample(parsed, "uops_http_cache_hits_total", "/instr"),
+        0.0);
     EXPECT_EQ(service->cacheStats().insertions, 0u);
 }
 
@@ -796,8 +808,7 @@ TEST(Service, MetricsExposeEndpointCacheAndPredictSeries)
         parsed.series["uops_http_requests_total{endpoint=\"/healthz\"}"],
         1.0);
 
-    // Latency percentiles: one histogram per endpoint, which
-    // metrics() reads p50/p99 from.
+    // Latency: one histogram per endpoint.
     for (size_t i = 0; i < server::kNumEndpoints; ++i) {
         std::string labels =
             std::string("{endpoint=\"") +
@@ -807,9 +818,6 @@ TEST(Service, MetricsExposeEndpointCacheAndPredictSeries)
                   1u)
             << labels;
     }
-    auto healthz = service->metrics(Endpoint::Healthz);
-    EXPECT_TRUE(healthz.p50_us.has_value());
-    EXPECT_TRUE(healthz.p99_us.has_value());
 
     // The response cache, the kernel memo, admission rejections and
     // the engine. The admission limits themselves are configuration,
@@ -989,7 +997,7 @@ TEST(ServiceSwap, ReloadEndpointSwapsViaReloader)
     EXPECT_EQ(service->handle(post).status, 503);
 
     size_t reloads = 0;
-    service->setReloader([&reloads] {
+    service->setReloader([&reloads](db::RecoveryReport &) {
         ++reloads;
         return altCatalog();
     });
@@ -999,7 +1007,9 @@ TEST(ServiceSwap, ReloadEndpointSwapsViaReloader)
               std::string::npos);
     EXPECT_EQ(reloads, 1u);
     EXPECT_EQ(service->catalog().get(), altCatalog().get());
-    EXPECT_EQ(service->metrics(Endpoint::Reload).requests, 3u);
+    EXPECT_EQ(endpointSample(scrape(*service), "uops_http_requests_total",
+                             "/reload"),
+              3.0);
 }
 
 // ---------------------------------------------------------------------
@@ -1039,7 +1049,9 @@ TEST(ServiceConcurrency, HammeredEndpointsStaySnapshotIdentical)
     // The hammering must have been served mostly from cache.
     auto cache = service->cacheStats();
     EXPECT_GT(cache.hits, 0u);
-    EXPECT_EQ(service->metrics(Endpoint::Search).errors, 0u);
+    EXPECT_EQ(endpointSample(scrape(*service), "uops_http_errors_total",
+                             "/search"),
+              0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -1142,7 +1154,7 @@ httpGet(uint16_t port, const std::string &target)
 TEST(HttpServerSocket, ServesRequestsOnEphemeralPort)
 {
     auto service = makeService();
-    server::HttpServer http(*service);
+    server::HttpServer http(*service, {});
     http.start();
     ASSERT_GT(http.port(), 0);
 
@@ -1169,7 +1181,7 @@ TEST(HttpServerSocket, ServesRequestsOnEphemeralPort)
 TEST(HttpServerSocket, ConcurrentClientsGetConsistentAnswers)
 {
     auto service = makeService();
-    server::HttpServer http(*service);
+    server::HttpServer http(*service, {});
     http.start();
 
     // Headers carry a per-request X-Request-Id, so identity is a
@@ -1204,7 +1216,7 @@ TEST(HttpServerSocket, ConcurrentClientsGetConsistentAnswers)
 TEST(HttpServerSocket, KeepAliveServesManyRequestsPerConnection)
 {
     auto service = makeService();
-    server::HttpServer http(*service);
+    server::HttpServer http(*service, {});
     http.start();
 
     int fd = connectTo(http.port());
@@ -1301,7 +1313,7 @@ TEST(HttpServerSocket, HotSwapUnderConcurrentLoadIsAtomic)
         ASSERT_NE(baseline_a[i], baseline_b[i]) << targets[i];
 
     auto service = makeService();
-    server::HttpServer http(*service);
+    server::HttpServer http(*service, {});
     http.start();
 
     std::atomic<bool> done{false};
@@ -1355,7 +1367,7 @@ TEST(HttpServerSocket, HotSwapUnderConcurrentLoadIsAtomic)
 TEST(HttpServerSocket, MalformedRequestGets400)
 {
     auto service = makeService();
-    server::HttpServer http(*service);
+    server::HttpServer http(*service, {});
     http.start();
 
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -1663,28 +1675,38 @@ TEST(Observability, MetricsExpositionMatchesRegistry)
               std::string::npos);
     Exposition parsed = parseExposition(response.body);
 
-    // Every per-endpoint series must agree with the metrics()
-    // accessor — one registry, two readers. The /metrics request
-    // itself is mid-flight when the body renders: its own request
-    // counter is already incremented, its latency not yet observed.
+    // Every endpoint's series counts exactly the requests above. The
+    // /metrics request itself is mid-flight when the body renders:
+    // its own request counter is already incremented, its latency
+    // not yet observed.
     for (size_t i = 0; i < server::kNumEndpoints; ++i) {
         auto endpoint = static_cast<Endpoint>(i);
-        auto metrics = service->metrics(endpoint);
-        std::string labels = std::string("{endpoint=\"") +
-                             server::endpointName(endpoint) + "\"}";
-        EXPECT_EQ(parsed.series["uops_http_requests_total" + labels],
-                  static_cast<double>(metrics.requests))
-            << server::endpointName(endpoint);
-        EXPECT_EQ(parsed.series["uops_http_errors_total" + labels],
-                  static_cast<double>(metrics.errors));
+        const std::string name = server::endpointName(endpoint);
+        double requests = 0, errors = 0, cache_hits = 0;
+        switch (endpoint) {
+          case Endpoint::Healthz: requests = 2; break;
+          case Endpoint::Instr: requests = 2, cache_hits = 1; break;
+          case Endpoint::Other: requests = 1, errors = 1; break;
+          case Endpoint::Predict: requests = 1; break;
+          case Endpoint::Metrics: requests = 1; break;
+          default: break;
+        }
+        double observed = endpoint == Endpoint::Metrics ? 0 : requests;
+        EXPECT_EQ(endpointSample(parsed, "uops_http_requests_total", name),
+                  requests)
+            << name;
+        EXPECT_EQ(endpointSample(parsed, "uops_http_errors_total", name),
+                  errors)
+            << name;
         EXPECT_EQ(
-            parsed.series["uops_http_cache_hits_total" + labels],
-            static_cast<double>(metrics.cache_hits));
-        if (endpoint != Endpoint::Metrics)
-            EXPECT_EQ(
-                parsed.series["uops_http_request_duration_us_count" +
-                              labels],
-                static_cast<double>(metrics.samples));
+            endpointSample(parsed, "uops_http_cache_hits_total", name),
+            cache_hits)
+            << name;
+        EXPECT_EQ(endpointSample(parsed,
+                                 "uops_http_request_duration_us_count",
+                                 name),
+                  observed)
+            << name;
     }
 
     // Spot-check the derived expectations the scrape is for.
@@ -1725,21 +1747,13 @@ TEST(Observability, MetricsReportSamplesAndEmptyPercentiles)
 {
     auto service = makeService();
     service->handle(get("/healthz"));
-    // /diff was never hit: explicit zero samples, no percentiles —
+    // /diff was never hit: its series are rendered, at zero samples —
     // distinguishable from "fast" (which /healthz's numbers are not).
-    auto diff = service->metrics(Endpoint::Diff);
-    EXPECT_EQ(diff.requests, 0u);
-    EXPECT_EQ(diff.errors, 0u);
-    EXPECT_EQ(diff.cache_hits, 0u);
-    EXPECT_EQ(diff.total_us, 0u);
-    EXPECT_EQ(diff.samples, 0u);
-    EXPECT_FALSE(diff.p50_us.has_value());
-    EXPECT_FALSE(diff.p99_us.has_value());
-    auto healthz = service->metrics(Endpoint::Healthz);
-    EXPECT_EQ(healthz.samples, 1u);
-    EXPECT_TRUE(healthz.p50_us.has_value());
-
     Exposition parsed = scrape(*service);
+    EXPECT_EQ(endpointSample(parsed, "uops_http_errors_total", "/diff"),
+              0.0);
+    EXPECT_EQ(endpointSample(parsed, "uops_http_cache_hits_total", "/diff"),
+              0.0);
     const std::string diff_labels = "{endpoint=\"/diff\"}";
     EXPECT_EQ(parsed.series["uops_http_requests_total" + diff_labels], 0.0);
     EXPECT_EQ(parsed.series.count("uops_http_request_duration_us_count" +
@@ -1925,7 +1939,7 @@ TEST(Observability, ConcurrentAccessLogStaysWellFormed)
 TEST(HttpServerSocket, RequestIdsPropagateThroughPipelining)
 {
     auto service = makeService();
-    server::HttpServer http(*service);
+    server::HttpServer http(*service, {});
     http.start();
 
     int fd = connectTo(http.port());
@@ -1964,7 +1978,7 @@ TEST(HttpServerSocket, RequestIdsPropagateThroughPipelining)
 TEST(HttpServerSocket, TransportErrorsCarryRequestIds)
 {
     auto service = makeService();
-    server::HttpServer http(*service);
+    server::HttpServer http(*service, {});
     http.start();
 
     // Unparseable request head: refused at the transport layer with

@@ -45,13 +45,6 @@ TEST(Strings, SplitWhitespace)
     EXPECT_TRUE(splitWhitespace("   ").empty());
 }
 
-TEST(Strings, Join)
-{
-    EXPECT_EQ(join({"a", "b"}, "+"), "a+b");
-    EXPECT_EQ(join({}, "+"), "");
-    EXPECT_EQ(join({"x"}, ", "), "x");
-}
-
 TEST(Strings, StartsEndsWith)
 {
     EXPECT_TRUE(startsWith("MOVSX", "MOV"));
@@ -63,7 +56,6 @@ TEST(Strings, StartsEndsWith)
 TEST(Strings, Case)
 {
     EXPECT_EQ(toUpper("xmm0"), "XMM0");
-    EXPECT_EQ(toLower("XMM0"), "xmm0");
 }
 
 TEST(Strings, ParseInt)
@@ -78,16 +70,6 @@ TEST(Strings, ParseDouble)
 {
     EXPECT_DOUBLE_EQ(*parseDouble("0.25"), 0.25);
     EXPECT_FALSE(parseDouble("1.2.3").has_value());
-}
-
-TEST(Strings, SplitKeyValue)
-{
-    auto [k, v] = splitKeyValue("ext=AVX");
-    EXPECT_EQ(k, "ext");
-    EXPECT_EQ(v, "AVX");
-    auto [k2, v2] = splitKeyValue("flag");
-    EXPECT_EQ(k2, "flag");
-    EXPECT_EQ(v2, "");
 }
 
 // ---------------------------------------------------------------------
