@@ -1,7 +1,6 @@
 #include "predictor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "support/status.h"
@@ -39,122 +38,53 @@ Prediction
 PerformancePredictor::analyzeLoop(const Kernel &kernel) const
 {
     Prediction pred;
-
-    // ---- port-pressure bound (Section 5.3.2) ----
-    uarch::PortUsage combined;
-    int total_uops = 0;
+    std::vector<uarch::LoopInstr> instrs;
     for (const InstrInstance &inst : kernel) {
-        const InstrCharacterization *c = set_.find(inst.variant->name());
-        fatalIf(c == nullptr, "predictor: ", inst.variant->name(),
+        const isa::InstrVariant &v = *inst.variant;
+        const InstrCharacterization *c = set_.find(v.name());
+        fatalIf(c == nullptr, "predictor: ", v.name(),
                 " not present in the characterization set");
-        for (const auto &[mask, count] : c->ports.usage.entries)
-            combined.add(mask, count);
-        total_uops += c->ports.usage.totalUops();
-    }
-    uarch::PortLoad load = uarch::portLoad(combined, info_.num_ports);
-    pred.port_bound = load.bottleneck;
-    pred.port_pressure = load.per_port;
 
-    // ---- front-end bound ----
-    pred.frontend_bound =
-        static_cast<double>(total_uops) / info_.issue_width;
+        // Divider bound: the measured divider throughput.
+        if (v.attrs().uses_divider) {
+            Cycles tp = inst.div_class == isa::DivValueClass::Slow &&
+                                c->throughput.slow_measured
+                            ? *c->throughput.slow_measured
+                            : c->throughput.measured;
+            pred.divider_bound += tp.toDouble();
+        }
 
-    // ---- divider bound (from the measured divider throughput) ----
-    for (const InstrInstance &inst : kernel) {
-        if (!inst.variant->attrs().uses_divider)
-            continue;
-        const InstrCharacterization *c = set_.find(inst.variant->name());
-        Cycles tp = inst.div_class == isa::DivValueClass::Slow &&
-                            c->throughput.slow_measured
-                        ? *c->throughput.slow_measured
-                        : c->throughput.measured;
-        pred.divider_bound += tp.toDouble();
-    }
-
-    // ---- dependency bound: two dataflow passes with per-pair
-    //      latencies over registers, flags and memory ----
-    std::map<int, double> unit_time;   // arch unit -> ready
-    std::map<int, double> mem_time;    // memory tag -> ready
-    auto run_pass = [&]() {
-        for (const InstrInstance &inst : kernel) {
-            const isa::InstrVariant &v = *inst.variant;
-            const InstrCharacterization *c = set_.find(v.name());
-            double fallback =
-                static_cast<double>(c->latency.maxLatency());
-
-            // Collect source ready times per operand.
-            auto src_time = [&](int op_idx) {
-                const auto &spec = v.operand(static_cast<size_t>(op_idx));
-                double t = 0.0;
-                if (spec.kind == OpKind::Reg) {
-                    int u = isa::regUnit(
-                        inst.regOf(static_cast<size_t>(op_idx)));
-                    auto it = unit_time.find(u);
-                    if (it != unit_time.end())
-                        t = it->second;
-                } else if (spec.kind == OpKind::Flags) {
-                    for (int u : spec.flags_read.units()) {
-                        auto it = unit_time.find(u);
-                        if (it != unit_time.end())
-                            t = std::max(t, it->second);
-                    }
-                } else if (spec.kind == OpKind::Mem) {
-                    const auto &loc =
-                        inst.ops[static_cast<size_t>(op_idx)].mem;
-                    int base = isa::regUnit(loc.base);
-                    auto it = unit_time.find(base);
-                    if (it != unit_time.end())
-                        t = it->second;
-                    auto mt = mem_time.find(loc.tag);
-                    if (mt != mem_time.end())
-                        t = std::max(t, mt->second);
-                }
-                return t;
-            };
-
-            // Destination ready times from the per-pair latencies.
+        // The measured per-pair latencies; a pair without one takes the
+        // largest measured latency, or 1 into memory (store-data µop).
+        uarch::LoopInstr &in = instrs.emplace_back();
+        in.usage = c->ports.usage;
+        in.uops = c->ports.usage.totalUops();
+        in.no_source_latency =
+            static_cast<double>(c->latency.maxLatency());
+        size_t n = v.numOperands();
+        in.latency.assign(n * n, in.no_source_latency);
+        for (int s : v.sourceOperands()) {
             for (int d : v.destOperands()) {
-                const auto &dspec = v.operand(static_cast<size_t>(d));
-                double ready = 0.0;
-                for (int s : v.sourceOperands()) {
-                    double lat = fallback;
-                    if (const LatencyPair *p = c->latency.pair(s, d))
-                        lat = p->cycles.toDouble();
-                    else if (dspec.kind == OpKind::Mem)
-                        lat = 1.0; // store-data µop
-                    ready = std::max(ready, src_time(s) + lat);
-                }
-                if (v.sourceOperands().empty())
-                    ready = fallback;
-                if (dspec.kind == OpKind::Reg) {
-                    unit_time[isa::regUnit(
-                        inst.regOf(static_cast<size_t>(d)))] = ready;
-                } else if (dspec.kind == OpKind::Flags) {
-                    for (int u : dspec.flags_written.units())
-                        unit_time[u] = ready;
-                } else if (dspec.kind == OpKind::Mem) {
-                    mem_time[inst.ops[static_cast<size_t>(d)].mem.tag] =
-                        ready;
-                }
+                double &lat = in.latency[static_cast<size_t>(s) * n +
+                                         static_cast<size_t>(d)];
+                if (const LatencyPair *p = c->latency.pair(s, d))
+                    lat = p->cycles.toDouble();
+                else if (v.operand(static_cast<size_t>(d)).kind ==
+                         OpKind::Mem)
+                    lat = 1.0;
             }
         }
-    };
-    run_pass();
-    auto units_snapshot = unit_time;
-    auto mem_snapshot = mem_time;
-    run_pass();
-    double growth = 0.0;
-    for (const auto &[u, t] : unit_time) {
-        auto it = units_snapshot.find(u);
-        if (it != units_snapshot.end())
-            growth = std::max(growth, t - it->second);
     }
-    for (const auto &[tag, t] : mem_time) {
-        auto it = mem_snapshot.find(tag);
-        if (it != mem_snapshot.end())
-            growth = std::max(growth, t - it->second);
-    }
-    pred.dependency_bound = growth;
+
+    // Port-pressure (Section 5.3.2) and dependency bounds, following
+    // registers, flags and memory.
+    uarch::LoopModel loop = uarch::loopModel(
+        kernel, instrs, info_.num_ports, {.flags = true, .memory = true});
+    pred.port_bound = loop.ports.bottleneck;
+    pred.port_pressure = loop.ports.per_port;
+    pred.dependency_bound = loop.dependency_bound;
+    pred.frontend_bound =
+        static_cast<double>(loop.total_uops) / info_.issue_width;
 
     // ---- combine ----
     pred.block_throughput =

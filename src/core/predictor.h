@@ -9,14 +9,17 @@
  * documented defects), this predictor consumes the *measured*
  * characterization data — per-pair latencies, inferred port usage,
  * store-forwarding behaviour — and statically predicts the steady-state
- * throughput of a loop kernel:
+ * throughput of a loop kernel. The port and dependency bounds come
+ * from the loop model it shares with the clone (uarch::loopModel):
  *
  *   - port-pressure bound: the port bound of Section 5.3.2 over the
  *     combined µop port usage of the body, with its most balanced
  *     per-port loads;
- *   - dependency bound: longest loop-carried path through registers,
- *     flags AND memory, using per-(source,destination)-pair latencies
- *     (precisely the two things IACA gets wrong, Section 7.2);
+ *   - dependency bound: the model's two-pass loop-carried growth
+ *     through registers, flags AND memory, using the measured
+ *     per-(source,destination)-pair latencies (precisely the two
+ *     things IACA gets wrong, Section 7.2); every destination is timed
+ *     from the instruction's inputs;
  *   - front-end bound: issue width;
  *   - divider occupancy bound.
  *

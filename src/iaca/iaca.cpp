@@ -1,7 +1,6 @@
 #include "iaca.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/status.h"
 #include "support/strings.h"
@@ -264,86 +263,30 @@ IacaAnalyzer::model(const InstrVariant &variant) const
 IacaReport
 IacaAnalyzer::analyzeLoop(const Kernel &kernel) const
 {
-    IacaReport report;
-
-    // Aggregate reported port usage over the loop body.
-    PortUsage total_usage;
+    // One latency for every (source, destination) pair: the clone
+    // models no per-pair differences.
+    std::vector<uarch::LoopInstr> instrs;
     for (const InstrInstance &inst : kernel) {
         IacaInstrModel m = model(*inst.variant);
-        report.total_uops += m.total_uops;
-        for (const auto &[mask, count] : m.usage.entries)
-            total_usage.add(mask, count);
-        report.instrs.push_back(std::move(m));
+        double lat = m.latency.value_or(
+            timing_.timing(*inst.variant).maxLatency());
+        size_t n = inst.variant->numOperands();
+        instrs.push_back({std::move(m.usage), m.total_uops,
+                          std::vector<double>(n * n, lat), lat});
     }
 
-    // Distribute µops to ports (the port bound of Section 5.3.2, its
-    // balanced loads presented the way IACA shows per-port pressure).
-    uarch::PortLoad load =
-        uarch::portLoad(total_usage, uarch::uarchInfo(arch_).num_ports);
-    report.port_pressure = load.per_port;
-    double port_bound = load.bottleneck;
-
-    // Loop-carried dependency bound. IACA ignores memory dependencies
-    // entirely, and "3.0" also ignores status-flag dependencies
-    // (Section 7.2); no per-pair latency differences are modeled.
-    double dep_bound = 0.0;
-    {
-        // Two dataflow passes over the body; the per-unit time growth
-        // between the passes is the loop-carried dependency bound.
-        double max_growth = 0.0;
-        std::map<int, double> t1;
-        auto run_pass = [&](std::map<int, double> &times) {
-            for (size_t i = 0; i < kernel.size(); ++i) {
-                const InstrInstance &inst = kernel[i];
-                const InstrVariant &v = *inst.variant;
-                double lat = report.instrs[i].latency.value_or(
-                    timing_.timing(v).maxLatency());
-                double ready = 0.0;
-                auto units_of = [&](int op_idx, bool read) {
-                    std::vector<int> units;
-                    const auto &spec =
-                        v.operand(static_cast<size_t>(op_idx));
-                    if (spec.kind == isa::OpKind::Reg) {
-                        units.push_back(isa::regUnit(
-                            inst.regOf(static_cast<size_t>(op_idx))));
-                    } else if (spec.kind == isa::OpKind::Flags &&
-                               version_ != Version::V30) {
-                        const auto &mask = read ? spec.flags_read
-                                                : spec.flags_written;
-                        for (int u : mask.units())
-                            units.push_back(u);
-                    }
-                    return units;
-                };
-                for (int s : v.sourceOperands())
-                    for (int u : units_of(s, true))
-                        if (times.count(u))
-                            ready = std::max(ready, times[u]);
-                double done = ready + lat;
-                for (int d : v.destOperands())
-                    for (int u : units_of(d, false))
-                        times[u] = done;
-            }
-        };
-        run_pass(t1);
-        std::map<int, double> t2 = t1;
-        run_pass(t2);
-        for (const auto &[u, tv] : t2) {
-            auto it = t1.find(u);
-            if (it != t1.end())
-                max_growth = std::max(max_growth, tv - it->second);
-        }
-        dep_bound = max_growth;
-    }
-
-    report.block_throughput = std::max(port_bound, dep_bound);
-
-    if (version_ == Version::V21) {
-        double lat_sum = 0.0;
-        for (const auto &m : report.instrs)
-            lat_sum += m.latency.value_or(1);
-        report.latency = lat_sum;
-    }
+    // IACA ignores memory dependencies entirely, and "3.0" also
+    // ignores status-flag dependencies (Section 7.2). The port loads
+    // are the balanced optimum of Section 5.3.2, presented the way
+    // IACA shows per-port pressure.
+    uarch::LoopModel loop = uarch::loopModel(
+        kernel, instrs, uarch::uarchInfo(arch_).num_ports,
+        {.flags = version_ != Version::V30, .memory = false});
+    IacaReport report;
+    report.block_throughput =
+        std::max(loop.ports.bottleneck, loop.dependency_bound);
+    report.port_pressure = loop.ports.per_port;
+    report.total_uops = loop.total_uops;
     return report;
 }
 

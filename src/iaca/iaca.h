@@ -20,12 +20,18 @@
  *  - ignored status-flag dependencies in "3.0" (CMC throughput 0.25)
  *    and ignored memory dependencies in all versions (store+load
  *    round trip reported as throughput 1);
- *  - latency analysis only in "2.1" (dropped later, as in IACA 2.2),
- *    with memory-operand latencies obtained by adding the load
- *    latency to the full register latency (AESDEC mem: 13);
+ *  - a reported per-instruction latency only in "2.1" (dropped
+ *    later, as in IACA 2.2), with memory-operand latencies obtained
+ *    by adding the load latency to the full register latency (AESDEC
+ *    mem: 13);
+ *  - no per-pair latencies: loop analysis gives every (source,
+ *    destination) pair of an instruction the same latency;
  *  - REP- and LOCK-prefixed instructions with wrong µop counts;
  *  - plus a deterministic, seeded background perturbation calibrated
  *    so the agreement rates land in the bands of Table 1.
+ *
+ * Loop analysis feeds these per-instruction models to the loop model
+ * it shares with the performance predictor (uarch::loopModel).
  */
 
 #ifndef UOPS_IACA_IACA_H
@@ -57,14 +63,12 @@ struct IacaInstrModel
     std::optional<int> latency;    ///< only in V21
 };
 
-/** Report for a loop kernel. */
+/** Report for a loop kernel: throughput and port pressure. */
 struct IacaReport
 {
     double block_throughput = 0.0;
     std::array<double, 8> port_pressure{};
     int total_uops = 0;
-    std::optional<double> latency; ///< V21 only
-    std::vector<IacaInstrModel> instrs;
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <map>
 
 #include "support/status.h"
 #include "support/strings.h"
@@ -150,6 +151,79 @@ portLoad(const PortUsage &usage, int num_ports)
         open &= ~best;
     }
     return load;
+}
+
+LoopModel
+loopModel(const isa::Kernel &kernel, std::span<const LoopInstr> instrs,
+          int num_ports, LoopDeps deps)
+{
+    panicIf(instrs.size() != kernel.size(), "loopModel: ", instrs.size(),
+            " inputs for ", kernel.size(), " instructions");
+    LoopModel model;
+    PortUsage combined;
+    for (const LoopInstr &in : instrs) {
+        for (const auto &[mask, count] : in.usage.entries)
+            combined.add(mask, count);
+        model.total_uops += in.uops;
+    }
+    model.ports = portLoad(combined, num_ports);
+
+    // Ready times keyed by (memory?, architectural unit or location
+    // tag). A memory read also waits for its address register.
+    using ReadyKey = std::pair<bool, int>;
+    auto keys = [&](const isa::InstrInstance &inst, int op, bool read) {
+        size_t i = static_cast<size_t>(op);
+        const isa::OperandSpec &spec = inst.variant->operand(i);
+        std::vector<ReadyKey> out;
+        if (spec.kind == isa::OpKind::Reg) {
+            out.push_back({false, isa::regUnit(inst.regOf(i))});
+        } else if (spec.kind == isa::OpKind::Flags && deps.flags) {
+            for (int u :
+                 (read ? spec.flags_read : spec.flags_written).units())
+                out.push_back({false, u});
+        } else if (spec.kind == isa::OpKind::Mem && deps.memory) {
+            if (read)
+                out.push_back({false, isa::regUnit(inst.ops[i].mem.base)});
+            out.push_back({true, inst.ops[i].mem.tag});
+        }
+        return out;
+    };
+
+    // Two dataflow passes; the growth of the ready times from the
+    // first to the second is the loop-carried dependency bound. An
+    // instruction reads all its source times before it writes any
+    // destination, and nothing written reads as ready at 0.
+    std::map<ReadyKey, double> ready, first;
+    std::vector<double> src_time;
+    for (int pass = 0; pass < 2; ++pass) {
+        first = ready;
+        for (size_t i = 0; i < kernel.size(); ++i) {
+            const isa::InstrInstance &inst = kernel[i];
+            const isa::InstrVariant &v = *inst.variant;
+            std::vector<int> sources = v.sourceOperands();
+            src_time.assign(sources.size(), 0.0);
+            for (size_t k = 0; k < sources.size(); ++k)
+                for (ReadyKey key : keys(inst, sources[k], true))
+                    if (auto it = ready.find(key); it != ready.end())
+                        src_time[k] = std::max(src_time[k], it->second);
+            for (int d : v.destOperands()) {
+                double t =
+                    sources.empty() ? instrs[i].no_source_latency : 0.0;
+                for (size_t k = 0; k < sources.size(); ++k) {
+                    size_t pair = static_cast<size_t>(sources[k]) *
+                                      v.numOperands() +
+                                  static_cast<size_t>(d);
+                    t = std::max(t, src_time[k] + instrs[i].latency[pair]);
+                }
+                for (ReadyKey key : keys(inst, d, false))
+                    ready[key] = t;
+            }
+        }
+    }
+    for (const auto &[key, t] : ready)
+        model.dependency_bound =
+            std::max(model.dependency_bound, t - first.at(key));
+    return model;
 }
 
 std::optional<int>

@@ -23,10 +23,11 @@
 
 #include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "isa/instruction.h"
+#include "isa/kernel.h"
 #include "uarch/uarch.h"
 
 namespace uops::uarch {
@@ -172,6 +173,46 @@ struct PortLoad
  *      ports, and 1 <= @p num_ports <= 8.
  */
 PortLoad portLoad(const PortUsage &usage, int num_ports);
+
+/** What the loop model knows of one instruction of a loop body. */
+struct LoopInstr
+{
+    PortUsage usage; ///< µops by port set
+    int uops = 0;    ///< µop count (the clone's may disagree with usage)
+    /** Cycles from source operand s to destination operand d, at
+     *  [s * numOperands() + d]. */
+    std::vector<double> latency;
+    double no_source_latency = 0.0; ///< to each destination, no source
+};
+
+/** Dependencies the loop model follows besides registers; memory
+ *  includes the address registers. */
+struct LoopDeps
+{
+    bool flags;
+    bool memory;
+};
+
+/** A loop body's combined port load, µop total and dependency bound. */
+struct LoopModel
+{
+    PortLoad ports;
+    int total_uops = 0;
+    double dependency_bound = 0.0; ///< loop-carried cycles/iteration
+};
+
+/**
+ * The loop model of @p kernel, shared by the IACA clone and the
+ * performance predictor; @p instrs has one entry per instruction.
+ *
+ * The dependency bound is the largest growth of a ready time between
+ * two dataflow passes over the body. Every destination is timed from
+ * the instruction's inputs with that pair's latency (Section 4.1):
+ * all sources are read before any destination is written.
+ */
+LoopModel loopModel(const isa::Kernel &kernel,
+                    std::span<const LoopInstr> instrs, int num_ports,
+                    LoopDeps deps);
 
 /**
  * Longest-path latency from source operand @p src_op to destination

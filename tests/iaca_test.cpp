@@ -166,6 +166,29 @@ TEST(IacaLoop, RegisterDependenciesRespected)
     EXPECT_NEAR(v30.analyzeLoop(kernel).block_throughput, 1.0, 0.01);
 }
 
+TEST(IacaLoop, EveryDestinationIsTimedFromTheInputs)
+{
+    // The clone gives every (source, destination) pair one latency and
+    // times each destination from the instruction's inputs: DIV EBX's
+    // EAX and EDX each carry that latency once, and ADC's flags do not
+    // wait for the RAX it writes.
+    for (auto [arch, div] : {std::pair{UArch::Haswell, 26.0},
+                             std::pair{UArch::Skylake, 24.0}}) {
+        for (Version v : iaca::versionsFor(arch)) {
+            IacaAnalyzer an(defaultDb(), arch, v);
+            std::string at = uarch::uarchShortName(arch) + " " +
+                             iaca::versionName(v);
+            EXPECT_EQ(an.analyzeLoop(asm_("DIV EBX")).block_throughput,
+                      div)
+                << at;
+            EXPECT_EQ(
+                an.analyzeLoop(asm_("ADC RAX, RBX")).block_throughput,
+                1.0)
+                << at;
+        }
+    }
+}
+
 TEST(IacaLoop, PortPressureDistributed)
 {
     auto kernel = asm_("PSHUFD XMM1, XMM2, 0\nADD RAX, RBX");
