@@ -26,11 +26,6 @@
  *       spliced into its next generation, like an incremental
  *       characterize; otherwise they become generation 1.
  *
- *   uopsq migrate V2.snap DIR
- *       Lossless legacy-monolith → sharded-catalog conversion: each
- *       shard is bit-identical to what a fresh sweep would write
- *       (v1 snapshots remain refused). Published like ingest.
- *
  *   uopsq info DIR
  *       Print generation and per-shard record counts / content
  *       hashes.
@@ -77,9 +72,11 @@
  *       debug|info|warn|error adjusts it. GET /metrics serves the
  *       Prometheus-text exposition of the whole process.
  *
- *   DIR is always a catalog directory; a legacy v2 snapshot file is
- *   refused with a pointer to `uopsq migrate`. Each subcommand takes
- *   only the options listed for it and rejects any other by name.
+ *   DIR is always a catalog directory of numbered manifests over
+ *   version-3 shards; a file path or an unnumbered `manifest` is
+ *   refused, and such a store is rebuilt with `uopsq ingest` from its
+ *   results XML. Each subcommand takes only the options listed for it
+ *   and rejects any other by name.
  *
  *   Any command run with UOPS_TRACE=<file> in the environment writes
  *   a Chrome trace-event JSON file on exit (open in about:tracing or
@@ -130,7 +127,6 @@ usage()
         "usage: uopsq characterize --out DIR [--arches A,B | --uarch A]"
         " [--threads N] [--mod N] [--xml OUT] [--progress]\n"
         "       uopsq ingest RESULTS.xml --out DIR\n"
-        "       uopsq migrate V2.snap DIR\n"
         "       uopsq info DIR\n"
         "       uopsq query DIR [filters...]\n"
         "       uopsq diff DIR ARCH_A ARCH_B\n"
@@ -342,23 +338,6 @@ cmdIngest(const Args &args)
                 static_cast<unsigned long long>(
                     catalog->generation()),
                 records, uarches);
-    return 0;
-}
-
-int
-cmdMigrate(const Args &args)
-{
-    fatalIf(args.positional.size() != 2,
-            "migrate: expected V2.snap and an output directory");
-    db::migrateSnapshot(args.positional[0], args.positional[1]);
-    auto catalog = db::loadCatalogDir(args.positional[1]);
-    std::printf("migrated %s -> %s generation %llu (%zu records, %zu "
-                "shards)\n",
-                args.positional[0].c_str(),
-                args.positional[1].c_str(),
-                static_cast<unsigned long long>(
-                    catalog->generation()),
-                catalog->numRecords(), catalog->shards().size());
     return 0;
 }
 
@@ -678,7 +657,6 @@ try {
           {"out", "arches", "uarch", "threads", "mod", "xml",
            "progress"}}},
         {"ingest", {cmdIngest, {"out"}}},
-        {"migrate", {cmdMigrate, {}}},
         {"info", {cmdInfo, {}}},
         {"query",
          {cmdQuery,

@@ -55,12 +55,17 @@ PerformancePredictor::analyzeLoop(const Kernel &kernel) const
         }
 
         // The measured per-pair latencies; a pair without one takes the
-        // largest measured latency, or 1 into memory (store-data µop).
+        // largest measured fast-value latency (store round trip
+        // included, at least 1), or 1 into memory (store-data µop).
         uarch::LoopInstr &in = instrs.emplace_back();
         in.usage = c->ports.usage;
         in.uops = c->ports.usage.totalUops();
-        in.no_source_latency =
-            static_cast<double>(c->latency.maxLatency());
+        Cycles fallback = Cycles::fromHundredths(100);
+        for (const LatencyPair &p : c->latency.pairs)
+            fallback = std::max(fallback, p.cycles);
+        if (c->latency.store_roundtrip)
+            fallback = std::max(fallback, *c->latency.store_roundtrip);
+        in.no_source_latency = fallback.toDouble();
         size_t n = v.numOperands();
         in.latency.assign(n * n, in.no_source_latency);
         for (int s : v.sourceOperands()) {

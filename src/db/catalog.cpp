@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "db/scan.h"
@@ -134,8 +133,6 @@ toEntries(
 }
 
 } // namespace
-
-const char *const kManifestFile = "manifest";
 
 std::string
 manifestFileName(uint64_t generation)
@@ -517,12 +514,11 @@ manifestBytes(const DatabaseCatalog &catalog)
     return std::move(os).str();
 }
 
-/** Parse and check one manifest. @p generation is the number in a
- *  numbered manifest's file name, which the header must repeat
- *  (nullopt for the legacy unnumbered file). */
+/** Parse and check one manifest. @p generation is the number in its
+ *  file name, which the header must repeat. */
 Manifest
 parseManifest(const std::string &bytes, const std::string &dir,
-              std::optional<uint64_t> generation)
+              uint64_t generation)
 {
     std::istringstream is(bytes, std::ios::binary);
     auto raw = [&is, &dir](void *out, size_t n) {
@@ -549,10 +545,9 @@ parseManifest(const std::string &bytes, const std::string &dir,
 
     Manifest manifest;
     manifest.generation = scalar();
-    catalogCheck(generation && manifest.generation != *generation,
+    catalogCheck(manifest.generation != generation,
             "db catalog: manifest header claims generation ",
-            manifest.generation, " but its file name says ",
-            generation.value_or(0));
+            manifest.generation, " but its file name says ", generation);
     uint64_t count = scalar();
     catalogCheck(count > 256, "db catalog: implausible shard count ",
             count);
@@ -586,36 +581,15 @@ parseManifest(const std::string &bytes, const std::string &dir,
     return manifest;
 }
 
-/** Generation claimed by a manifest file's 24-byte header; nullopt
- *  when the file is missing, too short, or has the wrong magic. */
-std::optional<uint64_t>
-manifestHeaderGeneration(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::nullopt;
-    char head[24];
-    is.read(head, sizeof head);
-    if (static_cast<size_t>(is.gcount()) != sizeof head)
-        return std::nullopt;
-    if (std::memcmp(head, kManifestMagic, 8) != 0)
-        return std::nullopt;
-    uint64_t generation = 0;
-    std::memcpy(&generation, head + 16, sizeof generation);
-    return generation;
-}
-
 struct ManifestCandidate
 {
     uint64_t generation = 0;
     std::string name;      ///< file name inside the catalog dir
-    bool legacy = false;   ///< plain "manifest" (pre-numbered store)
 };
 
-/** All manifest files in @p dir, newest generation first (numbered
- *  preferred over legacy on a tie). For numbered manifests the
- *  generation comes from the file name — a truncated file must still
- *  be enumerated (and then rejected by verification) rather than
+/** All numbered manifest files in @p dir, newest generation first.
+ *  The generation comes from the file name — a truncated file must
+ *  still be enumerated (and then rejected by verification) rather than
  *  silently skipped. */
 std::vector<ManifestCandidate>
 listManifests(const std::string &dir)
@@ -624,13 +598,6 @@ listManifests(const std::string &dir)
     std::error_code ec;
     for (const auto &de : fs::directory_iterator(dir, ec)) {
         const std::string name = de.path().filename().string();
-        if (name == kManifestFile) {
-            auto gen = manifestHeaderGeneration(de.path().string());
-            // An unreadable legacy header sorts last (generation 0)
-            // but stays a candidate so its rejection is reported.
-            out.push_back({gen.value_or(0), name, true});
-            continue;
-        }
         constexpr std::string_view prefix = "manifest.";
         if (name.size() != prefix.size() + 10 ||
             name.compare(0, prefix.size(), prefix) != 0)
@@ -645,14 +612,12 @@ listManifests(const std::string &dir)
             gen = gen * 10 + static_cast<uint64_t>(name[i] - '0');
         }
         if (digits)
-            out.push_back({gen, name, false});
+            out.push_back({gen, name});
     }
     std::sort(out.begin(), out.end(),
               [](const ManifestCandidate &a,
                  const ManifestCandidate &b) {
-                  if (a.generation != b.generation)
-                      return a.generation > b.generation;
-                  return a.legacy < b.legacy;
+                  return a.generation > b.generation;
               });
     return out;
 }
@@ -663,8 +628,7 @@ readManifest(const std::string &dir, const ManifestCandidate &cand)
 {
     return parseManifest(
         readFileBytes(dir + "/" + cand.name, "catalog.manifest"), dir,
-        cand.legacy ? std::nullopt
-                    : std::optional<uint64_t>(cand.generation));
+        cand.generation);
 }
 
 /** Load and fully verify the generation one manifest describes.
@@ -820,12 +784,9 @@ saveCatalogDir(const DatabaseCatalog &catalog, const std::string &dir)
     // (a serving process may still map them) — load-time GC with a
     // RecoveryReport handles those.
     std::vector<ManifestCandidate> manifests = listManifests(dir);
-    size_t kept = 0;
-    for (const ManifestCandidate &cand : manifests) {
-        if (cand.legacy || ++kept <= kManifestRetention)
-            continue;
+    for (size_t i = kManifestRetention; i < manifests.size(); ++i) {
         try {
-            removeFile(dir + "/" + cand.name);
+            removeFile(dir + "/" + manifests[i].name);
         } catch (const FatalError &) {
             // Best-effort; a stale fallback manifest is harmless.
         }
@@ -838,14 +799,22 @@ loadCatalogDir(const std::string &dir, LoadMode,
 {
     std::error_code ec;
     catalogCheck(!fs::is_directory(dir, ec), "db catalog: ", dir,
-                 " is not a catalog directory (convert a legacy v2 "
-                 "snapshot with `uopsq migrate SNAPSHOT DIR`)");
+                 fs::exists(dir, ec)
+                     ? " is a file, not a catalog directory (a "
+                       "single-file snapshot is no longer read; "
+                       "re-ingest its results XML with `uopsq ingest`)"
+                     : " does not exist");
     if (report)
         *report = RecoveryReport{};
     RecoveryReport scratch;
     RecoveryReport &rep = report ? *report : scratch;
 
     std::vector<ManifestCandidate> candidates = listManifests(dir);
+    catalogCheck(candidates.empty() && fs::exists(dir + "/manifest", ec),
+                 "db catalog: ", dir,
+                 " holds only an unnumbered `manifest`, a store format "
+                 "that is no longer read; re-ingest its results XML "
+                 "with `uopsq ingest`");
     catalogCheck(candidates.empty(), "db catalog: no manifest in ",
                  dir);
 
@@ -944,20 +913,6 @@ publishShards(const std::string &dir, std::vector<ShardEntry> shards)
             : std::make_shared<DatabaseCatalog>(std::move(shards), 1);
     saveCatalogDir(*catalog, dir);
     return catalog;
-}
-
-void
-migrateSnapshot(const std::string &snapshot_path,
-                const std::string &dir)
-{
-    std::vector<ShardEntry> shards;
-    for (auto &db : splitSnapshotFile(snapshot_path)) {
-        ShardEntry entry;
-        entry.arch = db->arch();
-        entry.db = std::move(db);
-        shards.push_back(std::move(entry));
-    }
-    publishShards(dir, std::move(shards));
 }
 
 // ---------------------------------------------------------------------

@@ -49,9 +49,10 @@ namespace uops::db {
 /**
  * The catalog store is unusable or inconsistent: no loadable
  * generation, a content-addressed file whose bytes disagree with its
- * name, a malformed manifest. Derived from FatalError so generic
- * handlers keep working; callers that can degrade (server /reload,
- * `uopsq migrate`) catch it and keep the previous generation.
+ * name, a malformed manifest, a path that is not a catalog
+ * directory. Derived from FatalError so generic handlers keep
+ * working; callers that can degrade (server /reload) catch it and
+ * keep the previous generation.
  */
 class CatalogError : public FatalError
 {
@@ -265,11 +266,6 @@ class DatabaseCatalog
 
 // ---- directory store -------------------------------------------------
 
-/** Legacy (pre-numbered) manifest file name inside a catalog
- *  directory. Still read as a fallback candidate; no longer
- *  written. */
-extern const char *const kManifestFile;
-
 /** Per-generation manifest file name ("manifest.0000000007"). Each
  *  save commits one of these; the newest fully-verified one wins on
  *  load, so an older generation remains a durable fallback. */
@@ -289,9 +285,12 @@ void saveCatalogDir(const DatabaseCatalog &catalog,
                     const std::string &dir);
 
 /**
- * Load a catalog directory (anything else, a v2 snapshot file
- * included, is a CatalogError naming `uopsq migrate`): every shard is
- * mapped, checked and bound in place. Shard content is hash-verified
+ * Load a catalog directory: the newest numbered manifest that
+ * verifies, over version-3 shards. Every shard is mapped, checked and
+ * bound in place. A file path (an old single-file snapshot) or a
+ * directory whose only manifest is an unnumbered `manifest` is a
+ * CatalogError that names what it found; such stores are rebuilt by
+ * re-ingesting the results XML. Shard content is hash-verified
  * against the manifest (@p verify_hashes), so a spliced catalog's
  * untouched shards are provably the bytes the previous generation
  * wrote.
@@ -311,9 +310,9 @@ loadCatalogDir(const std::string &dir,
                bool verify_hashes = true,
                RecoveryReport *report = nullptr);
 
-/** Newest generation any manifest in the directory claims (cheap
- *  name/header scan, no verification; nullopt when there is no
- *  manifest at all). Powers `serve --watch`. */
+/** Newest generation a numbered manifest's file name claims (cheap
+ *  name scan, no verification; nullopt when there is none). Powers
+ *  `serve --watch`. */
 std::optional<uint64_t>
 readCatalogGeneration(const std::string &dir);
 
@@ -324,15 +323,6 @@ readCatalogGeneration(const std::string &dir);
  */
 std::shared_ptr<const DatabaseCatalog>
 publishShards(const std::string &dir, std::vector<ShardEntry> shards);
-
-/**
- * Lossless v2 -> v3 migration, the only way a v2 monolith enters the
- * store: split the monolith at @p snapshot_path into per-uarch shards
- * and publish them under @p dir (publishShards). v1 snapshots are
- * still refused (their doubles cannot be reproduced bit-exactly).
- */
-void migrateSnapshot(const std::string &snapshot_path,
-                     const std::string &dir);
 
 // ---- sweep integration -----------------------------------------------
 

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
-#include <vector>
 
 #include "support/status.h"
 
@@ -272,22 +271,17 @@ struct SnapshotCodec
         }
     }
 
-    /** Every record's uarch must be known; a shard must be
-     *  single-uarch, and @p shard says which. Every port set a record
-     *  names must be non-empty and within its uarch's ports. */
+    /** Every record must be of the shard's uarch, @p shard, and every
+     *  port set it names non-empty and within that uarch's ports. */
     static void
-    validateArchs(const InstructionDatabase &db,
-                  std::optional<uarch::UArch> shard)
+    validateArchs(const InstructionDatabase &db, uarch::UArch shard)
     {
+        const uarch::UArchInfo &info = uarch::uarchInfo(shard);
         for (size_t row = 0; row < db.arch_.size(); ++row) {
             uint8_t a = db.arch_[row];
-            storeCheck(shard ? a != static_cast<uint8_t>(*shard)
-                             : !uarch::uarchFromId(a),
+            storeCheck(a != static_cast<uint8_t>(shard),
                     "db snapshot: record uarch id ", static_cast<int>(a),
-                    shard ? " disagrees with the shard header"
-                          : " is unknown");
-            const uarch::UArchInfo &info =
-                uarch::uarchInfo(*uarch::uarchFromId(a));
+                    " disagrees with the shard header");
             for (size_t i = db.ports_off_[row],
                         end = i + db.ports_n_[row];
                  i < end; ++i) {
@@ -325,53 +319,14 @@ struct SnapshotCodec
         db.backing_ = std::move(backing);
     }
 
-    /** One shard per uarch present in @p rows (a bound, checked v2
-     *  monolith), appended in row order: per-shard row order and
-     *  string interning order both match a fresh build. */
-    static std::vector<std::unique_ptr<InstructionDatabase>>
-    split(const InstructionDatabase &rows)
-    {
-        std::vector<std::unique_ptr<InstructionDatabase>> out;
-        for (uarch::UArch arch : uarch::allUArches()) {
-            std::unique_ptr<InstructionDatabase> shard;
-            for (uint32_t row = 0;
-                 row < static_cast<uint32_t>(rows.numRecords());
-                 ++row) {
-                if (rows.arch_[row] != static_cast<uint8_t>(arch))
-                    continue;
-                if (!shard)
-                    shard = std::make_unique<InstructionDatabase>(arch);
-                RecordView view = rows.record(row);
-                InstructionDatabase::Canonical rec;
-                rec.name = std::string(view.name());
-                rec.mnemonic = std::string(view.mnemonic());
-                rec.extension = std::string(view.extension());
-                rec.usage = view.portUsage();
-                rec.tp_measured = view.tpMeasured();
-                rec.tp_breakers = view.tpWithBreakers();
-                rec.tp_slow = view.tpSlow();
-                rec.tp_ports = view.tpFromPorts();
-                rec.lats = view.latencies();
-                rec.same_reg = view.sameRegCycles();
-                rec.store_rt = view.storeRoundTrip();
-                shard->append(rec);
-            }
-            if (!shard)
-                continue;
-            rebuild(*shard);
-            out.push_back(std::move(shard));
-        }
-        return out;
-    }
 };
 
 namespace {
 
 struct Header
 {
-    uint32_t version = 0;
     uint64_t records = 0;
-    std::optional<uarch::UArch> arch;  ///< set for a v3 shard
+    uarch::UArch arch = uarch::UArch::Nehalem;
 };
 
 Header
@@ -381,23 +336,24 @@ readHeader(Reader &ar)
     ar.raw(magic, sizeof magic);
     storeCheck(std::memcmp(magic, kMagic, sizeof magic) != 0,
             "db snapshot: bad magic");
-    Header header;
-    header.version = ar.scalar<uint32_t>();
-    storeCheck(header.version == 1,
-            "db snapshot: version 1 (floating-point cycle columns) is "
-            "no longer supported; re-run characterize or re-ingest the "
-            "results XML to produce a current snapshot");
-    storeCheck(header.version != kSnapshotVersion &&
-                   header.version != kShardVersion,
-            "db snapshot: unsupported version ", header.version);
+    uint32_t version = ar.scalar<uint32_t>();
+    storeCheck(version == 1 || version == 2, "db snapshot: version ",
+            version,
+            version == 1 ? " (floating-point cycle columns)"
+                         : " (multi-uarch monolith)",
+            " is no longer read; re-ingest the results XML "
+            "(`uopsq ingest`) to produce version-", kShardVersion,
+            " shards");
+    storeCheck(version != kShardVersion,
+            "db snapshot: unsupported version ", version);
     uint32_t endian = ar.scalar<uint32_t>();
     storeCheck(endian != kEndianTag, "db snapshot: foreign byte order");
+    Header header;
     header.records = ar.scalar<uint64_t>();
-    if (header.version == kShardVersion) {
-        uint64_t id = ar.scalar<uint64_t>();
-        header.arch = uarch::uarchFromId(id);
-        storeCheck(!header.arch, "db shard: unknown uarch id ", id);
-    }
+    uint64_t id = ar.scalar<uint64_t>();
+    std::optional<uarch::UArch> arch = uarch::uarchFromId(id);
+    storeCheck(!arch, "db shard: unknown uarch id ", id);
+    header.arch = *arch;
     return header;
 }
 
@@ -427,40 +383,18 @@ loadShardMapped(std::shared_ptr<const MappedFile> mapping,
     fatalIf(mapping == nullptr, "db shard: null mapping");
     Reader ar(mapping->data(), mapping->size());
     Header header = readHeader(ar);
-    storeCheck(!header.arch, "db shard: expected a version-",
-            kShardVersion, " shard, got a version-", header.version,
-            " container");
-    storeCheck(*header.arch != expected, "db shard: header uarch ",
-            uarch::uarchShortName(*header.arch),
+    storeCheck(header.arch != expected, "db shard: header uarch ",
+            uarch::uarchShortName(header.arch),
             " does not match expected ",
             uarch::uarchShortName(expected));
 
-    auto db = std::make_unique<InstructionDatabase>(*header.arch);
+    auto db = std::make_unique<InstructionDatabase>(header.arch);
     SnapshotCodec::columns(ar, *db);
     SnapshotCodec::validate(*db, header.records);
     SnapshotCodec::validateArchs(*db, header.arch);
     SnapshotCodec::rebuild(*db);
     SnapshotCodec::setBacking(*db, std::move(mapping));
     return db;
-}
-
-std::vector<std::unique_ptr<InstructionDatabase>>
-splitSnapshotFile(const std::string &path)
-{
-    auto mapping = mapFile(path);
-    Reader ar(mapping->data(), mapping->size());
-    Header header = readHeader(ar);
-    storeCheck(header.version != kSnapshotVersion,
-            "db snapshot: expected a version-", kSnapshotVersion,
-            " monolith, got a version-", header.version, " container");
-    // The monolith's rows, bound into the mapping and checked, are
-    // only read by split(): never indexed, never returned. Its uarch
-    // is a placeholder; every row carries its own.
-    InstructionDatabase rows(uarch::UArch::Nehalem);
-    SnapshotCodec::columns(ar, rows);
-    SnapshotCodec::validate(rows, header.records);
-    SnapshotCodec::validateArchs(rows, std::nullopt);
-    return SnapshotCodec::split(rows);
 }
 
 } // namespace uops::db

@@ -24,11 +24,9 @@
  * answer every query identically. Shards are bit-exact:
  * save(load(save(db))) == save(db).
  *
- * The legacy version-2 monolith is the same layout without the uarch
- * id, holding the rows of several uarches. It is read, never written,
- * and only to split it into shards (splitSnapshotFile, reached through
- * `uopsq migrate`). v1 files (IEEE-double cycle columns) are refused
- * with an explicit error.
+ * The shard is the only container read. Older versions are refused
+ * by number: v1 (IEEE-double cycle columns) and the v2 multi-uarch
+ * monolith are rebuilt by re-ingesting the results XML.
  */
 
 #ifndef UOPS_DB_SNAPSHOT_H
@@ -37,7 +35,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "db/database.h"
 #include "support/mmap_file.h"
@@ -59,10 +56,6 @@ class StoreError : public FatalError
     explicit StoreError(const std::string &msg) : FatalError(msg) {}
 };
 
-/** Legacy monolith (single-file, multi-uarch) container version;
- *  read only by splitSnapshotFile. */
-constexpr uint32_t kSnapshotVersion = 2;
-
 /** Per-uarch shard container version. */
 constexpr uint32_t kShardVersion = 3;
 
@@ -83,16 +76,6 @@ std::string shardBytes(const InstructionDatabase &db);
 std::unique_ptr<InstructionDatabase>
 loadShardMapped(std::shared_ptr<const MappedFile> mapping,
                 uarch::UArch expected);
-
-/**
- * Map, check and bind the legacy version-2 monolith at @p path, then
- * split its rows into per-uarch shards (uarch order, rows in file
- * order). Each shard is bit-identical to a fresh build of the same
- * records. Throws StoreError on a malformed container, any other
- * version included.
- */
-std::vector<std::unique_ptr<InstructionDatabase>>
-splitSnapshotFile(const std::string &path);
 
 } // namespace uops::db
 

@@ -7,15 +7,14 @@
  * identical answers under concurrent readers, and the sharded
  * catalog engine (golden shard round-trip through the mapped loader,
  * incremental-sweep splicing bit-identical to a full sweep, publishing
- * onto an existing store, lossless v2 → v3 migration of a committed
- * fixture, the legacy manifest fallback, and corrupt-store rejection).
+ * onto an existing store, the pinned shard bytes of a fresh sweep,
+ * refusal of retired formats, and corrupt-store rejection).
  */
 
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -551,75 +550,55 @@ TEST(DbQuery, ToCharacterizationSetResolvesVariants)
 // Container validation.
 // ---------------------------------------------------------------------
 
-/** The committed legacy monolith: the NHM and SKL shards of
- *  `uopsq characterize --arches NHM,SKL --mod 64`, written as one
- *  version-2 container before that format stopped being written. */
-std::string
-v2Fixture()
-{
-    return slurp(std::string(UOPS_TEST_DATA_DIR) +
-                 "/nhm_skl_mod64_v2.snap");
-}
-
 TEST(DbSnapshot, RejectsCorruptInput)
 {
-    // The same corruptions against both readers: the shard loader
-    // (shard bytes; first array after the 32-byte header) and the v2
-    // reader behind migration (the fixture; 24-byte header).
-    const std::string snap = freshDir("corrupt_v2") + ".snap";
-    const std::string out = freshDir("corrupt_v2_out");
-    auto shard_load = [](const std::string &bytes) {
-        loadShardBytes(bytes, uarch::UArch::Nehalem);
+    // Corruptions of shard bytes (first array after the 32-byte
+    // header).
+    const std::string bytes = db::shardBytes(*setShards()[0]);
+    auto load = [](const std::string &b) {
+        loadShardBytes(b, uarch::UArch::Nehalem);
     };
-    auto migrate = [&](const std::string &bytes) {
-        spill(snap, bytes);
-        db::migrateSnapshot(snap, out);
-    };
-    struct Reader
-    {
-        std::string bytes;
-        size_t first_array;
-        std::function<void(const std::string &)> load;
-    };
-    const Reader readers[] = {
-        {db::shardBytes(*setShards()[0]), 32, shard_load},
-        {v2Fixture(), 24, migrate},
-    };
-    for (const Reader &reader : readers) {
-        const std::string &bytes = reader.bytes;
-        ASSERT_GT(bytes.size(), 64u);
-        EXPECT_NO_THROW(reader.load(bytes));
+    ASSERT_GT(bytes.size(), 64u);
+    EXPECT_NO_THROW(load(bytes));
 
-        EXPECT_THROW(reader.load(""), db::StoreError);
-        EXPECT_THROW(reader.load(bytes.substr(0, bytes.size() / 2)),
-                     db::StoreError);
+    EXPECT_THROW(load(""), db::StoreError);
+    EXPECT_THROW(load(bytes.substr(0, bytes.size() / 2)), db::StoreError);
 
-        std::string bad_magic = bytes;
-        bad_magic[0] = 'X';
-        EXPECT_THROW(reader.load(bad_magic), db::StoreError);
+    std::string bad_magic = bytes;
+    bad_magic[0] = 'X';
+    EXPECT_THROW(load(bad_magic), db::StoreError);
 
-        std::string bad_version = bytes;
-        bad_version[8] = char(0x7f);
-        EXPECT_THROW(reader.load(bad_version), db::StoreError);
+    std::string bad_version = bytes;
+    bad_version[8] = char(0x7f);
+    EXPECT_THROW(load(bad_version), db::StoreError);
 
-        // A corrupt array-length prefix must be refused before
-        // anything is bound: 16M declared elements exceed the
-        // remaining bytes but pass the implausible-size cap, so this
-        // exercises the remaining-bytes bound specifically.
-        std::string length_bomb = bytes;
-        const size_t at = reader.first_array;
-        length_bomb[at] = char(0xff);
-        length_bomb[at + 1] = char(0xff);
-        length_bomb[at + 2] = char(0xff);
-        for (size_t i = 3; i < 8; ++i)
-            length_bomb[at + i] = 0;
-        EXPECT_THROW(reader.load(length_bomb), db::StoreError);
+    // A corrupt array-length prefix must be refused before anything is
+    // bound: 16M declared elements exceed the remaining bytes but pass
+    // the implausible-size cap, so this exercises the remaining-bytes
+    // bound specifically.
+    std::string length_bomb = bytes;
+    length_bomb[32] = char(0xff);
+    length_bomb[33] = char(0xff);
+    length_bomb[34] = char(0xff);
+    for (size_t i = 35; i < 40; ++i)
+        length_bomb[i] = 0;
+    EXPECT_THROW(load(length_bomb), db::StoreError);
+
+    // The retired versions (v2 monolith, v1 doubles) are refused by
+    // number.
+    for (int version : {2, 1}) {
+        std::string retired = bytes;
+        retired[8] = static_cast<char>(version);
+        try {
+            load(retired);
+            ADD_FAILURE() << "a version-" << version << " container loaded";
+        } catch (const db::StoreError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "version " + std::to_string(version) + " "),
+                      std::string::npos)
+                << e.what();
+        }
     }
-
-    // Each reader takes only its own version.
-    EXPECT_THROW(shard_load(v2Fixture()), db::StoreError);
-    EXPECT_THROW(migrate(db::shardBytes(*setShards()[0])),
-                 db::StoreError);
 }
 
 TEST(DbSnapshot, DuplicateIngestIsRejected)
@@ -864,47 +843,30 @@ TEST(Catalog, PublishOntoExistingCatalogAddsAGeneration)
               sweepCatalog()->contentHash());
 }
 
-TEST(Catalog, MigrateV2SnapshotIsLossless)
+TEST(Catalog, FreshSweepWritesPinnedShards)
 {
-    // The committed legacy monolith converts to exactly the shard set
-    // `uopsq characterize --arches NHM,SKL --mod 64` writes (v1 stays
-    // refused by the reader underneath).
-    const std::string snap = freshDir("migrate_src") + "_v2.snap";
-    spill(snap, v2Fixture());
-    const std::string dir = freshDir("migrate_out");
-    db::migrateSnapshot(snap, dir);
-
-    auto migrated = db::loadCatalogDir(dir);
-    EXPECT_EQ(migrated->generation(), 1u);
-    ASSERT_EQ(migrated->shards().size(), 2u);
-    EXPECT_EQ(migrated->shards()[0].file,
-              "NHM-7d4f2240de755f7b.shard");
-    EXPECT_EQ(migrated->shards()[1].file,
-              "SKL-46811200eddeb5ea.shard");
-    EXPECT_EQ(migrated->shards()[0].hash, 0x7d4f2240de755f7bull);
-    EXPECT_EQ(migrated->shards()[1].hash, 0x46811200eddeb5eaull);
-
-    // The same results swept fresh hash the same.
+    // `uopsq characterize --arches NHM,SKL --mod 64` writes exactly
+    // these shard files. Their content-addressed names pin the shard
+    // bytes across commits; CI's store round trip checks the same
+    // names.
     core::BatchOptions options;
     options.num_threads = 2;
     options.keep_results = false;
     options.characterizer.filter = [](const isa::InstrVariant &v) {
         return v.id() % 64 == 0;
     };
-    auto swept =
-        db::runCatalogSweep(defaultDb(), kArches, options, nullptr);
-    EXPECT_EQ(migrated->contentHash(), swept->contentHash());
-
-    // The legacy file itself is not a catalog: migration is the only
-    // way in, and the refusal says so.
-    try {
-        db::loadCatalogDir(snap);
-        FAIL() << "a v2 snapshot file loaded as a catalog";
-    } catch (const db::CatalogError &e) {
-        EXPECT_NE(std::string(e.what()).find("uopsq migrate"),
-                  std::string::npos)
-            << e.what();
-    }
+    const std::string dir = freshDir("pinned");
+    db::saveCatalogDir(
+        *db::runCatalogSweep(defaultDb(), kArches, options, nullptr), dir);
+    std::vector<std::string> files;
+    for (const auto &de : std::filesystem::directory_iterator(dir))
+        files.push_back(de.path().filename().string());
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, (std::vector<std::string>{
+                         "NHM-7d4f2240de755f7b.shard",
+                         "SKL-46811200eddeb5ea.shard",
+                         db::manifestFileName(1),
+                     }));
 }
 
 TEST(Catalog, QueriesSpanShardsInArchOrder)
@@ -970,34 +932,56 @@ TEST(Catalog, CorruptStoreIsRefused)
     EXPECT_THROW(db::loadCatalogDir(dir), FatalError);
 }
 
-TEST(Catalog, LegacyManifestIsAFallbackCandidate)
+TEST(Catalog, RetiredFormatsAreRefused)
 {
-    // A pre-numbered store keeps its single `manifest` file; it still
-    // loads, as the generation its header names.
-    const std::string dir = freshDir("legacy");
-    db::saveCatalogDir(*sweepCatalog(), dir);
-    std::filesystem::rename(dir + "/" + db::manifestFileName(1),
-                            dir + "/" + db::kManifestFile);
-    EXPECT_EQ(db::readCatalogGeneration(dir),
-              std::optional<uint64_t>(1));
-    auto legacy = db::loadCatalogDir(dir);
-    EXPECT_EQ(legacy->generation(), 1u);
-    EXPECT_EQ(legacy->contentHash(), sweepCatalog()->contentHash());
+    auto refusal = [](const std::string &path) {
+        try {
+            db::loadCatalogDir(path);
+            ADD_FAILURE() << path << " loaded as a catalog";
+        } catch (const db::CatalogError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
 
-    // A torn legacy manifest beside an intact numbered one is never
-    // chosen: the numbered generation loads, nothing is rejected, and
-    // the legacy file is left alone.
-    const std::string torn = freshDir("legacy_torn");
-    db::saveCatalogDir(*sweepCatalog(), torn);
-    spill(torn + "/" + db::kManifestFile, "UOPSMF");
+    // A file path, such as a single-file v1/v2 snapshot, is refused.
+    const std::string file = freshDir("retired_file") + ".snap";
+    spill(file, db::shardBytes(*setShards()[0]));
+    EXPECT_NE(refusal(file).find("is a file, not a catalog directory"),
+              std::string::npos);
+
+    // So is a pre-numbered store, whose only manifest is a bare
+    // `manifest`; the refusal deletes nothing.
+    const std::string bare = freshDir("retired_bare");
+    db::saveCatalogDir(*sweepCatalog(), bare);
+    std::filesystem::rename(bare + "/" + db::manifestFileName(1),
+                            bare + "/manifest");
+    EXPECT_EQ(db::readCatalogGeneration(bare), std::nullopt);
+    EXPECT_NE(refusal(bare).find("only an unnumbered `manifest`"),
+              std::string::npos);
+    for (const db::ShardEntry &entry : sweepCatalog()->shards())
+        EXPECT_TRUE(std::filesystem::exists(bare + "/" + entry.file));
+
+    // A bare `manifest` beside a numbered one is not a candidate: the
+    // numbered generation loads, nothing is rejected, and the bare
+    // file stays. It protects nothing from load-time GC, so the SKL
+    // shard that only it names is removed.
+    const std::string beside = freshDir("retired_beside");
+    db::saveCatalogDir(*sweepCatalog(), beside);
+    std::filesystem::rename(beside + "/" + db::manifestFileName(1),
+                            beside + "/manifest");
+    db::DatabaseCatalog nhm_only({sweepCatalog()->shards().front()}, 1);
+    db::saveCatalogDir(nhm_only, beside);
     db::RecoveryReport report;
     auto loaded =
-        db::loadCatalogDir(torn, db::LoadMode::Mmap, true, &report);
-    EXPECT_EQ(loaded->generation(), 1u);
-    EXPECT_EQ(loaded->contentHash(), sweepCatalog()->contentHash());
+        db::loadCatalogDir(beside, db::LoadMode::Mmap, true, &report);
+    EXPECT_EQ(loaded->contentHash(), nhm_only.contentHash());
     EXPECT_FALSE(report.recovered);
     EXPECT_TRUE(report.rejected_generations.empty());
-    EXPECT_TRUE(std::filesystem::exists(torn + "/" + db::kManifestFile));
+    EXPECT_TRUE(std::filesystem::exists(beside + "/manifest"));
+    const std::string skl = sweepCatalog()->shards().back().file;
+    EXPECT_EQ(report.removed_files, std::vector<std::string>{skl});
+    EXPECT_FALSE(std::filesystem::exists(beside + "/" + skl));
 }
 
 TEST(Catalog, EmptyShardRoundTrips)
