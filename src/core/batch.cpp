@@ -1,5 +1,6 @@
 #include "core/batch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -183,23 +184,58 @@ runBatchSweep(const isa::InstrDb &db,
             tool->setMeasurementCache(&memo_cache);
 
     // Instrument calibration and blocking-set discovery are a
-    // deterministic function of (db, uarch) and dominate per-worker
-    // cost: run them once per uarch (in parallel), then share the
-    // result with every worker's instance.
+    // deterministic function of (db, uarch) and dominate set-up: run
+    // them once per uarch, then share the result with every worker's
+    // instance. Uarches that simulate one core (one memo-cache core
+    // id: NHM/WSM, HSW/BDW, SKL/KBL/CFL) are set up one after another
+    // in one task, in work-list order, so the first simulates and the
+    // rest replay its runs from the memo-cache; set up at the same
+    // time on two workers, both would simulate. parallelFor starts
+    // the tasks in index order, so the costliest groups go first:
+    // those whose core measures the most variants (discovery measures
+    // candidates from all of them; the replays cost a few percent).
     // A uarch whose setup fails is remembered so that its variant
     // tasks fail fast with the setup error instead of re-running the
     // expensive discovery once per variant; the sweep itself never
     // aborts.
+    struct SetupGroup
+    {
+        uint32_t core;
+        size_t weight = 0; ///< variants the core measures
+        std::vector<size_t> arch_indices;
+    };
+    std::vector<SetupGroup> groups;
+    for (size_t a = 0; a < arches.size(); ++a) {
+        const Characterizer &tool = *workers[0][a];
+        auto group = std::find_if(
+            groups.begin(), groups.end(),
+            [&](const SetupGroup &g) { return g.core == tool.coreId(); });
+        if (group == groups.end()) {
+            group = groups.insert(groups.end(), {tool.coreId()});
+            for (const isa::InstrVariant *variant : db.all())
+                if (tool.isMeasurable(*variant))
+                    ++group->weight;
+        }
+        group->arch_indices.push_back(a);
+    }
+    std::stable_sort(groups.begin(), groups.end(),
+                     [](const SetupGroup &x, const SetupGroup &y) {
+                         return x.weight > y.weight;
+                     });
+
     std::vector<std::string> setup_errors(arches.size());
-    pool.parallelFor(arches.size(), [&](size_t a, size_t worker) {
-        try {
-            workers[worker][a]->prepare();
-            for (auto &per_arch : workers)
-                per_arch[a]->primeFrom(*workers[worker][a]);
-        } catch (const std::exception &e) {
-            setup_errors[a] = std::string("setup failed: ") + e.what();
-        } catch (...) {
-            setup_errors[a] = "setup failed: unknown error";
+    pool.parallelFor(groups.size(), [&](size_t g, size_t worker) {
+        for (size_t a : groups[g].arch_indices) {
+            try {
+                workers[worker][a]->prepare();
+                for (auto &per_arch : workers)
+                    per_arch[a]->primeFrom(*workers[worker][a]);
+            } catch (const std::exception &e) {
+                setup_errors[a] =
+                    std::string("setup failed: ") + e.what();
+            } catch (...) {
+                setup_errors[a] = "setup failed: unknown error";
+            }
         }
     });
 

@@ -18,8 +18,15 @@
  * Algorithm 1 especially — is simulated once per distinct core and
  * µop tables rather than once per (variant, worker, uarch): the
  * refresh generations (WSM, BDW, KBL, CFL) mostly replay their
- * predecessor's runs. Cached measurements are bit-identical to
- * recomputation, so the cache changes wall-clock only.
+ * predecessor's runs. Set-up (calibration and blocking-set discovery)
+ * runs as one task per simulated core, which sets up that core's
+ * uarches one after another, so the refresh generations replay their
+ * predecessor's set-up instead of racing it. Cached measurements are
+ * bit-identical to recomputation, so the cache changes wall-clock
+ * only.
+ *
+ * Variant tasks start in work-list order, so results reach a sink
+ * while the sweep runs, not all at its end.
  *
  * Per-variant failures (simulator aborts, codegen limitations) are
  * recorded in the report instead of aborting the batch, mirroring how
@@ -108,7 +115,9 @@ struct BatchOptions
     /**
      * When false, a task's InstrCharacterization is released right
      * after the sink consumed it, so the sweep never holds more than
-     * the reorder window of results in memory; the returned report
+     * the reorder window of results in memory (tasks start in
+     * work-list order, so the window holds the tasks that finished
+     * while an earlier one still ran); the returned report
      * then carries outcome status (ok / error) only — toSet() skips
      * the cleared slots, so it (and toXml()) yields no per-variant
      * results. Requires a sink.

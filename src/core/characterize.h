@@ -111,6 +111,10 @@ class Characterizer
      */
     void setMeasurementCache(sim::MeasurementCache *cache);
 
+    /** With a memo-cache attached: its id of the simulated core
+     *  (sim::MeasurementHarness::coreId). */
+    uint32_t coreId() const { return harness_.coreId(); }
+
   private:
     void ensureSetup() const;
 

@@ -154,6 +154,11 @@ class MeasurementHarness
      */
     void setCache(MeasurementCache *cache);
 
+    /** With a cache attached: its id of the simulated core. Harnesses
+     *  with equal ids share the cache's entries for a body exactly
+     *  when its µop tables are equal too. */
+    uint32_t coreId() const { return core_id_; }
+
     /**
      * Measure one benchmark body.
      *

@@ -637,8 +637,10 @@ class Core
                        saved_state_.begin());
         if (!due && !candidate)
             return;
-        encodeRest();
-        if (candidate && state_ == saved_state_) {
+        // Unless the state is to be saved, only a match matters, so
+        // the encoding stops at the first word that differs.
+        const bool complete = encodeRest(!due);
+        if (candidate && complete && state_ == saved_state_) {
             fastForward(copy, copy - saved_copy_);
             return;
         }
@@ -714,15 +716,38 @@ class Core
         return state_.size();
     }
 
-    void
-    encodeRest()
+    /** Append the rest of the state after encodeHead's words. With
+     *  @p stop_at_difference, stop once a word differs from
+     *  saved_state_ (checked before each ROB entry and section) and
+     *  return false: the encoding is then a prefix, good only to
+     *  tell that the states differ. */
+    bool
+    encodeRest(bool stop_at_difference)
     {
         if (canon_value_.size() < value_ready_.size())
             canon_value_.resize(value_ready_.size(), -1);
+        size_t checked = state_.size();
+        auto differs = [&] {
+            if (!stop_at_difference)
+                return false;
+            if (state_.size() > saved_state_.size() ||
+                !std::equal(state_.begin() +
+                                static_cast<ptrdiff_t>(checked),
+                            state_.end(),
+                            saved_state_.begin() +
+                                static_cast<ptrdiff_t>(checked)))
+                return true;
+            checked = state_.size();
+            return false;
+        };
         const auto next = static_cast<int64_t>(next_instr_);
         for (size_t i = retire_cursor_; i < next_instr_; ++i)
             state_.push_back(instr_uops_left_[i]);
         for (size_t i = retire_head_; i < issue_head_; ++i) {
+            if (differs()) {
+                resetNumbering();
+                return false;
+            }
             const UopDyn &u = rob_[i];
             state_.push_back(u.instr_idx - next);
             if (u.complete >= 0) { // dispatched or rename-only
@@ -742,12 +767,25 @@ class Core
         }
         for (int32_t v : unit_value_)
             encodeValue(v);
+        if (differs()) {
+            resetNumbering();
+            return false;
+        }
         // Lookups are by tag, so the table's order is free to fix.
         std::sort(mem_value_.begin(), mem_value_.end());
         for (const auto &[tag, v] : mem_value_) {
             state_.push_back(tag);
             encodeValue(v);
         }
+        resetNumbering();
+        return true;
+    }
+
+    /** Forget the value numbering of the last encoding, so the next
+     *  one numbers from 0 again. */
+    void
+    resetNumbering()
+    {
         for (int32_t v : canon_touched_)
             canon_value_[v] = -1;
         canon_touched_.clear();

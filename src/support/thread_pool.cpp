@@ -1,5 +1,8 @@
 #include "support/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+
 #include "support/status.h"
 
 namespace uops {
@@ -74,8 +77,23 @@ void
 ThreadPool::parallelFor(size_t n,
                         const std::function<void(size_t, size_t)> &fn)
 {
-    for (size_t i = 0; i < n; ++i)
-        submit([i, &fn](size_t worker) { fn(i, worker); });
+    // One runner per worker claims the next index until none is left,
+    // so indices start in ascending order (a task per index would
+    // start last-first, see findTask). A fault is recorded under its
+    // index, which makes wait() rethrow the lowest failing index's.
+    std::atomic<size_t> next{0};
+    auto runner = [&](size_t worker) {
+        for (size_t i = next++; i < n; i = next++) {
+            try {
+                fn(i, worker);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mutex_);
+                recordError(i, std::current_exception());
+            }
+        }
+    };
+    for (size_t r = 0; r < std::min(n, workers_.size()); ++r)
+        submit(runner);
     wait();
 }
 
@@ -105,10 +123,11 @@ void
 ThreadPool::recordError(uint64_t seq, std::exception_ptr error)
 {
     // Called with mutex_ held. When several workers fault in one
-    // wave, keep the exception of the earliest-*submitted* task so
-    // wait()'s rethrow does not depend on completion order; the rest
-    // are swallowed by design (the alternative — aggregating — would
-    // change wait()'s type contract) and only counted.
+    // wave, keep the exception of the earliest-*submitted* task (in
+    // parallelFor: the lowest index) so wait()'s rethrow does not
+    // depend on completion order; the rest are swallowed by design
+    // (the alternative — aggregating — would change wait()'s type
+    // contract) and only counted.
     if (!pending_error_) {
         pending_error_ = error;
         pending_error_seq_ = seq;

@@ -7,8 +7,9 @@
  * task, but task costs vary by orders of magnitude (a NOP vs. a divider
  * chain), so static partitioning leaves workers idle. Each worker owns
  * a deque; it pops from the back of its own deque (LIFO, cache-warm)
- * and steals from the front of a victim's deque (FIFO, oldest — and on
- * sweeps, typically largest remaining — work first).
+ * and steals from the front of a victim's deque (FIFO, oldest first).
+ * So submitted tasks do not start in submission order; parallelFor,
+ * which the sweep uses, does start its indices in ascending order.
  *
  * Stealing here is a *scheduling policy*, not a lock-free structure:
  * all deques are guarded by one pool mutex. Tasks in this codebase
@@ -59,7 +60,9 @@ class ThreadPool
 
     /**
      * Enqueue a task. Distributed round-robin over the worker deques;
-     * idle workers steal, so placement only affects locality.
+     * idle workers steal, so placement only affects locality. Start
+     * order is not submission order: a worker runs its own newest
+     * task first.
      */
     void submit(Task task);
 
@@ -82,8 +85,12 @@ class ThreadPool
 
     /**
      * Run fn(i, worker) for every i in [0, n), spread over the pool,
-     * and wait for completion. Must not be called concurrently with
-     * other submissions.
+     * and wait for completion. Indices start in ascending order: one
+     * runner per worker claims the lowest index not yet claimed, so
+     * index i starts no later than index i + 1. If calls throw, the lowest
+     * failing index's exception is rethrown once all have run, and
+     * the rest are counted in droppedErrors(). Must not be called
+     * concurrently with other submissions.
      */
     void parallelFor(size_t n, const std::function<void(size_t i, size_t worker)> &fn);
 

@@ -11,10 +11,12 @@
 #include <condition_variable>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "core/batch.h"
+#include "support/obs/metrics.h"
 #include "support/thread_pool.h"
 #include "test_util.h"
 
@@ -42,25 +44,40 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce)
 
 TEST(ThreadPool, StealingSpreadsUnevenWork)
 {
-    // One task parks its worker until a *different* worker has run
-    // something, forcing the remaining tasks to be stolen. The park
-    // (rather than mere busy work) makes the multi-worker property
-    // deterministic: on an otherwise-idle single CPU a worker can
-    // drain every queue before its peers are even scheduled.
-    ThreadPool pool(4);
+    // One task parks its worker until two tasks submitted after it
+    // have run. Submission is round-robin over the two deques, so one
+    // of them waits on the parked worker's own deque: only a steal by
+    // the other worker runs it. (parallelFor's runners claim indices
+    // instead of queueing a task per index, so this uses submit.)
+    ThreadPool pool(2);
     std::mutex mutex;
     std::condition_variable cv;
-    std::set<size_t> seen_workers;
-    pool.parallelFor(64, [&](size_t i, size_t worker) {
+    size_t parked_worker = 2;
+    std::vector<size_t> ran_on;
+    pool.submit([&](size_t worker) {
         std::unique_lock<std::mutex> lock(mutex);
-        seen_workers.insert(worker);
+        parked_worker = worker;
         cv.notify_all();
-        if (i == 0)
-            cv.wait_for(lock, std::chrono::seconds(10), [&] {
-                return seen_workers.size() > 1;
-            });
+        cv.wait_for(lock, std::chrono::seconds(10),
+                    [&] { return ran_on.size() == 2; });
     });
-    EXPECT_GT(seen_workers.size(), 1u);
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait_for(lock, std::chrono::seconds(10),
+                    [&] { return parked_worker < 2; });
+    }
+    for (int i = 0; i < 2; ++i) {
+        pool.submit([&](size_t worker) {
+            std::lock_guard<std::mutex> lock(mutex);
+            ran_on.push_back(worker);
+            cv.notify_all();
+        });
+    }
+    pool.wait();
+    ASSERT_LT(parked_worker, 2u);
+    ASSERT_EQ(ran_on.size(), 2u);
+    EXPECT_NE(ran_on[0], parked_worker);
+    EXPECT_NE(ran_on[1], parked_worker);
 }
 
 TEST(ThreadPool, SubmitFromWithinTask)
@@ -139,6 +156,47 @@ TEST(ThreadPool, SingleWorkerRunsAllTasksWithoutRaces)
     ASSERT_EQ(order.size(), 16u);
     std::set<size_t> unique(order.begin(), order.end());
     EXPECT_EQ(unique.size(), 16u);
+}
+
+TEST(ThreadPool, ParallelForStartsIndicesInAscendingOrder)
+{
+    // One worker runs the indices in the order they start. A caller
+    // that consumes results in index order (the sweep's reorder
+    // buffer) depends on it. The worker is kept busy while
+    // parallelFor enqueues, so the order cannot come from a worker
+    // that runs each index as soon as it is enqueued.
+    ThreadPool pool(1);
+    pool.submit([](size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+    std::vector<size_t> order;
+    pool.parallelFor(16, [&](size_t i, size_t) { order.push_back(i); });
+    std::vector<size_t> ascending(16);
+    for (size_t i = 0; i < ascending.size(); ++i)
+        ascending[i] = i;
+    EXPECT_EQ(order, ascending);
+}
+
+TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex)
+{
+    for (int round = 0; round < 20; ++round) {
+        ThreadPool pool(4);
+        std::atomic<int> ran{0};
+        try {
+            pool.parallelFor(16, [&](size_t i, size_t) {
+                ++ran;
+                if (i % 4 == 3)
+                    throw std::runtime_error("index " +
+                                             std::to_string(i));
+            });
+            FAIL() << "parallelFor must rethrow";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "index 3");
+        }
+        // Every index ran; 4 threw, one was rethrown.
+        EXPECT_EQ(ran.load(), 16);
+        EXPECT_EQ(pool.droppedErrors(), 3u);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -249,6 +307,76 @@ TEST(BatchSweep, SinkObservesWorkListOrderUnderThreading)
             EXPECT_EQ(sink.seen[i].second, outcome.variant);
             ++i;
         }
+}
+
+TEST(BatchSweep, SinkStreamsWhileTheSweepRuns)
+{
+    // With keep_results = false the sweep promises to hold no more
+    // than the reorder window of results, so the first outcome must
+    // reach the sink long before the last task finishes.
+    class FirstDeliverySink : public core::SweepSink
+    {
+      public:
+        explicit FirstDeliverySink(const std::atomic<size_t> &done)
+            : done_(done)
+        {
+        }
+        size_t done_at_first = 0;
+        void
+        onVariant(uarch::UArch, const core::VariantOutcome &) override
+        {
+            if (done_at_first == 0)
+                done_at_first = done_.load();
+        }
+
+      private:
+        const std::atomic<size_t> &done_;
+    };
+
+    std::atomic<size_t> done{0};
+    FirstDeliverySink sink(done);
+    core::BatchOptions options = sliceOptions(2);
+    options.sink = &sink;
+    options.keep_results = false;
+    options.on_variant_done = [&](uarch::UArch,
+                                  const isa::InstrVariant &,
+                                  bool) { ++done; };
+    auto report = core::runBatchSweep(defaultDb(), kArches, options);
+    ASSERT_GT(report.numTasks(), 8u);
+    EXPECT_GE(sink.done_at_first, 1u);
+    EXPECT_LT(sink.done_at_first, report.numTasks() / 2);
+}
+
+TEST(BatchSweep, SetupSimulatesEachCoreOnce)
+{
+    // Set-up discovers each uarch's blocking sets; the refresh
+    // generations replay their predecessor's runs from the memo-cache
+    // only if they are set up after it, not beside it. A filter that
+    // accepts no variant leaves set-up alone, whose simulated cycles
+    // must not depend on the worker count.
+    auto setup_cycles = [](size_t threads) {
+        auto counter = [](const char *mode) -> obs::Counter & {
+            return obs::Registry::global().counter(
+                "uops_sim_cycles_total", "", {{"mode", mode}});
+        };
+        const uint64_t simulated = counter("simulated").value();
+        const uint64_t skipped = counter("fast_forwarded").value();
+        core::BatchOptions options;
+        options.num_threads = threads;
+        options.characterizer.filter = [](const isa::InstrVariant &) {
+            return false;
+        };
+        auto report = core::runBatchSweep(
+            defaultDb(), uarch::allUArches(), options);
+        EXPECT_EQ(report.numTasks(), 0u);
+        EXPECT_EQ(report.uarches.size(), uarch::allUArches().size());
+        return std::make_pair(counter("simulated").value() - simulated,
+                              counter("fast_forwarded").value() -
+                                  skipped);
+    };
+    const auto one = setup_cycles(1);
+    EXPECT_GT(one.first, 0u);
+    EXPECT_EQ(setup_cycles(4), one);
 }
 
 TEST(BatchSweep, KeepResultsFalseRequiresSink)

@@ -347,6 +347,14 @@ TEST(Determinism, SweepDigestIsCommitted)
 /** A body whose serializing LFENCE empties the core every copy. */
 const char *const kDrainingBody = "IMUL RAX, RBX\nLFENCE\nIMUL RCX, RBX";
 
+/** Its copy boundaries' heads repeat over pending µops whose port
+ *  bindings do not, so the period search stops inside the ROB part of
+ *  the state at copy after copy (on SKL, KBL and CFL it never finds a
+ *  period at n = 110). */
+const char *const kStallingImulBody =
+    "IMUL RBX\nIMUL RBX\nIMUL RBX\nIMUL RBX\n"
+    "IMUL RBX\nIMUL RBX\nIMUL RBX\nIMUL RBX";
+
 /** Bodies covering the rename/dispatch special cases: ALU chains,
  *  fusion (including across copy boundaries), zero idioms and move
  *  elimination, vectors with bypass, divider, memory round trips,
@@ -377,6 +385,8 @@ const char *const kUnrollBodies[] = {
     // but not at the end of the stream: the shortened stream must
     // keep the copy in flight.
     "JZ 1\nLFENCE\nCMP RAX, RBX",
+    // A period search that stops early at copy after copy.
+    kStallingImulBody,
 };
 
 /** @p listing with its newlines shown as "; ". */
@@ -425,6 +435,23 @@ TEST(Determinism, LogicalUnrollMatchesMaterializedKernel)
                 }
             }
         }
+    }
+}
+
+TEST(Determinism, PeriodIsFoundAfterEarlyStops)
+{
+    // On NHM and HSW the stalling body's period search stops early
+    // before it finds the period. A stop that kept its
+    // value numbering would misnumber every later state, and the
+    // period would never be found: the run would still be exact, so
+    // only the stepped cycles show it.
+    for (UArch arch : {UArch::Nehalem, UArch::Haswell}) {
+        const auto &tdb = timingDb(arch);
+        sim::DecodedKernel decoded(tdb, asm_(kStallingImulBody));
+        sim::RunResult run =
+            sim::Pipeline(tdb).run(decoded, sim::kUnrollLarge);
+        EXPECT_LT(run.simulated_cycles, run.cycles)
+            << uarch::uarchName(arch) << ": fast-forward did not engage";
     }
 }
 
