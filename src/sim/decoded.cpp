@@ -42,6 +42,9 @@ DecodedKernel::decodeOne(const InstrInstance &inst)
     d.inst = &inst;
     const uarch::TimingInfo &timing = timing_.timing(*inst.variant);
     d.uops = &timing_.uopsFor(inst);
+    panicIf(d.uops->size() > kMaxInstrUops, "DecodedKernel: ",
+            inst.variant->name(), " has more than ", kMaxInstrUops,
+            " µops");
     bool same_reg = uarch::TimingDb::sameRegOperands(inst);
     bool idiom = same_reg && timing.dep_breaking_same_reg;
     bool zero_elim =

@@ -75,6 +75,11 @@ struct UopPlan
 constexpr size_t kUopSrcsInline = 5;
 constexpr size_t kUopDstsInline = 4;
 
+/** The most µops one instruction renames (CPUID's). The pipeline's
+ *  reorder-buffer ring holds rob_size plus this many; a DecodedKernel
+ *  refuses an instruction with more. */
+constexpr size_t kMaxInstrUops = 20;
+
 /** Per-instance decode results reused across unrolled copies. */
 struct DecodedInstr
 {
@@ -126,8 +131,10 @@ class DecodedKernel
         return body_.size() * static_cast<size_t>(body_reps);
     }
 
-    /** Decode entry at virtual stream index @p v. */
-    const DecodedInstr &at(size_t v) const { return body_[v % body_.size()]; }
+    /** Decode entry of body instruction @p i (< bodySize()). Stream
+     *  index v runs body instruction v % bodySize(); the pipeline
+     *  keeps that index as it issues instead of dividing. */
+    const DecodedInstr &at(size_t i) const { return body_[i]; }
 
     /** Temporaries a rename plan names (one past the largest index). */
     size_t numTemps() const { return num_temps_; }

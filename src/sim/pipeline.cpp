@@ -1,6 +1,7 @@
 #include "pipeline.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "support/small_vector.h"
@@ -25,7 +26,8 @@ constexpr int64_t kNotReady = std::numeric_limits<int64_t>::max() / 4;
  *  (the paper's ~1/3 in dependent chains). */
 constexpr uint64_t kMovElimPeriod = 3;
 
-/** Dynamic (renamed) instance of one µop in flight. */
+/** Dynamic (renamed) instance of one µop in flight: a reorder-buffer
+ *  slot, reset in place for each µop renamed into it. */
 struct UopDyn
 {
     const UopSpec *spec = nullptr; ///< nullptr for rename-eliminated.
@@ -38,20 +40,21 @@ struct UopDyn
     SmallVector<int32_t, kUopDstsInline> dsts; ///< value ids, per write
 };
 
-// A worker keeps one ROB per uarch, so every byte here multiplies.
+// Each Pipeline holds a 256-slot ROB ring (24 KiB), and a worker keeps
+// one Pipeline per uarch, so every byte here multiplies.
 static_assert(sizeof(UopDyn) <= 96, "UopDyn must not grow");
 
 /** A node of a value's waiter list: one read by a waiting µop. */
 struct Waiter
 {
-    uint32_t uop; ///< ROB index
+    uint32_t uop; ///< µop sequence number
     int32_t next; ///< next node, -1: end of list
 };
 
 /** A µop whose sources are all produced, waiting for its port. */
 struct Candidate
 {
-    uint32_t uop;  ///< ROB index
+    uint32_t uop;  ///< µop sequence number
     int64_t ready; ///< first cycle at which every source is ready for it
 };
 
@@ -62,10 +65,25 @@ struct Candidate
  * runs. Every container is reset (not reallocated) at the start of a
  * run, so the simulated core still observes pristine power-on state
  * while steady-state runs stay allocation-free.
+ *
+ * The reorder buffer and the per-instruction µop counts are rings sized
+ * by the core, not the run. Issue stops once rob_size µops are in
+ * flight and renames an instruction only once every renamed µop has
+ * issued, so at most rob_size + kMaxInstrUops µops are live. Every
+ * live instruction holds a live µop, except a fused branch, which
+ * shares its producer's, so at most twice as many instructions are
+ * live, the instruction just renamed included.
  */
 class PipelineScratch
 {
   public:
+    explicit PipelineScratch(const uarch::UArchInfo &info)
+    {
+        rob.resize(std::bit_ceil(static_cast<size_t>(info.rob_size) +
+                                 kMaxInstrUops));
+        instr_uops_left.resize(2 * rob.size());
+    }
+
     /** Sorted snapshot markers, then a kNoMarker sentinel. */
     std::vector<size_t> marker_set;
 
@@ -77,11 +95,14 @@ class PipelineScratch
     std::vector<std::pair<int, int32_t>> mem_value;
     std::vector<int32_t> temp_value;
 
+    /** Ring indexed by µop sequence number (power-of-two size). */
     std::vector<UopDyn> rob;
     std::vector<Waiter> waiters;
     std::vector<std::vector<Candidate>> candidates;
     std::vector<int> waiting;
     std::vector<int64_t> div_busy;
+    /** Ring indexed by stream index: µops of each in-flight
+     *  instruction not yet retired, -1 if not yet renamed. */
     std::vector<int> instr_uops_left;
 
     /** Fast-forward period search: the canonical state at the current
@@ -108,15 +129,17 @@ class Core
          int body_reps, const std::vector<size_t> &markers,
          int prefix_copies, PipelineScratch &s)
         : timing_(timing), info_(info), options_(options),
-          decoded_(decoded), body_reps_(body_reps),
-          total_(decoded.totalSize(body_reps)),
+          decoded_(decoded), body_size_(decoded.bodySize()),
+          body_reps_(body_reps), total_(decoded.totalSize(body_reps)),
           prefix_end_(decoded.totalSize(prefix_copies)),
           marker_set_(s.marker_set), value_ready_(s.value_ready),
           value_domain_(s.value_domain), unit_value_(s.unit_value),
           mem_value_(s.mem_value), temp_value_(s.temp_value),
-          rob_(s.rob), waiters_(s.waiters), candidates_(s.candidates),
-          waiting_(s.waiting), div_busy_(s.div_busy),
-          instr_uops_left_(s.instr_uops_left), state_(s.state),
+          rob_(s.rob), rob_mask_(s.rob.size() - 1), waiters_(s.waiters),
+          candidates_(s.candidates), waiting_(s.waiting),
+          div_busy_(s.div_busy),
+          instr_uops_left_(s.instr_uops_left),
+          instr_mask_(s.instr_uops_left.size() - 1), state_(s.state),
           saved_state_(s.saved_state), canon_value_(s.canon_value),
           canon_touched_(s.canon_touched)
     {
@@ -131,7 +154,6 @@ class Core
         unit_value_.assign(isa::kNumArchUnits, 0);
         mem_value_.clear();
         temp_value_.assign(decoded.numTemps(), 0);
-        rob_.clear();
         waiters_.clear();
         candidates_.resize(static_cast<size_t>(info.num_ports));
         for (auto &queue : candidates_)
@@ -139,12 +161,12 @@ class Core
         waiting_.assign(static_cast<size_t>(info.num_ports), 0);
         div_busy_.assign(static_cast<size_t>(info.num_ports), 0);
         // -1: not yet renamed (blocks the in-order retire cursor).
-        instr_uops_left_.assign(total_, -1);
+        std::fill(instr_uops_left_.begin(), instr_uops_left_.end(), -1);
         result_.snapshots.resize(markers.size());
         // The period search starts after the prefix: a cut removes
         // copies from the boundary it is found at on, so it never
         // removes a prefix copy.
-        if (decoded.bodySize() > 0)
+        if (body_size_ > 0)
             next_boundary_ = prefix_end_;
     }
 
@@ -184,8 +206,46 @@ class Core
     bool
     done() const
     {
-        return next_instr_ >= total_ && retire_head_ == rob_.size() &&
+        return next_instr_ >= total_ && retire_head_ == rob_tail_ &&
                retire_cursor_ >= total_;
+    }
+
+    /** The ROB slot of µop sequence number @p seq. */
+    UopDyn &robEntry(size_t seq) { return rob_[seq & rob_mask_]; }
+
+    /** Unretired µops of in-flight stream instruction @p instr. */
+    int &
+    uopsLeft(size_t instr)
+    {
+        return instr_uops_left_[instr & instr_mask_];
+    }
+
+    /** Claim the next ROB slot for a µop of instruction @p idx. The
+     *  slot is reset in place, keeping its value-id buffers, so a
+     *  warmed ring renames without allocating. */
+    UopDyn &
+    newUop(int32_t idx)
+    {
+        UopDyn &u = robEntry(rob_tail_++);
+        u.spec = nullptr;
+        u.instr_idx = idx;
+        u.port = -1;
+        u.slow = false;
+        u.unready = 0;
+        u.complete = -1;
+        u.srcs.clear();
+        u.dsts.clear();
+        return u;
+    }
+
+    /** Move the issue cursor @p n instructions on (at most a body). */
+    void
+    advance(size_t n)
+    {
+        next_instr_ += n;
+        body_pos_ += n;
+        if (body_pos_ >= body_size_)
+            body_pos_ -= body_size_;
     }
 
     // ---- value table -------------------------------------------------
@@ -218,7 +278,7 @@ class Core
         return static_cast<int32_t>(value_ready_[value] - kNotReady) - 1;
     }
 
-    /** Make ROB entry @p uop wait on @p value, not yet produced. */
+    /** Make µop @p uop wait on @p value, not yet produced. */
     void
     addWaiter(int32_t value, uint32_t uop)
     {
@@ -249,17 +309,17 @@ class Core
             w.next = free_waiter_;
             free_waiter_ = node;
             node = next;
-            if (--rob_[uop].unready == 0)
+            if (--robEntry(uop).unready == 0)
                 schedule(uop);
         }
     }
 
-    /** Enter ROB entry @p uop, every source produced, into its port's
+    /** Enter µop @p uop, every source produced, into its port's
      *  candidates, which stay in ROB order. */
     void
     schedule(uint32_t uop)
     {
-        const UopDyn &u = rob_[uop];
+        const UopDyn &u = robEntry(uop);
         int64_t ready = 0;
         for (int32_t s : u.srcs)
             ready = std::max(ready, effectiveReady(s, u.spec->domain));
@@ -329,9 +389,8 @@ class Core
     renameUop(const UopSpec &spec, const UopPlan &plan, int32_t idx,
               bool slow)
     {
-        UopDyn &dyn = rob_.emplace_back();
+        UopDyn &dyn = newUop(idx);
         dyn.spec = &spec;
-        dyn.instr_idx = idx;
         dyn.slow = slow;
         for (const RenameRef &r : plan.srcs)
             if (!r.dirty_only || dirty_upper_)
@@ -368,8 +427,8 @@ class Core
                             w.kind == RenameRef::Kind::Flags)
                             value_ready_[bindWrite(w)] = 0;
             }
-            rob_.emplace_back().instr_idx = idx;
-            instr_uops_left_[static_cast<size_t>(idx)] = 1;
+            newUop(idx);
+            uopsLeft(static_cast<size_t>(idx)) = 1;
             return;
         }
 
@@ -377,8 +436,7 @@ class Core
         const std::vector<UopSpec> &uops = *d.uops;
         for (size_t i = 0; i < uops.size(); ++i)
             renameUop(uops[i], d.plan[i], idx, d.slow);
-        instr_uops_left_[static_cast<size_t>(idx)] =
-            static_cast<int>(uops.size());
+        uopsLeft(static_cast<size_t>(idx)) = static_cast<int>(uops.size());
 
         // Track the YMM upper state for the SSE/AVX transition model.
         if (info_.sse_avx_transition) {
@@ -396,7 +454,7 @@ class Core
         while (issued < info_.issue_width) {
             // Rename the next instruction once every renamed µop has
             // issued.
-            if (issue_head_ == rob_.size()) {
+            if (issue_head_ == rob_tail_) {
                 if (next_instr_ >= total_)
                     return;
                 if (next_instr_ >= next_boundary_)
@@ -404,12 +462,12 @@ class Core
                 // A serializing instruction in flight blocks younger
                 // instructions until it has fully retired.
                 if (serializer_in_flight_ >= 0) {
-                    if (instr_uops_left_[static_cast<size_t>(
-                            serializer_in_flight_)] > 0)
+                    if (uopsLeft(static_cast<size_t>(
+                            serializer_in_flight_)) > 0)
                         return;
                     serializer_in_flight_ = -1;
                 }
-                const DecodedInstr &d = decoded_.at(next_instr_);
+                const DecodedInstr &d = decoded_.at(body_pos_);
                 if (d.serializing) {
                     // Drain: all older µops must have retired first.
                     if (retire_head_ != issue_head_)
@@ -424,18 +482,19 @@ class Core
                 const auto idx = static_cast<int32_t>(next_instr_);
                 if (d.fused != nullptr && next_instr_ + 1 < total_) {
                     renameUop(*d.fused, d.fused_plan, idx, false);
-                    instr_uops_left_[next_instr_] = 1;
-                    instr_uops_left_[next_instr_ + 1] = 0;
+                    uopsLeft(next_instr_) = 1;
+                    uopsLeft(next_instr_ + 1) = 0;
                     activity_ = true;
-                    next_instr_ += 2;
+                    // A fused pair is two distinct body instructions.
+                    advance(2);
                     continue;
                 }
                 renameInstruction(d, idx);
-                ++next_instr_;
+                advance(1);
             }
-            while (issue_head_ < rob_.size() &&
+            while (issue_head_ < rob_tail_ &&
                    issued < info_.issue_width) {
-                UopDyn &u = rob_[issue_head_];
+                UopDyn &u = robEntry(issue_head_);
                 // Capacity checks.
                 if (issue_head_ - retire_head_ >=
                     static_cast<size_t>(info_.rob_size))
@@ -496,7 +555,7 @@ class Core
             for (size_t i = 0; i < queue.size(); ++i) {
                 if (queue[i].ready > cycle_)
                     continue;
-                UopDyn &u = rob_[queue[i].uop];
+                UopDyn &u = robEntry(queue[i].uop);
                 const UopSpec &spec = *u.spec;
                 if (spec.div_occupancy > 0 && div_busy_[p] > cycle_)
                     continue;
@@ -536,10 +595,10 @@ class Core
         int retired = 0;
         while (retire_head_ < issue_head_ &&
                retired < info_.retire_width) {
-            UopDyn &u = rob_[retire_head_];
+            UopDyn &u = robEntry(retire_head_);
             if (u.complete < 0 || u.complete > cycle_)
                 break;
-            --instr_uops_left_[static_cast<size_t>(u.instr_idx)];
+            --uopsLeft(static_cast<size_t>(u.instr_idx));
             ++retire_head_;
             ++retired;
             activity_ = true;
@@ -547,8 +606,7 @@ class Core
         // In-order instruction retirement: an instruction is retired
         // once all its µops are (fused branches contribute zero µops
         // and retire together with their producer).
-        while (retire_cursor_ < total_ &&
-               instr_uops_left_[retire_cursor_] == 0) {
+        while (retire_cursor_ < total_ && uopsLeft(retire_cursor_) == 0) {
             ++counters_.instrs_retired;
             activity_ = true;
             // The prefix's clock is the stepped one: a cut only ever
@@ -564,6 +622,9 @@ class Core
                 counters_.cycles = cycle_ + cycle_offset_;
                 result_.snapshots[next_marker_++] = counters_;
             }
+            // The slot comes round again as instruction
+            // retire_cursor_ + instr_uops_left_.size().
+            uopsLeft(retire_cursor_) = -1;
             ++retire_cursor_;
         }
     }
@@ -586,7 +647,7 @@ class Core
     {
         int64_t next = kNotReady;
         if (retire_head_ < issue_head_) {
-            const UopDyn &u = rob_[retire_head_];
+            const UopDyn &u = robEntry(retire_head_);
             if (u.complete > cycle_)
                 next = std::min(next, u.complete);
         }
@@ -594,7 +655,7 @@ class Core
             for (const Candidate &c : candidates_[static_cast<size_t>(p)]) {
                 if (c.ready > cycle_)
                     next = std::min(next, c.ready);
-                else if (rob_[c.uop].spec->div_occupancy > 0 &&
+                else if (robEntry(c.uop).spec->div_occupancy > 0 &&
                          div_busy_[p] > cycle_)
                     next = std::min(next, div_busy_[p]);
             }
@@ -615,20 +676,19 @@ class Core
     void
     copyBoundary(int issued)
     {
-        const size_t body = decoded_.bodySize();
-        const auto copy = static_cast<int64_t>(next_instr_ / body);
+        const auto copy = static_cast<int64_t>(next_instr_ / body_size_);
         // A period found past the midpoint saves less than looking
         // for it costs.
         if (2 * (copy + 1) > body_reps_) {
             next_boundary_ = kNever;
             return;
         }
-        next_boundary_ = body * static_cast<size_t>(copy + 1);
+        next_boundary_ = body_size_ * static_cast<size_t>(copy + 1);
         // The cheap head of the state pre-filters: the rest is only
         // serialized when Brent's saved state is due to be replaced or
         // the heads match.
         const size_t head =
-            encodeHead(issued, body * static_cast<size_t>(copy));
+            encodeHead(issued, body_size_ * static_cast<size_t>(copy));
         const bool due = saved_copy_ < 0 || copy - saved_copy_ >= power_;
         const bool candidate =
             saved_copy_ >= 0 &&
@@ -742,13 +802,13 @@ class Core
         };
         const auto next = static_cast<int64_t>(next_instr_);
         for (size_t i = retire_cursor_; i < next_instr_; ++i)
-            state_.push_back(instr_uops_left_[i]);
+            state_.push_back(uopsLeft(i));
         for (size_t i = retire_head_; i < issue_head_; ++i) {
             if (differs()) {
                 resetNumbering();
                 return false;
             }
-            const UopDyn &u = rob_[i];
+            const UopDyn &u = robEntry(i);
             state_.push_back(u.instr_idx - next);
             if (u.complete >= 0) { // dispatched or rename-only
                 state_.push_back(std::max<int64_t>(0, u.complete - cycle_));
@@ -826,6 +886,7 @@ class Core
     const uarch::UArchInfo &info_;
     const SimOptions &options_;
     const DecodedKernel &decoded_;
+    size_t body_size_; ///< instructions per body copy
     int body_reps_;  ///< body copies in the stream (fewer once fast-forwarded)
     size_t total_;   ///< virtual stream length
     /** Stream index past the prefix copies. */
@@ -835,6 +896,9 @@ class Core
     /** Cycles fast-forwarded: the logical clock is cycle_ + this. */
     int64_t cycle_offset_ = 0;
     size_t next_instr_ = 0;
+    /** Body index of next_instr_: issue walks the body without a
+     *  division per instruction. */
+    size_t body_pos_ = 0;
     int32_t serializer_in_flight_ = -1;
     bool dirty_upper_ = false;
     bool activity_ = false;
@@ -848,11 +912,13 @@ class Core
     std::vector<std::pair<int, int32_t>> &mem_value_;
     std::vector<int32_t> &temp_value_;
 
-    /** Retired µops, then issued ones from retire_head_, then renamed
-     *  ones waiting to issue from issue_head_. */
+    /** By µop sequence number: issued µops from retire_head_, then
+     *  renamed ones waiting to issue from issue_head_ to rob_tail_. */
     std::vector<UopDyn> &rob_;
+    size_t rob_mask_;
     size_t retire_head_ = 0;
     size_t issue_head_ = 0;
+    size_t rob_tail_ = 0;
     size_t retire_cursor_ = 0;
     int rs_count_ = 0;
     std::vector<Waiter> &waiters_;
@@ -861,7 +927,10 @@ class Core
     std::vector<std::vector<Candidate>> &candidates_;
     std::vector<int> &waiting_;
     std::vector<int64_t> &div_busy_;
+    /** Stream indices retire_cursor_ to next_instr_ (+ 1 while a fused
+     *  pair is renamed). */
     std::vector<int> &instr_uops_left_;
+    size_t instr_mask_;
 
     /** Period search (Brent): next copy start to check, and the saved
      *  copy's state, clock and counters. */
@@ -883,7 +952,7 @@ class Core
 
 Pipeline::Pipeline(const uarch::TimingDb &timing, SimOptions options)
     : timing_(timing), info_(uarchInfo(timing.arch())),
-      options_(options), scratch_(std::make_unique<PipelineScratch>())
+      options_(options), scratch_(std::make_unique<PipelineScratch>(info_))
 {
 }
 
@@ -893,6 +962,10 @@ RunResult
 Pipeline::run(const isa::Kernel &kernel,
               const std::vector<size_t> &markers) const
 {
+    for (size_t marker : markers)
+        panicIf(marker >= kernel.size(), "Pipeline::run: marker ", marker,
+                " is past the kernel's last instruction (",
+                kernel.size(), " instructions)");
     DecodedKernel decoded(timing_, kernel);
     return Core(timing_, info_, options_, decoded, kernel.empty() ? 0 : 1,
                 markers, 0, *scratch_)

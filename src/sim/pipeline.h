@@ -35,15 +35,19 @@
  * Per-run working state (reorder buffer, value tables, waiter nodes,
  * per-port candidate lists) lives in a scratch arena owned by the
  * Pipeline and reused across runs, so a warmed Pipeline's run
- * allocates nothing per µop or per copy. Results are unaffected: every
- * run starts from a fully reset power-on state. Scheduling is event
- * driven: a µop waits on the values it lacks, the producer's dispatch
- * wakes it, and once every source is produced it joins its port's
- * candidates in ROB order, from which each port dispatches the oldest
- * ready one. When no µop can dispatch, issue, or retire in a cycle,
- * the simulated clock skips ahead to the next cycle at which a
- * candidate becomes ready, the divider frees up for one, or the
- * oldest µop completes — cycle-exact, since no architectural state
+ * allocates nothing per µop or per copy. The reorder buffer and the
+ * in-flight instructions' µop counts are rings sized by the core
+ * (rob_size plus one instruction's µops, rounded up to a power of two:
+ * 256 slots on every uarch), not by the run's length; µops are named
+ * by sequence number and their slots reused in place. Results are
+ * unaffected: every run starts from a fully reset power-on state.
+ * Scheduling is event driven: a µop waits on the values it lacks, the
+ * producer's dispatch wakes it, and once every source is produced it
+ * joins its port's candidates in ROB order, from which each port
+ * dispatches the oldest ready one. When no µop can dispatch, issue, or
+ * retire in a cycle, the simulated clock skips ahead to the next cycle
+ * at which a candidate becomes ready, the divider frees up for one, or
+ * the oldest µop completes — cycle-exact, since no architectural state
  * can change in the skipped span. With body copies, the run looks for
  * a copy boundary whose canonical state repeats an earlier one's;
  * from there the remaining copies are periodic, so whole periods are
@@ -168,7 +172,9 @@ class Pipeline
      * @param kernel  Straight-line instance sequence.
      * @param markers Kernel indices at whose retirement the counters
      *                are snapshotted (Algorithm 2's counter reads);
-     *                snapshots[i] is the i-th smallest marker's.
+     *                snapshots[i] is the i-th smallest marker's. A
+     *                marker past the kernel's last instruction is a
+     *                PanicError.
      */
     RunResult run(const isa::Kernel &kernel,
                   const std::vector<size_t> &markers = {}) const;

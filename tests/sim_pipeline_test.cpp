@@ -339,6 +339,23 @@ TEST(SimHarness, OverheadCancellation)
     EXPECT_NEAR(m.cycles, 1.0, 0.02);
 }
 
+TEST(SimHarness, MarkerPastTheKernelIsRefused)
+{
+    // No instruction retires at a marker past the kernel, so its
+    // snapshot would stay all zero.
+    sim::Pipeline pipeline(timingDb(UArch::Skylake));
+    auto kernel = asm_("ADD RAX, RBX\nADD RCX, RDX");
+    EXPECT_EQ(pipeline.run(kernel, {1}).snapshots.at(0).instrs_retired, 2);
+    EXPECT_THROW(pipeline.run(kernel, {0, 2}), PanicError);
+    try {
+        pipeline.run(kernel, {5});
+        ADD_FAILURE() << "marker 5 of 2 instructions was accepted";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("marker 5"), std::string::npos)
+            << e.what();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Scheduler edge cases, pinned to recorded results.
 // ---------------------------------------------------------------------
@@ -460,6 +477,90 @@ TEST(SimScheduler, EdgeCasesMatchRecordedResults)
     }
 }
 
+/** @p count independent `ADD reg, R15`, cycling over @p regs. */
+std::string
+addFiller(int count, std::initializer_list<const char *> regs)
+{
+    std::string out;
+    for (int i = 0; i < count; ++i)
+        out += std::string("ADD ") +
+               regs.begin()[static_cast<size_t>(i) % regs.size()] +
+               ", R15\n";
+    return out;
+}
+
+/** Bodies longer than the reorder-buffer ring, or whose µops or fused
+ *  pair straddle a wrap of it. */
+std::vector<std::pair<std::string, std::string>>
+longBodies()
+{
+    const auto regs = {"RCX", "RSI", "RDI", "RBP", "R8", "R9", "R10",
+                       "R11", "R12", "R13", "R14"};
+    std::string fused_pairs;
+    for (int i = 0; i < 100; ++i)
+        fused_pairs += "CMP RCX, RSI\nJZ 1\n";
+    return {
+        // More than 256 µops per copy.
+        {"adds-300", addFiller(300, regs)},
+        // CPUID's 20 µops start at µop 245 of copy 0 and 254 of copy 1.
+        {"cpuid-wrap", addFiller(245, regs) + "CPUID"},
+        // The last instruction fuses with the next copy's first.
+        {"fused-copy-wrap",
+         "JZ 1\n" + addFiller(248, regs) + "CMP RAX, RBX"},
+        // The divider holds retirement while the ROB fills behind it.
+        {"div-rob-full", "DIV RBX\n" + addFiller(60, regs)},
+        // ... for longer, behind fused pairs: two in-flight
+        // instructions per µop.
+        {"div-fused-pairs", "DIV RBX\nDIV RBX\nDIV RBX\n" + fused_pairs},
+    };
+}
+
+TEST(SimScheduler, LongBodiesMatchRecordedResults)
+{
+    // tests/data/long_body_goldens.txt was recorded by the simulator
+    // whose reorder buffer held every µop of the run; a bounded ROB
+    // must reproduce it exactly. Never re-record it for a refactor.
+    // Each body runs as n = 10 and n = 110 logical copies with a
+    // 10-copy prefix, and as the materialized one-copy kernel.
+    std::ifstream file(std::string(UOPS_TEST_DATA_DIR) +
+                       "/long_body_goldens.txt");
+    ASSERT_TRUE(file) << "missing long_body_goldens.txt";
+    std::vector<std::string> expected;
+    for (std::string line; std::getline(file, line);)
+        if (!line.empty() && line[0] != '#')
+            expected.push_back(line);
+
+    std::vector<std::string> actual;
+    for (UArch arch : uarch::allUArches()) {
+        const auto &tdb = timingDb(arch);
+        sim::Pipeline pipeline(tdb);
+        for (const auto &[name, listing] : longBodies()) {
+            auto body = asm_(listing);
+            std::string what = uarch::uarchName(arch) + " " + name;
+            sim::DecodedKernel decoded(tdb, body);
+            for (int n : {sim::kUnrollSmall, sim::kUnrollLarge}) {
+                sim::RunResult run =
+                    pipeline.run(decoded, n, sim::kUnrollSmall);
+                actual.push_back(what + " n=" + std::to_string(n) + " " +
+                                 renderRun(run) + " prefix{" +
+                                 renderCounters(run.prefix) + "}");
+            }
+            actual.push_back(what + " flat " + renderRun(pipeline.run(body)));
+        }
+    }
+
+    for (size_t i = 0; i < std::max(expected.size(), actual.size()); ++i)
+        EXPECT_EQ(i < expected.size() ? expected[i] : "<none>",
+                  i < actual.size() ? actual[i] : "<none>")
+            << "line " << i + 1;
+    if (HasFailure()) {
+        std::ostringstream all;
+        for (const std::string &line : actual)
+            all << line << "\n";
+        ADD_FAILURE() << "results:\n" << all.str();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Allocation-free runs.
 // ---------------------------------------------------------------------
@@ -467,7 +568,9 @@ TEST(SimScheduler, EdgeCasesMatchRecordedResults)
 TEST(SimAllocation, TableUopsFitInline)
 {
     // A renamed µop holds its value ids inline; one with more sources
-    // or destinations than that would allocate on every copy.
+    // or destinations than that would allocate on every copy. The
+    // reorder-buffer ring has room for rob_size µops plus one
+    // instruction's, at most kMaxInstrUops.
     for (UArch arch : uarch::allUArches()) {
         const auto &tdb = timingDb(arch);
         const uarch::UArchInfo &info = uarch::uarchInfo(arch);
@@ -478,6 +581,8 @@ TEST(SimAllocation, TableUopsFitInline)
             isa::Kernel body = {core::makeIndependent(*variant, pool)};
             sim::DecodedKernel decoded(tdb, body);
             const sim::DecodedInstr &d = decoded.at(0);
+            EXPECT_LE(d.uops->size(), sim::kMaxInstrUops)
+                << uarch::uarchName(arch) << " " << variant->name();
             for (const sim::UopPlan &plan : d.plan) {
                 EXPECT_LE(plan.srcs.size(), sim::kUopSrcsInline)
                     << uarch::uarchName(arch) << " " << variant->name();
@@ -510,16 +615,21 @@ TEST(SimAllocation, RunsAllocateNothingPerUopOrCopy)
 {
     // Flags read and written, memory operands, store forwarding, a
     // five-source µop, partial-register and dirty-upper merges, the
-    // divider and macro-fusion.
-    const char *const bodies[] = {
-        "ADD RAX, [RBX]\nADC RCX, RDX\nCMP RAX, RCX\nJZ 1",
-        "ADD [RCX], RDX\nMOV RSI, [RCX]\nSHLD RDI, RSI, 3\nMOV AL, BL",
-        "VADDPS YMM0, YMM0, YMM1\nADDPS XMM2, XMM3\nDIV RBX\nCMC",
-    };
+    // divider and macro-fusion; then bodies that reuse every slot of
+    // the reorder-buffer ring within a copy, one with CPUID's µops
+    // across its wrap.
+    std::vector<std::pair<std::string, std::string>> bodies;
+    for (const char *listing :
+         {"ADD RAX, [RBX]\nADC RCX, RDX\nCMP RAX, RCX\nJZ 1",
+          "ADD [RCX], RDX\nMOV RSI, [RCX]\nSHLD RDI, RSI, 3\nMOV AL, BL",
+          "VADDPS YMM0, YMM0, YMM1\nADDPS XMM2, XMM3\nDIV RBX\nCMC"})
+        bodies.emplace_back(listing, listing);
+    bodies.push_back(longBodies()[0]);
+    bodies.push_back(longBodies()[1]);
     for (UArch arch : uarch::allUArches()) {
         const auto &tdb = timingDb(arch);
         sim::Pipeline pipeline(tdb);
-        for (const char *listing : bodies) {
+        for (const auto &[name, listing] : bodies) {
             auto body = asm_(listing);
             if (!supportedOn(arch, body))
                 continue;
@@ -541,7 +651,7 @@ TEST(SimAllocation, RunsAllocateNothingPerUopOrCopy)
             size_t small = countAllocations(sim::kUnrollSmall);
             size_t large = countAllocations(sim::kUnrollLarge);
             EXPECT_EQ(small, large)
-                << uarch::uarchName(arch) << " " << listing
+                << uarch::uarchName(arch) << " " << name
                 << ": a run allocates per µop or per copy";
         }
     }
