@@ -11,8 +11,6 @@
  * Haswell (1*p0156+1*p06 measured as 2*p0156).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace uops::bench {
@@ -24,6 +22,10 @@ struct Accuracy
     int exact = 0;
     int measurements = 0;
     double pct() const { return total ? 100.0 * exact / total : 0.0; }
+    double perInstr() const
+    {
+        return total ? static_cast<double>(measurements) / total : 0.0;
+    }
 };
 
 /** Variants whose port usage both methods can attempt. */
@@ -85,34 +87,31 @@ printAblation()
     for (auto arch : {uarch::UArch::Nehalem, uarch::UArch::Haswell,
                       uarch::UArch::Skylake}) {
         const char *name = uarch::uarchInfo(arch).full_name.c_str();
+        // The last column is the mean number of measurements per
+        // instruction: an ablation may cost measurements without
+        // changing a result.
+        auto print = [&](const char *method, const Accuracy &acc) {
+            std::printf("%-13s %22s %9d %8.2f%% %9.1f\n", name, method,
+                        acc.total, acc.pct(), acc.perInstr());
+        };
         Accuracy naive = evaluate(arch, true, {});
         std::printf("%-13s %22s %9d %8.2f%% %12s\n", name,
                     "naive (isolation)", naive.total, naive.pct(), "-");
-        Accuracy full = evaluate(arch, false, {});
-        std::printf("%-13s %22s %9d %8.2f%% %9.1f\n", name,
-                    "Algorithm 1", full.total, full.pct(),
-                    static_cast<double>(full.measurements) / full.total);
+        print("Algorithm 1", evaluate(arch, false, {}));
 
         core::PortUsageOptions no_subset;
         no_subset.no_subset_subtraction = true;
-        Accuracy abl1 = evaluate(arch, false, no_subset);
-        std::printf("%-13s %22s %9d %8.2f%% %12s\n", name,
-                    "  - subset subtraction", abl1.total, abl1.pct(),
-                    "-");
+        print("  - subset subtraction", evaluate(arch, false, no_subset));
 
         core::PortUsageOptions no_sort;
         no_sort.no_sorting = true;
-        Accuracy abl2 = evaluate(arch, false, no_sort);
-        std::printf("%-13s %22s %9d %8.2f%% %12s\n", name,
-                    "  - combination sort", abl2.total, abl2.pct(), "-");
+        print("  - combination sort", evaluate(arch, false, no_sort));
 
-        core::PortUsageOptions no_exit;
-        no_exit.no_early_exit = true;
-        no_exit.no_isolation_filter = true;
-        Accuracy abl3 = evaluate(arch, false, no_exit);
-        std::printf("%-13s %22s %9d %8.2f%% %12s\n", name,
-                    "  - filters (all combos)", abl3.total, abl3.pct(),
-                    "-");
+        core::PortUsageOptions no_filters;
+        no_filters.no_early_exit = true;
+        no_filters.no_isolation_filter = true;
+        print("  - filters (all combos)",
+              evaluate(arch, false, no_filters));
         rule();
     }
 
@@ -143,43 +142,12 @@ printAblation()
     }
 }
 
-void
-BM_Algorithm1SingleInstr(benchmark::State &state)
-{
-    Context &ctx = context(uarch::UArch::Skylake);
-    core::PortUsageAnalyzer analyzer(ctx.harness, ctx.sse_set,
-                                     ctx.avx_set);
-    const auto *v = db().byName("ADD_R64_M64");
-    for (auto _ : state) {
-        auto r = analyzer.analyze(*v, 5);
-        benchmark::DoNotOptimize(r.usage.totalUops());
-    }
-}
-
-BENCHMARK(BM_Algorithm1SingleInstr)->Unit(benchmark::kMillisecond);
-
-void
-BM_BlockingDiscovery(benchmark::State &state)
-{
-    const auto &tdb = timingDb(uarch::UArch::Skylake);
-    for (auto _ : state) {
-        sim::MeasurementHarness harness(tdb);
-        core::BlockingFinder finder(harness);
-        auto set = finder.find(false);
-        benchmark::DoNotOptimize(set.combos.size());
-    }
-}
-
-BENCHMARK(BM_BlockingDiscovery)->Unit(benchmark::kMillisecond);
-
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printAblation();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -2,8 +2,7 @@
  * @file
  * Scaling study of the batch characterization engine: sweep a slice of
  * the instruction set over two microarchitectures with 1..N worker
- * threads and report the parallel speedup, then run google-benchmark
- * timings for the single- and multi-threaded sweeps.
+ * threads and report the parallel speedup.
  *
  * Full-ISA characterization is embarrassingly parallel per
  * (variant, uarch) task; the work-stealing pool should scale nearly
@@ -15,12 +14,10 @@
  *     bench_batch_sweep --json <path> [--mod N] [--threads 1,2,4]
  *
  * runs the sweep once per thread count and writes one record
- * {threads, tasks, wall_ms, tasks_per_s} per run, skipping the
- * google-benchmark harness. --mod widens/narrows the variant slice
+ * {threads, tasks, wall_ms, tasks_per_s} per run instead of printing
+ * the scaling table. --mod widens/narrows the variant slice
  * (filter: id % N == 0; default 4, the scaling-study slice).
  */
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstring>
@@ -133,24 +130,6 @@ jsonMode(const std::string &path, int mod,
     return 0;
 }
 
-void
-BM_BatchSweep(benchmark::State &state)
-{
-    size_t threads = static_cast<size_t>(state.range(0));
-    for (auto _ : state) {
-        auto report =
-            core::runBatchSweep(db(), kArches, sweepOptions(threads));
-        benchmark::DoNotOptimize(report.numSucceeded());
-    }
-}
-
-BENCHMARK(BM_BatchSweep)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
 } // namespace
 } // namespace uops::bench
 
@@ -189,13 +168,14 @@ main(int argc, char **argv)
                  uops::split(take_value(i, "--threads"), ','))
                 thread_counts.push_back(
                     static_cast<size_t>(parse_count(t, "--threads")));
+        } else {
+            std::fprintf(stderr, "error: unknown option %s\n", argv[i]);
+            return 1;
         }
     }
     if (!json_path.empty())
         return uops::bench::jsonMode(json_path, mod, thread_counts);
 
     uops::bench::printScalingStudy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -14,8 +14,6 @@
  *    (= 7 + load latency).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "iaca/iaca.h"
 
@@ -83,28 +81,12 @@ printAesStudy()
     std::printf("\n");
 }
 
-void
-BM_AesLatencyAnalysis(benchmark::State &state)
-{
-    Context &ctx = context(uarch::UArch::SandyBridge);
-    core::LatencyAnalyzer lat(ctx.harness, ctx.instruments);
-    const auto *v = db().byName("AESDEC_X_X");
-    for (auto _ : state) {
-        auto r = lat.analyze(*v);
-        benchmark::DoNotOptimize(r.pairs.size());
-    }
-}
-
-BENCHMARK(BM_AesLatencyAnalysis)->Unit(benchmark::kMillisecond);
-
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printAesStudy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -11,8 +11,6 @@
  *    (1*p015+1*p5); Fog imprecisely reports 2*p015.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace uops::bench {
@@ -48,32 +46,12 @@ printMovdq2qStudy()
         "blocking-instruction algorithm can.\n\n");
 }
 
-void
-BM_Movdq2qBothUArches(benchmark::State &state)
-{
-    Context &snb = context(uarch::UArch::SandyBridge);
-    Context &hsw = context(uarch::UArch::Haswell);
-    const auto *v = db().byName("MOVDQ2Q_MM_X");
-    for (auto _ : state) {
-        core::PortUsageAnalyzer a1(snb.harness, snb.sse_set,
-                                   snb.avx_set);
-        core::PortUsageAnalyzer a2(hsw.harness, hsw.sse_set,
-                                   hsw.avx_set);
-        benchmark::DoNotOptimize(a1.analyze(*v, 2).usage.totalUops());
-        benchmark::DoNotOptimize(a2.analyze(*v, 2).usage.totalUops());
-    }
-}
-
-BENCHMARK(BM_Movdq2qBothUArches)->Unit(benchmark::kMillisecond);
-
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printMovdq2qStudy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -11,8 +11,6 @@
  * too. (IACA and LLVM even claim both µops are port-5-only.)
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace uops::bench {
@@ -77,29 +75,12 @@ printMovq2dqStudy()
                 "use p0, p1 AND p5.\n\n");
 }
 
-void
-BM_Movq2dqPortUsage(benchmark::State &state)
-{
-    Context &ctx = context(uarch::UArch::Skylake);
-    core::PortUsageAnalyzer analyzer(ctx.harness, ctx.sse_set,
-                                     ctx.avx_set);
-    const auto *v = db().byName("MOVQ2DQ_X_MM");
-    for (auto _ : state) {
-        auto r = analyzer.analyze(*v, 2);
-        benchmark::DoNotOptimize(r.usage.totalUops());
-    }
-}
-
-BENCHMARK(BM_Movq2dqPortUsage)->Unit(benchmark::kMillisecond);
-
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printMovq2dqStudy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -12,8 +12,6 @@
  * source).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <set>
 
@@ -89,28 +87,12 @@ printMultiLatencyStudy()
     std::printf("\n");
 }
 
-void
-BM_MultiLatencySweep(benchmark::State &state)
-{
-    Context &ctx = context(uarch::UArch::Skylake);
-    core::LatencyAnalyzer lat(ctx.harness, ctx.instruments);
-    const auto *v = db().byName("XCHG_R64_R64");
-    for (auto _ : state) {
-        auto r = lat.analyze(*v);
-        benchmark::DoNotOptimize(r.pairs.size());
-    }
-}
-
-BENCHMARK(BM_MultiLatencySweep)->Unit(benchmark::kMillisecond);
-
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printMultiLatencyStudy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -14,8 +14,6 @@
  *    same-register microbenchmark.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace uops::bench {
@@ -54,28 +52,12 @@ printShldStudy()
         "behaviour)\n\n");
 }
 
-void
-BM_ShldSameRegisterDetection(benchmark::State &state)
-{
-    Context &ctx = context(uarch::UArch::Skylake);
-    core::LatencyAnalyzer lat(ctx.harness, ctx.instruments);
-    const auto *v = db().byName("SHLD_R64_R64_I8");
-    for (auto _ : state) {
-        auto r = lat.analyze(*v);
-        benchmark::DoNotOptimize(r.same_reg_cycles.has_value());
-    }
-}
-
-BENCHMARK(BM_ShldSameRegisterDetection)->Unit(benchmark::kMillisecond);
-
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printShldStudy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -12,8 +12,6 @@
  * zero-idiom elimination.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace uops::bench {
@@ -29,17 +27,33 @@ struct IdiomRow
     bool port_free;
 };
 
-std::optional<IdiomRow>
-probe(uarch::UArch arch, const isa::InstrVariant &v)
+/** Why @p v is not probed, or nullptr. The probe chains the variant
+ *  through its first explicit operand, so that operand must be a
+ *  read-written register of the same class as the second one. */
+const char *
+skipReason(const isa::InstrVariant &v)
 {
     const auto &expl = v.explicitOperands();
     if (expl.size() < 2)
-        return std::nullopt;
+        return "fewer than two explicit operands";
     const auto &a = v.operand(expl[0]);
     const auto &b = v.operand(expl[1]);
-    if (a.kind != isa::OpKind::Reg || b.kind != isa::OpKind::Reg ||
-        a.reg_class != b.reg_class || !a.readWritten())
-        return std::nullopt;
+    if (a.kind != isa::OpKind::Reg || b.kind != isa::OpKind::Reg)
+        return "first two operands are not both registers";
+    if (a.reg_class != b.reg_class)
+        return "first two registers differ in class";
+    if (!a.readWritten())
+        return v.attrs().is_avx ? "VEX destination is write-only"
+                                : "destination is write-only";
+    return nullptr;
+}
+
+/** Measures @p v, which must have no skipReason(). */
+IdiomRow
+probe(uarch::UArch arch, const isa::InstrVariant &v)
+{
+    const auto &expl = v.explicitOperands();
+    const auto &a = v.operand(expl[0]);
 
     Context &ctx = context(arch);
 
@@ -102,19 +116,21 @@ printZeroIdiomStudy()
         std::printf("-- %s\n", group);
         for (const auto &name : names) {
             const auto *v = db().byName(name);
-            if (v == nullptr)
+            const char *why = v == nullptr ? "not in the instruction table"
+                                           : skipReason(*v);
+            if (why != nullptr) {
+                std::printf("%-18s not probed: %s\n", name.c_str(), why);
                 continue;
-            auto row = probe(uarch::UArch::Skylake, *v);
-            if (!row)
-                continue;
+            }
+            IdiomRow row = probe(uarch::UArch::Skylake, *v);
             const char *cls =
-                !row->dep_breaking
+                !row.dep_breaking
                     ? "not dependency-breaking"
-                    : (row->port_free ? "zero idiom (no port)"
-                                      : "dependency-breaking idiom");
+                    : (row.port_free ? "zero idiom (no port)"
+                                     : "dependency-breaking idiom");
             std::printf("%-18s %9.2f %9.2f %7.2f  %s\n",
-                        row->name.c_str(), row->distinct_cycles,
-                        row->same_cycles, row->same_uops, cls);
+                        row.name.c_str(), row.distinct_cycles,
+                        row.same_cycles, row.same_uops, cls);
         }
     };
     show(manual_list, "Optimization Manual list (3.5.1.8)");
@@ -128,15 +144,13 @@ printZeroIdiomStudy()
     core::Characterizer tool(db(), uarch::UArch::Skylake);
     for (const auto *v : db().all()) {
         if (!tool.isMeasurable(*v) || v->attrs().uses_divider ||
-            v->attrs().mov_elim_candidate)
+            v->attrs().mov_elim_candidate || skipReason(*v) != nullptr)
             continue;
-        auto row = probe(uarch::UArch::Skylake, *v);
-        if (!row)
-            continue;
+        IdiomRow row = probe(uarch::UArch::Skylake, *v);
         ++swept;
-        if (row->dep_breaking) {
+        if (row.dep_breaking) {
             ++breaking;
-            if (row->port_free)
+            if (row.port_free)
                 ++zero;
         }
     }
@@ -147,33 +161,19 @@ printZeroIdiomStudy()
     // Nehalem: idioms break the dependency but still use a port.
     std::printf("On Nehalem zero idioms still execute (no ROB "
                 "elimination):\n");
-    auto nhm = probe(uarch::UArch::Nehalem, *db().byName("XOR_R64_R64"));
-    if (nhm)
-        std::printf("  XOR_R64_R64: same-reg %.2f cycles, %.2f port "
-                    "µops (dependency broken, port used)\n\n",
-                    nhm->same_cycles, nhm->same_uops);
+    IdiomRow nhm =
+        probe(uarch::UArch::Nehalem, *db().byName("XOR_R64_R64"));
+    std::printf("  XOR_R64_R64: same-reg %.2f cycles, %.2f port "
+                "µops (dependency broken, port used)\n\n",
+                nhm.same_cycles, nhm.same_uops);
 }
-
-void
-BM_IdiomProbe(benchmark::State &state)
-{
-    const auto *v = db().byName("PCMPGTD_X_X");
-    for (auto _ : state) {
-        auto row = probe(uarch::UArch::Skylake, *v);
-        benchmark::DoNotOptimize(row->dep_breaking);
-    }
-}
-
-BENCHMARK(BM_IdiomProbe)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printZeroIdiomStudy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -14,15 +14,13 @@
  * so numbers are comparable across PRs; point lookups and scans run
  * on its Skylake shard.
  *
- * Machine-readable mode for perf tracking (BENCH_db.json):
+ * Usage, for perf tracking (BENCH_db.json):
  *
  *     bench_db_query --json <path>
  *
  * writes one record {name, iterations, wall_ms, ops_per_s} per
- * benchmark, skipping the google-benchmark harness.
+ * benchmark.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstring>
@@ -147,124 +145,6 @@ predictRequest(size_t salt)
 }
 
 // ---------------------------------------------------------------------
-// google-benchmark harness
-// ---------------------------------------------------------------------
-
-void
-BM_PointLookup(benchmark::State &state)
-{
-    const auto &database = skylakeShard();
-    const auto &names = skylakeNames();
-    size_t i = 0;
-    for (auto _ : state) {
-        auto row = database.find(names[i++ % names.size()]);
-        benchmark::DoNotOptimize(
-            database.record(*row).tpMeasured());
-    }
-}
-BENCHMARK(BM_PointLookup);
-
-void
-BM_PortMaskScan(benchmark::State &state)
-{
-    const auto &database = skylakeShard();
-    db::Query query;
-    query.arch = uarch::UArch::Skylake;
-    query.uses_ports = uarch::portMask({0, 5});
-    for (auto _ : state) {
-        auto rows = database.search(query);
-        benchmark::DoNotOptimize(rows.size());
-    }
-}
-BENCHMARK(BM_PortMaskScan);
-
-void
-BM_ScanCompound(benchmark::State &state)
-{
-    const auto &database = skylakeShard();
-    db::Query query;
-    query.arch = uarch::UArch::Skylake;
-    query.uses_ports = uarch::portMask({0, 5});
-    query.uops_max = 2;
-    query.lat_max = 4;
-    for (auto _ : state) {
-        auto rows = database.search(query);
-        benchmark::DoNotOptimize(rows.size());
-    }
-}
-BENCHMARK(BM_ScanCompound);
-
-void
-BM_AnalyticsDiff(benchmark::State &state)
-{
-    auto catalog = sliceCatalog();
-    db::AnalyticsQuery query;
-    query.from = uarch::UArch::Nehalem;
-    query.to = uarch::UArch::Skylake;
-    query.direction = db::AnalyticsQuery::Direction::Changed;
-    for (auto _ : state) {
-        auto result = catalog->analytics(query);
-        benchmark::DoNotOptimize(result.entries.size());
-    }
-}
-BENCHMARK(BM_AnalyticsDiff);
-
-void
-BM_SnapshotLoadMmap(benchmark::State &state)
-{
-    catalogDir();
-    for (auto _ : state) {
-        auto catalog = db::loadCatalogDir(
-            catalogDir(), db::LoadMode::Mmap, false);
-        benchmark::DoNotOptimize(catalog->numRecords());
-    }
-}
-BENCHMARK(BM_SnapshotLoadMmap)->Unit(benchmark::kMicrosecond);
-
-void
-BM_PredictUncached(benchmark::State &state)
-{
-    server::QueryService service(sliceCatalog(), db());
-    size_t salt = 0;
-    for (auto _ : state) {
-        auto response = service.handle(predictRequest(salt++));
-        benchmark::DoNotOptimize(response.body.size());
-    }
-}
-BENCHMARK(BM_PredictUncached)->Unit(benchmark::kMicrosecond);
-
-void
-BM_PredictCached(benchmark::State &state)
-{
-    server::QueryService service(sliceCatalog(), db());
-    server::HttpRequest request = predictRequest(0);
-    service.handle(request);   // warm the cache
-    for (auto _ : state) {
-        auto response = service.handle(request);
-        benchmark::DoNotOptimize(response.body.size());
-    }
-}
-BENCHMARK(BM_PredictCached)->Unit(benchmark::kMicrosecond);
-
-void
-BM_IngestDirect(benchmark::State &state)
-{
-    sliceReport();   // build outside the timed region
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ingestDirect().size());
-}
-BENCHMARK(BM_IngestDirect)->Unit(benchmark::kMicrosecond);
-
-void
-BM_IngestViaXml(benchmark::State &state)
-{
-    sliceReport();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ingestViaXml());
-}
-BENCHMARK(BM_IngestViaXml)->Unit(benchmark::kMicrosecond);
-
-// ---------------------------------------------------------------------
 // --json mode
 // ---------------------------------------------------------------------
 
@@ -316,7 +196,7 @@ jsonMode(const std::string &path)
     std::vector<JsonRun> runs;
     runs.push_back(timedLoop("point_lookup", 200000, [&](size_t i) {
         auto row = database.find(names[i % names.size()]);
-        benchmark::DoNotOptimize(
+        doNotOptimize(
             database.record(*row).tpMeasured());
     }));
 
@@ -325,7 +205,7 @@ jsonMode(const std::string &path)
     query.uses_ports = uarch::portMask({0, 5});
     runs.push_back(timedLoop("port_mask_scan", 20000, [&](size_t) {
         auto rows = database.search(query);
-        benchmark::DoNotOptimize(rows.size());
+        doNotOptimize(rows.size());
     }));
 
     db::Query compound;
@@ -335,7 +215,7 @@ jsonMode(const std::string &path)
     compound.lat_max = 4;
     runs.push_back(timedLoop("scan_compound", 20000, [&](size_t) {
         auto rows = database.search(compound);
-        benchmark::DoNotOptimize(rows.size());
+        doNotOptimize(rows.size());
     }));
 
     {
@@ -346,7 +226,7 @@ jsonMode(const std::string &path)
         diff.direction = db::AnalyticsQuery::Direction::Changed;
         runs.push_back(timedLoop("analytics_diff", 5000, [&](size_t) {
             auto result = catalog->analytics(diff);
-            benchmark::DoNotOptimize(result.entries.size());
+            doNotOptimize(result.entries.size());
         }));
     }
 
@@ -359,7 +239,7 @@ jsonMode(const std::string &path)
         runs.push_back(
             timedLoop("predict_uncached", 2000, [&](size_t) {
                 auto response = service.handle(predictRequest(salt++));
-                benchmark::DoNotOptimize(response.body.size());
+                doNotOptimize(response.body.size());
             }));
     }
     {
@@ -369,7 +249,7 @@ jsonMode(const std::string &path)
         runs.push_back(
             timedLoop("predict_cached", 200000, [&](size_t) {
                 auto response = service.handle(request);
-                benchmark::DoNotOptimize(response.body.size());
+                doNotOptimize(response.body.size());
             }));
     }
     {
@@ -391,16 +271,16 @@ jsonMode(const std::string &path)
         runs.push_back(
             timedLoop("predict_cached_logged", 200000, [&](size_t) {
                 auto response = service.handle(request);
-                benchmark::DoNotOptimize(response.body.size());
+                doNotOptimize(response.body.size());
             }));
-        benchmark::DoNotOptimize(log_bytes);
+        doNotOptimize(log_bytes);
     }
 
     runs.push_back(timedLoop("ingest_direct", 500, [&](size_t) {
-        benchmark::DoNotOptimize(ingestDirect().size());
+        doNotOptimize(ingestDirect().size());
     }));
     runs.push_back(timedLoop("ingest_via_xml", 100, [&](size_t) {
-        benchmark::DoNotOptimize(ingestViaXml());
+        doNotOptimize(ingestViaXml());
     }));
 
     catalogDir();
@@ -410,7 +290,7 @@ jsonMode(const std::string &path)
     runs.push_back(timedLoop("snapshot_load_mmap", 2000, [&](size_t) {
         auto catalog = db::loadCatalogDir(catalogDir(),
                                           db::LoadMode::Mmap, false);
-        benchmark::DoNotOptimize(catalog->numRecords());
+        doNotOptimize(catalog->numRecords());
     }));
 
     std::string out = "{\n  \"benchmark\": \"bench_db_query\",\n";
@@ -446,18 +326,9 @@ jsonMode(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: --json requires a path\n");
-                return 1;
-            }
-            return uops::bench::jsonMode(argv[i + 1]);
-        }
+    if (argc != 3 || std::strcmp(argv[1], "--json") != 0) {
+        std::fprintf(stderr, "usage: %s --json PATH\n", argv[0]);
+        return 2;
     }
-    uops::bench::header(
-        "Serving-layer query benchmarks (2-uarch sweep slice)");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return uops::bench::jsonMode(argv[2]);
 }

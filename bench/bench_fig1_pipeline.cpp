@@ -5,14 +5,9 @@
  * the modeled execution engine — the per-port functional units, the
  * 4-wide front end, the load/store-address/store-data port split, and
  * the non-pipelined divider.
- *
- * The google-benchmark timings measure raw simulator speed.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
-#include "sim/pipeline.h"
 
 namespace uops::bench {
 namespace {
@@ -82,51 +77,12 @@ printFigure1()
         "(occupancy >> 1 cycle).\n\n");
 }
 
-void
-BM_SimulatorThroughput(benchmark::State &state)
-{
-    // Raw simulator speed on a port-saturating kernel.
-    const auto &tdb = timingDb(uarch::UArch::Skylake);
-    sim::Pipeline pipeline(tdb);
-    isa::Kernel body = isa::assemble(db(), "ADD RAX, RSI\n"
-                                           "ADD RBX, RSI\n"
-                                           "ADD RCX, RSI\n"
-                                           "ADD RDX, RSI\n");
-    isa::Kernel kernel;
-    for (int i = 0; i < 250; ++i)
-        kernel.insert(kernel.end(), body.begin(), body.end());
-    for (auto _ : state) {
-        auto result = pipeline.run(kernel);
-        benchmark::DoNotOptimize(result.cycles);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(kernel.size()));
-}
-
-BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMicrosecond);
-
-void
-BM_MeasurementHarness(benchmark::State &state)
-{
-    // One full Algorithm-2 measurement (n=10 + n=110 runs).
-    sim::MeasurementHarness harness(timingDb(uarch::UArch::Skylake));
-    auto kernel = isa::assemble(db(), "ADD RAX, RBX");
-    for (auto _ : state) {
-        auto m = harness.measure(kernel);
-        benchmark::DoNotOptimize(m.cycles);
-    }
-}
-
-BENCHMARK(BM_MeasurementHarness)->Unit(benchmark::kMicrosecond);
-
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printFigure1();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -11,8 +11,6 @@
  * compares, multiplies and unconditional jumps never fuse.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "core/fusion.h"
 
@@ -59,27 +57,12 @@ printFusionStudy()
         "and non-compare flag writers never fuse.\n\n");
 }
 
-void
-BM_FusionSweep(benchmark::State &state)
-{
-    sim::MeasurementHarness harness(timingDb(uarch::UArch::Skylake));
-    core::FusionAnalyzer analyzer(harness);
-    for (auto _ : state) {
-        auto probes = analyzer.sweep();
-        benchmark::DoNotOptimize(probes.size());
-    }
-}
-
-BENCHMARK(BM_FusionSweep)->Unit(benchmark::kMillisecond);
-
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printFusionStudy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

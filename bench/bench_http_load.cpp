@@ -17,15 +17,13 @@
  * Reported per configuration: aggregate QPS (ops_per_s) and the p99
  * per-batch round-trip latency.
  *
- * Machine-readable mode for perf tracking (BENCH_http.json):
+ * Usage, for perf tracking (BENCH_http.json):
  *
  *     bench_http_load --json <path>
  *
  * writes one record {name, iterations, wall_ms, ops_per_s, p99_us}
- * per configuration, skipping the google-benchmark harness.
+ * per configuration.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
@@ -339,26 +337,6 @@ measure(size_t connections, size_t batches)
 }
 
 // ---------------------------------------------------------------------
-// google-benchmark harness
-// ---------------------------------------------------------------------
-
-void
-BM_HttpReactor(benchmark::State &state)
-{
-    size_t connections = static_cast<size_t>(state.range(0));
-    for (auto _ : state) {
-        LoadResult result = measure(connections, 32);
-        state.SetItemsProcessed(
-            state.items_processed() +
-            static_cast<int64_t>(result.requests));
-        state.counters["qps"] = result.ops_per_s;
-        state.counters["p99_us"] = result.p99_us;
-    }
-}
-BENCHMARK(BM_HttpReactor)->Arg(1)->Arg(16)->Unit(
-    benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------
 // --json mode
 // ---------------------------------------------------------------------
 
@@ -425,17 +403,9 @@ jsonMode(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: --json requires a path\n");
-                return 1;
-            }
-            return uops::bench::jsonMode(argv[i + 1]);
-        }
+    if (argc != 3 || std::strcmp(argv[1], "--json") != 0) {
+        std::fprintf(stderr, "usage: %s --json PATH\n", argv[0]);
+        return 2;
     }
-    uops::bench::header("HTTP transport load: epoll reactor");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return uops::bench::jsonMode(argv[2]);
 }

@@ -6,8 +6,6 @@
  * memory dependencies in IACA's throughput analysis.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "iaca/iaca.h"
 
@@ -126,30 +124,12 @@ printIacaDiffStudy()
     }
 }
 
-void
-BM_IacaLoopAnalysis(benchmark::State &state)
-{
-    iaca::IacaAnalyzer an(db(), uarch::UArch::Skylake,
-                          iaca::Version::V30);
-    auto kernel = isa::assemble(db(), "ADD RAX, RBX\n"
-                                      "PSHUFD XMM1, XMM2, 0\n"
-                                      "MOV RCX, [RSI]");
-    for (auto _ : state) {
-        auto r = an.analyzeLoop(kernel);
-        benchmark::DoNotOptimize(r.block_throughput);
-    }
-}
-
-BENCHMARK(BM_IacaLoopAnalysis)->Unit(benchmark::kMicrosecond);
-
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printIacaDiffStudy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -13,12 +13,10 @@
  * `predict_concurrent` measures aggregate throughput with four
  * client threads over a mixed unique-kernel workload.
  *
- * Machine-readable mode for perf tracking (BENCH_predict.json):
+ * Usage, for perf tracking (BENCH_predict.json):
  *
  *     bench_predict --json <path>
  */
-
-#include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
@@ -82,35 +80,6 @@ fixedKernel()
         "ADD RAX, RBX\nIMUL RCX, RAX\nMOV RDX, [RSI+8]";
     return kernel;
 }
-
-// ---------------------------------------------------------------------
-// google-benchmark harness
-// ---------------------------------------------------------------------
-
-void
-BM_PredictCold(benchmark::State &state)
-{
-    server::QueryService service(benchCatalog(), db());
-    size_t i = 0;
-    for (auto _ : state) {
-        auto response =
-            service.handle(postPredict(uniqueKernel(i++)));
-        benchmark::DoNotOptimize(response.body.size());
-    }
-}
-BENCHMARK(BM_PredictCold)->Unit(benchmark::kMicrosecond);
-
-void
-BM_PredictMemoized(benchmark::State &state)
-{
-    server::QueryService service(benchCatalog(), db());
-    service.handle(postPredict(fixedKernel()));   // warm the memo
-    for (auto _ : state) {
-        auto response = service.handle(postPredict(fixedKernel()));
-        benchmark::DoNotOptimize(response.body.size());
-    }
-}
-BENCHMARK(BM_PredictMemoized)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------
 // --json mode
@@ -196,7 +165,7 @@ jsonMode(const std::string &path)
         runs.push_back(timedLoop("predict_cold", 400, [&](size_t i) {
             auto response =
                 service.handle(postPredict(uniqueKernel(i)));
-            benchmark::DoNotOptimize(response.body.size());
+            doNotOptimize(response.body.size());
         }));
     }
     {
@@ -206,7 +175,7 @@ jsonMode(const std::string &path)
             timedLoop("predict_memoized", 100000, [&](size_t) {
                 auto response =
                     service.handle(postPredict(fixedKernel()));
-                benchmark::DoNotOptimize(response.body.size());
+                doNotOptimize(response.body.size());
             }));
     }
     runs.push_back(concurrentRun());
@@ -242,20 +211,9 @@ jsonMode(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "error: --json requires a path\n");
-                return 1;
-            }
-            return uops::bench::jsonMode(argv[i + 1]);
-        }
+    if (argc != 3 || std::strcmp(argv[1], "--json") != 0) {
+        std::fprintf(stderr, "usage: %s --json PATH\n", argv[0]);
+        return 2;
     }
-    uops::bench::header(
-        "/predict compute-service benchmarks (cold vs memoized vs "
-        "concurrent)");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return uops::bench::jsonMode(argv[2]);
 }

@@ -9,8 +9,6 @@
  * throughput.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 
 #include "bench_util.h"
@@ -112,45 +110,12 @@ printThroughputStudy()
     std::printf("\n");
 }
 
-void
-BM_ThroughputMeasurement(benchmark::State &state)
-{
-    Context &ctx = context(uarch::UArch::Skylake);
-    core::ThroughputAnalyzer tp(ctx.harness);
-    const auto *v = db().byName("ADD_R64_R64");
-    for (auto _ : state) {
-        auto r = tp.analyze(*v);
-        benchmark::DoNotOptimize(r.measured);
-    }
-}
-
-BENCHMARK(BM_ThroughputMeasurement)->Unit(benchmark::kMillisecond);
-
-void
-BM_ThroughputLp(benchmark::State &state)
-{
-    uarch::PortUsage usage;
-    usage.add(uarch::portMask({0, 1, 5, 6}), 3);
-    usage.add(uarch::portMask({2, 3}), 2);
-    usage.add(uarch::portMask({4}), 1);
-    usage.add(uarch::portMask({2, 3, 7}), 1);
-    for (auto _ : state) {
-        double tp =
-            core::ThroughputAnalyzer::computeFromPortUsage(usage, 8);
-        benchmark::DoNotOptimize(tp);
-    }
-}
-
-BENCHMARK(BM_ThroughputLp)->Unit(benchmark::kMicrosecond);
-
 } // namespace
 } // namespace uops::bench
 
 int
-main(int argc, char **argv)
+main()
 {
     uops::bench::printThroughputStudy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

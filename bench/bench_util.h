@@ -1,12 +1,15 @@
 /**
  * @file
- * Shared helpers for the reproduction benchmarks: cached analysis
- * contexts per microarchitecture and simple table printing.
+ * Shared helpers for the bench programs: cached analysis contexts
+ * per microarchitecture, simple table printing, and the optimization
+ * barrier of the perf-gate timing loops.
  *
- * Every bench binary regenerates one table/figure/case study of the
- * paper: it first prints the reproduced artifact (so `./bench_x`
- * output can be diffed against EXPERIMENTS.md), then runs the
- * google-benchmark timings for the involved machinery.
+ * Twelve bench programs each regenerate one table, figure or case
+ * study of the paper and print only that, deterministically: CTest's
+ * `experiment_<name>` entries diff their stdout against the program's
+ * section of EXPERIMENTS.md (cmake/experiments.cmake). The other four
+ * (bench_batch_sweep, bench_db_query, bench_predict, bench_http_load)
+ * write the timing JSON that tools/check_perf.py compares.
  */
 
 #ifndef UOPS_BENCH_BENCH_UTIL_H
@@ -98,6 +101,15 @@ characterizeOne(uarch::UArch arch, const std::string &variant_name)
             roundCycles(core::ThroughputAnalyzer::computeFromPortUsage(
                 out.ports.usage, uarch::uarchInfo(arch).num_ports));
     return out;
+}
+
+/** Keeps @p value as if read, so a timed loop cannot drop the work
+ *  that produced it (an empty asm that takes it as an input). */
+template <typename T>
+inline void
+doNotOptimize(const T &value)
+{
+    asm volatile("" : : "r,m"(value) : "memory");
 }
 
 /** Print a rule line. */

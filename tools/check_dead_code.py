@@ -39,9 +39,9 @@ Exits non-zero, naming each symbol, when a function is unreached and
 not allowlisted, when an allowlist entry is reached or names no
 function of the library (so the list cannot rot), when an entry has
 no reason, or when the builds are incomplete: without the bench_*
-binaries (google-benchmark absent) or uops_perfbench, bench-only code
-would read as dead. Uses only the Python standard library and
-binutils (nm, c++filt, readelf).
+binaries (a root build with UOPS_BUILD_BENCH=OFF) or uops_perfbench,
+bench-only code would read as dead. Uses only the Python standard
+library and binutils (nm, c++filt, readelf).
 """
 
 import argparse
@@ -156,9 +156,9 @@ def main():
         is_elf_executable(os.path.join(args.root_build, name)))
     if not any(os.path.basename(p).startswith("bench_")
                for p in programs):
-        fail("no bench_* program in %s: without google-benchmark the "
-             "check would report bench-only code as dead"
-             % args.root_build)
+        fail("no bench_* program in %s (configured with "
+             "UOPS_BUILD_BENCH=OFF?): the check would report bench-only "
+             "code as dead" % args.root_build)
     perfbench = os.path.join(args.perfbench_build, "uops_perfbench")
     if not is_elf_executable(perfbench):
         fail("no uops_perfbench in %s" % args.perfbench_build)
