@@ -43,6 +43,7 @@ runArch(uarch::UArch arch)
     }
 
     core::Characterizer tool(db(), arch);
+    tool.setMeasurementCache(&memo());
     auto set = tool.run();
     row.instrs = set.instrs.size();
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the bench programs: cached analysis contexts
- * per microarchitecture, simple table printing, and the optimization
- * barrier of the perf-gate timing loops.
+ * per microarchitecture over one measurement memo, simple table
+ * printing, and the optimization barrier of the perf-gate timing
+ * loops.
  *
  * Twelve bench programs each regenerate one table, figure or case
  * study of the paper and print only that, deterministically: CTest's
@@ -22,8 +23,9 @@
 #include <vector>
 
 #include "core/characterize.h"
-#include "support/stats.h"
 #include "isa/parser.h"
+#include "sim/measurement_cache.h"
+#include "support/stats.h"
 
 namespace uops::bench {
 
@@ -50,17 +52,30 @@ timingDb(uarch::UArch arch)
     return *it->second;
 }
 
+/** Process-wide measurement memo, shared by every Context harness
+ *  and Characterizer of a program: a body measured once (Algorithm
+ *  1's blocking kernels for each variant and ablation row, a refresh
+ *  generation's repeat of its predecessor's kernels) is simulated
+ *  once. Results are bit-identical with or without it. */
+inline sim::MeasurementCache &
+memo()
+{
+    static sim::MeasurementCache instance;
+    return instance;
+}
+
 /** Cached analysis context (instruments + blocking sets). */
 struct Context
 {
-    explicit Context(uarch::UArch arch)
-        : harness(timingDb(arch)),
-          instruments(core::calibrateInstruments(harness)),
-          sse_set(core::BlockingFinder(harness).find(false)),
-          avx_set(uarch::uarchInfo(arch).hasExtension(isa::Extension::Avx)
-                      ? core::BlockingFinder(harness).find(true)
-                      : sse_set)
+    explicit Context(uarch::UArch arch) : harness(timingDb(arch))
     {
+        harness.setCache(&memo());
+        instruments = core::calibrateInstruments(harness);
+        sse_set = core::BlockingFinder(harness).find(false);
+        avx_set =
+            uarch::uarchInfo(arch).hasExtension(isa::Extension::Avx)
+                ? core::BlockingFinder(harness).find(true)
+                : sse_set;
     }
 
     sim::MeasurementHarness harness;

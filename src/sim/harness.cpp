@@ -82,22 +82,21 @@ MeasurementHarness::setCache(MeasurementCache *cache)
     timing_ids_.assign(timing_.instrDb().size(), kNoTimingId);
 }
 
-std::string
+std::string_view
 MeasurementHarness::cacheKey(const Kernel &body) const
 {
-    std::string key;
-    key.reserve(8 + body.size() * 56);
-    MeasurementCache::appendId(key, core_id_);
-    MeasurementCache::appendId(key, static_cast<uint32_t>(body.size()));
+    panicIf(cache_ == nullptr, "harness: cacheKey without a cache");
+    key_.clear();
+    MeasurementCache::appendId(key_, core_id_);
     for (const InstrInstance &inst : body) {
+        MeasurementCache::appendInstr(key_, inst);
         uint32_t &id =
             timing_ids_.at(static_cast<size_t>(inst.variant->id()));
         if (id == kNoTimingId)
             id = cache_->timingId(timing_.timing(*inst.variant));
-        MeasurementCache::appendId(key, id);
+        MeasurementCache::appendId(key_, id);
     }
-    MeasurementCache::appendFingerprint(key, body);
-    return key;
+    return key_;
 }
 
 Measurement
@@ -108,11 +107,11 @@ MeasurementHarness::measure(const Kernel &body) const
     if (cache_ == nullptr)
         return measureUncached(body);
 
-    MeasurementCache::Key key(cacheKey(body));
+    std::string_view key = cacheKey(body);
     if (auto hit = cache_->lookup(key))
         return *hit;
     Measurement m = measureUncached(body);
-    cache_->insert(std::move(key), m);
+    cache_->insert(key, m);
     return m;
 }
 

@@ -93,6 +93,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "isa/kernel.h"
@@ -167,12 +168,18 @@ class MeasurementHarness
      */
     Measurement measure(const isa::Kernel &body) const;
 
+    /**
+     * The memo-cache key of @p body on this harness: the core id, then
+     * per instruction its bindings (MeasurementCache::appendInstr) and
+     * its µop table's id. Needs a cache attached. The view is into a
+     * buffer the next call reuses, so building a key allocates only
+     * while the buffer grows.
+     */
+    std::string_view cacheKey(const isa::Kernel &body) const;
+
   private:
     /** measure() without the memo-cache. */
     Measurement measureUncached(const isa::Kernel &body) const;
-
-    /** The memo-cache key bytes of @p body on this harness. */
-    std::string cacheKey(const isa::Kernel &body) const;
 
     /** One Algorithm-2 run with @p n logical body copies and no
      *  wrapper, whose first @p prefix_copies copies are also counted
@@ -187,6 +194,8 @@ class MeasurementHarness
     uint32_t core_id_ = 0;
     /** With a cache: timing id by variant id, interned on first use. */
     mutable std::vector<uint32_t> timing_ids_;
+    /** With a cache: the last key built, reused by the next. */
+    mutable std::string key_;
 };
 
 } // namespace uops::sim

@@ -1,21 +1,12 @@
 #include "sim/measurement_cache.h"
 
 #include <functional>
-#include <string_view>
 
 #include "support/status.h"
 
 namespace uops::sim {
 
 namespace {
-
-/** Append @p v as sizeof(T) native-order bytes, in one copy. */
-template <typename T>
-void
-put(std::string &out, T v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof v);
-}
 
 /** @p v at width T; a value outside T's range is a bug upstream. */
 template <typename T, typename Wide>
@@ -27,36 +18,66 @@ narrow(Wide v, const char *what)
     return static_cast<T>(v);
 }
 
-} // namespace
-
-MeasurementCache::Key::Key(std::string key_bytes)
-    : bytes(std::move(key_bytes)),
-      hash(std::hash<std::string_view>{}(bytes))
+/** Append @p v as a little-endian base-128 varint: seven bits a byte,
+ *  the high bit set on every byte but the last. */
+void
+putVarint(std::string &out, uint64_t v)
 {
+    for (; v >= 0x80; v >>= 7)
+        out += static_cast<char>(v | 0x80);
+    out += static_cast<char>(v);
 }
+
+/** Append signed @p v zigzag-mapped (0, -1, 1, -2, ... -> 0, 1, 2, 3,
+ *  ...), so small magnitudes of either sign take one byte. */
+void
+putSigned(std::string &out, int64_t v)
+{
+    putVarint(out, (static_cast<uint64_t>(v) << 1) ^
+                       static_cast<uint64_t>(v >> 63));
+}
+
+/** Append @p reg as its class and index, one byte each. */
+void
+putReg(std::string &out, const isa::Reg &reg)
+{
+    out += static_cast<char>(reg.cls);
+    out += static_cast<char>(narrow<int8_t>(reg.index, "register index"));
+}
+
+} // namespace
 
 void
 MeasurementCache::appendId(std::string &out, uint32_t id)
 {
-    put(out, id);
+    putVarint(out, id);
 }
 
 void
-MeasurementCache::appendFingerprint(std::string &out,
-                                    const isa::Kernel &body)
+MeasurementCache::appendInstr(std::string &out,
+                              const isa::InstrInstance &inst)
 {
-    // Fixed widths and explicit counts keep the encoding injective.
-    for (const isa::InstrInstance &inst : body) {
-        put(out, narrow<uint16_t>(inst.variant->id(), "variant id"));
-        put(out, inst.div_class);
-        put(out, narrow<uint8_t>(inst.ops.size(), "operand count"));
-        for (const isa::OperandValue &op : inst.ops) {
-            put(out, op.reg.cls);
-            put(out, narrow<int8_t>(op.reg.index, "register index"));
-            put(out, static_cast<int32_t>(op.mem.tag));
-            put(out, op.mem.base.cls);
-            put(out, narrow<int8_t>(op.mem.base.index, "base index"));
-            put(out, static_cast<int64_t>(op.imm));
+    const isa::InstrVariant &variant = *inst.variant;
+    panicIf(inst.ops.size() != variant.numOperands(),
+            "MeasurementCache: ", variant.name(), " bound to ",
+            inst.ops.size(), " operands");
+    putVarint(out, narrow<uint32_t>(variant.id(), "variant id"));
+    out += static_cast<char>(inst.div_class);
+    for (size_t i = 0; i < inst.ops.size(); ++i) {
+        const isa::OperandValue &op = inst.ops[i];
+        switch (variant.operand(i).kind) {
+          case isa::OpKind::Reg:
+            putReg(out, op.reg);
+            break;
+          case isa::OpKind::Mem:
+            putSigned(out, op.mem.tag);
+            putReg(out, op.mem.base);
+            break;
+          case isa::OpKind::Imm:
+            putSigned(out, op.imm);
+            break;
+          case isa::OpKind::Flags:
+            break;
         }
     }
 }
@@ -65,8 +86,8 @@ std::string
 MeasurementCache::fingerprint(const isa::Kernel &body)
 {
     std::string key;
-    key.reserve(body.size() * 52);
-    appendFingerprint(key, body);
+    for (const isa::InstrInstance &inst : body)
+        appendInstr(key, inst);
     return key;
 }
 
@@ -121,18 +142,19 @@ MeasurementCache::timingId(const uarch::TimingInfo &timing)
         .first->second;
 }
 
-MeasurementCache::Shard &
-MeasurementCache::shardFor(const Key &key) const
+MeasurementCache::Key<std::string_view>
+MeasurementCache::probe(std::string_view key)
 {
-    return shards_[key.hash % kNumShards];
+    return {key, std::hash<std::string_view>{}(key)};
 }
 
 std::optional<Measurement>
-MeasurementCache::lookup(const Key &key) const
+MeasurementCache::lookup(std::string_view key) const
 {
-    Shard &shard = shardFor(key);
+    Key<std::string_view> k = probe(key);
+    Shard &shard = shardFor(k.hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
+    auto it = shard.map.find(k);
     if (it == shard.map.end()) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
@@ -142,13 +164,16 @@ MeasurementCache::lookup(const Key &key) const
 }
 
 void
-MeasurementCache::insert(Key key, const Measurement &m)
+MeasurementCache::insert(std::string_view key, const Measurement &m)
 {
-    Shard &shard = shardFor(key);
+    Key<std::string_view> k = probe(key);
+    Shard &shard = shardFor(k.hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
     // First writer wins: concurrent writers computed the same value
-    // (the measurement is a pure function of the key).
-    shard.map.emplace(std::move(key), m);
+    // (the measurement is a pure function of the key). The stored
+    // copy is built only when the key is new.
+    if (!shard.map.contains(k))
+        shard.map.emplace(Key<std::string>{std::string(key), k.hash}, m);
 }
 
 size_t

@@ -28,6 +28,7 @@
  *  - idle-cycle skipping is cycle-exact against plain stepping.
  */
 
+#include <climits>
 #include <map>
 #include <memory>
 #include <set>
@@ -35,6 +36,9 @@
 #include <gtest/gtest.h>
 
 #include "core/batch.h"
+#include "core/blocking.h"
+#include "core/codegen.h"
+#include "core/port_usage.h"
 #include "sim/block_predict.h"
 #include "sim/measurement_cache.h"
 #include "support/hash.h"
@@ -122,32 +126,87 @@ TEST(Determinism, CacheHitIsBitIdenticalToMissAndToUncached)
 
 TEST(Determinism, FingerprintSeparatesKernels)
 {
-    auto a = sim::MeasurementCache::fingerprint(asm_("ADD RAX, RBX"));
-    auto b = sim::MeasurementCache::fingerprint(asm_("ADD RAX, RCX"));
-    auto c = sim::MeasurementCache::fingerprint(asm_("ADD RAX, RBX\n"
-                                                     "ADD RAX, RBX"));
+    auto fp = [](const isa::Kernel &body) {
+        return sim::MeasurementCache::fingerprint(body);
+    };
+    auto a = fp(asm_("ADD RAX, RBX"));
+    auto b = fp(asm_("ADD RAX, RCX"));
+    auto c = fp(asm_("ADD RAX, RBX\n"
+                     "ADD RAX, RBX"));
     EXPECT_NE(a, b); // operands differ
     EXPECT_NE(a, c); // lengths differ
-    EXPECT_EQ(a, sim::MeasurementCache::fingerprint(asm_("ADD RAX, RBX")));
+    EXPECT_EQ(a, fp(asm_("ADD RAX, RBX")));
 
-    // Fields packed narrower than they are declared still separate.
-    EXPECT_NE(sim::MeasurementCache::fingerprint(asm_("ADD RAX, 1")),
-              sim::MeasurementCache::fingerprint(asm_("ADD RAX, 257")))
-        << "immediate";
-    EXPECT_NE(sim::MeasurementCache::fingerprint(asm_("ADD RAX, -1")),
-              sim::MeasurementCache::fingerprint(asm_("ADD RAX, 255")))
-        << "immediate sign";
-    EXPECT_NE(
-        sim::MeasurementCache::fingerprint(asm_("MOV RCX, [RAX]")),
-        sim::MeasurementCache::fingerprint(asm_("MOV RCX, [RAX+256]")))
+    // @p body with the register of its first instruction's operand
+    // @p op, or that operand's immediate, replaced.
+    auto withReg = [](isa::Kernel body, size_t op, isa::Reg reg) {
+        body[0].ops[op].reg = reg;
+        return body;
+    };
+    auto withImm = [](isa::Kernel body, long imm) {
+        body[0].ops[body[0].variant->explicitOperands()[1]].imm = imm;
+        return body;
+    };
+
+    // Register class versus index, including a pair whose class and
+    // index values trade places.
+    using isa::RegClass;
+    const isa::Kernel add = asm_("ADD RAX, RBX");
+    const size_t src = add[0].variant->explicitOperands()[1];
+    EXPECT_NE(fp(withReg(add, src, {RegClass::Gpr32, 3})),
+              fp(withReg(add, src, {RegClass::Gpr64, 3})))
+        << "register class";
+    EXPECT_NE(fp(withReg(add, src, {RegClass::Gpr64, 3})),
+              fp(withReg(add, src, {RegClass::Gpr64, 4})))
+        << "register index";
+    static_assert(static_cast<int>(RegClass::Gpr32) == 3 &&
+                  static_cast<int>(RegClass::Gpr64) == 4);
+    EXPECT_NE(fp(withReg(add, src, {RegClass::Gpr32, 4})),
+              fp(withReg(add, src, {RegClass::Gpr64, 3})))
+        << "register class and index swapped";
+
+    // Memory tag versus base register: each alone, and traded.
+    EXPECT_NE(fp(asm_("MOV RCX, [RAX]")), fp(asm_("MOV RCX, [RAX+256]")))
         << "memory tag";
+    EXPECT_NE(fp(asm_("MOV RCX, [RAX]")), fp(asm_("MOV RCX, [RBX]")))
+        << "memory base";
+    EXPECT_NE(fp(asm_("MOV RCX, [RAX+1]")), fp(asm_("MOV RCX, [RCX]")))
+        << "memory tag 1 on base 0 against tag 0 on base 1";
+
+    // Immediate sign and width: values a narrower or unsigned packing
+    // would merge.
+    const isa::Kernel imm = asm_("ADD RAX, 1");
+    const std::vector<long> imms = {0,   1,         -1,         127,
+                                    128, 255,       257,        -128,
+                                    1L << 32,       -(1L << 32),
+                                    LONG_MAX,       LONG_MIN};
+    std::set<std::string> imm_keys;
+    for (long v : imms)
+        imm_keys.insert(fp(withImm(imm, v)));
+    EXPECT_EQ(imm_keys.size(), imms.size()) << "immediate sign and width";
+
+    // A fixed implicit register: SHL RAX shifts by CL, and the key
+    // names that binding as it names every register operand's.
+    const isa::Kernel shl = asm_("SHL RAX");
+    EXPECT_NE(fp(shl), fp(asm_("SHL RAX, 1"))) << "fixed CL against 1";
+    const isa::InstrVariant &shl_cl = *shl[0].variant;
+    for (size_t i = 0; i < shl_cl.numOperands(); ++i) {
+        const isa::OperandSpec &spec = shl_cl.operand(i);
+        if (spec.implicit && spec.fixed_reg >= 0)
+            EXPECT_NE(fp(shl), fp(withReg(shl, i, {spec.reg_class, 3})))
+                << "fixed implicit register";
+    }
+
+    // Variants whose operand bytes coincide: only the variant id
+    // separates them.
+    EXPECT_NE(a, fp(asm_("SUB RAX, RBX"))) << "ADD against SUB";
+    EXPECT_NE(a, fp(asm_("ADC RAX, RBX"))) << "ADD against ADC";
+
     isa::Kernel fast = asm_("DIV RBX");
     isa::Kernel slow = fast;
     fast[0].div_class = isa::DivValueClass::Fast;
     slow[0].div_class = isa::DivValueClass::Slow;
-    EXPECT_NE(sim::MeasurementCache::fingerprint(fast),
-              sim::MeasurementCache::fingerprint(slow))
-        << "divider value class";
+    EXPECT_NE(fp(fast), fp(slow)) << "divider value class";
 
     // The /predict kernel memo keys on the uarch name followed by the
     // cache key, so one kernel never aliases across generations.
@@ -158,6 +217,50 @@ TEST(Determinism, FingerprintSeparatesKernels)
                                                asm_("ADD RAX, RBX")),
               sim::BlockPredictor::fingerprint(UArch::Haswell,
                                                asm_("ADD RAX, RBX")));
+}
+
+TEST(Determinism, MemoKeyOfAlgorithmOneBodiesIsCompact)
+{
+    // Algorithm 1's largest body is kBlockRepCap copies of a blocking
+    // instruction, a NOP, the analyzed instruction and a NOP. Its key
+    // is the core id (a varint of at most five bytes) and at most 16
+    // bytes per instruction, for every blocker of every uarch and
+    // analyzed instructions with wide immediates, a memory operand and
+    // fixed implicit registers.
+    constexpr size_t kPrefixMax = 5;
+    constexpr size_t kBytesPerInstr = 16;
+    sim::MeasurementCache cache;
+    const isa::InstrVariant &nop = *defaultDb().byName("NOP");
+    const isa::Kernel analyzed = asm_("IMUL RAX, RBX, -100000\n"
+                                      "MOV [RBX+7], -100000\n"
+                                      "DIV RBX");
+    for (UArch arch : uarch::allUArches()) {
+        sim::MeasurementHarness harness(timingDb(arch));
+        harness.setCache(&cache);
+        const bool avx =
+            uarch::uarchInfo(arch).hasExtension(isa::Extension::Avx);
+        core::BlockingFinder finder(harness);
+        for (bool vex : {false, true}) {
+            if (vex && !avx)
+                continue;
+            for (const auto &[mask, blocker] : finder.find(vex).combos) {
+                core::RegPool pool(core::RegPool::Zone::Filler);
+                const isa::Kernel blockers = core::independentSequence(
+                    *blocker.variant, pool, core::kBlockRepCap);
+                for (const isa::InstrInstance &inst : analyzed) {
+                    isa::Kernel body = blockers;
+                    body.push_back(isa::makeInstance(nop, {}));
+                    body.push_back(inst);
+                    body.push_back(isa::makeInstance(nop, {}));
+                    EXPECT_LE(harness.cacheKey(body).size(),
+                              kPrefixMax + kBytesPerInstr * body.size())
+                        << uarch::uarchShortName(arch) << " "
+                        << blocker.variant->name() << " "
+                        << inst.toAsm();
+                }
+            }
+        }
+    }
 }
 
 TEST(Determinism, CacheSharesExactlyWhereCoreAndTimingsMatch)

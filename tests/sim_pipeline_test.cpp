@@ -14,6 +14,8 @@
 
 #include "alloc_count.h"
 #include "core/codegen.h"
+#include "sim/harness.h"
+#include "sim/measurement_cache.h"
 #include "sim/pipeline.h"
 #include "test_util.h"
 
@@ -654,6 +656,32 @@ TEST(SimAllocation, RunsAllocateNothingPerUopOrCopy)
                 << uarch::uarchName(arch) << " " << name
                 << ": a run allocates per µop or per copy";
         }
+    }
+}
+
+TEST(SimAllocation, MemoHitAllocatesNothing)
+{
+    // A hit builds its key in the harness's reused buffer and probes
+    // the cache with a view of it; only the miss before it copies the
+    // key into the cache. A 300-instruction body's key is far past
+    // any small-string buffer.
+    sim::MeasurementCache cache;
+    sim::MeasurementHarness harness(timingDb(UArch::Skylake));
+    harness.setCache(&cache);
+    for (const auto &[name, listing] :
+         {std::pair<std::string, std::string>{"add", "ADD RAX, RBX"},
+          {"div-mem", "DIV RBX\nMOV RCX, [RAX+3]\nIMUL RDX, RSI, -7"},
+          longBodies()[0]}) {
+        auto body = asm_(listing);
+        sim::Measurement miss = harness.measure(body);
+        const uint64_t hits = cache.hits();
+        g_allocations = 0;
+        g_count_allocations = true;
+        sim::Measurement hit = harness.measure(body);
+        g_count_allocations = false;
+        EXPECT_EQ(cache.hits(), hits + 1) << name;
+        EXPECT_EQ(g_allocations.load(), 0u) << name;
+        EXPECT_EQ(hit.cycles, miss.cycles) << name;
     }
 }
 
